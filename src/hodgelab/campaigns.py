@@ -16,7 +16,16 @@ from math import factorial
 
 import numpy as np
 
-from .exterior import Form, Space, adjoint_wedge, basis_masks, contract, mask_to_indices, wedge
+from .exterior import (
+    Form,
+    Space,
+    adjoint_wedge,
+    basis_masks,
+    contract,
+    inner,
+    mask_to_indices,
+    wedge,
+)
 from .frames import (
     ComplexForm,
     FrameTriple,
@@ -280,9 +289,7 @@ def run_prop_2_3(dims, seeds, backend):
             for _ in range(p):
                 lhs = lefschetz_lstar(j, lhs)
             sign = (-1) ** (p * (p - 1) // 2)
-            from .exterior import inner as _inner
-
-            expected = sign * factorial(p) * _inner(a_p, j_pullback(j, b_p))
+            expected = sign * factorial(p) * inner(a_p, j_pullback(j, b_p))
             residual = _res(lhs - Form(space, 0, {0: expected}))
             cases.append(
                 CaseResult(f"dim{dim}/eval/p{p}/seed{seed}", residual == 0.0, residual, seed)
@@ -319,24 +326,12 @@ def run_lemma_3_1(dims, seeds, backend):
                     rotated = contract(j.basis_image(idx[0]), omega_form)
                     for i in idx[1:]:
                         rotated = contract(space.basis_vector(i), rotated)
-                    # sharp of a 1-form has the same components in an
-                    # orthonormal frame, so compare at the form level
-                    minus_j_s = (-j.apply(Vector_from_form(s_plain))).dual_one_form()
-                    worst = max(worst, _res(rotated - minus_j_s))
+                    # J is orthogonal, so -(J s_sharp)_flat = s o J
+                    worst = max(worst, _res(rotated - j_pullback(j, s_plain)))
                 cases.append(
                     CaseResult(f"dim{dim}/p{p}/seed{seed}", worst == 0.0, worst, seed)
                 )
     return cases
-
-
-def Vector_from_form(one_form: Form):
-    """Metric dual of a 1-form, componentwise in the orthonormal frame."""
-    from .exterior import Vector
-
-    space = one_form.space
-    zero = 0 if space.backend == "exact" else 0.0
-    comps = [one_form.coeffs.get(1 << i, zero) for i in range(space.dim)]
-    return Vector(space, comps)
 
 
 def run_alpha_omega(dims, seeds, backend):

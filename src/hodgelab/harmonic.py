@@ -25,6 +25,7 @@ from .errors import (
     SpaceMismatchError,
 )
 from .exterior import FLOAT_TOL, Form, Space, Vector, contract, hodge_star, inner, wedge
+from .linalg import mat_add, mat_mul
 
 SPECTRAL_TOL = 1e-8
 
@@ -54,7 +55,7 @@ class SkewEndo:
         self.rows = rows
 
     def __matmul__(self, other: "SkewEndo"):
-        return _matmul(self.rows, other.rows)
+        return mat_mul(self.rows, other.rows)
 
     def apply(self, v: Vector) -> Vector:
         n = self.space.dim
@@ -66,10 +67,7 @@ class SkewEndo:
     def __add__(self, other: "SkewEndo") -> "SkewEndo":
         if self.space != other.space:
             raise SpaceMismatchError(f"{self.space} vs {other.space}")
-        return SkewEndo(
-            self.space,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
+        return SkewEndo(self.space, mat_add(self.rows, other.rows))
 
     def __mul__(self, scalar) -> "SkewEndo":
         return SkewEndo(self.space, [[v * scalar for v in row] for row in self.rows])
@@ -85,11 +83,6 @@ class SkewEndo:
 
     def __repr__(self):
         return f"SkewEndo(dim={self.space.dim})"
-
-
-def _matmul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
 def form_endo(alpha: Form) -> SkewEndo:
@@ -117,25 +110,13 @@ def endo_form(a: SkewEndo) -> Form:
     return Form(a.space, 2, coeffs)
 
 
-def matrix_form(space: Space, rows) -> Form:
-    """2-form g(M., .) of an arbitrary (not necessarily skew) matrix's skew part."""
-    n = space.dim
-    coeffs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = (rows[j][i] - rows[i][j]) * (Fraction(1, 2) if space.backend == "exact" else 0.5)
-            if val != 0:
-                coeffs[(1 << i) | (1 << j)] = val
-    return Form(space, 2, coeffs)
-
-
 def triple(a1: SkewEndo, a2: SkewEndo, a3: SkewEndo) -> SkewEndo:
     """A2 A1 A3 + A3 A1 A2; skew again and symmetric in the outer arguments."""
     if a1.space != a2.space or a1.space != a3.space:
         raise SpaceMismatchError("operands live on different spaces")
-    m = _matmul(a2.rows, _matmul(a1.rows, a3.rows))
-    m2 = _matmul(a3.rows, _matmul(a1.rows, a2.rows))
-    return SkewEndo(a1.space, [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(m, m2)])
+    m = mat_mul(a2.rows, mat_mul(a1.rows, a3.rows))
+    m2 = mat_mul(a3.rows, mat_mul(a1.rows, a2.rows))
+    return SkewEndo(a1.space, mat_add(m, m2))
 
 
 def stab_expand(alpha1: Form, alpha2: Form, alpha3: Form) -> Form:

@@ -8,8 +8,9 @@ Form format (1-based strictly increasing indices):
 Float-backend terms carry {"index": [...], "value": x} instead of num/den.
 Complex structures are {"dim": 2k, "matrix": row-major} with "standard"
 accepted as a shorthand for the matrix; skew endomorphisms are
-{"dim": n, "matrix": row-major}.  Frame triples are three {re, im} pairs of
-real 1-forms plus the volume form.
+{"dim": n, "matrix": row-major}; exact matrix entries are integers or
+{"num": a, "den": b}.  Frame triples are three {re, im} pairs of real
+1-forms plus the volume form.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def form_from_dict(obj) -> Form:
         for entry in obj.get("terms", []):
             idx = tuple(int(i) for i in entry["index"])
             if space.backend == "exact":
-                val = Fraction(int(entry["num"]), int(entry.get("den", 1)))
+                val = _fraction(entry)
             else:
                 val = float(entry["value"])
             terms[idx] = terms.get(idx, 0) + val
@@ -83,7 +84,7 @@ def _matrix_to_rows(obj, n: int, space: Space):
     else:
         raise ParseError("matrix payload has the wrong size")
     if space.backend == "exact":
-        return [[int(v) if isinstance(v, int) else Fraction(v) for v in row] for row in rows]
+        return [[_exact_entry(v) for v in row] for row in rows]
     return [[float(v) for v in row] for row in rows]
 
 
@@ -133,6 +134,19 @@ def _num(v):
     if isinstance(v, Fraction):
         return v.numerator if v.denominator == 1 else {"num": v.numerator, "den": v.denominator}
     return v
+
+
+def _fraction(obj) -> Fraction:
+    return Fraction(int(obj["num"]), int(obj.get("den", 1)))
+
+
+def _exact_entry(v):
+    """Inverse of _num on the exact backend: an int or a {"num", "den"} object."""
+    if isinstance(v, dict):
+        return _fraction(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ParseError(f"exact matrix entries are integers or {{num, den}} objects, got {v!r}")
 
 
 def spectral_to_dict(d: SpectralDecomposition) -> dict:

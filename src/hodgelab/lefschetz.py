@@ -158,9 +158,7 @@ def primitive_basis(j_struct: ComplexStructure, degree: int):
         return basis
     target_masks = basis_masks(space.dim, degree - 2)
     pos = {m: i for i, m in enumerate(target_masks)}
-    rows = []
-    for t in range(len(target_masks)):
-        rows.append([0] * len(masks))
+    rows = [{} for _ in target_masks]
     for col, m in enumerate(masks):
         image = lefschetz_lstar(j_struct, Form(space, degree, {m: 1}))
         for im, c in image.coeffs.items():

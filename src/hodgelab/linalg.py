@@ -1,46 +1,46 @@
-"""Exact rational linear algebra plus a thin float rank helper.
+"""Exact rational linear algebra and the dense matrix helpers.
 
-The exact routines run plain fraction elimination on rows stored as
-column->value dicts.  The systems assembled by the library are sparse with
-small integer entries, so sparse elimination with a shortest-row pivot
-heuristic is fast enough for every shipped computation, including the
-largest constrained-torsion system (a few thousand rows, a few hundred
-columns).
+Rank and nullspace share one sparse fraction elimination on rows stored as
+column->value dicts (dense rows are accepted too).  The systems assembled by
+the library are sparse with small integer entries, so sparse elimination
+with a shortest-row pivot heuristic is fast enough for every shipped
+computation, including the largest constrained-torsion system (a few
+thousand rows, a few hundred columns).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
 
+def _eliminate(matrix, ncols: int | None):
+    """Forward elimination; returns ({pivot column: pivot row}, ncols).
 
-def _as_rows(matrix):
-    """Accept dense lists-of-lists or dict rows; return list of dict rows."""
-    rows = []
+    Columns are taken in increasing order and each is pivoted on the
+    shortest remaining row containing it, so every pivot row is zero left
+    of its pivot column.  Without ``ncols`` the width is read off the rows.
+    """
+    active = []
+    width = 0
     for row in matrix:
-        if isinstance(row, dict):
-            rows.append({c: v for c, v in row.items() if v != 0})
-        else:
-            rows.append({c: v for c, v in enumerate(row) if v != 0})
-    return rows
-
-
-def exact_rank(matrix, ncols: int | None = None) -> int:
-    """Rank over the rationals of a matrix with int/Fraction entries."""
-    rows = _as_rows(matrix)
+        dense = not isinstance(row, dict)
+        r = {c: v for c, v in (enumerate(row) if dense else row.items()) if v != 0}
+        width = max(width, len(row) if dense else 1 + max(r, default=-1))
+        if r:
+            active.append(r)
     if ncols is None:
-        ncols = 1 + max((max(r) for r in rows if r), default=-1)
-    rank = 0
-    active = [r for r in rows if r]
+        ncols = width
+    pivots = {}
     for col in range(ncols):
+        if not active:
+            break
         pivot_row = None
         for r in active:
             if col in r and (pivot_row is None or len(r) < len(pivot_row)):
                 pivot_row = r
         if pivot_row is None:
             continue
-        rank += 1
+        pivots[col] = pivot_row
         active.remove(pivot_row)
         piv = pivot_row[col]
         remaining = []
@@ -56,107 +56,57 @@ def exact_rank(matrix, ncols: int | None = None) -> int:
             if r:
                 remaining.append(r)
         active = remaining
-        if not active:
-            break
-    return rank
+    return pivots, ncols
 
 
-def exact_rref(matrix, ncols: int | None = None):
-    """Reduced row echelon form (dense) over the rationals.
-
-    Returns (rref rows as lists of Fractions, pivot column list).
-    """
-    rows = [list(map(Fraction, row)) for row in matrix]
-    if not rows:
-        return [], []
-    if ncols is None:
-        ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+def exact_rank(matrix, ncols: int | None = None) -> int:
+    """Rank over the rationals of a matrix with int/Fraction entries."""
+    return len(_eliminate(matrix, ncols)[0])
 
 
 def exact_nullspace(matrix, ncols: int | None = None):
-    """Basis of the rational nullspace of a dense matrix, as Fraction lists."""
-    rows = [list(row) for row in matrix]
-    if not rows:
-        return []
-    if ncols is None:
-        ncols = len(rows[0])
-    rref, pivots = exact_rref(rows, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
-        basis.append(vec)
-    return basis
+    """Basis of the rational nullspace, as dense Fraction lists.
 
-
-def exact_column_space_coords(vectors):
-    """Select a maximal independent subset of the given vectors.
-
-    Returns the list of indices of a lexicographically-first independent
-    subset, found by incremental elimination.
+    The pivot rows are back-substituted into the reduced row echelon form,
+    which depends only on the row space, and each free column f gives the
+    vector with 1 at f, minus the f-th reduced entry at each pivot column
+    and 0 elsewhere.  A matrix without rows has the identity basis.
     """
-    chosen = []
-    echelon = []  # rows as dicts, kept reduced against each other
-    for idx, vec in enumerate(vectors):
-        row = {c: Fraction(v) for c, v in enumerate(vec) if v != 0}
-        for lead, er in echelon:
-            if lead in row:
-                f = row[lead] / er[lead]
-                for c, v in er.items():
+    pivots, ncols = _eliminate(matrix, ncols)
+    reduced = {}
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        piv = row[col]
+        row = {c: Fraction(v) / piv for c, v in row.items()}
+        # later pivot rows are already reduced, so clearing their columns
+        # touches only free columns
+        for k in [k for k in row if k != col and k in reduced]:
+            f = row.pop(k)
+            for c, v in reduced[k].items():
+                if c != k:
                     nv = row.get(c, 0) - f * v
                     if nv == 0:
                         row.pop(c, None)
                     else:
                         row[c] = nv
-        if row:
-            lead = min(row)
-            echelon.append((lead, row))
-            echelon.sort(key=lambda t: t[0])
-            chosen.append(idx)
-    return chosen
+        reduced[col] = row
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for col, row in reduced.items():
+            if free in row:
+                vec[col] = -row[free]
+        basis.append(vec)
+    return basis
 
 
-def float_rank(matrix, tol: float | None = None) -> int:
-    a = np.asarray(matrix, dtype=float)
-    if a.size == 0:
-        return 0
-    sv = np.linalg.svd(a, compute_uv=False)
-    if tol is None:
-        tol = max(a.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    return int(np.sum(sv > tol))
+def mat_mul(a, b):
+    rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
+    return [[sum(a[i][k] * b[k][j] for k in range(mid)) for j in range(cols)] for i in range(rows)]
 
 
-def float_nullspace(matrix, tol: float | None = None):
-    """Orthonormal basis of the float nullspace (columns of the result)."""
-    a = np.asarray(matrix, dtype=float)
-    u, sv, vt = np.linalg.svd(a, full_matrices=True)
-    if tol is None:
-        tol = max(a.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    rank = int(np.sum(sv > tol))
-    return vt[rank:].T
+def mat_add(a, b, sa=1, sb=1):
+    return [[sa * x + sb * y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]

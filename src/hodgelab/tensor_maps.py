@@ -37,6 +37,7 @@ from .exterior import (
     Form,
     Space,
     Vector,
+    _permutation_sign,
     basis_masks,
     contract,
     contract_index,
@@ -52,18 +53,9 @@ from .hermitian import (
     in_lambda_p,
     lambda_basis,
 )
-from .linalg import exact_nullspace, exact_rank
+from .linalg import exact_nullspace, exact_rank, mat_add, mat_mul
 
 _HALF = Fraction(1, 2)
-
-
-def _mat_mul(a, b):
-    rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(mid)) for j in range(cols)] for i in range(rows)]
-
-
-def _mat_add(a, b, sa=1, sb=1):
-    return [[sa * x + sb * y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
 
 
 class FormValuedMap:
@@ -187,22 +179,15 @@ class FormValuedMap:
         if len(set(indices)) != len(indices):
             return self.j.space.zero_form(self.q)
         order = sorted(range(len(indices)), key=lambda t: indices[t])
-        sign = 1
-        perm = list(order)
-        for i in range(len(perm)):
-            while perm[i] != i:
-                j = perm[i]
-                perm[i], perm[j] = perm[j], perm[i]
-                sign = -sign
-        return sign * self.eval_mask(indices_to_mask(sorted(indices)))
+        return _permutation_sign(order) * self.eval_mask(indices_to_mask(sorted(indices)))
 
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other):
-        return FormValuedMap(self.j, self.p, self.q, _mat_add(self.matrix, other.matrix))
+        return FormValuedMap(self.j, self.p, self.q, mat_add(self.matrix, other.matrix))
 
     def __sub__(self, other):
-        return FormValuedMap(self.j, self.p, self.q, _mat_add(self.matrix, other.matrix, 1, -1))
+        return FormValuedMap(self.j, self.p, self.q, mat_add(self.matrix, other.matrix, 1, -1))
 
     def __mul__(self, scalar):
         return FormValuedMap(
@@ -221,17 +206,17 @@ class FormValuedMap:
         """JJ o Q o JJ."""
         jp = bb_j_matrix(self.j, self.p)
         jq = bb_j_matrix(self.j, self.q)
-        return FormValuedMap(self.j, self.p, self.q, _mat_mul(jq, _mat_mul(self.matrix, jp)))
+        return FormValuedMap(self.j, self.p, self.q, mat_mul(jq, mat_mul(self.matrix, jp)))
 
 
 def split_type(q_map: FormValuedMap):
     """Split into the bb_j-commuting and bb_j-anticommuting parts, in that order."""
     conj = q_map.conjugated_by_bbj()
     commuting = FormValuedMap(
-        q_map.j, q_map.p, q_map.q, _mat_add(q_map.matrix, conj.matrix, _HALF, -_HALF)
+        q_map.j, q_map.p, q_map.q, mat_add(q_map.matrix, conj.matrix, _HALF, -_HALF)
     )
     anticommuting = FormValuedMap(
-        q_map.j, q_map.p, q_map.q, _mat_add(q_map.matrix, conj.matrix, _HALF, _HALF)
+        q_map.j, q_map.p, q_map.q, mat_add(q_map.matrix, conj.matrix, _HALF, _HALF)
     )
     return commuting, anticommuting
 
@@ -351,7 +336,7 @@ def a_restricted_rank(j_struct: ComplexStructure, p: int, q: int) -> int:
 
 
 def a_full_matrix(j_struct: ComplexStructure, p: int, q: int):
-    """Dense matrix of a on the elementary tensor basis b_d (x) c_e."""
+    """Sparse rows of a on the elementary tensor basis b_d (x) c_e."""
     table = _wedge_table(j_struct, p, q)
     dp = lambda_basis(j_struct, p).dim
     dq = lambda_basis(j_struct, q).dim
@@ -359,21 +344,21 @@ def a_full_matrix(j_struct: ComplexStructure, p: int, q: int):
     target = basis_masks(space.dim, p + q)
     pos = {m: i for i, m in enumerate(target)}
     fac = factorial(p)
-    matrix = [[0] * (dp * dq) for _ in target]
+    rows = [{} for _ in target]
     for d in range(dp):
         for e in range(dq):
             for m, c in table[d][e].coeffs.items():
-                matrix[pos[m]][d * dq + e] = fac * c
-    return matrix
+                rows[pos[m]][d * dq + e] = fac * c
+    return rows
 
 
 def a_kernel_tensors(j_struct: ComplexStructure, p: int, q: int):
     """FormValuedMap basis of the kernel of a on the full tensor space."""
-    matrix = a_full_matrix(j_struct, p, q)
+    rows = a_full_matrix(j_struct, p, q)
     dom = lambda_basis(j_struct, p)
     cod = lambda_basis(j_struct, q)
     out = []
-    for vec in exact_nullspace(matrix, dom.dim * cod.dim):
+    for vec in exact_nullspace(rows, dom.dim * cod.dim):
         m = [[0] * dom.dim for _ in range(cod.dim)]
         for d in range(dom.dim):
             for e in range(cod.dim):
@@ -476,10 +461,35 @@ def holomorphic_q(j_struct: ComplexStructure, omega_form: Form, derivative) -> F
 # -- torsion tensors -------------------------------------------------------
 
 
-def _skew_param_index(n: int):
-    pairs = list(combinations(range(n), 2))
-    index = {pair: i for i, pair in enumerate(pairs)}
-    return pairs, index
+def _skew_params(n: int):
+    """Parameter lookup (r, c) -> (parameter, sign) of the skew n x n matrices.
+
+    The parameters are the entries above the diagonal in row-major order;
+    off-diagonal entry (r, c) equals sign times its parameter.
+    """
+    lookup = {}
+    for i, (r, c) in enumerate(combinations(range(n), 2)):
+        lookup[(r, c)] = (i, 1)
+        lookup[(c, r)] = (i, -1)
+    return lookup
+
+
+def _add_entry(row: dict, skew, base: int, r: int, c: int, coeff):
+    """Add coeff times entry (r, c) of the skew block at column ``base`` to a row."""
+    if coeff != 0 and r != c:
+        i, sign = skew[(r, c)]
+        row[base + i] = row.get(base + i, 0) + coeff * sign
+
+
+def _skew_from_params(vec, n: int, base: int = 0):
+    """The skew n x n matrix whose parameters are vec[base:base + n(n-1)/2]."""
+    m = [[0] * n for _ in range(n)]
+    for i, (r, c) in enumerate(combinations(range(n), 2)):
+        v = vec[base + i]
+        if v != 0:
+            m[r][c] = v
+            m[c][r] = -v
+    return m
 
 
 class TorsionTensor:
@@ -512,8 +522,8 @@ class TorsionTensor:
                     if eta[i][jj] != -eta[jj][i]:
                         raise InvariantViolationError("torsion values must be skew")
         for a in range(n):
-            eta_j = _mat_mul(self.etas[a], J)
-            j_eta = _mat_mul(J, self.etas[a])
+            eta_j = mat_mul(self.etas[a], J)
+            j_eta = mat_mul(J, self.etas[a])
             lhs = [[sum(J[b][a] * self.etas[b][r][c] for b in range(n)) for c in range(n)]
                    for r in range(n)]
             for r in range(n):
@@ -566,7 +576,7 @@ def torsion_bullet(q_rows, eta: TorsionTensor):
     return out
 
 
-def _bullet_rows(q_rows, n: int, index):
+def _bullet_rows(q_rows, n: int, skew):
     """Constraint rows (Q o eta)(x, y, z) = 0 for x < y < z in eta parameters."""
     rows = []
     npairs = n * (n - 1) // 2
@@ -575,18 +585,10 @@ def _bullet_rows(q_rows, n: int, index):
             for z in range(y + 1, n):
                 row: dict = {}
                 for a in range(n):
-                    for coeff, (r, c) in (
-                        (q_rows[a][x], (z, y)),
-                        (q_rows[a][y], (x, z)),
-                        (q_rows[a][z], (y, x)),
-                    ):
-                        if coeff == 0 or r == c:
-                            continue
-                        if r < c:
-                            col, sign = a * npairs + index[(r, c)], 1
-                        else:
-                            col, sign = a * npairs + index[(c, r)], -1
-                        row[col] = row.get(col, 0) + coeff * sign
+                    base = a * npairs
+                    _add_entry(row, skew, base, z, y, q_rows[a][x])
+                    _add_entry(row, skew, base, x, z, q_rows[a][y])
+                    _add_entry(row, skew, base, y, x, q_rows[a][z])
                 rows.append({c: v for c, v in row.items() if v != 0})
     return rows
 
@@ -595,54 +597,34 @@ def _structural_rows(j_struct: ComplexStructure):
     """Rows of the cyclic and J-compatibility constraints in eta parameters."""
     n = j_struct.space.dim
     J = j_struct.rows
-    pairs, index = _skew_param_index(n)
-    npairs = len(pairs)
+    skew = _skew_params(n)
+    npairs = n * (n - 1) // 2
     rows = []
-
-    def entry(a, r, c):
-        if r == c:
-            return None
-        if r < c:
-            return a * npairs + index[(r, c)], 1
-        return a * npairs + index[(c, r)], -1
-
     # cyclic identity on increasing triples
     for x in range(n):
         for y in range(x + 1, n):
             for z in range(y + 1, n):
                 row = {}
-                for a, (r, c) in ((x, (z, y)), (y, (x, z)), (z, (y, x))):
-                    col, sign = entry(a, r, c)
-                    row[col] = row.get(col, 0) + sign
+                for a, r, c in ((x, z, y), (y, x, z), (z, y, x)):
+                    _add_entry(row, skew, a * npairs, r, c, 1)
                 rows.append(row)
     # eta_{J e_a} = eta_a J and eta_a J = -J eta_a, entrywise
     for a in range(n):
+        base = a * npairs
         for r in range(n):
             for c in range(n):
                 row = {}
                 for b in range(n):
-                    if J[b][a] != 0:
-                        e = entry(b, r, c)
-                        if e:
-                            row[e[0]] = row.get(e[0], 0) + J[b][a] * e[1]
+                    _add_entry(row, skew, b * npairs, r, c, J[b][a])
                 for k in range(n):
-                    if J[k][c] != 0:
-                        e = entry(a, r, k)
-                        if e:
-                            row[e[0]] = row.get(e[0], 0) - e[1] * J[k][c]
+                    _add_entry(row, skew, base, r, k, -J[k][c])
                 row = {col: v for col, v in row.items() if v != 0}
                 if row:
                     rows.append(row)
                 row2 = {}
                 for k in range(n):
-                    if J[k][c] != 0:
-                        e = entry(a, r, k)
-                        if e:
-                            row2[e[0]] = row2.get(e[0], 0) + e[1] * J[k][c]
-                    if J[r][k] != 0:
-                        e = entry(a, k, c)
-                        if e:
-                            row2[e[0]] = row2.get(e[0], 0) + J[r][k] * e[1]
+                    _add_entry(row2, skew, base, r, k, J[k][c])
+                    _add_entry(row2, skew, base, k, c, J[r][k])
                 row2 = {col: v for col, v in row2.items() if v != 0}
                 if row2:
                     rows.append(row2)
@@ -653,25 +635,10 @@ def admissible_torsion_basis(j_struct: ComplexStructure):
     """Exact basis of the torsion tensors satisfying the three constraints."""
     n = j_struct.space.dim
     rows, npairs = _structural_rows(j_struct)
-    ncols = n * npairs
-    dense = [[0] * ncols for _ in rows]
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            dense[i][c] = v
-    pairs, _ = _skew_param_index(n)
-    out = []
-    for vec in exact_nullspace(dense, ncols):
-        etas = []
-        for a in range(n):
-            m = [[0] * n for _ in range(n)]
-            for pi, (r, c) in enumerate(pairs):
-                v = vec[a * npairs + pi]
-                if v != 0:
-                    m[r][c] = v
-                    m[c][r] = -v
-            etas.append(m)
-        out.append(TorsionTensor(j_struct, etas))
-    return out
+    return [
+        TorsionTensor(j_struct, [_skew_from_params(vec, n, a * npairs) for a in range(n)])
+        for vec in exact_nullspace(rows, n * npairs)
+    ]
 
 
 def invariant_skew_basis(j_struct: ComplexStructure):
@@ -687,46 +654,20 @@ def anti_invariant_skew_basis(j_struct: ComplexStructure):
 def _constrained_skew_basis(j_struct: ComplexStructure, commuting: bool):
     n = j_struct.space.dim
     J = j_struct.rows
-    pairs, index = _skew_param_index(n)
+    skew = _skew_params(n)
     rows = []
     sign = -1 if commuting else 1
-
-    def entry(r, c):
-        if r == c:
-            return None
-        if r < c:
-            return index[(r, c)], 1
-        return index[(c, r)], -1
-
     for r in range(n):
         for c in range(n):
             row = {}
             # (F J + sign * J F)[r][c]
             for k in range(n):
-                if J[k][c] != 0:
-                    e = entry(r, k)
-                    if e:
-                        row[e[0]] = row.get(e[0], 0) + e[1] * J[k][c]
-                if J[r][k] != 0:
-                    e = entry(k, c)
-                    if e:
-                        row[e[0]] = row.get(e[0], 0) + sign * J[r][k] * e[1]
+                _add_entry(row, skew, 0, r, k, J[k][c])
+                _add_entry(row, skew, 0, k, c, sign * J[r][k])
             row = {col: v for col, v in row.items() if v != 0}
             if row:
                 rows.append(row)
-    dense = [[0] * len(pairs) for _ in rows]
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            dense[i][c] = v
-    out = []
-    for vec in exact_nullspace(dense, len(pairs)):
-        m = [[0] * n for _ in range(n)]
-        for pi, (r, c) in enumerate(pairs):
-            if vec[pi] != 0:
-                m[r][c] = vec[pi]
-                m[c][r] = -vec[pi]
-        out.append(m)
-    return out
+    return [_skew_from_params(vec, n) for vec in exact_nullspace(rows, n * (n - 1) // 2)]
 
 
 def van_kernel_dimension(k: int) -> int:
@@ -741,9 +682,9 @@ def van_kernel_dimension(k: int) -> int:
     j_struct = ComplexStructure.standard(space)
     n = 2 * k
     rows, npairs = _structural_rows(j_struct)
-    _, index = _skew_param_index(n)
+    skew = _skew_params(n)
     for f in invariant_skew_basis(j_struct):
-        rows.extend(_bullet_rows(f, n, index))
+        rows.extend(_bullet_rows(f, n, skew))
     return n * npairs - exact_rank(rows, n * npairs)
 
 
@@ -759,17 +700,17 @@ def bracket_bullet_in_span(k: int) -> bool:
     j_struct = ComplexStructure.standard(space)
     n = 2 * k
     rows, npairs = _structural_rows(j_struct)
-    _, index = _skew_param_index(n)
+    skew = _skew_params(n)
     mbasis = anti_invariant_skew_basis(j_struct)
     for i, f in enumerate(mbasis):
         for g in mbasis[i:]:
-            sym = _mat_add(_mat_mul(f, g), _mat_mul(g, f))
-            rows.extend(_bullet_rows(sym, n, index))
-    base_rank = exact_rank([dict(r) for r in rows], n * npairs)
+            sym = mat_add(mat_mul(f, g), mat_mul(g, f))
+            rows.extend(_bullet_rows(sym, n, skew))
+    base_rank = exact_rank(rows, n * npairs)
     for i, f in enumerate(mbasis):
         for g in mbasis[i + 1:]:
-            comm = _mat_add(_mat_mul(f, g), _mat_mul(g, f), 1, -1)
-            rows.extend(_bullet_rows(comm, n, index))
+            comm = mat_add(mat_mul(f, g), mat_mul(g, f), 1, -1)
+            rows.extend(_bullet_rows(comm, n, skew))
     return exact_rank(rows, n * npairs) == base_rank
 
 
@@ -782,12 +723,12 @@ def bracket_span_dimension(k: int) -> int:
     j_struct = ComplexStructure.standard(space)
     mbasis = anti_invariant_skew_basis(j_struct)
     n = 2 * k
-    pairs, index = _skew_param_index(n)
+    skew = _skew_params(n)
     vecs = []
     for i, f in enumerate(mbasis):
         for g in mbasis[i + 1:]:
-            comm = _mat_add(_mat_mul(f, g), _mat_mul(g, f), 1, -1)
-            vecs.append({index[(r, c)]: comm[r][c]
+            comm = mat_add(mat_mul(f, g), mat_mul(g, f), 1, -1)
+            vecs.append({skew[(r, c)][0]: comm[r][c]
                          for r in range(n) for c in range(r + 1, n)
                          if comm[r][c] != 0})
-    return exact_rank(vecs, len(pairs))
+    return exact_rank(vecs, n * (n - 1) // 2)

@@ -1,11 +1,15 @@
 """Round trips and error handling for the JSON value formats."""
 
+import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgelab.exterior import Space
-from hodgelab.frames import FrameTriple
+from hodgelab.frames import ComplexForm, FrameTriple
 from hodgelab.harmonic import SkewEndo
 from hodgelab.hermitian import ComplexStructure
 from hodgelab.jsonio import (
@@ -17,8 +21,10 @@ from hodgelab.jsonio import (
     frame_from_dict,
     frame_to_dict,
     skew_endo_from_dict,
+    skew_endo_to_dict,
     spectral_to_dict,
 )
+from hodgelab.linalg import mat_mul
 
 
 def test_exact_form_round_trip():
@@ -87,3 +93,120 @@ def test_frame_round_trip():
 def test_frame_parse_error():
     with pytest.raises(ParseError):
         frame_from_dict({"gammas": [{"re": {}}]})
+
+
+# -- property-based round trips on both backends ---------------------------
+
+BACKENDS = st.sampled_from(["exact", "float"])
+_EXACT = st.one_of(
+    st.integers(-9, 9).filter(bool),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 7)),
+)
+_FLOAT = st.floats(-10, 10, allow_nan=False).filter(bool)
+# Pythagorean triples give exactly rational rotations
+_ROTATIONS = st.sampled_from([(3, 4, 5), (5, 12, 13), (8, 15, 17), (0, 1, 1)])
+
+
+def _json(payload):
+    return json.loads(json.dumps(payload))
+
+
+def _scalars(backend):
+    return _EXACT if backend == "exact" else _FLOAT
+
+
+def _convert(rows, backend):
+    return [[float(v) if backend == "float" else v for v in row] for row in rows]
+
+
+@st.composite
+def _rational_orthogonal(draw, n):
+    """A product of Givens rotations with rational cosine and sine."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, k = draw(st.sampled_from(list(combinations(range(n), 2))))
+        a, b, c = draw(_ROTATIONS)
+        g = [[int(r == s) for s in range(n)] for r in range(n)]
+        g[i][i] = g[k][k] = Fraction(a, c)
+        g[i][k], g[k][i] = -Fraction(b, c), Fraction(b, c)
+        m = mat_mul(g, m)
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), BACKENDS)
+def test_form_round_trip_property(data, backend):
+    space = Space(data.draw(st.integers(1, 6)), backend)
+    degree = data.draw(st.integers(0, space.dim))
+    keys = st.sampled_from(list(combinations(range(1, space.dim + 1), degree)))
+    terms = data.draw(st.dictionaries(keys, _scalars(backend), max_size=6))
+    form = space.form(degree, terms)
+    assert form_from_dict(_json(form_to_dict(form))) == form
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), BACKENDS)
+def test_complex_structure_round_trip_property(data, backend):
+    n = data.draw(st.sampled_from([2, 4, 6]))
+    r = data.draw(_rational_orthogonal(n))
+    rt = [list(col) for col in zip(*r)]
+    rotated = mat_mul(r, mat_mul(ComplexStructure.standard(Space(n)).rows, rt))
+    j = ComplexStructure(Space(n, backend), _convert(rotated, backend))
+    assert complex_structure_from_dict(_json(complex_structure_to_dict(j))) == j
+
+
+def test_rotated_complex_structure_round_trip():
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    r = [[c, 0, -s, 0], [0, 1, 0, 0], [s, 0, c, 0], [0, 0, 0, 1]]
+    rt = [list(col) for col in zip(*r)]
+    j = ComplexStructure(Space(4), mat_mul(r, mat_mul(ComplexStructure.standard(Space(4)).rows, rt)))
+    payload = complex_structure_to_dict(j)
+    assert {"num": -3, "den": 5} in payload["matrix"][0]
+    assert complex_structure_from_dict(payload) == j
+
+
+def test_exact_matrix_entries_must_be_integers_or_fractions():
+    for bad in (0.5, "1/2", True):
+        with pytest.raises(ParseError):
+            skew_endo_from_dict({"dim": 2, "matrix": [[0, bad], [0, 0]]})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), BACKENDS)
+def test_skew_endo_round_trip_property(data, backend):
+    n = data.draw(st.integers(1, 5))
+    zero = 0 if backend == "exact" else 0.0
+    rows = [[zero] * n for _ in range(n)]
+    for r, c in combinations(range(n), 2):
+        v = data.draw(st.one_of(st.just(zero), _scalars(backend)))
+        rows[r][c], rows[c][r] = v, -v
+    a = SkewEndo(Space(n, backend), rows)
+    assert skew_endo_from_dict(_json(skew_endo_to_dict(a))) == a
+
+
+_UNITS = st.sampled_from([(1, 0), (0, 1), (-1, 0), (0, -1), (Fraction(3, 5), Fraction(4, 5))])
+
+
+def _assert_same_frame(f1, f2):
+    assert f1.nu == f2.nu
+    for g1, g2 in zip(f1.gammas, f2.gammas):
+        assert g1.re == g2.re and g1.im == g2.im
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rational_orthogonal(3), st.lists(_UNITS, min_size=3, max_size=3))
+def test_exact_frame_round_trip_property(rows, units):
+    space = Space(3)
+    gammas = []
+    for row, (ur, ui) in zip(rows, units):
+        form = space.form(1, {(i + 1,): v for i, v in enumerate(row) if v != 0})
+        gammas.append(ComplexForm(ur * form, ui * form))
+    frame = FrameTriple(gammas)
+    _assert_same_frame(frame_from_dict(_json(frame_to_dict(frame))), frame)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_float_frame_round_trip_property(seed):
+    frame = FrameTriple.random(seed)
+    _assert_same_frame(frame_from_dict(_json(frame_to_dict(frame))), frame)

@@ -13,6 +13,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _subtract(row: dict, factor, other: dict):
+    """row -= factor * other, dropping the entries that cancel."""
+    for c, v in other.items():
+        nv = row.get(c, 0) - factor * v
+        if nv == 0:
+            row.pop(c, None)
+        else:
+            row[c] = nv
+
+
 def _eliminate(matrix, ncols: int | None):
     """Forward elimination; returns ({pivot column: pivot row}, ncols).
 
@@ -46,13 +56,7 @@ def _eliminate(matrix, ncols: int | None):
         remaining = []
         for r in active:
             if col in r:
-                factor = Fraction(r[col], 1) / piv
-                for c, v in pivot_row.items():
-                    nv = r.get(c, 0) - factor * v
-                    if nv == 0:
-                        r.pop(c, None)
-                    else:
-                        r[c] = nv
+                _subtract(r, Fraction(r[col], 1) / piv, pivot_row)
             if r:
                 remaining.append(r)
         active = remaining
@@ -78,17 +82,10 @@ def exact_nullspace(matrix, ncols: int | None = None):
         row = pivots[col]
         piv = row[col]
         row = {c: Fraction(v) / piv for c, v in row.items()}
-        # later pivot rows are already reduced, so clearing their columns
-        # touches only free columns
-        for k in [k for k in row if k != col and k in reduced]:
-            f = row.pop(k)
-            for c, v in reduced[k].items():
-                if c != k:
-                    nv = row.get(c, 0) - f * v
-                    if nv == 0:
-                        row.pop(c, None)
-                    else:
-                        row[c] = nv
+        # the rows of later pivots are already reduced, so clearing their
+        # columns changes only free columns
+        for k in [k for k in row if k in reduced]:
+            _subtract(row, row[k], reduced[k])
         reduced[col] = row
     basis = []
     for free in range(ncols):

@@ -159,7 +159,8 @@ def test_rotated_complex_structure_round_trip():
     c, s = Fraction(3, 5), Fraction(4, 5)
     r = [[c, 0, -s, 0], [0, 1, 0, 0], [s, 0, c, 0], [0, 0, 0, 1]]
     rt = [list(col) for col in zip(*r)]
-    j = ComplexStructure(Space(4), mat_mul(r, mat_mul(ComplexStructure.standard(Space(4)).rows, rt)))
+    std = ComplexStructure.standard(Space(4)).rows
+    j = ComplexStructure(Space(4), mat_mul(r, mat_mul(std, rt)))
     payload = complex_structure_to_dict(j)
     assert {"num": -3, "den": 5} in payload["matrix"][0]
     assert complex_structure_from_dict(payload) == j

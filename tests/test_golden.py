@@ -1,4 +1,5 @@
-"""Golden report hashes: every campaign, on each allowed dimension, at its default seeds.
+"""Golden report hashes: every campaign, on each allowed dimension, at its default
+seeds, and the reports of acceptance criterion 3 at its acceptance parameters.
 
 A refactor must leave every serialized report byte-identical.  A change that
 alters a report on purpose regenerates its hash here and says why.
@@ -46,6 +47,18 @@ GOLDEN = {
     ("prop-4.2", 8): "727630a649bfb6ef7668942d1eb8ac3f9262b89eaa8de0e3f3528229682f2bf7",
 }
 
+# criterion 3 of tests/test_acceptance.py: lemma-2.1 on seeds 1..200 and
+# prop-2.2 at its defaults, both over the default dims
+ACCEPTANCE_SEEDS = {"lemma-2.1": list(range(1, 201)), "prop-2.2": None}
+ACCEPTANCE_GOLDEN = {
+    "lemma-2.1": "4a3ef7e3b590bdea6c1dd343695013d71652230407e9e776c10451999c324e42",
+    "prop-2.2": "aa982117bb67a730682c5a203a1b5f70a6ec78c3a5f8506a06aff3c62b808195",
+}
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
 
 def test_golden_covers_every_campaign_and_dim():
     expected = {(name, d) for name, e in CAMPAIGNS.items() for d in e.allowed_dims}
@@ -54,6 +67,10 @@ def test_golden_covers_every_campaign_and_dim():
 
 @pytest.mark.parametrize("name,dim", sorted(GOLDEN))
 def test_report_hash_is_pinned(name, dim):
-    report = run_campaign(Campaign(name, dims=[dim]))
-    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-    assert digest == GOLDEN[(name, dim)]
+    assert _digest(run_campaign(Campaign(name, dims=[dim]))) == GOLDEN[(name, dim)]
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPTANCE_GOLDEN))
+def test_acceptance_report_hash_is_pinned(name):
+    report = run_campaign(Campaign(name, seeds=ACCEPTANCE_SEEDS[name]))
+    assert _digest(report) == ACCEPTANCE_GOLDEN[name]

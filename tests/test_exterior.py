@@ -266,3 +266,25 @@ def test_form_evaluate_signs():
     assert a.evaluate(3, 1) == Fraction(-5, 2)
     assert a.evaluate(1, 1) == 0
     assert a.evaluate(2, 4) == 0
+
+
+def test_exact_backend_rejects_float_scalars():
+    alpha = S4.basis_form(1, 2)
+    with pytest.raises(TypeError):
+        alpha * 0.5
+    with pytest.raises(TypeError):
+        0.5 * alpha
+    with pytest.raises(TypeError):
+        alpha / 2.0
+    with pytest.raises(TypeError):
+        S4.basis_vector(1) * 0.5
+    assert alpha * Fraction(1, 2) == alpha / 2 == S4.form(2, {(1, 2): Fraction(1, 2)})
+    assert 3 * S4.basis_vector(2) == S4.vector([0, 3, 0, 0])
+
+
+def test_float_backend_coerces_scalars():
+    space = Space(4, "float")
+    alpha = space.basis_form(1, 2) * Fraction(1, 2)
+    assert alpha.coeffs == {0b11: 0.5} and isinstance(alpha.coeffs[0b11], float)
+    assert (space.basis_form(1, 2) / 4).coeffs == {0b11: 0.25}
+    assert (space.basis_vector(1) * 2).components == (2.0, 0.0, 0.0, 0.0)

@@ -198,15 +198,14 @@ class Form:
     def __mul__(self, scalar) -> "Form":
         if isinstance(scalar, Form):
             raise TypeError("use wedge() for products of forms")
+        scalar = self.space.scalar(scalar)
         return Form(self.space, self.degree, {m: c * scalar for m, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "Form":
-        if self.space.backend == "exact":
-            inv = Fraction(1, 1) / scalar
-            return self * inv
-        return self * (1.0 / scalar)
+        scalar = self.space.scalar(scalar)
+        return self * (Fraction(1) / scalar if self.space.backend == "exact" else 1.0 / scalar)
 
     def __eq__(self, other):
         if not isinstance(other, Form):
@@ -307,6 +306,7 @@ class Vector:
         return Vector(self.space, [a + b for a, b in zip(self.components, other.components)])
 
     def __mul__(self, scalar) -> "Vector":
+        scalar = self.space.scalar(scalar)
         return Vector(self.space, [c * scalar for c in self.components])
 
     __rmul__ = __mul__

@@ -54,9 +54,6 @@ class SkewEndo:
         self.space = space
         self.rows = rows
 
-    def __matmul__(self, other: "SkewEndo"):
-        return mat_mul(self.rows, other.rows)
-
     def apply(self, v: Vector) -> Vector:
         n = self.space.dim
         return Vector(

@@ -36,6 +36,7 @@ from .exterior import (
     mask_to_indices,
     wedge,
 )
+from .linalg import add_scaled, mat_add, mat_mul
 
 
 class ComplexStructure:
@@ -64,25 +65,13 @@ class ComplexStructure:
         self._misc_cache: dict = {}
 
     def _validate(self):
-        n = self.space.dim
         rows = self.rows
-        sq_plus_id = [
-            [sum(rows[i][k] * rows[k][j] for k in range(n)) + (1 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        ortho_defect = [
-            [sum(rows[k][i] * rows[k][j] for k in range(n)) - (1 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        if self.space.backend == "exact":
-            bad = any(v != 0 for row in sq_plus_id for v in row) or any(
-                v != 0 for row in ortho_defect for v in row
-            )
-        else:
-            bad = any(abs(v) > FLOAT_TOL for row in sq_plus_id for v in row) or any(
-                abs(v) > FLOAT_TOL for row in ortho_defect for v in row
-            )
-        if bad:
+        n = self.space.dim
+        ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        sq_plus_id = mat_add(mat_mul(rows, rows), ident)
+        ortho_defect = mat_add(mat_mul(list(zip(*rows)), rows), ident, 1, -1)
+        tol = 0 if self.space.backend == "exact" else FLOAT_TOL
+        if any(abs(v) > tol for row in sq_plus_id + ortho_defect for v in row):
             raise InvariantViolationError("matrix is not an orthogonal complex structure")
 
     @classmethod
@@ -125,48 +114,62 @@ class ComplexStructure:
         return f"ComplexStructure(dim={self.space.dim})"
 
 
-def _pullback_one_form_mask(j_struct: ComplexStructure, index: int) -> Form:
-    """Pullback of the basis 1-form e^index (1-based) under J."""
-    row = j_struct._pullback_rows[index - 1]
-    return Form(j_struct.space, 1, {1 << col: val for col, val in row})
+def _apply_compiled(j_struct: ComplexStructure, image, alpha: Form) -> Form:
+    """Apply the operator with basis images ``image(j_struct, mask)`` to alpha.
+
+    The images are compiled once per (J, image, degree) into a sparse table
+    mask -> {mask: coeff} cached on the structure.
+    """
+    if alpha.space != j_struct.space:
+        raise SpaceMismatchError(f"{alpha.space} vs {j_struct.space}")
+    key = (image, alpha.degree)
+    table = j_struct._misc_cache.get(key)
+    if table is None:
+        masks = basis_masks(j_struct.space.dim, alpha.degree)
+        table = j_struct._misc_cache[key] = {m: image(j_struct, m) for m in masks}
+    out: dict = {}
+    for mask, coeff in alpha.coeffs.items():
+        add_scaled(out, coeff, table[mask])
+    return Form(alpha.space, alpha.degree, out)
+
+
+def _pullback_image(j_struct: ComplexStructure, mask: int) -> dict:
+    """J e^I = J e^{i1} ^ ... ^ J e^{ip}; row i of J is the pullback of e^i."""
+    space = j_struct.space
+    factors = (
+        Form(space, 1, {1 << col: v for col, v in j_struct._pullback_rows[i - 1]})
+        for i in mask_to_indices(mask)
+    )
+    return reduce(wedge, factors, Form(space, 0, {0: space.scalar(1)})).coeffs
+
+
+def _curly_j_image(j_struct: ComplexStructure, mask: int) -> dict:
+    """cal-J e^I: each index i of I in turn is replaced by the pullback of e^i.
+
+    e^I is e^i ^ e^(I-i) up to the sign of the indices of I-i below i, and
+    sorting a new index c into I-i gives the sign of those below c.
+    """
+    image: dict = {}
+    for i in mask_to_indices(mask):
+        rest = mask ^ (1 << (i - 1))
+        below = (rest & ((1 << (i - 1)) - 1)).bit_count()
+        for col, v in j_struct._pullback_rows[i - 1]:
+            if not rest >> col & 1:
+                target = rest | (1 << col)
+                sign = below + (rest & ((1 << col) - 1)).bit_count()
+                image[target] = image.get(target, 0) + (-v if sign & 1 else v)
+    return image
 
 
 def j_pullback(j_struct: ComplexStructure, alpha: Form) -> Form:
     """(J alpha)(v1, ..., vp) = alpha(J v1, ..., J vp); an isometry with
     J(J alpha) = (-1)^p alpha."""
-    if alpha.space != j_struct.space:
-        raise SpaceMismatchError(f"{alpha.space} vs {j_struct.space}")
-    if alpha.degree == 0:
-        return alpha
-    out = alpha.space.zero_form(alpha.degree)
-    for mask, coeff in alpha.coeffs.items():
-        term = None
-        for i in mask_to_indices(mask):
-            factor = _pullback_one_form_mask(j_struct, i)
-            term = factor if term is None else wedge(term, factor)
-        out = out + coeff * term
-    return out
+    return _apply_compiled(j_struct, _pullback_image, alpha)
 
 
 def curly_j(j_struct: ComplexStructure, alpha: Form) -> Form:
     """The derivation extension: J is applied to one argument slot at a time."""
-    if alpha.space != j_struct.space:
-        raise SpaceMismatchError(f"{alpha.space} vs {j_struct.space}")
-    space = alpha.space
-    if alpha.degree == 0:
-        return space.zero_form(0)
-    out = space.zero_form(alpha.degree)
-    for mask, coeff in alpha.coeffs.items():
-        indices = mask_to_indices(mask)
-        for r, i in enumerate(indices):
-            prefix = mask & ((1 << (i - 1)) - 1)
-            suffix = mask ^ prefix ^ (1 << (i - 1))
-            pulled = _pullback_one_form_mask(j_struct, i)
-            piece = wedge(Form(space, r, {prefix: coeff}), pulled)
-            piece = wedge(piece, Form(space, len(indices) - r - 1,
-                                      {suffix: 1 if space.backend == "exact" else 1.0}))
-            out = out + piece
-    return out
+    return _apply_compiled(j_struct, _curly_j_image, alpha)
 
 
 def curly_j_squared(j_struct: ComplexStructure, alpha: Form) -> Form:

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra and the dense matrix helpers.
+"""Exact rational linear algebra and the matrix helpers.
 
 Rank and nullspace share one sparse fraction elimination on rows stored as
 column->value dicts (dense rows are accepted too).  The systems assembled by
@@ -13,10 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _subtract(row: dict, factor, other: dict):
-    """row -= factor * other, dropping the entries that cancel."""
+def add_scaled(row: dict, factor, other: dict):
+    """row += factor * other, dropping the entries that cancel."""
     for c, v in other.items():
-        nv = row.get(c, 0) - factor * v
+        nv = row.get(c, 0) + factor * v
         if nv == 0:
             row.pop(c, None)
         else:
@@ -56,7 +56,7 @@ def _eliminate(matrix, ncols: int | None):
         remaining = []
         for r in active:
             if col in r:
-                _subtract(r, Fraction(r[col], 1) / piv, pivot_row)
+                add_scaled(r, -Fraction(r[col], 1) / piv, pivot_row)
             if r:
                 remaining.append(r)
         active = remaining
@@ -85,7 +85,7 @@ def exact_nullspace(matrix, ncols: int | None = None):
         # the rows of later pivots are already reduced, so clearing their
         # columns changes only free columns
         for k in [k for k in row if k in reduced]:
-            _subtract(row, row[k], reduced[k])
+            add_scaled(row, -row[k], reduced[k])
         reduced[col] = row
     basis = []
     for free in range(ncols):
@@ -101,9 +101,23 @@ def exact_nullspace(matrix, ncols: int | None = None):
 
 
 def mat_mul(a, b):
-    rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(mid)) for j in range(cols)] for i in range(rows)]
+    """Matrix product; zero entries of either factor cost no arithmetic."""
+    cols = len(b[0]) if b else 0
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_add(a, b, sa=1, sb=1):
-    return [[sa * x + sb * y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+    """sa * a + sb * b; zero entries cost no arithmetic."""
+    return [
+        [(sa * x + sb * y if y else sa * x) if x else (sb * y if y else 0) for x, y in zip(r1, r2)]
+        for r1, r2 in zip(a, b)
+    ]

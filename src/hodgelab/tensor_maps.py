@@ -539,16 +539,6 @@ class TorsionTensor:
                     if s != 0:
                         raise InvariantViolationError("cyclic identity fails")
 
-    def eta_of(self, v: Vector):
-        n = self.j.space.dim
-        out = [[0] * n for _ in range(n)]
-        for a, comp in enumerate(v.components):
-            if comp != 0:
-                for r in range(n):
-                    for c in range(n):
-                        out[r][c] += comp * self.etas[a][r][c]
-        return out
-
     def is_zero(self):
         return all(v == 0 for eta in self.etas for row in eta for v in row)
 

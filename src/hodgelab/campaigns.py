@@ -194,7 +194,7 @@ def _type_pairs(dim: int, max_total: int = 4):
     ]
 
 
-def run_lemma_2_1(dims, seeds, backend):
+def run_lemma_2_1(dims, seeds):
     """Antisymmetrized halves land in their bidegree eigenspaces, exactly."""
     cases = []
     for dim in dims:
@@ -215,7 +215,7 @@ def run_lemma_2_1(dims, seeds, backend):
     return cases
 
 
-def run_prop_2_2(dims, seeds, backend):
+def run_prop_2_2(dims, seeds):
     """Full column rank on the commuting half (p != q) and kernel typing."""
     cases = []
     for dim in dims:
@@ -250,7 +250,7 @@ def run_prop_2_2(dims, seeds, backend):
     return cases
 
 
-def run_prop_2_3(dims, seeds, backend):
+def run_prop_2_3(dims, seeds):
     """The adjoint-Lefschetz recursion for P_k and its primitive evaluation."""
     cases = []
     for dim in dims:
@@ -297,7 +297,7 @@ def run_prop_2_3(dims, seeds, backend):
     return cases
 
 
-def run_lemma_3_1(dims, seeds, backend):
+def run_lemma_3_1(dims, seeds):
     """Derivative-driven maps land in the commuting half; slot duals intertwine J."""
     cases = []
     for dim in dims:
@@ -334,7 +334,7 @@ def run_lemma_3_1(dims, seeds, backend):
     return cases
 
 
-def run_alpha_omega(dims, seeds, backend):
+def run_alpha_omega(dims, seeds):
     """The contraction 2-form of a type-(p,0)+(0,p) form and its pairing law."""
     cases = []
     for dim in dims:
@@ -374,7 +374,7 @@ def run_alpha_omega(dims, seeds, backend):
     return cases
 
 
-def run_prop_4_1(dims, seeds, backend):
+def run_prop_4_1(dims, seeds):
     """Exact expansion of the wedge adjoint on triples of 2-forms."""
     cases = []
     for dim in dims:
@@ -426,7 +426,7 @@ def _structured_skew(n: int, rng: SplitMix64, force_nondegenerate: bool = False)
     return a_mat, mus, mults, kernel
 
 
-def run_prop_4_2(dims, seeds, backend):
+def run_prop_4_2(dims, seeds):
     """Spectral reconstruction, moment recovery, and the compatibility sum."""
     cases = []
     for dim in dims:
@@ -470,7 +470,7 @@ def run_prop_4_2(dims, seeds, backend):
     return cases
 
 
-def run_lemma_4_3(dims, seeds, backend):
+def run_lemma_4_3(dims, seeds):
     """Exhaustive spectrum of the subspace splitting operator on R^6."""
     cases = []
     space = Space(6, "exact")
@@ -491,7 +491,7 @@ def run_lemma_4_3(dims, seeds, backend):
     return cases
 
 
-def run_lemma_4_4(dims, seeds, backend):
+def run_lemma_4_4(dims, seeds):
     """The rank-4 patch on R^6 squares to minus the identity."""
     cases = []
     space = Space(6, "float")
@@ -514,7 +514,7 @@ def run_lemma_4_4(dims, seeds, backend):
     return cases
 
 
-def run_lemma_4_8(dims, seeds, backend):
+def run_lemma_4_8(dims, seeds):
     """Frame star identities, transition invariants, and the cross identity."""
     cases = []
     for seed in seeds:
@@ -540,7 +540,7 @@ def run_lemma_4_8(dims, seeds, backend):
     return cases
 
 
-def run_prop_4_11(dims, seeds, backend):
+def run_prop_4_11(dims, seeds):
     """Symmetric/skew separation and the two transition reduction identities."""
     cases = []
     for seed in seeds:
@@ -584,7 +584,7 @@ def run_prop_4_11(dims, seeds, backend):
     return cases
 
 
-def run_cor_4_12(dims, seeds, backend):
+def run_cor_4_12(dims, seeds):
     """The real-restricted obstruction kernel vanishes on valid transitions."""
     cases = [
         CaseResult(
@@ -614,7 +614,7 @@ def _identity_transition():
     return TransitionData(np.eye(3, dtype=complex), 1.0 + 0.0j)
 
 
-def run_eq_7(dims, seeds, backend):
+def run_eq_7(dims, seeds):
     """Bullet pairing facts: cyclic symmetry, the forced cyclic-sum zero, and
     the span containment of commutator bullets in polarized square bullets."""
     cases = []
@@ -652,7 +652,7 @@ def run_eq_7(dims, seeds, backend):
     return cases
 
 
-def run_lemma_5_5(dims, seeds, backend):
+def run_lemma_5_5(dims, seeds):
     """The fully constrained torsion space is zero from dimension 6 on."""
     cases = []
     for dim in dims:
@@ -705,18 +705,13 @@ def run_campaign(c: Campaign) -> Report:
     entry = CAMPAIGNS[c.name]
     dims = list(c.dims) if c.dims else list(entry.dims)
     seeds = list(c.seeds) if c.seeds else list(entry.seeds)
-    backend = c.backend or entry.backend
-    if backend != entry.backend:
-        raise UsageError(
-            f"campaign {c.name} runs on the {entry.backend} backend only"
-        )
+    if c.backend and c.backend != entry.backend:
+        raise UsageError(f"campaign {c.name} runs on the {entry.backend} backend only")
     bad = [d for d in dims if d not in entry.allowed_dims]
     if bad:
-        raise UsageError(
-            f"campaign {c.name} accepts dims {entry.allowed_dims}, got {bad}"
-        )
+        raise UsageError(f"campaign {c.name} accepts dims {entry.allowed_dims}, got {bad}")
     start = time.perf_counter()
-    cases = entry.fn(dims, seeds, backend)
+    cases = entry.fn(dims, seeds)
     wall = time.perf_counter() - start
     summary = {
         "total": len(cases),
@@ -724,4 +719,4 @@ def run_campaign(c: Campaign) -> Report:
         "failed": sum(1 for x in cases if not x.passed),
         "max_residual": max((x.residual for x in cases), default=0.0),
     }
-    return Report(c.name, backend, dims, cases, summary, wall)
+    return Report(c.name, entry.backend, dims, cases, summary, wall)

@@ -53,7 +53,7 @@ def test_verify_bad_seed_syntax_exit_two():
 
 
 def test_verify_failure_exit_one(monkeypatch):
-    def failing(dims, seeds, backend):
+    def failing(dims, seeds):
         return [CaseResult("always", False, 1.0, 0)]
 
     monkeypatch.setitem(

@@ -61,7 +61,7 @@ def test_criterion_3_antisymmetrization():
         "3 (antisymmetrization types and rank)",
         [("lemma-2.1", rep_types), ("prop-2.2", rep_rank)],
         elapsed,
-        60.0,
+        20.0,
     )
 
 

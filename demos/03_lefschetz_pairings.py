@@ -19,7 +19,7 @@ from hodgelab import (
 space = Space(6)
 J = ComplexStructure.standard(space)
 omega = kahler_form(J)
-
+# the adjoint of L is the wedge adjoint of omega
 # the adjoint is realized by contractions and pinned against adjoint_wedge
 phi = space.form(4, {(1, 2, 3, 4): 3, (1, 3, 5, 6): -2})
 print("Lstar(phi)            =", lefschetz_lstar(J, phi))

@@ -46,7 +46,6 @@ from .hermitian import (
     lambda_p_project,
 )
 from .lefschetz import (
-    KahlerData,
     alpha_from_holomorphic,
     is_primitive,
     kahler_form,

@@ -29,6 +29,7 @@ from .exterior import (
 from .frames import (
     ComplexForm,
     FrameTriple,
+    TransitionData,
     cross,
     expand_in_frame,
     frame_residuals,
@@ -154,19 +155,9 @@ def _std(dim: int) -> ComplexStructure:
     return _STD_CACHE[dim]
 
 
-def _random_lambda_form(j_struct, degree, rng, terms=2):
-    basis = lambda_basis(j_struct, degree).forms
-    out = j_struct.space.zero_form(degree)
-    if not basis:
-        return out
-    for _ in range(terms):
-        out = out + rng.small_int() * basis[rng.next_u64() % len(basis)]
-    return out
-
-
-def _random_primitive_form(j_struct, degree, rng, terms=3):
-    basis = primitive_basis(j_struct, degree)
-    out = j_struct.space.zero_form(degree)
+def _random_combination(space, degree, basis, rng, terms=2):
+    """A sum of ``terms`` seeded small-integer multiples of members of ``basis``."""
+    out = space.zero_form(degree)
     if not basis:
         return out
     for _ in range(terms):
@@ -202,8 +193,8 @@ def run_lemma_2_1(dims, seeds):
         for (p, q) in _type_pairs(dim):
             for seed in seeds:
                 rng = _case_rng("lemma-2.1", dim, seed, p * 8 + q)
-                phi = _random_lambda_form(j, p, rng)
-                psi = _random_lambda_form(j, q, rng)
+                phi = _random_combination(j.space, p, lambda_basis(j, p).forms, rng)
+                psi = _random_combination(j.space, q, lambda_basis(j, q).forms, rng)
                 t = FormValuedMap.from_tensor(j, phi, psi)
                 q1, q2 = split_type(t)
                 r1 = bidegree_eigen_residual(j, antisymmetrize(q1), p, q)
@@ -241,8 +232,8 @@ def run_prop_2_2(dims, seeds):
         # contraction identity spot checks on commuting tensors
         for seed in seeds[: max(1, len(seeds) // 2)]:
             rng = _case_rng("prop-2.2", dim, seed)
-            phi = _random_lambda_form(j, 2, rng)
-            psi = _random_lambda_form(j, 2, rng)
+            phi = _random_combination(j.space, 2, lambda_basis(j, 2).forms, rng)
+            psi = _random_combination(j.space, 2, lambda_basis(j, 2).forms, rng)
             t1 = split_type(FormValuedMap.from_tensor(j, phi, psi))[0]
             x = random_vector(j.space, rng)
             ok = contraction_identity_check(t1, x)
@@ -281,8 +272,8 @@ def run_prop_2_3(dims, seeds):
             )
             # primitive evaluation, one degree per seed
             p = rng.randint(1, 3)
-            a_p = _random_primitive_form(j, p, rng)
-            b_p = _random_primitive_form(j, p, rng)
+            a_p = _random_combination(space, p, primitive_basis(j, p), rng, terms=3)
+            b_p = _random_combination(space, p, primitive_basis(j, p), rng, terms=3)
             if a_p.is_zero() or b_p.is_zero():
                 continue
             lhs = wedge(a_p, b_p)
@@ -308,12 +299,12 @@ def run_lemma_3_1(dims, seeds):
                 continue
             for seed in seeds:
                 rng = _case_rng("lemma-3.1", dim, seed, p)
-                omega_form = _random_lambda_form(j, p, rng)
+                omega_form = _random_combination(j.space, p, lambda_basis(j, p).forms, rng)
                 if omega_form.is_zero():
                     continue
                 table = {}
                 for i in range(1, dim + 1, 2):
-                    d_val = _random_lambda_form(j, p, rng)
+                    d_val = _random_combination(j.space, p, lambda_basis(j, p).forms, rng)
                     table[i] = d_val
                     table[i + 1] = bb_j(j, d_val) if not d_val.is_zero() else d_val
                 q_map = holomorphic_q(j, omega_form, table)
@@ -344,7 +335,7 @@ def run_alpha_omega(dims, seeds):
                 continue
             for seed in seeds:
                 rng = _case_rng("alpha-omega", dim, seed, p)
-                omega_form = _random_lambda_form(j, p, rng)
+                omega_form = _random_combination(j.space, p, lambda_basis(j, p).forms, rng)
                 if omega_form.is_zero():
                     continue
                 alpha = alpha_from_holomorphic(j, omega_form)
@@ -388,6 +379,15 @@ def run_prop_4_1(dims, seeds):
     return cases
 
 
+def _random_conjugate(b, rng: SplitMix64):
+    """q b q^T, skew-symmetrized, for the Q factor of a seeded Gaussian matrix."""
+    n = len(b)
+    gauss = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)])
+    q, _ = np.linalg.qr(gauss)
+    a_mat = q @ b @ q.T
+    return 0.5 * (a_mat - a_mat.T)
+
+
 def _structured_skew(n: int, rng: SplitMix64, force_nondegenerate: bool = False):
     """Seeded skew matrix with well-separated block spectrum.
 
@@ -415,12 +415,7 @@ def _structured_skew(n: int, rng: SplitMix64, force_nondegenerate: bool = False)
         i = 2 * blk
         b[i, i + 1] = -v
         b[i + 1, i] = v
-    gauss = np.array(
-        [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
-    )
-    q, _ = np.linalg.qr(gauss)
-    a_mat = q @ b @ q.T
-    a_mat = 0.5 * (a_mat - a_mat.T)
+    a_mat = _random_conjugate(b, rng)
     mus = sorted(-v * v for v in values_used)
     mults = [2 * sum(1 for x in assign if x > 0 and relabel[x] ** 2 == -mu) for mu in mus]
     return a_mat, mus, mults, kernel
@@ -502,10 +497,7 @@ def run_lemma_4_4(dims, seeds):
             i = 2 * blk
             b[i, i + 1] = -1.0
             b[i + 1, i] = 1.0
-        gauss = np.array([[rng.uniform(-1, 1) for _ in range(6)] for _ in range(6)])
-        q, _ = np.linalg.qr(gauss)
-        a_mat = q @ b @ q.T
-        a_mat = 0.5 * (a_mat - a_mat.T)
+        a_mat = _random_conjugate(b, rng)
         alpha = endo_form(SkewEndo(space, a_mat.tolist()))
         patched = compatible_patch_dim6(alpha)
         c = np.array([[float(v) for v in row] for row in form_endo(patched).rows])
@@ -609,8 +601,6 @@ def run_cor_4_12(dims, seeds):
 
 
 def _identity_transition():
-    from .frames import TransitionData
-
     return TransitionData(np.eye(3, dtype=complex), 1.0 + 0.0j)
 
 

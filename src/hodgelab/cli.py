@@ -5,7 +5,8 @@
     hodgelab decompose <file>
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or parse error,
-3 numerical conditioning failure.
+3 numerical conditioning failure.  A seed list may name at most MAX_SEEDS
+seeds.
 """
 
 from __future__ import annotations
@@ -14,8 +15,21 @@ import argparse
 import json
 import sys
 
+from . import harmonic  # spectral functions are looked up per call
 from .campaigns import Campaign, UsageError, campaign_names, run_campaign
 from .errors import HodgeLabError, IllConditionedSpectrumError
+from .exterior import Space
+from .hermitian import ComplexStructure, bidegree_project
+from .jsonio import (
+    ParseError,
+    form_from_dict,
+    form_to_dict,
+    skew_endo_from_dict,
+    spectral_to_dict,
+)
+
+# ranges are counted before they are expanded; seed values stay unbounded
+MAX_SEEDS = 100_000
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -27,9 +41,14 @@ def _parse_seeds(text: str) -> list[int]:
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ValueError(f"empty seed range {part!r}")
-            out.extend(range(lo, hi + 1))
+            seeds = range(lo, hi + 1)
         elif part:
-            out.append(int(part))
+            seeds = [int(part)]
+        else:
+            continue
+        if len(out) + len(seeds) > MAX_SEEDS:
+            raise ValueError(f"more than {MAX_SEEDS} seeds")
+        out.extend(seeds)
     if not out:
         raise ValueError("no seeds given")
     return out
@@ -96,18 +115,21 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def _cmd_decompose(args) -> int:
-    from .harmonic import SkewEndo, spectral, symplectic_candidate
-    from .hermitian import ComplexStructure, bidegree_project
-    from .jsonio import (
-        ParseError,
-        form_from_dict,
-        form_to_dict,
-        skew_endo_from_dict,
-        spectral_to_dict,
-    )
-    from .exterior import Space
+def _spectral_fields(endo) -> dict:
+    """The spectral decomposition of a skew map and its symplectic candidate."""
+    decomp = harmonic.spectral(endo)
+    cand = harmonic.symplectic_candidate(decomp)
+    return {
+        "spectral": spectral_to_dict(decomp),
+        "symplectic_candidate": {
+            "form": form_to_dict(cand.form),
+            "compatible": cand.compatible,
+            "kernel_rank": cand.kernel_rank,
+        },
+    }
 
+
+def _cmd_decompose(args) -> int:
     try:
         with open(args.file) as fh:
             payload = json.load(fh)
@@ -131,32 +153,11 @@ def _cmd_decompose(args) -> int:
             if form.degree == 2:
                 fspace = Space(form.space.dim, "float")
                 terms = {idx: float(c) for idx, c in form.terms()}
-                from .harmonic import form_endo
-
-                endo = form_endo(fspace.form(2, terms))
-                decomp = spectral(endo)
-                out["spectral"] = spectral_to_dict(decomp)
-                cand = symplectic_candidate(decomp)
-                out["symplectic_candidate"] = {
-                    "form": form_to_dict(cand.form),
-                    "compatible": cand.compatible,
-                    "kernel_rank": cand.kernel_rank,
-                }
+                out.update(_spectral_fields(harmonic.form_endo(fspace.form(2, terms))))
         elif isinstance(payload, dict) and "matrix" in payload:
             payload = dict(payload)
             payload.setdefault("backend", "float")
-            endo = skew_endo_from_dict(payload)
-            decomp = spectral(endo)
-            cand = symplectic_candidate(decomp)
-            out = {
-                "kind": "skew",
-                "spectral": spectral_to_dict(decomp),
-                "symplectic_candidate": {
-                    "form": form_to_dict(cand.form),
-                    "compatible": cand.compatible,
-                    "kernel_rank": cand.kernel_rank,
-                },
-            }
+            out = {"kind": "skew", **_spectral_fields(skew_endo_from_dict(payload))}
         else:
             print("error: payload is neither a form nor a skew matrix", file=sys.stderr)
             return 2

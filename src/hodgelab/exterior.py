@@ -154,12 +154,11 @@ class Form:
     """A real alternating p-form, coefficients on increasing multi-indices.
 
     Immutable by convention: no method mutates ``coeffs`` after construction.
-    ``degenerate`` tags the zero result of a wedge past top degree.
     """
 
-    __slots__ = ("space", "degree", "coeffs", "degenerate")
+    __slots__ = ("space", "degree", "coeffs")
 
-    def __init__(self, space: Space, degree: int, coeffs: dict, degenerate: bool = False):
+    def __init__(self, space: Space, degree: int, coeffs: dict):
         if degree < 0 or degree > space.dim:
             raise DegreeMismatchError(f"degree {degree} out of range for dim {space.dim}")
         self.space = space
@@ -168,7 +167,6 @@ class Form:
             self.coeffs = {m: c for m, c in coeffs.items() if c != 0}
         else:
             self.coeffs = {m: float(c) for m, c in coeffs.items() if c != 0.0}
-        self.degenerate = degenerate
 
     # -- basic algebra -------------------------------------------------
 
@@ -332,16 +330,16 @@ def wedge(alpha: Form, beta: Form) -> Form:
     """Exterior product.
 
     Bilinear, associative and graded-commutative.  If the degrees add up past
-    the space dimension the zero form of top degree is returned, tagged as
-    degenerate rather than raising: identities freely wedge past top degree
-    and expect the result to vanish.
+    the space dimension the zero form of top degree is returned rather than
+    raising: identities freely wedge past top degree and expect the result
+    to vanish.
     """
     if alpha.space != beta.space:
         raise SpaceMismatchError(f"{alpha.space} vs {beta.space}")
     n = alpha.space.dim
     p, q = alpha.degree, beta.degree
     if p + q > n:
-        return Form(alpha.space, n, {}, degenerate=True)
+        return Form(alpha.space, n, {})
     out: dict = {}
     for m1, c1 in alpha.coeffs.items():
         for m2, c2 in beta.coeffs.items():

@@ -24,7 +24,7 @@ from .errors import (
     MomentInconsistencyError,
     SpaceMismatchError,
 )
-from .exterior import FLOAT_TOL, Form, Space, Vector, contract, hodge_star, inner, wedge
+from .exterior import FLOAT_TOL, Form, Space, contract, hodge_star, inner, wedge
 from .linalg import mat_add, mat_mul
 
 SPECTRAL_TOL = 1e-8
@@ -53,13 +53,6 @@ class SkewEndo:
             raise InvariantViolationError("matrix is not skew-symmetric")
         self.space = space
         self.rows = rows
-
-    def apply(self, v: Vector) -> Vector:
-        n = self.space.dim
-        return Vector(
-            self.space,
-            [sum(self.rows[i][j] * v.components[j] for j in range(n)) for i in range(n)],
-        )
 
     def __add__(self, other: "SkewEndo") -> "SkewEndo":
         if self.space != other.space:

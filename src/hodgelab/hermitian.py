@@ -89,13 +89,6 @@ class ComplexStructure:
     def half_dim(self) -> int:
         return self.space.dim // 2
 
-    def apply(self, v: Vector) -> Vector:
-        if v.space != self.space:
-            raise SpaceMismatchError(f"{v.space} vs {self.space}")
-        n = self.space.dim
-        comps = [sum(self.rows[i][j] * v.components[j] for j in range(n)) for i in range(n)]
-        return Vector(self.space, comps)
-
     def basis_image(self, i: int) -> Vector:
         """J e_i as a vector (column i of the matrix), 1-based."""
         return Vector(self.space, [row[i - 1] for row in self.rows])
@@ -282,13 +275,6 @@ class LambdaBasis:
     def expand(self, alpha: Form) -> list:
         """Coefficients of a member form over the orthogonal basis."""
         return [Fraction(inner(alpha, b), ns) for b, ns in zip(self.forms, self.norms_sq)]
-
-    def reconstruct(self, coords) -> Form:
-        out = self.j.space.zero_form(self.degree)
-        for c, b in zip(coords, self.forms):
-            if c != 0:
-                out = out + c * b
-        return out
 
 
 def _primitive_integer_form(alpha: Form) -> Form:

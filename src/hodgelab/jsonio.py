@@ -10,7 +10,8 @@ Complex structures are {"dim": 2k, "matrix": row-major} with "standard"
 accepted as a shorthand for the matrix; skew endomorphisms are
 {"dim": n, "matrix": row-major}; exact matrix entries are integers or
 {"num": a, "den": b}.  Frame triples are three {re, im} pairs of real
-1-forms plus the volume form.
+1-forms plus the volume form.  Payloads with "dim" above MAX_DIM are
+rejected before anything of that size is built.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from .frames import ComplexForm, FrameTriple
 from .harmonic import SkewEndo, SpectralDecomposition
 from .hermitian import ComplexStructure
 
+# decompose builds an n x n structure, eigensolves it and enumerates the
+# C(n, p) basis masks; the campaigns stop at dimension 8
+MAX_DIM = 16
+
 
 class ParseError(HodgeLabError):
     """Malformed or inconsistent JSON payload."""
@@ -30,7 +35,10 @@ class ParseError(HodgeLabError):
 
 def _space_from(obj) -> Space:
     try:
-        return Space(int(obj["dim"]), obj.get("backend", "exact"))
+        dim = int(obj["dim"])
+        if dim > MAX_DIM:
+            raise ValueError(f"dim {dim} exceeds the limit {MAX_DIM}")
+        return Space(dim, obj.get("backend", "exact"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad space description: {exc}") from exc
 
@@ -73,58 +81,55 @@ def form_from_dict(obj) -> Form:
         raise ParseError(f"bad form description: {exc}") from exc
 
 
-def _matrix_to_rows(obj, n: int, space: Space):
-    flat = obj["matrix"]
-    if flat == "standard":
-        return None
-    if len(flat) == n and all(isinstance(r, (list, tuple)) for r in flat):
-        rows = [list(r) for r in flat]
-    elif len(flat) == n * n:
-        rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-    else:
-        raise ParseError("matrix payload has the wrong size")
-    if space.backend == "exact":
-        return [[_exact_entry(v) for v in row] for row in rows]
-    return [[float(v) for v in row] for row in rows]
-
-
-def complex_structure_to_dict(j: ComplexStructure) -> dict:
-    return {
-        "dim": j.space.dim,
-        "backend": j.space.backend,
-        "matrix": [[_num(v) for v in row] for row in j.rows],
-    }
-
-
-def complex_structure_from_dict(obj) -> ComplexStructure:
-    space = _space_from(obj)
+def _matrix_to_rows(obj, space: Space):
+    """The rows of a matrix payload, or None for the "standard" shorthand."""
     try:
-        rows = _matrix_to_rows(obj, space.dim, space)
+        flat = obj["matrix"]
+        if flat == "standard":
+            return None
+        n = space.dim
+        if len(flat) == n and all(isinstance(r, (list, tuple)) for r in flat):
+            rows = [list(r) for r in flat]
+        elif len(flat) == n * n:
+            rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
+        else:
+            raise ParseError("matrix payload has the wrong size")
+        if space.backend == "exact":
+            return [[_exact_entry(v) for v in row] for row in rows]
+        return [[float(v) for v in row] for row in rows]
     except ParseError:
         raise
     except Exception as exc:
         raise ParseError(f"bad matrix payload: {exc}") from exc
+
+
+def _matrix_to_dict(space: Space, rows) -> dict:
+    return {
+        "dim": space.dim,
+        "backend": space.backend,
+        "matrix": [[_num(v) for v in row] for row in rows],
+    }
+
+
+def complex_structure_to_dict(j: ComplexStructure) -> dict:
+    return _matrix_to_dict(j.space, j.rows)
+
+
+def complex_structure_from_dict(obj) -> ComplexStructure:
+    space = _space_from(obj)
+    rows = _matrix_to_rows(obj, space)
     if rows is None:
         return ComplexStructure.standard(space)
     return ComplexStructure(space, rows)
 
 
 def skew_endo_to_dict(a: SkewEndo) -> dict:
-    return {
-        "dim": a.space.dim,
-        "backend": a.space.backend,
-        "matrix": [[_num(v) for v in row] for row in a.rows],
-    }
+    return _matrix_to_dict(a.space, a.rows)
 
 
 def skew_endo_from_dict(obj) -> SkewEndo:
     space = _space_from(obj)
-    try:
-        rows = _matrix_to_rows(obj, space.dim, space)
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError(f"bad matrix payload: {exc}") from exc
+    rows = _matrix_to_rows(obj, space)
     if rows is None:
         raise ParseError("skew matrices have no standard shorthand")
     return SkewEndo(space, rows)

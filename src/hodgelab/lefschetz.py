@@ -1,12 +1,12 @@
 """Lefschetz-type operators and the contraction family P_k.
 
 L is wedging with the fundamental 2-form omega = g(J., .); its metric
-adjoint is realized as Lstar(beta) = 1/2 sum_i J e_i -| (e_i -| beta), and a
-shipped test pins this against adjoint_wedge(omega, .) so the 1/2 cannot
-drift.  P_k contracts k slots of one form against J-rotated slots of the
-other; the sum runs over all ordered k-tuples of basis indices (computed
-over increasing tuples with the k! multiplicity factored in, which is the
-same value).
+adjoint Lstar is computed as adjoint_wedge(omega, .).  The contraction
+formula Lstar(beta) = 1/2 sum_i J e_i -| (e_i -| beta) is the oracle it is
+tested against, so the 1/2 cannot drift.  P_k contracts k slots of one
+form against J-rotated slots of the other; the sum runs over all ordered
+k-tuples of basis indices (computed over increasing tuples with the k!
+multiplicity factored in, which is the same value).
 """
 
 from __future__ import annotations
@@ -16,24 +16,8 @@ from math import factorial
 
 from .errors import ContractionUnderflowError, NotInLambdaPError, SpaceMismatchError
 from .exterior import Form, adjoint_wedge, contract, contract_index, inner, wedge
-from .hermitian import (
-    ComplexStructure,
-    bidegree_project,
-    in_lambda_p,
-    j_pullback,
-    lambda_basis,
-)
+from .hermitian import ComplexStructure, in_lambda_p
 from .linalg import exact_nullspace
-
-
-class KahlerData:
-    """A complex structure together with its fundamental 2-form."""
-
-    __slots__ = ("j", "omega")
-
-    def __init__(self, j_struct: ComplexStructure):
-        self.j = j_struct
-        self.omega = kahler_form(j_struct)
 
 
 def kahler_form(j_struct: ComplexStructure) -> Form:
@@ -60,13 +44,9 @@ def lefschetz_lstar(j_struct: ComplexStructure, alpha: Form) -> Form:
     """Adjoint of lefschetz_l; returns zero on degrees below 2."""
     if alpha.space != j_struct.space:
         raise SpaceMismatchError(f"{alpha.space} vs {j_struct.space}")
-    space = alpha.space
     if alpha.degree < 2:
-        return space.zero_form(0)
-    out = space.zero_form(alpha.degree - 2)
-    for i in range(1, space.dim + 1):
-        out = out + contract(j_struct.basis_image(i), contract_index(i, alpha))
-    return out / 2
+        return alpha.space.zero_form(0)
+    return adjoint_wedge(kahler_form(j_struct), alpha)
 
 
 def is_primitive(j_struct: ComplexStructure, alpha: Form, tol: float = 1e-9) -> bool:
@@ -170,10 +150,3 @@ def primitive_basis(j_struct: ComplexStructure, degree: int):
     cache[key] = basis
     return basis
 
-
-def lambda_p_primitivity_check(j_struct: ComplexStructure, degree: int) -> bool:
-    """Every (p,0)+(0,p) form is primitive; used as a structural self-test."""
-    for b in lambda_basis(j_struct, degree).forms:
-        if not lefschetz_lstar(j_struct, b).is_zero():
-            return False
-    return True

@@ -1,4 +1,4 @@
-"""Compiled J-operators against their per-slot wedge definitions.
+"""Operators against their direct definitions.
 
 ``curly_j`` and ``j_pullback`` apply sparse tables compiled once per
 (J, degree).  The oracles below are the direct definitions: a pulled-back
@@ -7,14 +7,28 @@ pulled-back 1-forms.  They are compared on every basis form of every degree
 on dims 2-8 and on random combinations, for the standard J, a rational
 Givens-rotated J and a float J; ``bb_j`` and ``bb_j_matrix`` are compared
 with their constructions on top of the oracle.
+
+``lefschetz_lstar`` is the wedge adjoint of omega; its oracle is the
+contraction formula 1/2 sum_i J e_i -| (e_i -| beta).  ``a_restricted_rank``
+multiplies the antisymmetrization by the commuting projector; its oracle
+sums each column of that product out of wedge-table forms.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 import hodgelab.hermitian as hermitian
-from hodgelab.exterior import Form, Space, basis_masks, mask_to_indices, wedge
+from hodgelab.exterior import (
+    Form,
+    Space,
+    basis_masks,
+    contract,
+    contract_index,
+    mask_to_indices,
+    wedge,
+)
 from hodgelab.hermitian import (
     ComplexStructure,
     bb_j,
@@ -23,7 +37,10 @@ from hodgelab.hermitian import (
     j_pullback,
     lambda_basis,
 )
+from hodgelab.lefschetz import lefschetz_lstar
+from hodgelab.linalg import add_scaled, exact_rank
 from hodgelab.rng import SplitMix64, random_form
+from hodgelab.tensor_maps import _commuting_projector, _wedge_table, a_restricted_rank
 
 DIMS = (2, 4, 6, 8)
 
@@ -147,3 +164,86 @@ def test_bb_j_matrix_matches_the_slot_construction(kind, n, monkeypatch):
         want = [[cols[c][r] for c in range(basis.dim)] for r in range(basis.dim)]
         assert matrix == want
         assert bb_j_matrix(oracle, p) == want
+
+
+def contraction_lstar(j_struct, beta):
+    """Lstar by the contraction formula 1/2 sum_i J e_i -| (e_i -| beta)."""
+    space = beta.space
+    if beta.degree < 2:
+        return space.zero_form(0)
+    out = space.zero_form(beta.degree - 2)
+    for i in range(1, space.dim + 1):
+        out = out + contract(j_struct.basis_image(i), contract_index(i, beta))
+    return out / 2
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", DIMS)
+def test_lstar_matches_the_contraction_formula(kind, n):
+    j = structure(kind, n)
+    space = j.space
+    rng = SplitMix64(2000 * n + KINDS.index(kind))
+    for p in range(n + 1):
+        forms = [Form(space, p, {m: space.scalar(1)}) for m in basis_masks(n, p)]
+        forms.append(random_form(space, p, rng, integer=True, terms=6))
+        for beta in forms:
+            assert_same(lefschetz_lstar(j, beta), contraction_lstar(j, beta))
+
+
+def column_sum_restricted_rank(j_struct, p, q):
+    """Rank of the columns a(1/2 (b_d (x) c_e + sum Jp[i][d] Jq[k][e] b_i (x) c_k))."""
+    jp = bb_j_matrix(j_struct, p)
+    jq = bb_j_matrix(j_struct, q)
+    table = _wedge_table(j_struct, p, q)
+    dp, dq = len(jp), len(jq)
+    pos = {m: i for i, m in enumerate(basis_masks(j_struct.space.dim, p + q))}
+    scale = Fraction(factorial(p), 2)
+    rows = [{} for _ in pos]
+    for d in range(dp):
+        for e in range(dq):
+            total = table[d][e]
+            for i in range(dp):
+                for k in range(dq):
+                    if jp[i][d] * jq[k][e] != 0:
+                        total = total + (jp[i][d] * jq[k][e]) * table[i][k]
+            for m, c in total.coeffs.items():
+                rows[pos[m]][d * dq + e] = c * scale
+    return exact_rank(rows, dp * dq)
+
+
+def type_pairs(n):
+    k = n // 2
+    return [(p, q) for p in range(1, k + 1) for q in range(1, k + 1) if p != q]
+
+
+@pytest.mark.parametrize("kind", ("standard", "rotated"))
+@pytest.mark.parametrize("n", (4, 6, 8))
+def test_a_restricted_rank_matches_the_column_sums(kind, n):
+    j = structure(kind, n)
+    for p, q in type_pairs(n):
+        assert a_restricted_rank(j, p, q) == column_sum_restricted_rank(j, p, q)
+
+
+@pytest.mark.parametrize("kind", ("standard", "rotated"))
+@pytest.mark.parametrize("n", (4, 6, 8))
+def test_commuting_projector_is_the_idempotent_half_sum(kind, n):
+    j = structure(kind, n)
+    for p, q in type_pairs(n) + [(p, p) for p in range(1, n // 2 + 1)]:
+        jp, jq = bb_j_matrix(j, p), bb_j_matrix(j, q)
+        dp, dq = len(jp), len(jq)
+        rows = _commuting_projector(j, p, q)
+        # entry for entry 1/2 (I + Jp (x) Jq), by the dense definition
+        for i in range(dp):
+            for k in range(dq):
+                dense = {
+                    d * dq + e: Fraction(jp[i][d] * jq[k][e] + (i == d and k == e), 2)
+                    for d in range(dp)
+                    for e in range(dq)
+                }
+                assert rows[i * dq + k] == {c: v for c, v in dense.items() if v != 0}
+        # (Jp (x) Jq)^2 = I, so P P = P
+        for row in rows:
+            square: dict = {}
+            for c, v in row.items():
+                add_scaled(square, v, rows[c])
+            assert square == row

@@ -1,5 +1,6 @@
 """Golden report hashes: every campaign, on each allowed dimension, at its default
-seeds, and the reports of acceptance criterion 3 at its acceptance parameters.
+seeds, and the reports of acceptance criteria 2 and 3 at their acceptance
+parameters.
 
 A refactor must leave every serialized report byte-identical.  A change that
 alters a report on purpose regenerates its hash here and says why.
@@ -47,10 +48,16 @@ GOLDEN = {
     ("prop-4.2", 8): "727630a649bfb6ef7668942d1eb8ac3f9262b89eaa8de0e3f3528229682f2bf7",
 }
 
-# criterion 3 of tests/test_acceptance.py: lemma-2.1 on seeds 1..200 and
-# prop-2.2 at its defaults, both over the default dims
-ACCEPTANCE_SEEDS = {"lemma-2.1": list(range(1, 201)), "prop-2.2": None}
+# criteria 2 and 3 of tests/test_acceptance.py: prop-2.3 on seeds 1..40,
+# lemma-2.1 on seeds 1..200 and prop-2.2 at its defaults, all over the
+# default dims
+ACCEPTANCE_SEEDS = {
+    "prop-2.3": list(range(1, 41)),
+    "lemma-2.1": list(range(1, 201)),
+    "prop-2.2": None,
+}
 ACCEPTANCE_GOLDEN = {
+    "prop-2.3": "e0cec6e64033ca98b1da1bc33000540d68ba6d91d9181d584c4b8cf6ad61ca4a",
     "lemma-2.1": "4a3ef7e3b590bdea6c1dd343695013d71652230407e9e776c10451999c324e42",
     "prop-2.2": "aa982117bb67a730682c5a203a1b5f70a6ec78c3a5f8506a06aff3c62b808195",
 }

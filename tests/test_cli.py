@@ -109,6 +109,15 @@ def test_decompose_malformed_exit_two(tmp_path):
     assert run_cli(["decompose", str(wrong)]).returncode == 2
 
 
+def test_decompose_non_integer_dim_exit_two(tmp_path):
+    for dim in (4.9, True):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps({"dim": dim, "degree": 1, "terms": []}))
+        proc = run_cli(["decompose", str(path)])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
+
 def test_decompose_ill_conditioned_exit_three(monkeypatch, tmp_path):
     from hodgelab.errors import IllConditionedSpectrumError
 

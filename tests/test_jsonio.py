@@ -133,6 +133,64 @@ def _rational_orthogonal(draw, n):
     return m
 
 
+# integer fields of the payloads: each accepts a JSON integer and nothing
+# else, so a float, a bool or a string is reported instead of truncated
+# (4.9 used to read as 4 and true as 1)
+NOT_INTEGERS = (1.9, 1.0, True, "1", None)
+
+
+def exact_form_payload():
+    return {"dim": 4, "degree": 2, "terms": [{"index": [1, 2], "num": 1, "den": 2}]}
+
+
+def float_form_payload():
+    return {"dim": 4, "degree": 2, "backend": "float", "terms": [{"index": [1, 2], "value": 0.5}]}
+
+
+def set_field(payload, field, v):
+    if field in ("dim", "degree"):
+        payload[field] = v
+    elif field == "index":
+        payload["terms"][0]["index"] = [v, 2]
+    else:
+        payload["terms"][0][field] = v
+
+
+def rejects(field):
+    return pytest.raises(ParseError, match=f"'{field}' must be an integer")
+
+
+def test_form_payloads_decode():
+    assert form_from_dict(exact_form_payload()) == Space(4).form(2, {(1, 2): Fraction(1, 2)})
+    assert form_from_dict(float_form_payload()) == Space(4, "float").form(2, {(1, 2): 0.5})
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS)
+@pytest.mark.parametrize("field", ("dim", "degree", "index", "num", "den"))
+def test_form_integer_fields_reject_non_integers(field, bad):
+    payload = exact_form_payload()
+    set_field(payload, field, bad)
+    with rejects(field):
+        form_from_dict(payload)
+    if field not in ("num", "den"):
+        payload = float_form_payload()
+        set_field(payload, field, bad)
+        with rejects(field):
+            form_from_dict(payload)
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS)
+def test_matrix_payload_integer_fields_reject_non_integers(bad):
+    with rejects("dim"):
+        complex_structure_from_dict({"dim": bad, "matrix": "standard"})
+    with rejects("dim"):
+        skew_endo_from_dict({"dim": bad, "backend": "float", "matrix": [[0.0]]})
+    with rejects("num"):
+        skew_endo_from_dict({"dim": 2, "matrix": [[0, {"num": bad, "den": 2}], [0, 0]]})
+    with rejects("den"):
+        skew_endo_from_dict({"dim": 2, "matrix": [[0, {"num": 1, "den": bad}], [0, 0]]})
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data(), BACKENDS)
 def test_form_round_trip_property(data, backend):

@@ -9,8 +9,9 @@ Float-backend terms carry {"index": [...], "value": x} instead of num/den.
 Complex structures are {"dim": 2k, "matrix": row-major} with "standard"
 accepted as a shorthand for the matrix; skew endomorphisms are
 {"dim": n, "matrix": row-major}; exact matrix entries are integers or
-{"num": a, "den": b}.  Frame triples are three {re, im} pairs of real
-1-forms plus the volume form.  Payloads with "dim" above MAX_DIM are
+{"num": a, "den": b}.  Integer fields ("dim", "degree", "index", "num",
+"den") take JSON integers only.  Frame triples are three {re, im} pairs of
+real 1-forms plus the volume form.  Payloads with "dim" above MAX_DIM are
 rejected before anything of that size is built.
 """
 
@@ -33,9 +34,16 @@ class ParseError(HodgeLabError):
     """Malformed or inconsistent JSON payload."""
 
 
+def _integer(v, field: str) -> int:
+    """A JSON integer field; floats, bools and strings are rejected, not truncated."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ParseError(f"{field!r} must be an integer, got {v!r}")
+
+
 def _space_from(obj) -> Space:
     try:
-        dim = int(obj["dim"])
+        dim = _integer(obj["dim"], "dim")
         if dim > MAX_DIM:
             raise ValueError(f"dim {dim} exceeds the limit {MAX_DIM}")
         return Space(dim, obj.get("backend", "exact"))
@@ -65,10 +73,10 @@ def form_to_dict(form: Form) -> dict:
 def form_from_dict(obj) -> Form:
     space = _space_from(obj)
     try:
-        degree = int(obj["degree"])
+        degree = _integer(obj["degree"], "degree")
         terms = {}
         for entry in obj.get("terms", []):
-            idx = tuple(int(i) for i in entry["index"])
+            idx = tuple(_integer(i, "index") for i in entry["index"])
             if space.backend == "exact":
                 val = _fraction(entry)
             else:
@@ -142,16 +150,12 @@ def _num(v):
 
 
 def _fraction(obj) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj.get("den", 1)))
+    return Fraction(_integer(obj["num"], "num"), _integer(obj.get("den", 1), "den"))
 
 
 def _exact_entry(v):
     """Inverse of _num on the exact backend: an int or a {"num", "den"} object."""
-    if isinstance(v, dict):
-        return _fraction(v)
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
-    raise ParseError(f"exact matrix entries are integers or {{num, den}} objects, got {v!r}")
+    return _fraction(v) if isinstance(v, dict) else _integer(v, "matrix entry")
 
 
 def spectral_to_dict(d: SpectralDecomposition) -> dict:

@@ -52,6 +52,29 @@ def test_verify_bad_seed_syntax_exit_two():
     assert proc.returncode == 2
 
 
+def test_repeated_seeds_and_dims_are_dropped():
+    assert cli._parse_seeds("1,1") == [1]
+    assert cli._parse_seeds("1..3,2..4") == [1, 2, 3, 4]
+    assert cli._parse_seeds("5,1..3,5,2") == [5, 1, 2, 3]
+    assert cli._parse_dims(["4,4"]) == [4]
+    assert cli._parse_dims(["6", "4,6", "4"]) == [6, 4]
+
+
+def test_verify_repeated_seeds_give_unique_case_ids():
+    proc = run_cli(["verify", "prop-4.1", "--dim", "4", "--dim", "4", "--seeds", "1,1"])
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert [case["id"] for case in payload["cases"]] == ["dim4/seed1"]
+    assert payload["dims"] == [4]
+
+
+def test_verify_overlapping_ranges_match_the_plain_range():
+    plain = run_cli(["verify", "prop-4.1", "--dim", "4", "--seeds", "1..4"])
+    overlap = run_cli(["verify", "prop-4.1", "--dim", "4,4", "--seeds", "1..3,2..4"])
+    assert plain.returncode == overlap.returncode == 0
+    assert overlap.stdout == plain.stdout
+
+
 def test_verify_failure_exit_one(monkeypatch):
     def failing(dims, seeds):
         return [CaseResult("always", False, 1.0, 0)]

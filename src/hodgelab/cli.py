@@ -6,7 +6,7 @@
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or parse error,
 3 numerical conditioning failure.  A seed list may name at most MAX_SEEDS
-seeds.
+seeds; a repeated seed or dimension runs once.
 """
 
 from __future__ import annotations
@@ -33,7 +33,10 @@ MAX_SEEDS = 100_000
 
 
 def _parse_seeds(text: str) -> list[int]:
-    out = []
+    """Seeds in order of first appearance; repeats are dropped, but each range
+    counts toward MAX_SEEDS with its full length."""
+    out: dict = {}
+    count = 0
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
@@ -46,21 +49,23 @@ def _parse_seeds(text: str) -> list[int]:
             seeds = [int(part)]
         else:
             continue
-        if len(out) + len(seeds) > MAX_SEEDS:
+        count += len(seeds)
+        if count > MAX_SEEDS:
             raise ValueError(f"more than {MAX_SEEDS} seeds")
-        out.extend(seeds)
+        out.update(dict.fromkeys(seeds))
     if not out:
         raise ValueError("no seeds given")
-    return out
+    return list(out)
 
 
 def _parse_dims(values) -> list[int]:
-    out = []
+    """Dimensions in order of first appearance, repeats dropped."""
+    out: dict = {}
     for v in values:
         for part in str(v).split(","):
             if part.strip():
-                out.append(int(part))
-    return out
+                out[int(part)] = None
+    return list(out)
 
 
 def build_parser() -> argparse.ArgumentParser:

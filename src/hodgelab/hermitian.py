@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import comb, gcd
 
 from .errors import (
     DegreeMismatchError,
@@ -199,28 +199,36 @@ def lambda_p_project(j_struct: ComplexStructure, alpha: Form) -> Form:
     return bidegree_project(j_struct, alpha, alpha.degree, 0)
 
 
-def in_lambda_p(j_struct: ComplexStructure, alpha: Form, tol: float = FLOAT_TOL) -> bool:
-    proj = lambda_p_project(j_struct, alpha)
+def _is_lambda_eigen(alpha: Form, squared: Form, tol: float) -> bool:
+    """Whether squared = curly_j^2 alpha equals -p^2 alpha: on degree p the
+    type-(p,0)+(0,p) forms are exactly that eigenspace."""
+    target = alpha * -(alpha.degree**2)
     if alpha.space.backend == "exact":
-        return proj == alpha
-    return proj.isclose(alpha, tol)
+        return squared == target
+    return squared.isclose(target, tol)
+
+
+def in_lambda_p(j_struct: ComplexStructure, alpha: Form, tol: float = FLOAT_TOL) -> bool:
+    return _is_lambda_eigen(alpha, curly_j_squared(j_struct, alpha), tol)
 
 
 def bb_j(j_struct: ComplexStructure, alpha: Form) -> Form:
     """The complex-structure action on type-(p,0)+(0,p) forms: (1/p) curly_j.
 
     Coincides with inserting J into the first argument slot and squares to -1
-    on that subspace.
+    on that subspace.  The image curly_j alpha also serves the membership
+    test, so curly_j runs twice per call.
     """
     if alpha.is_zero():
         return alpha
     if alpha.degree == 0:
         raise DegreeUnderflowError("bb_j needs degree >= 1")
-    if not in_lambda_p(j_struct, alpha):
+    image = curly_j(j_struct, alpha)
+    if not _is_lambda_eigen(alpha, curly_j(j_struct, image), FLOAT_TOL):
         raise NotInLambdaPError("form is not of type (p,0)+(0,p)")
     p = alpha.degree
     scale = Fraction(1, p) if alpha.space.backend == "exact" else 1.0 / p
-    return curly_j(j_struct, alpha) * scale
+    return image * scale
 
 
 def first_slot_insertion(j_struct: ComplexStructure, alpha: Form) -> Form:
@@ -244,6 +252,14 @@ def first_slot_insertion(j_struct: ComplexStructure, alpha: Form) -> Form:
     return Form(space, p, out)
 
 
+def _lambda_dim(dim: int, degree: int) -> int:
+    """Dimension of the type-(p,0)+(0,p) forms of degree p on R^dim:
+    2 C(dim/2, p) for 1 <= p <= dim/2, 1 for p = 0 and 0 above dim/2."""
+    if degree == 0:
+        return 1
+    return 2 * comb(dim // 2, degree)
+
+
 class LambdaBasis:
     """Deterministic orthogonal basis of a type-(p,0)+(0,p) subspace.
 
@@ -251,22 +267,29 @@ class LambdaBasis:
     orthogonalized by exact Gram-Schmidt; vectors are rescaled to primitive
     integer coefficient lists, so expansion coefficients are <f, b>/<b, b>.
     Normalization to unit length is impossible over the rationals, which is
-    why the basis is orthogonal rather than orthonormal.
+    why the basis is orthogonal rather than orthonormal.  The projection
+    stops once the basis reaches ``_lambda_dim``: every later candidate would
+    reduce to zero.
     """
 
     def __init__(self, j_struct: ComplexStructure, degree: int):
         self.j = j_struct
         self.degree = degree
         space = j_struct.space
+        rank = _lambda_dim(space.dim, degree)
         self.forms: list[Form] = []
+        self.norms_sq: list = []
         for mask in basis_masks(space.dim, degree):
+            if len(self.forms) == rank:
+                break
             candidate = lambda_p_project(j_struct, Form(space, degree, {mask: 1}))
-            for b in self.forms:
-                coeff = Fraction(inner(candidate, b), inner(b, b))
+            for b, ns in zip(self.forms, self.norms_sq):
+                coeff = Fraction(inner(candidate, b), ns)
                 candidate = candidate - coeff * b
             if not candidate.is_zero():
-                self.forms.append(_primitive_integer_form(candidate))
-        self.norms_sq = [inner(b, b) for b in self.forms]
+                b = _primitive_integer_form(candidate)
+                self.forms.append(b)
+                self.norms_sq.append(inner(b, b))
 
     @property
     def dim(self) -> int:

@@ -22,7 +22,14 @@ from .linalg import exact_nullspace
 
 def kahler_form(j_struct: ComplexStructure) -> Form:
     """omega(X, Y) = <J X, Y>; for the standard structure this is
-    sum_i e^{2i-1} ^ e^{2i}."""
+    sum_i e^{2i-1} ^ e^{2i}.  Built once per structure and cached."""
+    cache = j_struct._misc_cache
+    if "kahler" not in cache:
+        cache["kahler"] = _kahler_form(j_struct)
+    return cache["kahler"]
+
+
+def _kahler_form(j_struct: ComplexStructure) -> Form:
     space = j_struct.space
     coeffs = {}
     n = space.dim

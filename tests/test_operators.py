@@ -15,29 +15,35 @@ sums each column of that product out of wedge-table forms.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 import hodgelab.hermitian as hermitian
+from hodgelab.errors import DegreeUnderflowError, NotInLambdaPError
 from hodgelab.exterior import (
     Form,
     Space,
     basis_masks,
     contract,
     contract_index,
+    inner,
     mask_to_indices,
     wedge,
 )
 from hodgelab.hermitian import (
     ComplexStructure,
+    LambdaBasis,
+    _primitive_integer_form,
     bb_j,
     bb_j_matrix,
     curly_j,
+    in_lambda_p,
     j_pullback,
     lambda_basis,
+    lambda_p_project,
 )
-from hodgelab.lefschetz import lefschetz_lstar
+from hodgelab.lefschetz import kahler_form, lefschetz_lstar
 from hodgelab.linalg import add_scaled, exact_rank
 from hodgelab.rng import SplitMix64, random_form
 from hodgelab.tensor_maps import _commuting_projector, _wedge_table, a_restricted_rank
@@ -77,6 +83,16 @@ def wedge_pullback(j_struct, alpha):
     return out
 
 
+def givens_conjugate(rows, p, q, cos, sin):
+    """R rows R^T for the rotation R in the (p+1, q+1) coordinate plane."""
+    rows = [list(row) for row in rows]
+    for row in rows:
+        row[p], row[q] = cos * row[p] - sin * row[q], sin * row[p] + cos * row[q]
+    rows[p], rows[q] = ([cos * x - sin * y for x, y in zip(rows[p], rows[q])],
+                        [sin * x + cos * y for x, y in zip(rows[p], rows[q])])
+    return rows
+
+
 def rotated_rows(n, cos, sin):
     """R J0 R^T for the standard J0 and the rotation R in the (1, n) plane,
     which joins the first J-block to the last one when n >= 4."""
@@ -85,12 +101,15 @@ def rotated_rows(n, cos, sin):
     for i in range(0, n, 2):
         rows[i][i + 1] = -one
         rows[i + 1][i] = one
-    p, q = 0, n - 1
-    for row in rows:
-        row[p], row[q] = cos * row[p] - sin * row[q], sin * row[p] + cos * row[q]
-    rows[p], rows[q] = ([cos * x - sin * y for x, y in zip(rows[p], rows[q])],
-                        [sin * x + cos * y for x, y in zip(rows[p], rows[q])])
-    return rows
+    return givens_conjugate(rows, 0, n - 1, cos, sin)
+
+
+def twice_rotated_rows(n):
+    """The 3/5-4/5 rotated J conjugated again by a 5/13-12/13 rotation in the
+    (2, 3) plane, which also joins the first J-block to the second."""
+    rows = rotated_rows(n, Fraction(3, 5), Fraction(4, 5))
+    p, q = (1, 2) if n >= 4 else (0, 1)
+    return givens_conjugate(rows, p, q, Fraction(5, 13), Fraction(12, 13))
 
 
 def structure(kind, n):
@@ -98,6 +117,8 @@ def structure(kind, n):
         return ComplexStructure.standard(Space(n))
     if kind == "rotated":
         return ComplexStructure(Space(n), rotated_rows(n, Fraction(3, 5), Fraction(4, 5)))
+    if kind == "twice-rotated":
+        return ComplexStructure(Space(n), twice_rotated_rows(n))
     return ComplexStructure(Space(n, "float"), rotated_rows(n, 0.6, 0.8))
 
 
@@ -247,3 +268,125 @@ def test_commuting_projector_is_the_idempotent_half_sum(kind, n):
             for c, v in row.items():
                 add_scaled(square, v, rows[c])
             assert square == row
+
+
+# The lambda bases stop Gram-Schmidt at the known rank and bb_j tests
+# membership on its own image; the oracles below are the full Gram-Schmidt
+# over every mask and the bb_j that projects before it applies curly_j.
+EXACT_KINDS = ("standard", "rotated", "twice-rotated")
+
+
+def full_gram_schmidt(j_struct, degree):
+    """Every mask projected and orthogonalized, with <b, b> recomputed per
+    candidate; returns the forms, their norms and the masks that added one."""
+    space = j_struct.space
+    forms, used = [], []
+    for mask in basis_masks(space.dim, degree):
+        candidate = lambda_p_project(j_struct, Form(space, degree, {mask: 1}))
+        for b in forms:
+            candidate = candidate - Fraction(inner(candidate, b), inner(b, b)) * b
+        if not candidate.is_zero():
+            forms.append(_primitive_integer_form(candidate))
+            used.append(mask)
+    return forms, [inner(b, b) for b in forms], used
+
+
+def projecting_bb_j(j_struct, alpha):
+    """bb_j with the Lagrange projection as its membership test."""
+    if alpha.is_zero():
+        return alpha
+    if alpha.degree == 0:
+        raise DegreeUnderflowError("bb_j needs degree >= 1")
+    proj = lambda_p_project(j_struct, alpha)
+    member = proj == alpha if alpha.space.backend == "exact" else proj.isclose(alpha)
+    if not member:
+        raise NotInLambdaPError("form is not of type (p,0)+(0,p)")
+    p = alpha.degree
+    return curly_j(j_struct, alpha) * (Fraction(1, p) if proj.space.backend == "exact" else 1 / p)
+
+
+def test_twice_rotated_structure_mixes_three_blocks():
+    rows = structure("twice-rotated", 8).rows
+    assert max(sum(1 for v in row if v != 0) for row in rows) >= 3
+    assert any(v.denominator == 65 for row in rows for v in row)
+
+
+@pytest.mark.parametrize("kind", EXACT_KINDS)
+@pytest.mark.parametrize("n", DIMS)
+def test_rank_stopped_lambda_basis_matches_full_gram_schmidt(kind, n, monkeypatch):
+    j = structure(kind, n)
+    for p in range(n + 1):
+        forms, norms_sq, used = full_gram_schmidt(j, p)
+        projected = []
+        project = hermitian.lambda_p_project
+        monkeypatch.setattr(
+            hermitian, "lambda_p_project", lambda js, a: projected.append(a) or project(js, a)
+        )
+        basis = LambdaBasis(j, p)
+        monkeypatch.setattr(hermitian, "lambda_p_project", project)
+        assert basis.forms == forms
+        assert basis.norms_sq == norms_sq
+        assert basis.dim == (1 if p == 0 else 2 * comb(n // 2, p))
+        # the build projects the masks up to the one that completes the basis
+        last = basis_masks(n, p).index(used[-1]) if used else -1
+        assert [next(iter(a.coeffs)) for a in projected] == basis_masks(n, p)[: last + 1]
+
+
+@pytest.mark.parametrize("kind", EXACT_KINDS)
+@pytest.mark.parametrize("n", DIMS)
+def test_bb_j_matrix_matches_the_projecting_construction(kind, n):
+    j = structure(kind, n)
+    for p in range(1, n + 1):
+        forms, norms_sq, _ = full_gram_schmidt(j, p)
+        cols = [
+            [Fraction(inner(projecting_bb_j(j, b), c), ns) for c, ns in zip(forms, norms_sq)]
+            for b in forms
+        ]
+        want = [[cols[c][r] for c in range(len(forms))] for r in range(len(forms))]
+        assert bb_j_matrix(j, p) == want
+        for b in forms:
+            assert bb_j(j, b) == projecting_bb_j(j, b)
+
+
+def mixed_forms(j_struct, exact_j):
+    """Pairs (lambda member, member plus a part of another type) per degree."""
+    space, n = j_struct.space, j_struct.space.dim
+    omega = kahler_form(j_struct)
+    for p in range(2, n // 2 + 1):
+        b = Form(space, p, lambda_basis(exact_j, p).forms[-1].coeffs)
+        other = omega if p == 2 else wedge(omega, space.basis_form(*range(1, p - 1)))
+        yield b, b + other
+        yield b, b + other * space.scalar(Fraction(1, 1000))
+
+
+@pytest.mark.parametrize("kind", ("standard", "rotated", "twice-rotated", "float"))
+@pytest.mark.parametrize("n", (4, 6, 8))
+def test_bb_j_rejects_a_lambda_form_plus_another_type(kind, n):
+    j = structure(kind, n)
+    exact_j = structure("rotated" if kind == "float" else kind, n)
+    pairs = list(mixed_forms(j, exact_j))
+    assert pairs
+    for member, mixed in pairs:
+        bb_j(j, member)
+        assert in_lambda_p(j, member)
+        assert not in_lambda_p(j, mixed)
+        with pytest.raises(NotInLambdaPError):
+            bb_j(j, mixed)
+        with pytest.raises(NotInLambdaPError):
+            projecting_bb_j(j, mixed)
+
+
+@pytest.mark.parametrize("kind", EXACT_KINDS + ("float",))
+@pytest.mark.parametrize("n", DIMS)
+def test_in_lambda_p_matches_the_projection(kind, n):
+    j = structure(kind, n)
+    space = j.space
+    rng = SplitMix64(3000 * n + len(kind))
+    for p in range(n + 1):
+        forms = [Form(space, p, {m: space.scalar(1)}) for m in basis_masks(n, p)]
+        forms.append(random_form(space, p, rng, integer=True, terms=6))
+        forms.extend(lambda_p_project(j, a) for a in forms[-2:])
+        for alpha in forms:
+            proj = lambda_p_project(j, alpha)
+            want = proj == alpha if space.backend == "exact" else proj.isclose(alpha)
+            assert in_lambda_p(j, alpha) == want

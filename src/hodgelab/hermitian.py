@@ -9,8 +9,9 @@ Two extensions of an orthogonal complex structure J (J^2 = -I) act on forms:
 The square of the derivation has integer spectrum -(p-q)^2 on degree p+q,
 which grades each degree into bidegree components; projections are Lagrange
 polynomials in the squared derivation, hence exact on the rational backend.
-``lambda_p`` denotes the real forms of complex type (p,0)+(0,p), the
-0-eigenspace, and bb_j is the complex-structure action (1/p) cal-J on it.
+``lambda_p`` denotes the real forms of complex type (p,0)+(0,p), the -p^2
+eigenspace on degree p, and bb_j is the complex-structure action (1/p) cal-J
+on it.
 """
 
 from __future__ import annotations

@@ -46,6 +46,12 @@ def test_kahler_form_structure():
     assert inner(OMEGA4, OMEGA4) == 2  # half the dimension
 
 
+def test_kahler_form_is_built_once_per_structure():
+    j = ComplexStructure.standard(Space(6))
+    assert kahler_form(j) is kahler_form(j)
+    assert kahler_form(ComplexStructure.standard(Space(6))) == kahler_form(j)
+
+
 def test_lefschetz_l_examples():
     one = S4.form(0, {(): 1})
     assert lefschetz_l(OMEGA4, one) == OMEGA4

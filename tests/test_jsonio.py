@@ -135,7 +135,6 @@ def _rational_orthogonal(draw, n):
 
 # integer fields of the payloads: each accepts a JSON integer and nothing
 # else, so a float, a bool or a string is reported instead of truncated
-# (4.9 used to read as 4 and true as 1)
 NOT_INTEGERS = (1.9, 1.0, True, "1", None)
 
 

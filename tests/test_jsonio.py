@@ -190,6 +190,37 @@ def test_matrix_payload_integer_fields_reject_non_integers(bad):
         skew_endo_from_dict({"dim": 2, "matrix": [[0, {"num": 1, "den": bad}], [0, 0]]})
 
 
+# float-backend number fields accept a JSON int or float and nothing else,
+# so a string or a bool is reported instead of coerced through float()
+NOT_NUMBERS = ("0.5", "-1", True, False, None, [0.5], {"num": 1})
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS)
+def test_float_form_value_rejects_non_numbers(bad):
+    payload = float_form_payload()
+    payload["terms"][0]["value"] = bad
+    with pytest.raises(ParseError, match="'value' must be a number"):
+        form_from_dict(payload)
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS)
+def test_float_matrix_entries_reject_non_numbers(bad):
+    flat = [0.0, bad, 0.0, 0.0]
+    with pytest.raises(ParseError, match="'matrix entry' must be a number"):
+        skew_endo_from_dict({"dim": 2, "backend": "float", "matrix": flat})
+    rows = [[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, bad], [0.0, 0.0, 1.0, 0.0]]
+    with pytest.raises(ParseError, match="'matrix entry' must be a number"):
+        complex_structure_from_dict({"dim": 4, "backend": "float", "matrix": rows})
+
+
+def test_float_number_fields_accept_ints_and_floats():
+    payload = float_form_payload()
+    payload["terms"][0]["value"] = 2
+    assert form_from_dict(payload) == Space(4, "float").form(2, {(1, 2): 2.0})
+    a = skew_endo_from_dict({"dim": 2, "backend": "float", "matrix": [[0, -1.5], [1.5, 0]]})
+    assert a.rows == ((0.0, -1.5), (1.5, 0.0))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data(), BACKENDS)
 def test_form_round_trip_property(data, backend):

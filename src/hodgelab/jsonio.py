@@ -10,7 +10,8 @@ Complex structures are {"dim": 2k, "matrix": row-major} with "standard"
 accepted as a shorthand for the matrix; skew endomorphisms are
 {"dim": n, "matrix": row-major}; exact matrix entries are integers or
 {"num": a, "den": b}.  Integer fields ("dim", "degree", "index", "num",
-"den") take JSON integers only.  Frame triples are three {re, im} pairs of
+"den") take JSON integers only; float-backend values and matrix entries take
+JSON numbers (integers or floats) only.  Frame triples are three {re, im} pairs of
 real 1-forms plus the volume form.  Payloads with "dim" above MAX_DIM are
 rejected before anything of that size is built.
 """
@@ -39,6 +40,13 @@ def _integer(v, field: str) -> int:
     if isinstance(v, int) and not isinstance(v, bool):
         return v
     raise ParseError(f"{field!r} must be an integer, got {v!r}")
+
+
+def _number(v, field: str) -> float:
+    """A float-backend number field; bools and strings are rejected, not coerced."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return float(v)
+    raise ParseError(f"{field!r} must be a number, got {v!r}")
 
 
 def _space_from(obj) -> Space:
@@ -80,7 +88,7 @@ def form_from_dict(obj) -> Form:
             if space.backend == "exact":
                 val = _fraction(entry)
             else:
-                val = float(entry["value"])
+                val = _number(entry["value"], "value")
             terms[idx] = terms.get(idx, 0) + val
         return space.form(degree, terms)
     except ParseError:
@@ -104,7 +112,7 @@ def _matrix_to_rows(obj, space: Space):
             raise ParseError("matrix payload has the wrong size")
         if space.backend == "exact":
             return [[_exact_entry(v) for v in row] for row in rows]
-        return [[float(v) for v in row] for row in rows]
+        return [[_number(v, "matrix entry") for v in row] for row in rows]
     except ParseError:
         raise
     except Exception as exc:

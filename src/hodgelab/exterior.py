@@ -245,18 +245,6 @@ class Form:
         """Sorted list of (index tuple, coefficient) pairs."""
         return [(mask_to_indices(m), c) for m, c in sorted(self.coeffs.items())]
 
-    def evaluate(self, *indices):
-        """Evaluate on the basis vectors e_{i1}, ..., e_{ip} in the given order."""
-        if len(indices) != self.degree:
-            raise DegreeMismatchError("wrong number of arguments")
-        if len(set(indices)) != len(indices):
-            return 0 if self.space.backend == "exact" else 0.0
-        order = sorted(range(len(indices)), key=lambda t: indices[t])
-        sign = _permutation_sign(order)
-        key = indices_to_mask(sorted(indices))
-        zero = 0 if self.space.backend == "exact" else 0.0
-        return sign * self.coeffs.get(key, zero)
-
     def __repr__(self):
         if not self.coeffs:
             return f"Form<0, deg={self.degree}, n={self.space.dim}>"

@@ -25,7 +25,7 @@ from .errors import (
     SpaceMismatchError,
 )
 from .exterior import FLOAT_TOL, Form, Space, contract, hodge_star, inner, wedge
-from .linalg import mat_add, mat_mul
+from .linalg import combine, compose, dense_rows, sparse_rows
 
 SPECTRAL_TOL = 1e-8
 
@@ -57,7 +57,8 @@ class SkewEndo:
     def __add__(self, other: "SkewEndo") -> "SkewEndo":
         if self.space != other.space:
             raise SpaceMismatchError(f"{self.space} vs {other.space}")
-        return SkewEndo(self.space, mat_add(self.rows, other.rows))
+        total = combine(sparse_rows(self.rows), sparse_rows(other.rows))
+        return SkewEndo(self.space, dense_rows(total, self.space.dim))
 
     def __mul__(self, scalar) -> "SkewEndo":
         return SkewEndo(self.space, [[v * scalar for v in row] for row in self.rows])
@@ -104,9 +105,9 @@ def triple(a1: SkewEndo, a2: SkewEndo, a3: SkewEndo) -> SkewEndo:
     """A2 A1 A3 + A3 A1 A2; skew again and symmetric in the outer arguments."""
     if a1.space != a2.space or a1.space != a3.space:
         raise SpaceMismatchError("operands live on different spaces")
-    m = mat_mul(a2.rows, mat_mul(a1.rows, a3.rows))
-    m2 = mat_mul(a3.rows, mat_mul(a1.rows, a2.rows))
-    return SkewEndo(a1.space, mat_add(m, m2))
+    r1, r2, r3 = (sparse_rows(a.rows) for a in (a1, a2, a3))
+    m = combine(compose(r2, compose(r1, r3)), compose(r3, compose(r1, r2)))
+    return SkewEndo(a1.space, dense_rows(m, a1.space.dim))
 
 
 def stab_expand(alpha1: Form, alpha2: Form, alpha3: Form) -> Form:

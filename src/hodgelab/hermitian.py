@@ -37,17 +37,18 @@ from .exterior import (
     mask_to_indices,
     wedge,
 )
-from .linalg import add_scaled, mat_add, mat_mul
+from .linalg import add_scaled, combine, compose, sparse_rows
 
 
 class ComplexStructure:
     """An orthogonal endomorphism J with J^2 = -I on an even-dimensional space.
 
     ``rows`` is the matrix acting on column vectors of components, so the
-    image of the i-th basis vector is column i.
+    image of the i-th basis vector is column i; ``sparse_rows`` holds the
+    same rows as {column: value} dicts, and row i is the pullback of e^i.
     """
 
-    __slots__ = ("space", "rows", "_pullback_rows", "_lambda_cache", "_misc_cache")
+    __slots__ = ("space", "rows", "sparse_rows", "_lambda_cache", "_misc_cache")
 
     def __init__(self, space: Space, rows):
         if space.dim % 2:
@@ -57,22 +58,18 @@ class ComplexStructure:
             raise InvariantViolationError("matrix shape must match the space dimension")
         self.space = space
         self.rows = rows
+        self.sparse_rows = sparse_rows(rows)
         self._validate()
-        # row i of J is the coefficient list of the pullback of e^i
-        self._pullback_rows = tuple(
-            tuple((j, v) for j, v in enumerate(row) if v != 0) for row in rows
-        )
         self._lambda_cache: dict = {}
         self._misc_cache: dict = {}
 
     def _validate(self):
-        rows = self.rows
-        n = self.space.dim
-        ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        sq_plus_id = mat_add(mat_mul(rows, rows), ident)
-        ortho_defect = mat_add(mat_mul(list(zip(*rows)), rows), ident, 1, -1)
+        j = self.sparse_rows
+        ident = [{i: 1} for i in range(self.space.dim)]
+        sq_plus_id = combine(compose(j, j), ident)
+        ortho_defect = combine(compose(sparse_rows(zip(*self.rows)), j), ident, 1, -1)
         tol = 0 if self.space.backend == "exact" else FLOAT_TOL
-        if any(abs(v) > tol for row in sq_plus_id + ortho_defect for v in row):
+        if any(abs(v) > tol for row in sq_plus_id + ortho_defect for v in row.values()):
             raise InvariantViolationError("matrix is not an orthogonal complex structure")
 
     @classmethod
@@ -85,10 +82,6 @@ class ComplexStructure:
             rows[i][i + 1] = -one
             rows[i + 1][i] = one
         return cls(space, rows)
-
-    @property
-    def half_dim(self) -> int:
-        return self.space.dim // 2
 
     def basis_image(self, i: int) -> Vector:
         """J e_i as a vector (column i of the matrix), 1-based."""
@@ -131,7 +124,7 @@ def _pullback_image(j_struct: ComplexStructure, mask: int) -> dict:
     """J e^I = J e^{i1} ^ ... ^ J e^{ip}; row i of J is the pullback of e^i."""
     space = j_struct.space
     factors = (
-        Form(space, 1, {1 << col: v for col, v in j_struct._pullback_rows[i - 1]})
+        Form(space, 1, {1 << col: v for col, v in j_struct.sparse_rows[i - 1].items()})
         for i in mask_to_indices(mask)
     )
     return reduce(wedge, factors, Form(space, 0, {0: space.scalar(1)})).coeffs
@@ -147,7 +140,7 @@ def _curly_j_image(j_struct: ComplexStructure, mask: int) -> dict:
     for i in mask_to_indices(mask):
         rest = mask ^ (1 << (i - 1))
         below = (rest & ((1 << (i - 1)) - 1)).bit_count()
-        for col, v in j_struct._pullback_rows[i - 1]:
+        for col, v in j_struct.sparse_rows[i - 1].items():
             if not rest >> col & 1:
                 target = rest | (1 << col)
                 sign = below + (rest & ((1 << col) - 1)).bit_count()
@@ -232,27 +225,6 @@ def bb_j(j_struct: ComplexStructure, alpha: Form) -> Form:
     return image * scale
 
 
-def first_slot_insertion(j_struct: ComplexStructure, alpha: Form) -> Form:
-    """(X1, ..., Xp) -> alpha(J X1, X2, ..., Xp), read off on basis tuples.
-
-    Only alternating for forms of type (p,0)+(0,p); used to cross-check bb_j.
-    """
-    from .exterior import contract
-
-    space = alpha.space
-    p = alpha.degree
-    out = {}
-    for mask in basis_masks(space.dim, p):
-        idx = mask_to_indices(mask)
-        partial = contract(j_struct.basis_image(idx[0]), alpha)
-        for i in idx[1:]:
-            partial = contract(space.basis_vector(i), partial)
-        val = partial.scalar_value()
-        if val != 0:
-            out[mask] = val
-    return Form(space, p, out)
-
-
 def _lambda_dim(dim: int, degree: int) -> int:
     """Dimension of the type-(p,0)+(0,p) forms of degree p on R^dim:
     2 C(dim/2, p) for 1 <= p <= dim/2, 1 for p = 0 and 0 above dim/2."""
@@ -325,12 +297,13 @@ def lambda_basis(j_struct: ComplexStructure, degree: int) -> LambdaBasis:
     return cache[degree]
 
 
-def bb_j_matrix(j_struct: ComplexStructure, degree: int) -> list[list[Fraction]]:
-    """Matrix of bb_j over the cached orthogonal basis (cached per degree)."""
+def bb_j_matrix(j_struct: ComplexStructure, degree: int) -> list[dict]:
+    """{column: value} rows of bb_j over the cached orthogonal basis (cached
+    per degree); column d holds the coordinates of bb_j of basis form d."""
     key = ("bbj", degree)
     cache = j_struct._misc_cache
     if key not in cache:
         basis = lambda_basis(j_struct, degree)
         cols = [basis.expand(bb_j(j_struct, b)) for b in basis.forms]
-        cache[key] = [[cols[j][i] for j in range(basis.dim)] for i in range(basis.dim)]
+        cache[key] = sparse_rows(zip(*cols))
     return cache[key]

@@ -152,8 +152,7 @@ def primitive_basis(j_struct: ComplexStructure, degree: int):
             rows[pos[im]][col] = c
     basis = []
     for vec in exact_nullspace(rows, len(masks)):
-        coeffs = {m: v for m, v in zip(masks, vec) if v != 0}
-        basis.append(Form(space, degree, coeffs))
+        basis.append(Form(space, degree, {masks[c]: v for c, v in vec.items()}))
     cache[key] = basis
     return basis
 

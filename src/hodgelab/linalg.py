@@ -1,11 +1,12 @@
 """Exact rational linear algebra and the matrix helpers.
 
-Rank and nullspace share one sparse fraction elimination on rows stored as
-column->value dicts (dense rows are accepted too).  The systems assembled by
-the library are sparse with small integer entries, so sparse elimination
-with a shortest-row pivot heuristic is fast enough for every shipped
-computation, including the largest constrained-torsion system (a few
-thousand rows, a few hundred columns).
+A linear map is a list of {column: value} rows without zeros; ``compose``
+and ``combine`` multiply and add such maps, and ``sparse_rows``/``dense_rows``
+convert the dense matrices that numpy and the JSON codecs read.  Rank and
+nullspace share one sparse fraction elimination with a shortest-row pivot
+heuristic (dense rows are accepted too), fast enough for every shipped
+system, the largest constrained-torsion one included (a few thousand rows,
+a few hundred columns).
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def add_scaled(row: dict, factor, other: dict):
-    """row += factor * other, dropping the entries that cancel."""
+def add_scaled(row: dict, factor, other: dict) -> dict:
+    """row += factor * other, dropping the entries that cancel; returns row."""
     for c, v in other.items():
         nv = row.get(c, 0) + factor * v
         if nv == 0:
             row.pop(c, None)
         else:
             row[c] = nv
+    return row
 
 
 def _eliminate(matrix, ncols: int | None):
@@ -69,12 +71,13 @@ def exact_rank(matrix, ncols: int | None = None) -> int:
 
 
 def exact_nullspace(matrix, ncols: int | None = None):
-    """Basis of the rational nullspace, as dense Fraction lists.
+    """Basis of the rational nullspace, as sparse {column: Fraction} vectors.
 
     The pivot rows are back-substituted into the reduced row echelon form,
     which depends only on the row space, and each free column f gives the
     vector with 1 at f, minus the f-th reduced entry at each pivot column
-    and 0 elsewhere.  A matrix without rows has the identity basis.
+    and 0 elsewhere; only pivots left of f have an entry at f, so the keys
+    increase.  A matrix without rows has the identity basis.
     """
     pivots, ncols = _eliminate(matrix, ncols)
     reduced = {}
@@ -87,37 +90,39 @@ def exact_nullspace(matrix, ncols: int | None = None):
         for k in [k for k in row if k in reduced]:
             add_scaled(row, -row[k], reduced[k])
         reduced[col] = row
+    order = sorted(reduced)
     basis = []
     for free in range(ncols):
         if free in pivots:
             continue
-        vec = [Fraction(0)] * ncols
+        vec = {col: -reduced[col][free] for col in order if free in reduced[col]}
         vec[free] = Fraction(1)
-        for col, row in reduced.items():
-            if free in row:
-                vec[col] = -row[free]
         basis.append(vec)
     return basis
 
 
-def mat_mul(a, b):
-    """Matrix product; zero entries of either factor cost no arithmetic."""
-    cols = len(b[0]) if b else 0
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+def compose(a, b):
+    """Rows of the product a b: row i is the sum over k of a[i][k] b[k],
+    accumulated in the key order of a[i]."""
     out = []
     for row in a:
-        acc = [0] * cols
-        for x, b_row in zip(row, b_rows):
-            if x:
-                for j, y in b_row:
-                    acc[j] += x * y
+        acc: dict = {}
+        for k, x in row.items():
+            add_scaled(acc, x, b[k])
         out.append(acc)
     return out
 
 
-def mat_add(a, b, sa=1, sb=1):
-    """sa * a + sb * b; zero entries cost no arithmetic."""
-    return [
-        [(sa * x + sb * y if y else sa * x) if x else (sb * y if y else 0) for x, y in zip(r1, r2)]
-        for r1, r2 in zip(a, b)
-    ]
+def combine(a, b, sa=1, sb=1):
+    """Rows of sa * a + sb * b."""
+    return [add_scaled(add_scaled({}, sa, r1), sb, r2) for r1, r2 in zip(a, b)]
+
+
+def sparse_rows(matrix):
+    """The {column: value} rows of a dense matrix."""
+    return [{c: v for c, v in enumerate(row) if v} for row in matrix]
+
+
+def dense_rows(rows, ncols: int):
+    """The dense matrix of sparse rows, with ``ncols`` columns."""
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]

@@ -86,13 +86,3 @@ def random_vector(space, rng: SplitMix64, integer: bool = True):
         comps = [rng.uniform(-1.0, 1.0) for _ in range(space.dim)]
     return Vector(space, comps)
 
-
-def random_skew_matrix(n: int, rng: SplitMix64, integer: bool = True):
-    """Random skew-symmetric n x n matrix as nested lists."""
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = rng.small_int() if integer else rng.uniform(-1.0, 1.0)
-            rows[i][j] = v
-            rows[j][i] = -v
-    return rows

@@ -53,7 +53,7 @@ from .hermitian import (
     in_lambda_p,
     lambda_basis,
 )
-from .linalg import add_scaled, exact_nullspace, exact_rank, mat_add, mat_mul
+from .linalg import combine, compose, dense_rows, exact_nullspace, exact_rank, sparse_rows
 
 _HALF = Fraction(1, 2)
 
@@ -61,14 +61,14 @@ _HALF = Fraction(1, 2)
 class FormValuedMap:
     """Linear map between type-(p,0)+(0,p) and type-(q,0)+(0,q) forms.
 
-    The matrix is expressed over the deterministic orthogonal bases of the
-    two subspaces; column d holds the coefficients of the image of the d-th
-    domain basis form.
+    The matrix over the deterministic orthogonal bases of the two subspaces
+    is held as {column: value} ``rows``, zeros dropped; column d holds the
+    image of the d-th domain basis form.  ``matrix`` is a dense copy.
     """
 
-    __slots__ = ("j", "p", "q", "matrix", "domain", "codomain")
+    __slots__ = ("j", "p", "q", "rows", "domain", "codomain")
 
-    def __init__(self, j_struct: ComplexStructure, p: int, q: int, matrix):
+    def __init__(self, j_struct: ComplexStructure, p: int, q: int, rows):
         if p < 1 or q < 1:
             raise InvariantViolationError("degrees must be at least 1")
         self.j = j_struct
@@ -76,27 +76,26 @@ class FormValuedMap:
         self.q = q
         self.domain = lambda_basis(j_struct, p)
         self.codomain = lambda_basis(j_struct, q)
-        matrix = [list(row) for row in matrix]
-        if len(matrix) != self.codomain.dim or any(len(r) != self.domain.dim for r in matrix):
+        rows = [{c: v for c, v in row.items() if v != 0} for row in rows]
+        width = self.domain.dim
+        if len(rows) != self.codomain.dim or any(not 0 <= c < width for r in rows for c in r):
             raise InvariantViolationError("matrix shape does not match the bases")
-        self.matrix = matrix
+        self.rows = rows
+
+    @property
+    def matrix(self):
+        """The dense matrix, a fresh list of rows on every access."""
+        return dense_rows(self.rows, self.domain.dim)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, j_struct, p, q):
-        rows = lambda_basis(j_struct, q).dim
-        cols = lambda_basis(j_struct, p).dim
-        return cls(j_struct, p, q, [[0] * cols for _ in range(rows)])
+        return cls(j_struct, p, q, [{} for _ in lambda_basis(j_struct, q).forms])
 
     @classmethod
     def identity(cls, j_struct, p):
-        d = lambda_basis(j_struct, p).dim
-        return cls(j_struct, p, p, [[1 if i == j else 0 for j in range(d)] for i in range(d)])
-
-    @classmethod
-    def bb_j_map(cls, j_struct, p):
-        return cls(j_struct, p, p, bb_j_matrix(j_struct, p))
+        return cls(j_struct, p, p, [{i: 1} for i in range(lambda_basis(j_struct, p).dim)])
 
     @classmethod
     def from_tensor(cls, j_struct, phi: Form, psi: Form):
@@ -106,22 +105,21 @@ class FormValuedMap:
         dom = lambda_basis(j_struct, phi.degree)
         cod = lambda_basis(j_struct, psi.degree)
         psi_coords = cod.expand(psi)
-        matrix = [[0] * dom.dim for _ in range(cod.dim)]
+        rows: list[dict] = [{} for _ in range(cod.dim)]
         for d, b in enumerate(dom.forms):
             weight = inner(phi, b)
             if weight == 0:
                 continue
             for i, c in enumerate(psi_coords):
-                if c != 0:
-                    matrix[i][d] = weight * c
-        return cls(j_struct, phi.degree, psi.degree, matrix)
+                rows[i][d] = weight * c
+        return cls(j_struct, phi.degree, psi.degree, rows)
 
     @classmethod
     def from_images(cls, j_struct, p, q, images):
         cod = lambda_basis(j_struct, q)
         cols = [cod.expand(img) for img in images]
-        matrix = [[cols[d][i] for d in range(len(cols))] for i in range(cod.dim)]
-        return cls(j_struct, p, q, matrix)
+        rows = [{d: col[i] for d, col in enumerate(cols)} for i in range(cod.dim)]
+        return cls(j_struct, p, q, rows)
 
     @classmethod
     def from_multilinear(cls, j_struct, p, q, fn, check: bool = True):
@@ -164,8 +162,8 @@ class FormValuedMap:
             c = b.coeffs.get(mask)
             if c:
                 col = Fraction(c, ns)
-                for i, row in enumerate(self.matrix):
-                    if row[d] != 0:
+                for i, row in enumerate(self.rows):
+                    if d in row:
                         out = out + (row[d] * col) * self.codomain.forms[i]
         return out
 
@@ -179,40 +177,36 @@ class FormValuedMap:
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other):
-        return FormValuedMap(self.j, self.p, self.q, mat_add(self.matrix, other.matrix))
+        return FormValuedMap(self.j, self.p, self.q, combine(self.rows, other.rows))
 
     def __sub__(self, other):
-        return FormValuedMap(self.j, self.p, self.q, mat_add(self.matrix, other.matrix, 1, -1))
+        return FormValuedMap(self.j, self.p, self.q, combine(self.rows, other.rows, 1, -1))
 
     def __mul__(self, scalar):
         return FormValuedMap(
-            self.j, self.p, self.q, [[v * scalar for v in row] for row in self.matrix]
+            self.j, self.p, self.q, [{c: v * scalar for c, v in row.items()} for row in self.rows]
         )
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.matrix for v in row)
+        return not any(self.rows)
 
     def max_entry(self):
-        return max((abs(v) for row in self.matrix for v in row), default=0)
+        return max((abs(v) for row in self.rows for v in row.values()), default=0)
 
     def conjugated_by_bbj(self) -> "FormValuedMap":
         """JJ o Q o JJ."""
         jp = bb_j_matrix(self.j, self.p)
         jq = bb_j_matrix(self.j, self.q)
-        return FormValuedMap(self.j, self.p, self.q, mat_mul(jq, mat_mul(self.matrix, jp)))
+        return FormValuedMap(self.j, self.p, self.q, compose(jq, compose(self.rows, jp)))
 
 
 def split_type(q_map: FormValuedMap):
     """Split into the bb_j-commuting and bb_j-anticommuting parts, in that order."""
-    conj = q_map.conjugated_by_bbj()
-    commuting = FormValuedMap(
-        q_map.j, q_map.p, q_map.q, mat_add(q_map.matrix, conj.matrix, _HALF, -_HALF)
-    )
-    anticommuting = FormValuedMap(
-        q_map.j, q_map.p, q_map.q, mat_add(q_map.matrix, conj.matrix, _HALF, _HALF)
-    )
+    rows, conj = q_map.rows, q_map.conjugated_by_bbj().rows
+    commuting = FormValuedMap(q_map.j, q_map.p, q_map.q, combine(rows, conj, _HALF, -_HALF))
+    anticommuting = FormValuedMap(q_map.j, q_map.p, q_map.q, combine(rows, conj, _HALF, _HALF))
     return commuting, anticommuting
 
 
@@ -232,8 +226,8 @@ def antisymmetrize(q_map: FormValuedMap) -> Form:
     out = space.zero_form(p + q)
     fac = factorial(p)
     for d, ns in enumerate(q_map.domain.norms_sq):
-        for i, row in enumerate(q_map.matrix):
-            if row[d] != 0:
+        for i, row in enumerate(q_map.rows):
+            if d in row:
                 out = out + Fraction(fac * row[d], ns) * table[d][i]
     return out
 
@@ -273,17 +267,16 @@ def _commuting_projector(j_struct: ComplexStructure, p: int, q: int):
 
     Row and column d * dq + e belong to b_d (x) c_e.  Since (Jp (x) Jq)^2 = I
     this is the projector onto the commuting half; only the nonzeros of the
-    bb_j matrices are visited.
+    bb_j rows are visited.
     """
-    nz_p = [[(d, v) for d, v in enumerate(row) if v != 0] for row in bb_j_matrix(j_struct, p)]
-    nz_q = [[(e, v) for e, v in enumerate(row) if v != 0] for row in bb_j_matrix(j_struct, q)]
-    dq = len(nz_q)
+    jp, jq = bb_j_matrix(j_struct, p), bb_j_matrix(j_struct, q)
+    dq = len(jq)
     rows = []
-    for i, row_p in enumerate(nz_p):
-        for k, row_q in enumerate(nz_q):
+    for i, row_p in enumerate(jp):
+        for k, row_q in enumerate(jq):
             row = {i * dq + k: _HALF}
-            for d, vp in row_p:
-                for e, vq in row_q:
+            for d, vp in row_p.items():
+                for e, vq in row_q.items():
                     col = d * dq + e
                     row[col] = row.get(col, 0) + _HALF * vp * vq
             rows.append({col: v for col, v in row.items() if v != 0})
@@ -306,13 +299,7 @@ def a_restricted_rank(j_struct: ComplexStructure, p: int, q: int) -> int:
     if p == 0 or q == 0:
         return 0
     projector = _commuting_projector(j_struct, p, q)
-    rows = []
-    for a_row in a_full_matrix(j_struct, p, q):
-        row: dict = {}
-        for col, v in a_row.items():
-            add_scaled(row, v, projector[col])
-        rows.append(row)
-    return exact_rank(rows, len(projector))
+    return exact_rank(compose(a_full_matrix(j_struct, p, q), projector), len(projector))
 
 
 def a_full_matrix(j_struct: ComplexStructure, p: int, q: int):
@@ -339,13 +326,11 @@ def a_kernel_tensors(j_struct: ComplexStructure, p: int, q: int):
     cod = lambda_basis(j_struct, q)
     out = []
     for vec in exact_nullspace(rows, dom.dim * cod.dim):
-        m = [[0] * dom.dim for _ in range(cod.dim)]
-        for d in range(dom.dim):
-            for e in range(cod.dim):
-                t = vec[d * cod.dim + e]
-                if t != 0:
-                    # tensor b_d (x) c_e acts as chi -> <b_d, chi> c_e
-                    m[e][d] += t * dom.norms_sq[d]
+        m: list[dict] = [{} for _ in range(cod.dim)]
+        for col, t in vec.items():
+            d, e = divmod(col, cod.dim)
+            # tensor b_d (x) c_e acts as chi -> <b_d, chi> c_e
+            m[e][d] = t * dom.norms_sq[d]
         out.append(FormValuedMap(j_struct, p, q, m))
     return out
 
@@ -461,15 +446,15 @@ def _add_entry(row: dict, skew, base: int, r: int, c: int, coeff):
         row[base + i] = row.get(base + i, 0) + coeff * sign
 
 
-def _skew_from_params(vec, n: int, base: int = 0):
-    """The skew n x n matrix whose parameters are vec[base:base + n(n-1)/2]."""
-    m = [[0] * n for _ in range(n)]
+def _skew_from_params(vec: dict, n: int, base: int = 0):
+    """{column: value} rows of the skew n x n matrix with parameters vec[base + i]."""
+    rows: list[dict] = [{} for _ in range(n)]
     for i, (r, c) in enumerate(combinations(range(n), 2)):
-        v = vec[base + i]
-        if v != 0:
-            m[r][c] = v
-            m[c][r] = -v
-    return m
+        v = vec.get(base + i)
+        if v is not None:
+            rows[r][c] = v
+            rows[c][r] = -v
+    return rows
 
 
 class TorsionTensor:
@@ -495,23 +480,24 @@ class TorsionTensor:
 
     def _validate(self):
         n = self.j.space.dim
-        J = self.j.rows
+        J = self.j.sparse_rows
         for eta in self.etas:
             for i in range(n):
                 for jj in range(n):
                     if eta[i][jj] != -eta[jj][i]:
                         raise InvariantViolationError("torsion values must be skew")
+        etas = [sparse_rows(eta) for eta in self.etas]
         for a in range(n):
-            eta_j = mat_mul(self.etas[a], J)
-            j_eta = mat_mul(J, self.etas[a])
-            lhs = [[sum(J[b][a] * self.etas[b][r][c] for b in range(n)) for c in range(n)]
-                   for r in range(n)]
-            for r in range(n):
-                for c in range(n):
-                    if lhs[r][c] != eta_j[r][c]:
-                        raise InvariantViolationError("eta_{JX} = eta_X J fails")
-                    if eta_j[r][c] != -j_eta[r][c]:
-                        raise InvariantViolationError("eta_X J = -J eta_X fails")
+            eta_j = compose(etas[a], J)
+            # eta_{J e_a} = sum_b J[b][a] eta_b
+            lhs: list[dict] = [{} for _ in range(n)]
+            for b, j_row in enumerate(J):
+                if a in j_row:
+                    lhs = combine(lhs, etas[b], 1, j_row[a])
+            if lhs != eta_j:
+                raise InvariantViolationError("eta_{JX} = eta_X J fails")
+            if any(combine(eta_j, compose(J, etas[a]))):
+                raise InvariantViolationError("eta_X J = -J eta_X fails")
         for x in range(n):
             for y in range(x + 1, n):
                 for z in range(y + 1, n):
@@ -547,18 +533,19 @@ def torsion_bullet(q_rows, eta: TorsionTensor):
 
 
 def _bullet_rows(q_rows, n: int, skew):
-    """Constraint rows (Q o eta)(x, y, z) = 0 for x < y < z in eta parameters."""
+    """Constraint rows (Q o eta)(x, y, z) = 0 for x < y < z in eta parameters;
+    Q is given by its {column: value} rows."""
     rows = []
     npairs = n * (n - 1) // 2
     for x in range(n):
         for y in range(x + 1, n):
             for z in range(y + 1, n):
                 row: dict = {}
-                for a in range(n):
+                for a, q_row in enumerate(q_rows):
                     base = a * npairs
-                    _add_entry(row, skew, base, z, y, q_rows[a][x])
-                    _add_entry(row, skew, base, x, z, q_rows[a][y])
-                    _add_entry(row, skew, base, y, x, q_rows[a][z])
+                    _add_entry(row, skew, base, z, y, q_row.get(x, 0))
+                    _add_entry(row, skew, base, x, z, q_row.get(y, 0))
+                    _add_entry(row, skew, base, y, x, q_row.get(z, 0))
                 rows.append({c: v for c, v in row.items() if v != 0})
     return rows
 
@@ -606,7 +593,9 @@ def admissible_torsion_basis(j_struct: ComplexStructure):
     n = j_struct.space.dim
     rows, npairs = _structural_rows(j_struct)
     return [
-        TorsionTensor(j_struct, [_skew_from_params(vec, n, a * npairs) for a in range(n)])
+        TorsionTensor(
+            j_struct, [dense_rows(_skew_from_params(vec, n, a * npairs), n) for a in range(n)]
+        )
         for vec in exact_nullspace(rows, n * npairs)
     ]
 
@@ -622,6 +611,7 @@ def anti_invariant_skew_basis(j_struct: ComplexStructure):
 
 
 def _constrained_skew_basis(j_struct: ComplexStructure, commuting: bool):
+    """The skew F with F J = J F (commuting) or F J = -J F, as {column: value} rows."""
     n = j_struct.space.dim
     J = j_struct.rows
     skew = _skew_params(n)
@@ -674,12 +664,12 @@ def bracket_bullet_in_span(k: int) -> bool:
     mbasis = anti_invariant_skew_basis(j_struct)
     for i, f in enumerate(mbasis):
         for g in mbasis[i:]:
-            sym = mat_add(mat_mul(f, g), mat_mul(g, f))
+            sym = combine(compose(f, g), compose(g, f))
             rows.extend(_bullet_rows(sym, n, skew))
     base_rank = exact_rank(rows, n * npairs)
     for i, f in enumerate(mbasis):
         for g in mbasis[i + 1:]:
-            comm = mat_add(mat_mul(f, g), mat_mul(g, f), 1, -1)
+            comm = combine(compose(f, g), compose(g, f), 1, -1)
             rows.extend(_bullet_rows(comm, n, skew))
     return exact_rank(rows, n * npairs) == base_rank
 
@@ -697,8 +687,7 @@ def bracket_span_dimension(k: int) -> int:
     vecs = []
     for i, f in enumerate(mbasis):
         for g in mbasis[i + 1:]:
-            comm = mat_add(mat_mul(f, g), mat_mul(g, f), 1, -1)
-            vecs.append({skew[(r, c)][0]: comm[r][c]
-                         for r in range(n) for c in range(r + 1, n)
-                         if comm[r][c] != 0})
+            comm = combine(compose(f, g), compose(g, f), 1, -1)
+            vecs.append({skew[(r, c)][0]: v
+                         for r, row in enumerate(comm) for c, v in row.items() if c > r})
     return exact_rank(vecs, n * (n - 1) // 2)

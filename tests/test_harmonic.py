@@ -25,12 +25,23 @@ from hodgelab.harmonic import (
 )
 from hodgelab.hermitian import ComplexStructure
 from hodgelab.lefschetz import kahler_form
-from hodgelab.rng import SplitMix64, random_form, random_skew_matrix
+from hodgelab.rng import SplitMix64, random_form
 
 S4 = Space(4)
 J4 = ComplexStructure.standard(S4)
 OMEGA4 = kahler_form(J4)
 S6F = Space(6, "float")
+
+
+def random_skew_matrix(n, rng, integer=True):
+    """Random skew-symmetric n x n matrix as nested lists."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = rng.small_int() if integer else rng.uniform(-1.0, 1.0)
+            rows[i][j] = v
+            rows[j][i] = -v
+    return rows
 
 
 def matmul(a, b):

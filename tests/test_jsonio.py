@@ -24,7 +24,6 @@ from hodgelab.jsonio import (
     skew_endo_to_dict,
     spectral_to_dict,
 )
-from hodgelab.linalg import mat_mul
 
 
 def test_exact_form_round_trip():
@@ -113,6 +112,10 @@ def _json(payload):
 
 def _scalars(backend):
     return _EXACT if backend == "exact" else _FLOAT
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def _convert(rows, backend):

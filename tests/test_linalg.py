@@ -1,8 +1,11 @@
-"""Differential oracle: exact_rank / exact_nullspace against sympy over QQ.
+"""Differential oracles: exact_rank / exact_nullspace against sympy over QQ,
+and the sparse-row helpers against dense matrix arithmetic.
 
 The nullspace basis read off the reduced row echelon form is canonical, so
 it must equal sympy's ``Matrix.nullspace()`` entry for entry, not just span
-the same space.
+the same space.  ``compose`` and ``combine`` must equal the dense product and
+sum entry for entry, float entries included: both accumulate in the same
+order, so float results compare with ``==``.
 """
 
 from fractions import Fraction
@@ -15,7 +18,14 @@ from hypothesis import strategies as st
 from hodgelab.exterior import Form, Space, basis_masks
 from hodgelab.hermitian import ComplexStructure, lambda_basis
 from hodgelab.lefschetz import lefschetz_lstar, primitive_basis
-from hodgelab.linalg import exact_nullspace, exact_rank
+from hodgelab.linalg import (
+    combine,
+    compose,
+    dense_rows,
+    exact_nullspace,
+    exact_rank,
+    sparse_rows,
+)
 from hodgelab.tensor_maps import _structural_rows, a_full_matrix
 
 
@@ -39,7 +49,7 @@ def _sympy_matrix(rows, ncols):
 def _assert_matches_sympy(rows, ncols):
     m = _sympy_matrix(rows, ncols)
     expected = [[Fraction(int(v.p), int(v.q)) for v in vec] for vec in m.nullspace()]
-    assert exact_nullspace(rows, ncols) == expected
+    assert _dense(exact_nullspace(rows, ncols), ncols) == expected
     assert exact_rank(rows, ncols) == m.rank()
 
 
@@ -92,7 +102,7 @@ def test_width_defaults_to_the_dense_row_length(case):
 @pytest.mark.parametrize("ncols", [1, 3, 5])
 def test_matrix_without_rows_has_the_identity_nullspace(ncols):
     identity = [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    assert exact_nullspace([], ncols) == identity
+    assert _dense(exact_nullspace([], ncols), ncols) == identity
     assert exact_rank([], ncols) == 0
     _assert_matches_sympy([], ncols)
 
@@ -125,7 +135,7 @@ def test_primitive_system_matches_sympy(dim):
         _assert_matches_sympy(rows, len(masks))
         expected = [
             Form(space, degree, {m: v for m, v in zip(masks, vec) if v != 0})
-            for vec in exact_nullspace(rows, len(masks))
+            for vec in _dense(exact_nullspace(rows, len(masks)), len(masks))
         ]
         assert primitive_basis(j, degree) == expected
 
@@ -136,3 +146,107 @@ def test_antisymmetrization_system_matches_sympy(p, q):
     ncols = lambda_basis(j, p).dim * lambda_basis(j, q).dim
     _assert_matches_sympy(a_full_matrix(j, p, q), ncols)
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_matrices())
+def test_nullspace_vectors_have_increasing_keys_and_no_zeros(case):
+    dense, ncols = case
+    for vec in exact_nullspace(dense, ncols) + exact_nullspace(sparse_rows(dense), ncols):
+        keys = list(vec)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert all(v != 0 for v in vec.values())
+
+
+# -- the sparse-row helpers against dense arithmetic -------------------------
+
+
+def mat_mul(a, b):
+    """Dense matrix product; zero entries of either factor cost no arithmetic."""
+    cols = len(b[0]) if b else 0
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
+
+
+def mat_add(a, b, sa=1, sb=1):
+    """sa * a + sb * b on dense matrices; zero entries cost no arithmetic."""
+    return [
+        [(sa * x + sb * y if y else sa * x) if x else (sb * y if y else 0) for x, y in zip(r1, r2)]
+        for r1, r2 in zip(a, b)
+    ]
+
+
+# small values, so that products and sums often cancel exactly
+_HELPER_ENTRIES = {
+    "int": st.integers(-2, 2),
+    "fraction": st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    "float": st.one_of(
+        st.sampled_from([0.0, 0.5, -0.5, 0.1, -0.1, 0.2, -0.2, 0.3, -0.3]),
+        st.floats(-4, 4, allow_nan=False, allow_subnormal=False),
+    ),
+}
+
+
+def _dense_matrix(draw, entries, nrows, ncols):
+    """Rows that are all zero or drawn entry by entry."""
+    zero = st.just([0] * ncols)
+    return [draw(st.one_of(zero, st.lists(entries, min_size=ncols, max_size=ncols)))
+            for _ in range(nrows)]
+
+
+@st.composite
+def _operands(draw):
+    """(a, b, c, kind): a is m x k, b is k x n, c is m x k."""
+    kind = draw(st.sampled_from(sorted(_HELPER_ENTRIES)))
+    entries = _HELPER_ENTRIES[kind]
+    m, k, n = draw(st.integers(0, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    a = _dense_matrix(draw, entries, m, k)
+    b = _dense_matrix(draw, entries, k, n)
+    # c is a, -a (so that sums cancel) or drawn
+    sign = draw(st.sampled_from([1, -1, None]))
+    c = _dense_matrix(draw, entries, m, k) if sign is None else [[sign * v for v in row] for row in a]
+    return a, b, c, kind
+
+
+def _no_zeros(rows):
+    return all(v != 0 for row in rows for v in row.values())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_operands())
+def test_compose_matches_the_dense_product(case):
+    a, b, _, _ = case
+    got = compose(sparse_rows(a), sparse_rows(b))
+    assert _no_zeros(got)
+    assert dense_rows(got, len(b[0])) == mat_mul(a, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_operands(), st.sampled_from([(1, 1), (1, -1), (-1, 1), (Fraction(1, 2), Fraction(-1, 2)),
+                                     (2, 3), (0.5, -0.25)]))
+def test_combine_matches_the_dense_sum(case, scales):
+    a, _, c, kind = case
+    sa, sb = scales
+    if kind != "float" and isinstance(sa, float):
+        sa, sb = Fraction(sa), Fraction(sb)
+    got = combine(sparse_rows(a), sparse_rows(c), sa, sb)
+    assert _no_zeros(got)
+    assert dense_rows(got, len(a[0]) if a else 0) == mat_add(a, c, sa, sb)
+    assert dense_rows(combine(sparse_rows(a), sparse_rows(c)), len(a[0]) if a else 0) == mat_add(a, c)
+
+
+def test_cancelling_entries_are_dropped():
+    assert compose([{0: 1, 1: 1}], [{0: 1, 1: 2}, {0: -1, 1: -2}]) == [{}]
+    assert compose([{0: 0.5, 1: 0.5}], [{0: 0.25}, {0: -0.25}]) == [{}]
+    a = [{0: Fraction(1, 3), 2: -1}, {}]
+    assert combine(a, a, 1, -1) == [{}, {}]
+    assert combine(a, a, Fraction(1, 2), Fraction(1, 2)) == a
+    assert combine(a, [{0: Fraction(-1, 3)}, {1: 2}]) == [{2: -1}, {1: 2}]

@@ -4,7 +4,7 @@ import pytest
 
 from hodgelab.errors import DegreeOverflowError, InvalidDerivativeError, InvariantViolationError
 from hodgelab.exterior import Space, Vector, wedge
-from hodgelab.hermitian import ComplexStructure, bb_j, lambda_basis, lambda_p_project
+from hodgelab.hermitian import ComplexStructure, bb_j, bb_j_matrix, lambda_basis, lambda_p_project
 from hodgelab.rng import SplitMix64, random_form, random_vector
 from hodgelab.tensor_maps import (
     FormValuedMap,
@@ -33,6 +33,10 @@ S6 = Space(6)
 J6 = ComplexStructure.standard(S6)
 
 
+def bb_j_map(j_struct, p):
+    return FormValuedMap(j_struct, p, p, bb_j_matrix(j_struct, p))
+
+
 def random_lambda(j_struct, degree, rng, terms=2):
     basis = lambda_basis(j_struct, degree).forms
     out = j_struct.space.zero_form(degree)
@@ -54,7 +58,7 @@ def random_map(j_struct, p, q, rng, terms=3):
 
 
 def test_split_of_bb_j_is_commuting():
-    q = FormValuedMap.bb_j_map(J4, 1)
+    q = bb_j_map(J4, 1)
     q1, q2 = split_type(q)
     assert q1.matrix == q.matrix and q2.is_zero()
 
@@ -76,7 +80,7 @@ def _compose(a, b):
 
 def test_split_posted_relations():
     """The first part commutes with bb_j, the second anticommutes."""
-    jj = FormValuedMap.bb_j_map(J4, 1)
+    jj = bb_j_map(J4, 1)
     base = random_map(J4, 1, 1, SplitMix64(3))
     q1, q2 = split_type(base)
     assert _compose(q1, jj) == _compose(jj, q1)
@@ -110,7 +114,7 @@ def test_antisymmetrize_of_identity_vanishes():
 def test_antisymmetrize_of_bb_j_is_minus_two_omega():
     from hodgelab.lefschetz import kahler_form
 
-    out = antisymmetrize(FormValuedMap.bb_j_map(J4, 1))
+    out = antisymmetrize(bb_j_map(J4, 1))
     assert out == -2 * kahler_form(J4)
 
 

@@ -142,7 +142,8 @@ def test_decompose_non_integer_dim_exit_two(tmp_path):
 
 
 def test_decompose_non_number_float_values_exit_two(tmp_path):
-    form = {"dim": 4, "degree": 2, "backend": "float", "terms": [{"index": [1, 2], "value": "0.5"}]}
+    form = {"dim": 4, "degree": 2, "backend": "float",
+            "terms": [{"index": [1, 2], "value": "0.5"}]}
     skew = {"dim": 2, "backend": "float", "matrix": [[0, True], [-1, 0]]}
     for payload in (form, skew):
         path = tmp_path / "input.json"

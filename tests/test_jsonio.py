@@ -211,7 +211,8 @@ def test_float_matrix_entries_reject_non_numbers(bad):
     flat = [0.0, bad, 0.0, 0.0]
     with pytest.raises(ParseError, match="'matrix entry' must be a number"):
         skew_endo_from_dict({"dim": 2, "backend": "float", "matrix": flat})
-    rows = [[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, bad], [0.0, 0.0, 1.0, 0.0]]
+    rows = [[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, bad], [0.0, 0.0, 1.0, 0.0]]
     with pytest.raises(ParseError, match="'matrix entry' must be a number"):
         complex_structure_from_dict({"dim": 4, "backend": "float", "matrix": rows})
 

@@ -147,7 +147,6 @@ def test_antisymmetrization_system_matches_sympy(p, q):
     _assert_matches_sympy(a_full_matrix(j, p, q), ncols)
 
 
-
 @settings(max_examples=300, deadline=None)
 @given(_sparse_matrices())
 def test_nullspace_vectors_have_increasing_keys_and_no_zeros(case):
@@ -212,7 +211,10 @@ def _operands(draw):
     b = _dense_matrix(draw, entries, k, n)
     # c is a, -a (so that sums cancel) or drawn
     sign = draw(st.sampled_from([1, -1, None]))
-    c = _dense_matrix(draw, entries, m, k) if sign is None else [[sign * v for v in row] for row in a]
+    if sign is None:
+        c = _dense_matrix(draw, entries, m, k)
+    else:
+        c = [[sign * v for v in row] for row in a]
     return a, b, c, kind
 
 
@@ -237,10 +239,11 @@ def test_combine_matches_the_dense_sum(case, scales):
     sa, sb = scales
     if kind != "float" and isinstance(sa, float):
         sa, sb = Fraction(sa), Fraction(sb)
+    ncols = len(a[0]) if a else 0
     got = combine(sparse_rows(a), sparse_rows(c), sa, sb)
     assert _no_zeros(got)
-    assert dense_rows(got, len(a[0]) if a else 0) == mat_add(a, c, sa, sb)
-    assert dense_rows(combine(sparse_rows(a), sparse_rows(c)), len(a[0]) if a else 0) == mat_add(a, c)
+    assert dense_rows(got, ncols) == mat_add(a, c, sa, sb)
+    assert dense_rows(combine(sparse_rows(a), sparse_rows(c)), ncols) == mat_add(a, c)
 
 
 def test_cancelling_entries_are_dropped():

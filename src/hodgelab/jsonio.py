@@ -10,10 +10,10 @@ Complex structures are {"dim": 2k, "matrix": row-major} with "standard"
 accepted as a shorthand for the matrix; skew endomorphisms are
 {"dim": n, "matrix": row-major}; exact matrix entries are integers or
 {"num": a, "den": b}.  Integer fields ("dim", "degree", "index", "num",
-"den") take JSON integers only; float-backend values and matrix entries take
-JSON numbers (integers or floats) only.  Frame triples are three {re, im} pairs of
-real 1-forms plus the volume form.  Payloads with "dim" above MAX_DIM are
-rejected before anything of that size is built.
+"den") take JSON integers only, float-backend values and matrix entries JSON
+numbers only.  Frame triples are three {re, im} pairs of real 1-forms plus
+the volume form.  Payloads with "dim" above MAX_DIM are rejected before
+anything of that size is built.
 """
 
 from __future__ import annotations

@@ -173,210 +173,184 @@ def _p_or_zero(j_struct, alpha, beta, k, out_degree):
 
 
 # -- campaign bodies -----------------------------------------------------
+#
+# Each body takes one dimension and the seed list and yields that
+# dimension's cases in report order; run_campaign loops over the dims.
 
 
-def _type_pairs(dim: int, max_total: int = 4):
+def _exact_case(id: str, residual, seed: int = 0) -> CaseResult:
+    """A case that passes exactly when its residual is zero."""
+    residual = _res(residual)
+    return CaseResult(id, residual == 0.0, residual, seed)
+
+
+def _type_pairs(dim: int):
     k = dim // 2
     return [
         (p, q)
         for p in range(1, 4)
         for q in range(1, 4)
-        if p + q <= max_total and p + q <= dim and p <= k and q <= k
+        if p + q <= 4 and p + q <= dim and p <= k and q <= k
     ]
 
 
-def run_lemma_2_1(dims, seeds):
+def run_lemma_2_1(dim, seeds):
     """Antisymmetrized halves land in their bidegree eigenspaces, exactly."""
-    cases = []
-    for dim in dims:
-        j = _std(dim)
-        for (p, q) in _type_pairs(dim):
-            for seed in seeds:
-                rng = _case_rng("lemma-2.1", dim, seed, p * 8 + q)
-                phi = _random_combination(j.space, p, lambda_basis(j, p).forms, rng)
-                psi = _random_combination(j.space, q, lambda_basis(j, q).forms, rng)
-                t = FormValuedMap.from_tensor(j, phi, psi)
-                q1, q2 = split_type(t)
-                r1 = bidegree_eigen_residual(j, antisymmetrize(q1), p, q)
-                r2 = bidegree_eigen_residual(j, antisymmetrize(q2), p + q, 0)
-                residual = max(_res(r1), _res(r2))
-                cases.append(
-                    CaseResult(f"dim{dim}/p{p}q{q}/seed{seed}", residual == 0.0, residual, seed)
-                )
-    return cases
+    j = _std(dim)
+    for (p, q) in _type_pairs(dim):
+        for seed in seeds:
+            rng = _case_rng("lemma-2.1", dim, seed, p * 8 + q)
+            phi = _random_combination(j.space, p, lambda_basis(j, p).forms, rng)
+            psi = _random_combination(j.space, q, lambda_basis(j, q).forms, rng)
+            t = FormValuedMap.from_tensor(j, phi, psi)
+            q1, q2 = split_type(t)
+            r1 = bidegree_eigen_residual(j, antisymmetrize(q1), p, q)
+            r2 = bidegree_eigen_residual(j, antisymmetrize(q2), p + q, 0)
+            yield _exact_case(f"dim{dim}/p{p}q{q}/seed{seed}", max(_res(r1), _res(r2)), seed)
 
 
-def run_prop_2_2(dims, seeds):
+def run_prop_2_2(dim, seeds):
     """Full column rank on the commuting half (p != q) and kernel typing."""
-    cases = []
-    for dim in dims:
-        j = _std(dim)
-        for p in range(1, 4):
-            for q in range(1, 4):
-                if p == q or p + q > dim:
-                    continue
-                if lambda_basis(j, p).dim == 0 or lambda_basis(j, q).dim == 0:
-                    continue
-                dim1, _ = tensor_type_dims(j, p, q)
-                rank = a_restricted_rank(j, p, q)
-                cases.append(
-                    CaseResult(f"dim{dim}/p{p}q{q}/rank", rank == dim1, float(dim1 - rank), 0)
-                )
-                worst = 0
-                ok = True
-                for ker in a_kernel_tensors(j, p, q):
-                    part = split_type(ker)[0].max_entry()
-                    worst = max(worst, part)
-                    ok = ok and part == 0
-                cases.append(CaseResult(f"dim{dim}/p{p}q{q}/kernel", ok, float(worst), 0))
-        # contraction identity spot checks on commuting tensors
-        for seed in seeds[: max(1, len(seeds) // 2)]:
-            rng = _case_rng("prop-2.2", dim, seed)
-            phi = _random_combination(j.space, 2, lambda_basis(j, 2).forms, rng)
-            psi = _random_combination(j.space, 2, lambda_basis(j, 2).forms, rng)
-            t1 = split_type(FormValuedMap.from_tensor(j, phi, psi))[0]
-            x = random_vector(j.space, rng)
-            ok = contraction_identity_check(t1, x)
-            cases.append(CaseResult(f"dim{dim}/contract/seed{seed}", ok, 0.0 if ok else 1.0, seed))
-    return cases
+    j = _std(dim)
+    for p in range(1, 4):
+        for q in range(1, 4):
+            if p == q or p + q > dim:
+                continue
+            if lambda_basis(j, p).dim == 0 or lambda_basis(j, q).dim == 0:
+                continue
+            dim1, _ = tensor_type_dims(j, p, q)
+            yield _exact_case(f"dim{dim}/p{p}q{q}/rank", dim1 - a_restricted_rank(j, p, q))
+            worst = 0
+            for ker in a_kernel_tensors(j, p, q):
+                # the commuting half of Q is (Q - JJ Q JJ) / 2
+                worst = max(worst, (ker - ker.conjugated_by_bbj()).max_entry() / 2)
+            yield _exact_case(f"dim{dim}/p{p}q{q}/kernel", worst)
+    # contraction identity spot checks on commuting tensors
+    for seed in seeds[: max(1, len(seeds) // 2)]:
+        rng = _case_rng("prop-2.2", dim, seed)
+        phi = _random_combination(j.space, 2, lambda_basis(j, 2).forms, rng)
+        psi = _random_combination(j.space, 2, lambda_basis(j, 2).forms, rng)
+        t1 = split_type(FormValuedMap.from_tensor(j, phi, psi))[0]
+        x = random_vector(j.space, rng)
+        ok = contraction_identity_check(t1, x)
+        yield _exact_case(f"dim{dim}/contract/seed{seed}", 0 if ok else 1, seed)
 
 
-def run_prop_2_3(dims, seeds):
+def run_prop_2_3(dim, seeds):
     """The adjoint-Lefschetz recursion for P_k and its primitive evaluation."""
-    cases = []
-    for dim in dims:
-        j = _std(dim)
-        space = j.space
-        for seed in seeds:
-            rng = _case_rng("prop-2.3", dim, seed)
-            r = rng.randint(1, 3)
-            s = rng.randint(1, 3)
-            alpha = random_form(space, r, rng, integer=True)
-            beta = random_form(space, s, rng, integer=True)
-            worst = 0.0
-            for k in range(0, min(r, s)):
-                out_deg = r + s - 2 * k - 2
-                if r + s - 2 * k > dim:
-                    # P_k itself lives above top degree and vanishes; the
-                    # right-hand side must cancel to zero at its own degree
-                    lhs = space.zero_form(out_deg)
-                else:
-                    lhs = lefschetz_lstar(j, p_k(j, alpha, beta, k))
-                term1 = _p_or_zero(j, lefschetz_lstar(j, alpha), beta, k, out_deg)
-                term2 = _p_or_zero(j, alpha, lefschetz_lstar(j, beta), k, out_deg)
-                term3 = p_k(j, alpha, beta, k + 1)
-                rhs = term1 + term2 + ((-1) ** (r - k - 1)) * term3
-                worst = max(worst, _res(lhs - rhs))
-            cases.append(
-                CaseResult(f"dim{dim}/rec/r{r}s{s}/seed{seed}", worst == 0.0, worst, seed)
-            )
-            # primitive evaluation, one degree per seed
-            p = rng.randint(1, 3)
-            a_p = _random_combination(space, p, primitive_basis(j, p), rng, terms=3)
-            b_p = _random_combination(space, p, primitive_basis(j, p), rng, terms=3)
-            if a_p.is_zero() or b_p.is_zero():
-                continue
-            lhs = wedge(a_p, b_p)
-            for _ in range(p):
-                lhs = lefschetz_lstar(j, lhs)
-            sign = (-1) ** (p * (p - 1) // 2)
-            expected = sign * factorial(p) * inner(a_p, j_pullback(j, b_p))
-            residual = _res(lhs - Form(space, 0, {0: expected}))
-            cases.append(
-                CaseResult(f"dim{dim}/eval/p{p}/seed{seed}", residual == 0.0, residual, seed)
-            )
-    return cases
+    j = _std(dim)
+    space = j.space
+    for seed in seeds:
+        rng = _case_rng("prop-2.3", dim, seed)
+        r = rng.randint(1, 3)
+        s = rng.randint(1, 3)
+        alpha = random_form(space, r, rng, integer=True)
+        beta = random_form(space, s, rng, integer=True)
+        worst = 0.0
+        for k in range(0, min(r, s)):
+            out_deg = r + s - 2 * k - 2
+            if r + s - 2 * k > dim:
+                # P_k itself lives above top degree and vanishes; the
+                # right-hand side must cancel to zero at its own degree
+                lhs = space.zero_form(out_deg)
+            else:
+                lhs = lefschetz_lstar(j, p_k(j, alpha, beta, k))
+            term1 = _p_or_zero(j, lefschetz_lstar(j, alpha), beta, k, out_deg)
+            term2 = _p_or_zero(j, alpha, lefschetz_lstar(j, beta), k, out_deg)
+            term3 = p_k(j, alpha, beta, k + 1)
+            rhs = term1 + term2 + ((-1) ** (r - k - 1)) * term3
+            worst = max(worst, _res(lhs - rhs))
+        yield _exact_case(f"dim{dim}/rec/r{r}s{s}/seed{seed}", worst, seed)
+        # primitive evaluation, one degree per seed
+        p = rng.randint(1, 3)
+        a_p = _random_combination(space, p, primitive_basis(j, p), rng, terms=3)
+        b_p = _random_combination(space, p, primitive_basis(j, p), rng, terms=3)
+        if a_p.is_zero() or b_p.is_zero():
+            continue
+        lhs = wedge(a_p, b_p)
+        for _ in range(p):
+            lhs = lefschetz_lstar(j, lhs)
+        sign = (-1) ** (p * (p - 1) // 2)
+        expected = sign * factorial(p) * inner(a_p, j_pullback(j, b_p))
+        residual = lhs - Form(space, 0, {0: expected})
+        yield _exact_case(f"dim{dim}/eval/p{p}/seed{seed}", residual, seed)
 
 
-def run_lemma_3_1(dims, seeds):
+def run_lemma_3_1(dim, seeds):
     """Derivative-driven maps land in the commuting half; slot duals intertwine J."""
-    cases = []
-    for dim in dims:
-        j = _std(dim)
-        space = j.space
-        for p in (2, 3):
-            if lambda_basis(j, p).dim == 0:
-                continue
-            for seed in seeds:
-                rng = _case_rng("lemma-3.1", dim, seed, p)
-                omega_form = _random_combination(j.space, p, lambda_basis(j, p).forms, rng)
-                if omega_form.is_zero():
-                    continue
-                table = {}
-                for i in range(1, dim + 1, 2):
-                    d_val = _random_combination(j.space, p, lambda_basis(j, p).forms, rng)
-                    table[i] = d_val
-                    table[i + 1] = bb_j(j, d_val) if not d_val.is_zero() else d_val
-                q_map = holomorphic_q(j, omega_form, table)
-                residual = _res(split_type(q_map)[1].max_entry())
-                # the slot-dual identity: S(J X1, ...) sharp = -J S(X1, ...) sharp
-                worst = residual
-                for mask in basis_masks(dim, p - 1)[:6]:
-                    idx = mask_to_indices(mask)
-                    s_plain = slot_one_form(omega_form, idx)
-                    rotated = contract(j.basis_image(idx[0]), omega_form)
-                    for i in idx[1:]:
-                        rotated = contract(space.basis_vector(i), rotated)
-                    # J is orthogonal, so -(J s_sharp)_flat = s o J
-                    worst = max(worst, _res(rotated - j_pullback(j, s_plain)))
-                cases.append(
-                    CaseResult(f"dim{dim}/p{p}/seed{seed}", worst == 0.0, worst, seed)
-                )
-    return cases
-
-
-def run_alpha_omega(dims, seeds):
-    """The contraction 2-form of a type-(p,0)+(0,p) form and its pairing law."""
-    cases = []
-    for dim in dims:
-        j = _std(dim)
-        for p in (2, 3):
-            if lambda_basis(j, p).dim == 0 or 2 * p > dim:
-                continue
-            for seed in seeds:
-                rng = _case_rng("alpha-omega", dim, seed, p)
-                omega_form = _random_combination(j.space, p, lambda_basis(j, p).forms, rng)
-                if omega_form.is_zero():
-                    continue
-                alpha = alpha_from_holomorphic(j, omega_form)
-                j_omega = j_pullback(j, omega_form)
-                worst = 0.0
-                # lands in the (1,1) component and is pullback-invariant
-                worst = max(worst, _res(bidegree_eigen_residual(j, alpha, 1, 1)))
-                worst = max(worst, _res(j_pullback(j, alpha) - alpha))
-                # pairing law against the (p-1)-fold contraction pairing
-                pk_val = p_k(j, omega_form, j_omega, p - 1)
-                scale = 2 * ((-1) ** p) * factorial(p - 1)
-                worst = max(worst, _res(pk_val - scale * alpha))
-                # iterated-adjoint route to the same pairing; the sign is the
-                # (p-1)-fold iterate of the recursion with primitive factors:
-                # sum of (p-k-1) over k < p-1, i.e. p(p-1)/2
-                it = wedge(omega_form, j_omega)
-                for _ in range(p - 1):
-                    it = lefschetz_lstar(j, it)
-                sign = (-1) ** (p * (p - 1) // 2)
-                worst = max(worst, _res(it - sign * pk_val))
-                # type-(p,0)+(0,p) forms are primitive
-                if not lefschetz_lstar(j, omega_form).is_zero():
-                    worst = max(worst, 1.0)
-                cases.append(
-                    CaseResult(f"dim{dim}/p{p}/seed{seed}", worst == 0.0, worst, seed)
-                )
-    return cases
-
-
-def run_prop_4_1(dims, seeds):
-    """Exact expansion of the wedge adjoint on triples of 2-forms."""
-    cases = []
-    for dim in dims:
-        space = Space(dim, "exact")
+    j = _std(dim)
+    space = j.space
+    for p in (2, 3):
+        if lambda_basis(j, p).dim == 0:
+            continue
         for seed in seeds:
-            rng = _case_rng("prop-4.1", dim, seed)
-            forms = [random_form(space, 2, rng, integer=True, terms=4) for _ in range(3)]
-            lhs = adjoint_wedge(forms[0], wedge(forms[1], forms[2]))
-            residual = _res(lhs - stab_expand(*forms))
-            cases.append(CaseResult(f"dim{dim}/seed{seed}", residual == 0.0, residual, seed))
-    return cases
+            rng = _case_rng("lemma-3.1", dim, seed, p)
+            omega_form = _random_combination(j.space, p, lambda_basis(j, p).forms, rng)
+            if omega_form.is_zero():
+                continue
+            table = {}
+            for i in range(1, dim + 1, 2):
+                d_val = _random_combination(j.space, p, lambda_basis(j, p).forms, rng)
+                table[i] = d_val
+                table[i + 1] = bb_j(j, d_val) if not d_val.is_zero() else d_val
+            q_map = holomorphic_q(j, omega_form, table)
+            residual = _res(split_type(q_map)[1].max_entry())
+            # the slot-dual identity: S(J X1, ...) sharp = -J S(X1, ...) sharp
+            worst = residual
+            for mask in basis_masks(dim, p - 1)[:6]:
+                idx = mask_to_indices(mask)
+                s_plain = slot_one_form(omega_form, idx)
+                rotated = contract(j.basis_image(idx[0]), omega_form)
+                for i in idx[1:]:
+                    rotated = contract(space.basis_vector(i), rotated)
+                # J is orthogonal, so -(J s_sharp)_flat = s o J
+                worst = max(worst, _res(rotated - j_pullback(j, s_plain)))
+            yield _exact_case(f"dim{dim}/p{p}/seed{seed}", worst, seed)
+
+
+def run_alpha_omega(dim, seeds):
+    """The contraction 2-form of a type-(p,0)+(0,p) form and its pairing law."""
+    j = _std(dim)
+    for p in (2, 3):
+        if lambda_basis(j, p).dim == 0 or 2 * p > dim:
+            continue
+        for seed in seeds:
+            rng = _case_rng("alpha-omega", dim, seed, p)
+            omega_form = _random_combination(j.space, p, lambda_basis(j, p).forms, rng)
+            if omega_form.is_zero():
+                continue
+            alpha = alpha_from_holomorphic(j, omega_form)
+            j_omega = j_pullback(j, omega_form)
+            worst = 0.0
+            # lands in the (1,1) component and is pullback-invariant
+            worst = max(worst, _res(bidegree_eigen_residual(j, alpha, 1, 1)))
+            worst = max(worst, _res(j_pullback(j, alpha) - alpha))
+            # pairing law against the (p-1)-fold contraction pairing
+            pk_val = p_k(j, omega_form, j_omega, p - 1)
+            scale = 2 * ((-1) ** p) * factorial(p - 1)
+            worst = max(worst, _res(pk_val - scale * alpha))
+            # iterated-adjoint route to the same pairing; the sign is the
+            # (p-1)-fold iterate of the recursion with primitive factors:
+            # sum of (p-k-1) over k < p-1, i.e. p(p-1)/2
+            it = wedge(omega_form, j_omega)
+            for _ in range(p - 1):
+                it = lefschetz_lstar(j, it)
+            sign = (-1) ** (p * (p - 1) // 2)
+            worst = max(worst, _res(it - sign * pk_val))
+            # type-(p,0)+(0,p) forms are primitive
+            if not lefschetz_lstar(j, omega_form).is_zero():
+                worst = max(worst, 1.0)
+            yield _exact_case(f"dim{dim}/p{p}/seed{seed}", worst, seed)
+
+
+def run_prop_4_1(dim, seeds):
+    """Exact expansion of the wedge adjoint on triples of 2-forms."""
+    space = Space(dim, "exact")
+    for seed in seeds:
+        rng = _case_rng("prop-4.1", dim, seed)
+        forms = [random_form(space, 2, rng, integer=True, terms=4) for _ in range(3)]
+        lhs = adjoint_wedge(forms[0], wedge(forms[1], forms[2]))
+        yield _exact_case(f"dim{dim}/seed{seed}", lhs - stab_expand(*forms), seed)
 
 
 def _random_conjugate(b, rng: SplitMix64):
@@ -388,7 +362,7 @@ def _random_conjugate(b, rng: SplitMix64):
     return 0.5 * (a_mat - a_mat.T)
 
 
-def _structured_skew(n: int, rng: SplitMix64, force_nondegenerate: bool = False):
+def _structured_skew(n: int, rng: SplitMix64):
     """Seeded skew matrix with well-separated block spectrum.
 
     Returns (matrix, sorted distinct negative eigenvalues of the square,
@@ -399,7 +373,7 @@ def _structured_skew(n: int, rng: SplitMix64, force_nondegenerate: bool = False)
     values = [float(i) + 0.2 * rng.uniform() for i in range(1, p + 1)]
     assign = list(range(1, p + 1))
     for _ in range(nblocks - p):
-        assign.append(rng.randint(0, p) if not force_nondegenerate else rng.randint(1, p))
+        assign.append(rng.randint(0, p))
     for i in range(len(assign) - 1, 0, -1):
         j = rng.next_u64() % (i + 1)
         assign[i], assign[j] = assign[j], assign[i]
@@ -421,53 +395,43 @@ def _structured_skew(n: int, rng: SplitMix64, force_nondegenerate: bool = False)
     return a_mat, mus, mults, kernel
 
 
-def run_prop_4_2(dims, seeds):
+def run_prop_4_2(dim, seeds):
     """Spectral reconstruction, moment recovery, and the compatibility sum."""
-    cases = []
-    for dim in dims:
-        space = Space(dim, "float")
-        for seed in seeds:
-            rng = _case_rng("prop-4.2", dim, seed)
-            a_mat, mus, mults, kernel = _structured_skew(dim, rng)
-            a = SkewEndo(space, a_mat.tolist())
-            decomp = spectral(a)
-            scale = max(1.0, float(np.max(np.abs(a_mat))))
-            rec = float(np.max(np.abs(decomp.reconstruct() - a_mat))) / scale
-            # moment recovery against the spectral clusters
-            negs = decomp.negative_clusters
-            pcount = len(negs)
-            recovered = moment_recover(power_traces(a, 2 * pcount), pcount)
-            moment_res = 0.0
-            if len(recovered) != pcount:
-                moment_res = 1.0
-            else:
-                for (m_rec, mu_rec), c in zip(recovered, negs):
-                    moment_res = max(
-                        moment_res,
-                        abs(mu_rec - c.mu) / max(1.0, abs(c.mu)),
-                        float(abs(m_rec - c.multiplicity)),
-                    )
-            cand_res = 0.0
-            cand = symplectic_candidate(decomp)
-            if cand.compatible != (kernel == 0) or cand.kernel_rank != kernel:
-                cand_res = 1.0
-            if cand.compatible:
-                c_endo = np.array(
-                    [[float(v) for v in row] for row in form_endo(cand.form).rows]
+    space = Space(dim, "float")
+    for seed in seeds:
+        rng = _case_rng("prop-4.2", dim, seed)
+        a_mat, mus, mults, kernel = _structured_skew(dim, rng)
+        a = SkewEndo(space, a_mat.tolist())
+        decomp = spectral(a)
+        scale = max(1.0, float(np.max(np.abs(a_mat))))
+        rec = float(np.max(np.abs(decomp.reconstruct() - a_mat))) / scale
+        # moment recovery against the spectral clusters
+        negs = decomp.negative_clusters
+        pcount = len(negs)
+        recovered = moment_recover(power_traces(a, 2 * pcount), pcount)
+        moment_res = 0.0
+        if len(recovered) != pcount:
+            moment_res = 1.0
+        else:
+            for (m_rec, mu_rec), c in zip(recovered, negs):
+                moment_res = max(
+                    moment_res,
+                    abs(mu_rec - c.mu) / max(1.0, abs(c.mu)),
+                    float(abs(m_rec - c.multiplicity)),
                 )
-                cand_res = max(cand_res, float(np.max(np.abs(c_endo @ c_endo + np.eye(dim)))))
-            passed = rec <= 1e-8 and moment_res <= 1e-6 and cand_res <= 1e-8
-            cases.append(
-                CaseResult(
-                    f"dim{dim}/seed{seed}", passed, max(rec, moment_res, cand_res), seed
-                )
-            )
-    return cases
+        cand_res = 0.0
+        cand = symplectic_candidate(decomp)
+        if cand.compatible != (kernel == 0) or cand.kernel_rank != kernel:
+            cand_res = 1.0
+        if cand.compatible:
+            c_endo = np.array([[float(v) for v in row] for row in form_endo(cand.form).rows])
+            cand_res = max(cand_res, float(np.max(np.abs(c_endo @ c_endo + np.eye(dim)))))
+        passed = rec <= 1e-8 and moment_res <= 1e-6 and cand_res <= 1e-8
+        yield CaseResult(f"dim{dim}/seed{seed}", passed, max(rec, moment_res, cand_res), seed)
 
 
-def run_lemma_4_3(dims, seeds):
+def run_lemma_4_3(dim, seeds):
     """Exhaustive spectrum of the subspace splitting operator on R^6."""
-    cases = []
     space = Space(6, "exact")
     for h_rank in (2, 4):
         frame = [space.basis_vector(i) for i in range(1, h_rank + 1)]
@@ -480,15 +444,11 @@ def run_lemma_4_3(dims, seeds):
                 expected = ((-1) ** (p - 1)) * jcount if p else 0
                 residual = splitting_q(frame, psi) - expected * psi
                 worst = max(worst, _res(residual))
-            cases.append(
-                CaseResult(f"rank{h_rank}/p{p}", worst == 0.0, float(worst), 0)
-            )
-    return cases
+            yield _exact_case(f"rank{h_rank}/p{p}", worst)
 
 
-def run_lemma_4_4(dims, seeds):
+def run_lemma_4_4(dim, seeds):
     """The rank-4 patch on R^6 squares to minus the identity."""
-    cases = []
     space = Space(6, "float")
     for seed in seeds:
         rng = _case_rng("lemma-4.4", 6, seed)
@@ -502,13 +462,11 @@ def run_lemma_4_4(dims, seeds):
         patched = compatible_patch_dim6(alpha)
         c = np.array([[float(v) for v in row] for row in form_endo(patched).rows])
         residual = float(np.max(np.abs(c @ c + np.eye(6))))
-        cases.append(CaseResult(f"seed{seed}", residual <= 1e-8, residual, seed))
-    return cases
+        yield CaseResult(f"seed{seed}", residual <= 1e-8, residual, seed)
 
 
-def run_lemma_4_8(dims, seeds):
+def run_lemma_4_8(dim, seeds):
     """Frame star identities, transition invariants, and the cross identity."""
-    cases = []
     for seed in seeds:
         frame = FrameTriple.random(seed)
         k, residuals = frame_residuals(frame)
@@ -528,13 +486,11 @@ def run_lemma_4_8(dims, seeds):
             acc = r[i, 0] * crossed[0] + r[i, 1] * crossed[1] + r[i, 2] * crossed[2]
             diff = alpha.wedge(frame.gammas[i]) - acc
             worst = max(worst, float(np.sqrt(diff.norm_sq())))
-        cases.append(CaseResult(f"seed{seed}", worst <= 1e-9, float(worst), seed))
-    return cases
+        yield CaseResult(f"seed{seed}", worst <= 1e-9, float(worst), seed)
 
 
-def run_prop_4_11(dims, seeds):
+def run_prop_4_11(dim, seeds):
     """Symmetric/skew separation and the two transition reduction identities."""
-    cases = []
     for seed in seeds:
         rng = _case_rng("prop-4.11", 3, seed)
         m = np.array(
@@ -572,87 +528,56 @@ def run_prop_4_11(dims, seeds):
             worst = max(
                 worst, float(np.sqrt((lhs2[i] - (1 / td.k) * b_wedge_gamma[i]).norm_sq()))
             )
-        cases.append(CaseResult(f"seed{seed}", worst <= 1e-9, worst, seed))
-    return cases
+        yield CaseResult(f"seed{seed}", worst <= 1e-9, worst, seed)
 
 
-def run_cor_4_12(dims, seeds):
+def run_cor_4_12(dim, seeds):
     """The real-restricted obstruction kernel vanishes on valid transitions."""
-    cases = [
-        CaseResult(
-            "identity/complex",
-            obstruction_kernel(_identity_transition(), False) == 3,
-            0.0,
-            0,
-        ),
-        CaseResult(
-            "identity/real",
-            obstruction_kernel(_identity_transition(), True) == 0,
-            0.0,
-            0,
-        ),
-    ]
+    identity = TransitionData(np.eye(3, dtype=complex), 1.0 + 0.0j)
+    yield CaseResult("identity/complex", obstruction_kernel(identity, False) == 3, 0.0, 0)
+    yield CaseResult("identity/real", obstruction_kernel(identity, True) == 0, 0.0, 0)
     for seed in seeds:
-        frame = FrameTriple.random(seed)
-        td = transition_p(frame)
-        kdim = obstruction_kernel(td, True)
-        cases.append(CaseResult(f"seed{seed}", kdim == 0, float(kdim), seed))
-    return cases
+        td = transition_p(FrameTriple.random(seed))
+        yield _exact_case(f"seed{seed}", obstruction_kernel(td, True), seed)
 
 
-def _identity_transition():
-    return TransitionData(np.eye(3, dtype=complex), 1.0 + 0.0j)
-
-
-def run_eq_7(dims, seeds):
+def run_eq_7(dim, seeds):
     """Bullet pairing facts: cyclic symmetry, the forced cyclic-sum zero, and
     the span containment of commutator bullets in polarized square bullets."""
-    cases = []
-    for dim in dims:
-        k = dim // 2
-        j = _std(dim)
-        basis = admissible_torsion_basis(j)
-        cases.append(
-            CaseResult(f"dim{dim}/admissible", True, float(len(basis)), 0)
-        )
-        rng = _case_rng("eq-7", dim, 1)
-        worst = 0
-        for eta in basis[:4]:
-            n = dim
-            q_rows = [[rng.small_int() for _ in range(n)] for _ in range(n)]
-            bullet = torsion_bullet(q_rows, eta)
-            ident = torsion_bullet([[1 if i == jj else 0 for jj in range(n)] for i in range(n)], eta)
-            for x in range(n):
-                for y in range(n):
-                    for z in range(n):
-                        worst = max(worst, abs(bullet[x][y][z] - bullet[y][z][x]))
-                        worst = max(worst, abs(ident[x][y][z]))
-        cases.append(CaseResult(f"dim{dim}/cyclic", worst == 0, float(worst), 0))
-        contained = bracket_bullet_in_span(k)
-        cases.append(CaseResult(f"dim{dim}/bracket-span", contained, 0.0 if contained else 1.0, 0))
-        bdim = bracket_span_dimension(k)
-        if k >= 3:
-            cases.append(
-                CaseResult(f"dim{dim}/bracket-dim", bdim == k * k, float(k * k - bdim), 0)
-            )
-        else:
-            # reported: the commutators of the anticommuting skews span a
-            # strictly smaller subspace when k = 2
-            cases.append(CaseResult(f"dim{dim}/bracket-dim-reported", True, float(bdim), 0))
-    return cases
+    k = dim // 2
+    j = _std(dim)
+    basis = admissible_torsion_basis(j)
+    yield CaseResult(f"dim{dim}/admissible", True, float(len(basis)), 0)
+    rng = _case_rng("eq-7", dim, 1)
+    worst = 0
+    for eta in basis[:4]:
+        n = dim
+        q_rows = [[rng.small_int() for _ in range(n)] for _ in range(n)]
+        bullet = torsion_bullet(q_rows, eta)
+        ident = torsion_bullet([[1 if i == jj else 0 for jj in range(n)] for i in range(n)], eta)
+        for x in range(n):
+            for y in range(n):
+                for z in range(n):
+                    worst = max(worst, abs(bullet[x][y][z] - bullet[y][z][x]))
+                    worst = max(worst, abs(ident[x][y][z]))
+    yield _exact_case(f"dim{dim}/cyclic", worst)
+    yield _exact_case(f"dim{dim}/bracket-span", 0 if bracket_bullet_in_span(k) else 1)
+    bdim = bracket_span_dimension(k)
+    if k >= 3:
+        yield _exact_case(f"dim{dim}/bracket-dim", k * k - bdim)
+    else:
+        # reported: the commutators of the anticommuting skews span a
+        # strictly smaller subspace when k = 2
+        yield CaseResult(f"dim{dim}/bracket-dim-reported", True, float(bdim), 0)
 
 
-def run_lemma_5_5(dims, seeds):
+def run_lemma_5_5(dim, seeds):
     """The fully constrained torsion space is zero from dimension 6 on."""
-    cases = []
-    for dim in dims:
-        k = dim // 2
-        value = van_kernel_dimension(k)
-        if dim >= 6:
-            cases.append(CaseResult(f"dim{dim}/kernel", value == 0, float(value), 0))
-        else:
-            cases.append(CaseResult(f"dim{dim}/kernel-reported", True, float(value), 0))
-    return cases
+    value = van_kernel_dimension(dim // 2)
+    if dim >= 6:
+        yield _exact_case(f"dim{dim}/kernel", value)
+    else:
+        yield CaseResult(f"dim{dim}/kernel-reported", True, float(value), 0)
 
 
 # -- registry and runner ---------------------------------------------------
@@ -693,15 +618,16 @@ def run_campaign(c: Campaign) -> Report:
     if c.name not in CAMPAIGNS:
         raise UsageError(f"unknown campaign {c.name!r}; known: {', '.join(campaign_names())}")
     entry = CAMPAIGNS[c.name]
-    dims = list(c.dims) if c.dims else list(entry.dims)
-    seeds = list(c.seeds) if c.seeds else list(entry.seeds)
+    # repeats are dropped, first appearance kept, so every case id is unique
+    dims = list(dict.fromkeys(c.dims or entry.dims))
+    seeds = list(dict.fromkeys(c.seeds or entry.seeds))
     if c.backend and c.backend != entry.backend:
         raise UsageError(f"campaign {c.name} runs on the {entry.backend} backend only")
     bad = [d for d in dims if d not in entry.allowed_dims]
     if bad:
         raise UsageError(f"campaign {c.name} accepts dims {entry.allowed_dims}, got {bad}")
     start = time.perf_counter()
-    cases = entry.fn(dims, seeds)
+    cases = [case for dim in dims for case in entry.fn(dim, seeds)]
     wall = time.perf_counter() - start
     summary = {
         "total": len(cases),

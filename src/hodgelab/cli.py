@@ -33,10 +33,9 @@ MAX_SEEDS = 100_000
 
 
 def _parse_seeds(text: str) -> list[int]:
-    """Seeds in order of first appearance; repeats are dropped, but each range
-    counts toward MAX_SEEDS with its full length."""
-    out: dict = {}
-    count = 0
+    """Seeds in the order given; each range counts toward MAX_SEEDS with its
+    full length.  run_campaign drops the repeats."""
+    out: list = []
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
@@ -49,23 +48,22 @@ def _parse_seeds(text: str) -> list[int]:
             seeds = [int(part)]
         else:
             continue
-        count += len(seeds)
-        if count > MAX_SEEDS:
+        if len(out) + len(seeds) > MAX_SEEDS:
             raise ValueError(f"more than {MAX_SEEDS} seeds")
-        out.update(dict.fromkeys(seeds))
+        out.extend(seeds)
     if not out:
         raise ValueError("no seeds given")
-    return list(out)
+    return out
 
 
 def _parse_dims(values) -> list[int]:
-    """Dimensions in order of first appearance, repeats dropped."""
-    out: dict = {}
+    """Dimensions in the order given; run_campaign drops the repeats."""
+    out = []
     for v in values:
         for part in str(v).split(","):
             if part.strip():
-                out[int(part)] = None
-    return list(out)
+                out.append(int(part))
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -63,7 +63,7 @@ class ComplexForm:
         return self.re.space
 
     @classmethod
-    def from_coords(cls, coords, space: Space = _SPACE3) -> "ComplexForm":
+    def from_coords(cls, coords) -> "ComplexForm":
         """Complex 1-form from a coefficient vector over e^1, e^2, e^3."""
         re = {}
         im = {}
@@ -73,7 +73,7 @@ class ComplexForm:
                 re[1 << i] = c.real
             if c.imag:
                 im[1 << i] = c.imag
-        return cls(Form(space, 1, re), Form(space, 1, im))
+        return cls(Form(_SPACE3, 1, re), Form(_SPACE3, 1, im))
 
     def coords(self) -> np.ndarray:
         """Coefficient vector of a 1-form over e^1, ..., e^n."""
@@ -146,19 +146,19 @@ class FrameTriple:
 
     __slots__ = ("gammas", "nu")
 
-    def __init__(self, gammas, nu: Form | None = None, tol: float = FRAME_TOL):
+    def __init__(self, gammas, nu: Form | None = None):
         gammas = tuple(gammas)
         if len(gammas) != 3:
             raise NotAValidFrameError("need exactly three complex 1-forms")
         space = gammas[0].space
         if nu is None:
             nu = space.volume_form()
-        if not nu.isclose(space.volume_form(), tol):
+        if not nu.isclose(space.volume_form(), FRAME_TOL):
             raise NotAValidFrameError("volume form must be the oriented metric volume")
         gram = np.array(
             [[gammas[i].hermitian(gammas[j]) for j in range(3)] for i in range(3)]
         )
-        if np.max(np.abs(gram - np.eye(3))) > tol:
+        if np.max(np.abs(gram - np.eye(3))) > FRAME_TOL:
             raise NotAValidFrameError("frame violates the unitarity relations")
         self.gammas = gammas
         self.nu = nu
@@ -205,10 +205,10 @@ def cross(gammas) -> tuple:
     return (g2.wedge(g3), g3.wedge(g1), g1.wedge(g2))
 
 
-def expand_in_frame(alpha: ComplexForm, frame: FrameTriple, tol: float = FRAME_TOL) -> np.ndarray:
+def expand_in_frame(alpha: ComplexForm, frame: FrameTriple) -> np.ndarray:
     """Coefficients of alpha over the frame gammas."""
     g = frame.coordinate_matrix()
-    if abs(np.linalg.det(g)) < tol:
+    if abs(np.linalg.det(g)) < FRAME_TOL:
         raise FrameRankError("frame does not span the complexified dual")
     return np.linalg.solve(g.T, alpha.coords())
 
@@ -242,16 +242,16 @@ def frame_residuals(frame: FrameTriple):
     return k, residuals
 
 
-def star_triple(frame: FrameTriple, tol: float = FRAME_TOL) -> complex:
+def star_triple(frame: FrameTriple) -> complex:
     """The unit scalar through which the star rotates the frame.
 
     Computed from the first star identity and cross-checked on the other
     two, on the volume identities, and on |k| = 1; any residual beyond
-    ``tol`` raises FrameInconsistencyError.
+    FRAME_TOL raises FrameInconsistencyError.
     """
     k, residuals = frame_residuals(frame)
     worst = max(residuals.values())
-    if worst > tol:
+    if worst > FRAME_TOL:
         raise FrameInconsistencyError(f"star identities fail (max residual {worst:.3e})")
     return k
 
@@ -260,12 +260,11 @@ def star_triple(frame: FrameTriple, tol: float = FRAME_TOL) -> complex:
 class TransitionData:
     """Symmetric unitary-type transition matrix and its unit scalar.
 
-    Invariants (to ``tol``): P = P^T, P conj(P) = I, |k| = 1, k^2 = det(P).
+    Invariants (to FRAME_TOL): P = P^T, P conj(P) = I, |k| = 1, k^2 = det(P).
     """
 
     p_matrix: np.ndarray
     k: complex
-    tol: float = FRAME_TOL
 
     def __post_init__(self):
         p = np.asarray(self.p_matrix, dtype=complex)
@@ -278,25 +277,25 @@ class TransitionData:
             abs(abs(self.k) - 1.0),
             abs(self.k**2 - np.linalg.det(p)),
         ]
-        if max(checks) > self.tol:
+        if max(checks) > FRAME_TOL:
             raise InvalidTransitionError(f"invariants fail (max residual {max(checks):.3e})")
 
 
-def transition_p(frame: FrameTriple, tol: float = FRAME_TOL) -> TransitionData:
+def transition_p(frame: FrameTriple) -> TransitionData:
     """Solve gamma = P conj(gamma) and package it with the star scalar."""
     g = frame.coordinate_matrix()
     try:
         p = g @ np.linalg.inv(np.conj(g))
     except np.linalg.LinAlgError as exc:
         raise NotAValidFrameError("frame coordinates are singular") from exc
-    k = star_triple(frame, tol)
+    k = star_triple(frame)
     try:
-        return TransitionData(p, k, tol)
+        return TransitionData(p, k)
     except InvalidTransitionError as exc:
         raise NotAValidFrameError(str(exc)) from exc
 
 
-def real_coefficient_basis(td: TransitionData, tol: float = FRAME_TOL):
+def real_coefficient_basis(td: TransitionData):
     """Real basis of the frame coefficients of real 1-forms.
 
     A 1-form with frame coefficients a is real exactly when conj(a) = P a;
@@ -310,7 +309,7 @@ def real_coefficient_basis(td: TransitionData, tol: float = FRAME_TOL):
     bot = np.hstack([-pi, -np.eye(3) - pr])
     system = np.vstack([top, bot])
     u, sv, vt = np.linalg.svd(system)
-    null = vt[np.sum(sv > tol * max(sv[0], 1.0)):]
+    null = vt[np.sum(sv > FRAME_TOL * max(sv[0], 1.0)):]
     if null.shape[0] != 3:
         raise InvalidTransitionError(
             f"reality structure has dimension {null.shape[0]}, expected 3"
@@ -318,7 +317,7 @@ def real_coefficient_basis(td: TransitionData, tol: float = FRAME_TOL):
     return [row[:3] + 1j * row[3:] for row in null]
 
 
-def obstruction_kernel(td: TransitionData, restrict_real: bool, tol: float = FRAME_TOL) -> int:
+def obstruction_kernel(td: TransitionData, restrict_real: bool) -> int:
     """Dimension of {alpha : P conj(r_alpha) P + k^2 r_alpha = 0}.
 
     With ``restrict_real`` the coefficients range over the real 1-forms of
@@ -329,7 +328,7 @@ def obstruction_kernel(td: TransitionData, restrict_real: bool, tol: float = FRA
     p = td.p_matrix
     ksq = td.k**2
     if restrict_real:
-        basis = real_coefficient_basis(td, tol)
+        basis = real_coefficient_basis(td)
     else:
         eye = np.eye(3, dtype=complex)
         basis = [eye[i] for i in range(3)] + [1j * eye[i] for i in range(3)]
@@ -340,5 +339,5 @@ def obstruction_kernel(td: TransitionData, restrict_real: bool, tol: float = FRA
     system = np.array(rows).T  # columns indexed by the basis
     sv = np.linalg.svd(system, compute_uv=False)
     scale = sv[0] if sv.size and sv[0] > 0 else 1.0
-    rank = int(np.sum(sv > tol * scale))
+    rank = int(np.sum(sv > FRAME_TOL * scale))
     return len(basis) - rank

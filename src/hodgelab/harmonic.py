@@ -28,6 +28,7 @@ from .exterior import FLOAT_TOL, Form, Space, contract, hodge_star, inner, wedge
 from .linalg import combine, compose, dense_rows, sparse_rows
 
 SPECTRAL_TOL = 1e-8
+MOMENT_TOL = 1e-6
 
 
 class SkewEndo:
@@ -160,7 +161,7 @@ def _to_float_matrix(a: SkewEndo) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in a.rows], dtype=float)
 
 
-def spectral(a: SkewEndo, gap_tol: float = SPECTRAL_TOL, tol: float = SPECTRAL_TOL) -> SpectralDecomposition:
+def spectral(a: SkewEndo, gap_tol: float = SPECTRAL_TOL) -> SpectralDecomposition:
     """Cluster the spectrum of A^2 and extract per-cluster complex structures.
 
     Eigenvalues within a relative gap of ``gap_tol`` are merged into one
@@ -201,7 +202,7 @@ def spectral(a: SkewEndo, gap_tol: float = SPECTRAL_TOL, tol: float = SPECTRAL_T
                 f"negative eigenvalue {mu} carries odd multiplicity {len(g)}"
             )
         ji = proj @ am @ proj / np.sqrt(-mu)
-        if np.max(np.abs(ji @ ji + proj)) > tol:
+        if np.max(np.abs(ji @ ji + proj)) > SPECTRAL_TOL:
             raise IllConditionedSpectrumError("cluster restriction does not square to -1")
         omega = endo_form(SkewEndo(fspace, ji.tolist()))
         clusters.append(SpectralCluster(mu, len(g), proj, ji, omega))
@@ -210,7 +211,10 @@ def spectral(a: SkewEndo, gap_tol: float = SPECTRAL_TOL, tol: float = SPECTRAL_T
     total = sum(c.projector for c in clusters)
     recon = decomp.reconstruct()
     amax = max(1.0, float(np.max(np.abs(am))))
-    if np.max(np.abs(total - np.eye(n))) > tol or np.max(np.abs(recon - am)) > tol * amax:
+    if (
+        np.max(np.abs(total - np.eye(n))) > SPECTRAL_TOL
+        or np.max(np.abs(recon - am)) > SPECTRAL_TOL * amax
+    ):
         raise IllConditionedSpectrumError("projectors do not reassemble the input")
     return decomp
 
@@ -227,7 +231,7 @@ def power_traces(a: SkewEndo, count: int) -> list[float]:
     return out
 
 
-def moment_recover(c, p: int, tol: float = 1e-6):
+def moment_recover(c, p: int):
     """Solve sum_i m_i mu_i^k = c_k for integer multiplicities and eigenvalues.
 
     ``c`` holds the traces of the even powers, k = 1..2p, and ``p`` is the
@@ -252,7 +256,7 @@ def moment_recover(c, p: int, tol: float = 1e-6):
         raise MomentInconsistencyError("singular Hankel system") from exc
     poly = np.concatenate(([1.0], q[::-1]))
     roots = np.roots(poly)
-    if np.max(np.abs(roots.imag)) > tol * max(1.0, np.max(np.abs(roots))):
+    if np.max(np.abs(roots.imag)) > MOMENT_TOL * max(1.0, np.max(np.abs(roots))):
         raise MomentInconsistencyError("complex eigenvalue roots")
     mus = np.sort(roots.real)
     if mus[-1] >= 0:
@@ -262,7 +266,7 @@ def moment_recover(c, p: int, tol: float = 1e-6):
     out = []
     for m, mu in zip(mults, mus):
         mi = round(m)
-        if abs(m - mi) > tol * max(1.0, abs(m)) or mi <= 0 or mi % 2:
+        if abs(m - mi) > MOMENT_TOL * max(1.0, abs(m)) or mi <= 0 or mi % 2:
             raise MomentInconsistencyError(f"multiplicity {m} is not a positive even integer")
         out.append((int(mi), float(mu)))
     return out
@@ -288,7 +292,7 @@ def symplectic_candidate(decomp: SpectralDecomposition) -> SymplecticCandidate:
     return SymplecticCandidate(total, decomp.kernel_rank == 0, decomp.kernel_rank)
 
 
-def compatible_patch_dim6(alpha: Form, tol: float = SPECTRAL_TOL) -> Form:
+def compatible_patch_dim6(alpha: Form) -> Form:
     """Complete a rank-4 compatible 2-form on a 6-dimensional space.
 
     For alpha whose endomorphism A satisfies A^2 = -P with P an orthogonal
@@ -304,8 +308,8 @@ def compatible_patch_dim6(alpha: Form, tol: float = SPECTRAL_TOL) -> Form:
     am = _to_float_matrix(a)
     proj = -(am @ am)
     if (
-        np.max(np.abs(proj @ proj - proj)) > tol
-        or abs(np.trace(proj) - 4.0) > tol
+        np.max(np.abs(proj @ proj - proj)) > SPECTRAL_TOL
+        or abs(np.trace(proj) - 4.0) > SPECTRAL_TOL
     ):
         raise InvariantViolationError("input is not compatible of rank 4")
     patch = hodge_star(wedge(alpha, alpha))
@@ -313,7 +317,7 @@ def compatible_patch_dim6(alpha: Form, tol: float = SPECTRAL_TOL) -> Form:
     return alpha + half * patch
 
 
-def splitting_q(h_frame, psi: Form, tol: float = FLOAT_TOL) -> Form:
+def splitting_q(h_frame, psi: Form) -> Form:
     """Q psi = sum_a (h_a -| psi) ^ h_a^flat for an orthonormal frame of H.
 
     On a p-form with j of its factors along H the value is (-1)^(p-1) j psi,
@@ -332,7 +336,7 @@ def splitting_q(h_frame, psi: Form, tol: float = FLOAT_TOL) -> Form:
             if space.backend == "exact":
                 ok = g == expected
             else:
-                ok = abs(g - expected) <= tol
+                ok = abs(g - expected) <= FLOAT_TOL
             if not ok:
                 raise InvalidFrameError("spanning list is not orthonormal")
     if psi.degree == 0:

@@ -193,17 +193,17 @@ def lambda_p_project(j_struct: ComplexStructure, alpha: Form) -> Form:
     return bidegree_project(j_struct, alpha, alpha.degree, 0)
 
 
-def _is_lambda_eigen(alpha: Form, squared: Form, tol: float) -> bool:
+def _is_lambda_eigen(alpha: Form, squared: Form) -> bool:
     """Whether squared = curly_j^2 alpha equals -p^2 alpha: on degree p the
     type-(p,0)+(0,p) forms are exactly that eigenspace."""
     target = alpha * -(alpha.degree**2)
     if alpha.space.backend == "exact":
         return squared == target
-    return squared.isclose(target, tol)
+    return squared.isclose(target)
 
 
-def in_lambda_p(j_struct: ComplexStructure, alpha: Form, tol: float = FLOAT_TOL) -> bool:
-    return _is_lambda_eigen(alpha, curly_j_squared(j_struct, alpha), tol)
+def in_lambda_p(j_struct: ComplexStructure, alpha: Form) -> bool:
+    return _is_lambda_eigen(alpha, curly_j_squared(j_struct, alpha))
 
 
 def bb_j(j_struct: ComplexStructure, alpha: Form) -> Form:
@@ -218,7 +218,7 @@ def bb_j(j_struct: ComplexStructure, alpha: Form) -> Form:
     if alpha.degree == 0:
         raise DegreeUnderflowError("bb_j needs degree >= 1")
     image = curly_j(j_struct, alpha)
-    if not _is_lambda_eigen(alpha, curly_j(j_struct, image), FLOAT_TOL):
+    if not _is_lambda_eigen(alpha, curly_j(j_struct, image)):
         raise NotInLambdaPError("form is not of type (p,0)+(0,p)")
     p = alpha.degree
     scale = Fraction(1, p) if alpha.space.backend == "exact" else 1.0 / p

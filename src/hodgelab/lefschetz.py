@@ -15,7 +15,7 @@ from itertools import combinations
 from math import factorial
 
 from .errors import ContractionUnderflowError, NotInLambdaPError, SpaceMismatchError
-from .exterior import Form, adjoint_wedge, contract, contract_index, inner, wedge
+from .exterior import FLOAT_TOL, Form, adjoint_wedge, contract, contract_index, inner, wedge
 from .hermitian import ComplexStructure, in_lambda_p
 from .linalg import exact_nullspace
 
@@ -56,13 +56,13 @@ def lefschetz_lstar(j_struct: ComplexStructure, alpha: Form) -> Form:
     return adjoint_wedge(kahler_form(j_struct), alpha)
 
 
-def is_primitive(j_struct: ComplexStructure, alpha: Form, tol: float = 1e-9) -> bool:
+def is_primitive(j_struct: ComplexStructure, alpha: Form) -> bool:
     """A form is primitive when the adjoint Lefschetz operator kills it."""
     ls = lefschetz_lstar(j_struct, alpha)
     if alpha.space.backend == "exact":
         return ls.is_zero()
     scale = max(float(alpha.norm_sq()), 1.0)
-    return float(ls.norm_sq()) <= tol * tol * scale
+    return float(ls.norm_sq()) <= FLOAT_TOL * FLOAT_TOL * scale
 
 
 def p_k(j_struct: ComplexStructure, alpha: Form, beta: Form, k: int) -> Form:

@@ -77,11 +77,11 @@ def random_form(space, degree: int, rng: SplitMix64, terms: int | None = None,
     return Form(space, degree, {m: c for m, c in coeffs.items() if c != 0})
 
 
-def random_vector(space, rng: SplitMix64, integer: bool = True):
+def random_vector(space, rng: SplitMix64):
     from .exterior import Vector
 
     if space.backend == "exact":
-        comps = [rng.small_int() if integer else rng.rational() for _ in range(space.dim)]
+        comps = [rng.small_int() for _ in range(space.dim)]
     else:
         comps = [rng.uniform(-1.0, 1.0) for _ in range(space.dim)]
     return Vector(space, comps)

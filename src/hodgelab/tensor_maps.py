@@ -122,14 +122,14 @@ class FormValuedMap:
         return cls(j_struct, p, q, rows)
 
     @classmethod
-    def from_multilinear(cls, j_struct, p, q, fn, check: bool = True):
+    def from_multilinear(cls, j_struct, p, q, fn):
         """Build the map whose multilinear evaluation on basis tuples is fn.
 
         ``fn`` takes an increasing 1-based index tuple of length p and
         returns a degree-q form.  The construction is faithful only when the
         underlying tensor has its input factor inside the (p,0)+(0,p) forms;
-        with ``check`` the multilinear values are re-derived from the built
-        map and a mismatch raises InvalidDerivativeError.
+        the multilinear values are re-derived from the built map and a
+        mismatch raises InvalidDerivativeError.
         """
         dom = lambda_basis(j_struct, p)
         space = j_struct.space
@@ -143,14 +143,13 @@ class FormValuedMap:
                 img = img + coeff * values[mask]
             images.append(img)
         out = cls.from_images(j_struct, p, q, images)
-        if check:
-            for mask in basis_masks(space.dim, p):
-                if mask not in values:
-                    values[mask] = fn(mask_to_indices(mask))
-                if out.eval_mask(mask) != values[mask]:
-                    raise InvalidDerivativeError(
-                        "multilinear data has an input factor outside the (p,0)+(0,p) forms"
-                    )
+        for mask in basis_masks(space.dim, p):
+            if mask not in values:
+                values[mask] = fn(mask_to_indices(mask))
+            if out.eval_mask(mask) != values[mask]:
+                raise InvalidDerivativeError(
+                    "multilinear data has an input factor outside the (p,0)+(0,p) forms"
+                )
         return out
 
     # -- evaluation ------------------------------------------------------
@@ -416,7 +415,7 @@ def holomorphic_q(j_struct: ComplexStructure, omega_form: Form, derivative) -> F
         return out
 
     try:
-        return FormValuedMap.from_multilinear(j_struct, p - 1, p, fn, check=True)
+        return FormValuedMap.from_multilinear(j_struct, p - 1, p, fn)
     except InvalidDerivativeError:
         raise
     except Exception as exc:  # pragma: no cover
@@ -468,15 +467,14 @@ class TorsionTensor:
 
     __slots__ = ("j", "etas")
 
-    def __init__(self, j_struct: ComplexStructure, etas, validate: bool = True):
+    def __init__(self, j_struct: ComplexStructure, etas):
         n = j_struct.space.dim
         etas = tuple(tuple(tuple(row) for row in eta) for eta in etas)
         if len(etas) != n:
             raise InvariantViolationError("need one skew map per basis direction")
         self.j = j_struct
         self.etas = etas
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         n = self.j.space.dim

@@ -53,11 +53,22 @@ def test_verify_bad_seed_syntax_exit_two():
 
 
 def test_repeated_seeds_and_dims_are_dropped():
-    assert cli._parse_seeds("1,1") == [1]
-    assert cli._parse_seeds("1..3,2..4") == [1, 2, 3, 4]
-    assert cli._parse_seeds("5,1..3,5,2") == [5, 1, 2, 3]
-    assert cli._parse_dims(["4,4"]) == [4]
-    assert cli._parse_dims(["6", "4,6", "4"]) == [6, 4]
+    # run_campaign keeps the first appearance of each dim and seed, so a
+    # campaign whose body ignores the dimension (lemma-4.4) runs once too
+    for name, repeated, plain in (
+        ("prop-4.1", ([6, 4, 6, 4], [5, 1, 2, 3, 5, 2]), ([6, 4], [5, 1, 2, 3])),
+        ("lemma-4.4", ([6, 6], [1, 1, 2, 3, 2]), ([6], [1, 2, 3])),
+    ):
+        again = run_campaign(Campaign(name, *repeated))
+        assert again.to_json() == run_campaign(Campaign(name, *plain)).to_json()
+    # a report over several dims is the one-dim reports' cases, in the order given
+    both = run_campaign(Campaign("prop-4.1", [6, 4], [2, 1])).to_payload()
+    assert both["dims"] == [6, 4]
+    assert both["cases"] == [
+        case
+        for dim in (6, 4)
+        for case in run_campaign(Campaign("prop-4.1", [dim], [2, 1])).to_payload()["cases"]
+    ]
 
 
 def test_verify_repeated_seeds_give_unique_case_ids():

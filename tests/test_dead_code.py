@@ -1,13 +1,17 @@
 """Every top-level function and class and every non-dunder method of the
-package has a reference somewhere in the project outside its own definition.
+package has a reference somewhere in the project outside its own definition,
+and every parameter with a default is set by some call.
 
 A reference is a name, an attribute, an import alias, or a string constant
 made of dotted identifiers (the bench tracer names the functions it wraps
 in strings).  A member that shares its name with a used member elsewhere
-passes unnoticed; such duplicates are pruned by hand.
+passes unnoticed; such duplicates are pruned by hand.  Calls are matched by
+the same names: ``C(...)`` is a call of ``C.__init__`` (for a dataclass, of
+its generated ``__init__`` over the annotated fields).
 """
 
 import ast
+import math
 from collections import defaultdict
 from pathlib import Path
 
@@ -46,12 +50,17 @@ def referenced_names(tree):
                     yield part, node.lineno
 
 
-def unreferenced_members():
-    references = defaultdict(list)
+def searched_trees():
     for top in SEARCHED:
         for path in sorted((ROOT / top).rglob("*.py")):
-            for name, line in referenced_names(ast.parse(path.read_text())):
-                references[name].append((path, line))
+            yield path, ast.parse(path.read_text())
+
+
+def unreferenced_members():
+    references = defaultdict(list)
+    for path, tree in searched_trees():
+        for name, line in referenced_names(tree):
+            references[name].append((path, line))
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         for qualname, first, last in definitions(ast.parse(path.read_text())):
@@ -64,5 +73,76 @@ def unreferenced_members():
     return unused
 
 
+def _name(node):
+    """The called or decorating name: ``f`` of ``f`` and of ``x.f``."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _defaulted(func, skip):
+    """(parameter, positional index or None) for each parameter with a
+    default; ``skip`` drops ``self``/``cls`` from the index."""
+    args = func.args.posonlyargs + func.args.args
+    for i in range(len(args) - len(func.args.defaults), len(args)):
+        yield args[i].arg, i - skip
+    for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def defaulted_parameters(tree):
+    """(callee name, qualified name, parameter, positional index or None) for
+    every parameter with a default.  ``__init__`` and the fields of a
+    dataclass are called by the class name."""
+    methods = set()
+    for node in ast.walk(tree):  # breadth first: a class comes before its methods
+        if isinstance(node, ast.ClassDef):
+            if "dataclass" in {_name(d) for d in node.decorator_list}:
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                for i, f in enumerate(fields):
+                    if f.value is not None:
+                        yield node.name, node.name, f.target.id, i
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    methods.add(member)
+                    callee = node.name if member.name == "__init__" else member.name
+                    static = "staticmethod" in {_name(d) for d in member.decorator_list}
+                    for param, index in _defaulted(member, 0 if static else 1):
+                        yield callee, f"{node.name}.{member.name}", param, index
+        elif isinstance(node, ast.FunctionDef) and node not in methods:
+            for param, index in _defaulted(node, 0):
+                yield node.name, node.name, param, index
+
+
+def set_parameters():
+    """callee name -> [most positional arguments, keyword names] over every
+    call; a starred argument fills every position, and ``**mapping`` shows
+    up as the keyword None, which sets every keyword."""
+    calls = defaultdict(lambda: [0, set()])
+    for _, tree in searched_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                seen = calls[_name(node.func)]
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                seen[0] = max(seen[0], math.inf if starred else len(node.args))
+                seen[1].update(kw.arg for kw in node.keywords)
+    return calls
+
+
+def unset_parameters():
+    calls = set_parameters()
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for callee, qualname, param, index in defaulted_parameters(ast.parse(path.read_text())):
+            positional, keywords = calls.get(callee, (0, set()))
+            by_position = index is not None and positional > index
+            if not (by_position or param in keywords or None in keywords):
+                unset.append(f"{path.name}:{qualname}({param})")
+    return unset
+
+
 def test_every_member_has_a_reference():
     assert unreferenced_members() == []
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    assert unset_parameters() == []

@@ -166,3 +166,15 @@ def test_expand_in_frame_rank_error():
 def test_r_from_coeffs_shape():
     r = r_from_coeffs([1, 2, 3])
     assert np.allclose(r, np.array([[0, 3, -2], [-3, 0, 1], [2, -1, 0]]))
+
+
+def test_cor_4_12_identity_cases_report_their_residual(monkeypatch):
+    """A kernel one off its expected dimension fails with residual 1.0."""
+    from hodgelab import campaigns
+
+    real = campaigns.obstruction_kernel
+    monkeypatch.setattr(campaigns, "obstruction_kernel", lambda td, restrict: real(td, restrict) + 1)
+    cases = {c.id: c for c in campaigns.run_cor_4_12(3, [1])}
+    for case_id in ("identity/complex", "identity/real"):
+        assert not cases[case_id].passed
+        assert cases[case_id].residual == 1.0

@@ -76,9 +76,14 @@ def indices_to_mask(indices) -> int:
 
 
 class Space:
-    """Oriented R^n with the standard basis orthonormal, plus a scalar backend."""
+    """Oriented R^n with the standard basis orthonormal, plus a scalar backend.
 
-    __slots__ = ("dim", "backend")
+    The backend's scalar rules live here: ``zero`` and ``one``, the
+    tolerance ``tol`` of its checks (0 on exact, so an exact check compares
+    exact values, ``FLOAT_TOL`` on float) and ``ratio(a, b)``.
+    """
+
+    __slots__ = ("dim", "backend", "zero", "one", "tol")
 
     def __init__(self, dim: int, backend: str = "exact"):
         if dim < 1:
@@ -87,6 +92,8 @@ class Space:
             raise ValueError(f"unknown backend {backend!r}")
         self.dim = dim
         self.backend = backend
+        exact = backend == "exact"
+        self.zero, self.one, self.tol = (0, 1, 0) if exact else (0.0, 1.0, FLOAT_TOL)
 
     def __eq__(self, other):
         return (
@@ -109,6 +116,10 @@ class Space:
             raise TypeError(f"exact backend needs int or Fraction, got {type(value).__name__}")
         return float(value)
 
+    def ratio(self, a, b):
+        """a / b as a ``Fraction`` on the exact backend, a float otherwise."""
+        return Fraction(a, b) if self.backend == "exact" else a / b
+
     def zero_form(self, degree: int) -> "Form":
         return Form(self, degree, {})
 
@@ -119,8 +130,7 @@ class Space:
             raise ValueError("indices must be strictly increasing")
         if idx and (idx[0] < 1 or idx[-1] > self.dim):
             raise ValueError("index out of range")
-        one = 1 if self.backend == "exact" else 1.0
-        return Form(self, len(idx), {indices_to_mask(idx): one})
+        return Form(self, len(idx), {indices_to_mask(idx): self.one})
 
     def form(self, degree: int, terms) -> "Form":
         """Build a form from a mapping {index tuple: coefficient}."""
@@ -140,10 +150,8 @@ class Space:
         return self.basis_form(*range(1, self.dim + 1))
 
     def basis_vector(self, i: int) -> "Vector":
-        zero = 0 if self.backend == "exact" else 0.0
-        one = 1 if self.backend == "exact" else 1.0
-        comps = [zero] * self.dim
-        comps[i - 1] = one
+        comps = [self.zero] * self.dim
+        comps[i - 1] = self.one
         return Vector(self, comps)
 
     def vector(self, components) -> "Vector":
@@ -203,7 +211,7 @@ class Form:
 
     def __truediv__(self, scalar) -> "Form":
         scalar = self.space.scalar(scalar)
-        return self * (Fraction(1) / scalar if self.space.backend == "exact" else 1.0 / scalar)
+        return self * self.space.ratio(1, scalar)
 
     def __eq__(self, other):
         if not isinstance(other, Form):
@@ -234,12 +242,10 @@ class Form:
         """Value of a degree-0 form."""
         if self.degree != 0:
             raise DegreeMismatchError("scalar_value needs a degree-0 form")
-        zero = 0 if self.space.backend == "exact" else 0.0
-        return self.coeffs.get(0, zero)
+        return self.coeffs.get(0, self.space.zero)
 
     def coefficient(self, *indices):
-        zero = 0 if self.space.backend == "exact" else 0.0
-        return self.coeffs.get(indices_to_mask(indices), zero)
+        return self.coeffs.get(indices_to_mask(indices), self.space.zero)
 
     def terms(self):
         """Sorted list of (index tuple, coefficient) pairs."""
@@ -371,7 +377,7 @@ def inner(alpha: Form, beta: Form):
         raise SpaceMismatchError(f"{alpha.space} vs {beta.space}")
     if alpha.degree != beta.degree:
         raise DegreeMismatchError(f"degree {alpha.degree} vs {beta.degree}")
-    total = 0 if alpha.space.backend == "exact" else 0.0
+    total = alpha.space.zero
     a, b = alpha.coeffs, beta.coeffs
     if len(a) > len(b):
         a, b = b, a

@@ -12,7 +12,6 @@ Q psi = sum_{e in H} (e -| psi) ^ e^flat with spectrum (-1)^(p-1) j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .errors import (
     MomentInconsistencyError,
     SpaceMismatchError,
 )
-from .exterior import FLOAT_TOL, Form, Space, contract, hodge_star, inner, wedge
+from .exterior import Form, Space, contract, hodge_star, inner, wedge
 from .linalg import combine, compose, dense_rows, sparse_rows
 
 SPECTRAL_TOL = 1e-8
@@ -41,16 +40,8 @@ class SkewEndo:
         if len(rows) != space.dim or any(len(r) != space.dim for r in rows):
             raise InvariantViolationError("matrix shape must match the space dimension")
         n = space.dim
-        if space.backend == "exact":
-            bad = any(rows[i][j] != -rows[j][i] for i in range(n) for j in range(n))
-        else:
-            scale = max(1.0, max(abs(v) for row in rows for v in row))
-            bad = any(
-                abs(rows[i][j] + rows[j][i]) > FLOAT_TOL * scale
-                for i in range(n)
-                for j in range(n)
-            )
-        if bad:
+        bound = space.tol * max(1, max(abs(v) for row in rows for v in row))
+        if any(abs(rows[i][j] + rows[j][i]) > bound for i in range(n) for j in range(n)):
             raise InvariantViolationError("matrix is not skew-symmetric")
         self.space = space
         self.rows = rows
@@ -82,8 +73,7 @@ def form_endo(alpha: Form) -> SkewEndo:
     if alpha.degree != 2:
         raise DegreeMismatchError("form_endo needs a 2-form")
     n = alpha.space.dim
-    zero = 0 if alpha.space.backend == "exact" else 0.0
-    rows = [[zero] * n for _ in range(n)]
+    rows = [[alpha.space.zero] * n for _ in range(n)]
     for (i, j), c in alpha.terms():
         rows[j - 1][i - 1] = c
         rows[i - 1][j - 1] = -c
@@ -312,9 +302,7 @@ def compatible_patch_dim6(alpha: Form) -> Form:
         or abs(np.trace(proj) - 4.0) > SPECTRAL_TOL
     ):
         raise InvariantViolationError("input is not compatible of rank 4")
-    patch = hodge_star(wedge(alpha, alpha))
-    half = Fraction(1, 2) if space.backend == "exact" else 0.5
-    return alpha + half * patch
+    return alpha + space.ratio(1, 2) * hodge_star(wedge(alpha, alpha))
 
 
 def splitting_q(h_frame, psi: Form) -> Form:
@@ -333,11 +321,7 @@ def splitting_q(h_frame, psi: Form) -> Form:
         for b in range(a, len(h_frame)):
             g = sum(x * y for x, y in zip(va.components, h_frame[b].components))
             expected = 1 if a == b else 0
-            if space.backend == "exact":
-                ok = g == expected
-            else:
-                ok = abs(g - expected) <= FLOAT_TOL
-            if not ok:
+            if abs(g - expected) > space.tol:
                 raise InvalidFrameError("spanning list is not orthonormal")
     if psi.degree == 0:
         return space.zero_form(0)

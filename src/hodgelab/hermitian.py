@@ -17,7 +17,7 @@ on it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import reduce, wraps
 from math import comb, gcd
 
 from .errors import (
@@ -28,7 +28,6 @@ from .errors import (
     SpaceMismatchError,
 )
 from .exterior import (
-    FLOAT_TOL,
     Form,
     Space,
     Vector,
@@ -46,9 +45,10 @@ class ComplexStructure:
     ``rows`` is the matrix acting on column vectors of components, so the
     image of the i-th basis vector is column i; ``sparse_rows`` holds the
     same rows as {column: value} dicts, and row i is the pullback of e^i.
+    ``_cache`` holds the tables built by ``per_structure`` functions.
     """
 
-    __slots__ = ("space", "rows", "sparse_rows", "_lambda_cache", "_misc_cache")
+    __slots__ = ("space", "rows", "sparse_rows", "_cache")
 
     def __init__(self, space: Space, rows):
         if space.dim % 2:
@@ -60,15 +60,14 @@ class ComplexStructure:
         self.rows = rows
         self.sparse_rows = sparse_rows(rows)
         self._validate()
-        self._lambda_cache: dict = {}
-        self._misc_cache: dict = {}
+        self._cache: dict = {}
 
     def _validate(self):
         j = self.sparse_rows
         ident = [{i: 1} for i in range(self.space.dim)]
         sq_plus_id = combine(compose(j, j), ident)
         ortho_defect = combine(compose(sparse_rows(zip(*self.rows)), j), ident, 1, -1)
-        tol = 0 if self.space.backend == "exact" else FLOAT_TOL
+        tol = self.space.tol
         if any(abs(v) > tol for row in sq_plus_id + ortho_defect for v in row.values()):
             raise InvariantViolationError("matrix is not an orthogonal complex structure")
 
@@ -76,11 +75,10 @@ class ComplexStructure:
     def standard(cls, space: Space) -> "ComplexStructure":
         """J e_{2i-1} = e_{2i}, the block rotation structure."""
         n = space.dim
-        one = 1 if space.backend == "exact" else 1.0
         rows = [[0] * n for _ in range(n)]
         for i in range(0, n, 2):
-            rows[i][i + 1] = -one
-            rows[i + 1][i] = one
+            rows[i][i + 1] = -space.one
+            rows[i + 1][i] = space.one
         return cls(space, rows)
 
     def basis_image(self, i: int) -> Vector:
@@ -101,19 +99,38 @@ class ComplexStructure:
         return f"ComplexStructure(dim={self.space.dim})"
 
 
-def _apply_compiled(j_struct: ComplexStructure, image, alpha: Form) -> Form:
-    """Apply the operator with basis images ``image(j_struct, mask)`` to alpha.
+def per_structure(build):
+    """Memoize ``build(j_struct, *args)`` in ``j_struct._cache`` under the key
+    ``(build, *args)``: each table is built once per structure and arguments.
 
-    The images are compiled once per (J, image, degree) into a sparse table
-    mask -> {mask: coeff} cached on the structure.
+    Equal but distinct structures keep separate tables.  The hit path is one
+    dict lookup.
     """
+
+    @wraps(build)
+    def cached(j_struct: ComplexStructure, *args):
+        key = (build, *args)
+        try:
+            return j_struct._cache[key]
+        except KeyError:
+            value = j_struct._cache[key] = build(j_struct, *args)
+            return value
+
+    return cached
+
+
+@per_structure
+def _compiled(j_struct: ComplexStructure, image, degree: int) -> dict:
+    """The sparse table mask -> {mask: coeff} of ``image`` on one degree."""
+    return {m: image(j_struct, m) for m in basis_masks(j_struct.space.dim, degree)}
+
+
+def _apply_compiled(j_struct: ComplexStructure, image, alpha: Form) -> Form:
+    """Apply the operator with basis images ``image(j_struct, mask)`` to alpha,
+    through its table compiled once per (J, image, degree)."""
     if alpha.space != j_struct.space:
         raise SpaceMismatchError(f"{alpha.space} vs {j_struct.space}")
-    key = (image, alpha.degree)
-    table = j_struct._misc_cache.get(key)
-    if table is None:
-        masks = basis_masks(j_struct.space.dim, alpha.degree)
-        table = j_struct._misc_cache[key] = {m: image(j_struct, m) for m in masks}
+    table = _compiled(j_struct, image, alpha.degree)
     out: dict = {}
     for mask, coeff in alpha.coeffs.items():
         add_scaled(out, coeff, table[mask])
@@ -177,14 +194,12 @@ def bidegree_project(j_struct: ComplexStructure, alpha: Form, p: int, q: int) ->
     s = alpha.degree
     target = -((p - q) ** 2)
     result = alpha
-    exact = alpha.space.backend == "exact"
     for j in range(s // 2 + 1):
         ev = -((s - 2 * j) ** 2)
         if ev == target:
             continue
         num = curly_j_squared(j_struct, result) - ev * result
-        denom = target - ev
-        result = num * (Fraction(1, denom) if exact else 1.0 / denom)
+        result = num * alpha.space.ratio(1, target - ev)
     return result
 
 
@@ -220,9 +235,7 @@ def bb_j(j_struct: ComplexStructure, alpha: Form) -> Form:
     image = curly_j(j_struct, alpha)
     if not _is_lambda_eigen(alpha, curly_j(j_struct, image)):
         raise NotInLambdaPError("form is not of type (p,0)+(0,p)")
-    p = alpha.degree
-    scale = Fraction(1, p) if alpha.space.backend == "exact" else 1.0 / p
-    return image * scale
+    return image * alpha.space.ratio(1, alpha.degree)
 
 
 def _lambda_dim(dim: int, degree: int) -> int:
@@ -287,23 +300,18 @@ def _primitive_integer_form(alpha: Form) -> Form:
     return Form(alpha.space, alpha.degree, scaled)
 
 
+@per_structure
 def lambda_basis(j_struct: ComplexStructure, degree: int) -> LambdaBasis:
     """Cached orthogonal basis of the (p,0)+(0,p) forms of the given degree."""
     if j_struct.space.backend != "exact":
         raise InvariantViolationError("lambda bases are computed on the exact backend")
-    cache = j_struct._lambda_cache
-    if degree not in cache:
-        cache[degree] = LambdaBasis(j_struct, degree)
-    return cache[degree]
+    return LambdaBasis(j_struct, degree)
 
 
+@per_structure
 def bb_j_matrix(j_struct: ComplexStructure, degree: int) -> list[dict]:
     """{column: value} rows of bb_j over the cached orthogonal basis (cached
     per degree); column d holds the coordinates of bb_j of basis form d."""
-    key = ("bbj", degree)
-    cache = j_struct._misc_cache
-    if key not in cache:
-        basis = lambda_basis(j_struct, degree)
-        cols = [basis.expand(bb_j(j_struct, b)) for b in basis.forms]
-        cache[key] = sparse_rows(zip(*cols))
-    return cache[key]
+    basis = lambda_basis(j_struct, degree)
+    cols = [basis.expand(bb_j(j_struct, b)) for b in basis.forms]
+    return sparse_rows(zip(*cols))

@@ -15,21 +15,15 @@ from itertools import combinations
 from math import factorial
 
 from .errors import ContractionUnderflowError, NotInLambdaPError, SpaceMismatchError
-from .exterior import FLOAT_TOL, Form, adjoint_wedge, contract, contract_index, inner, wedge
-from .hermitian import ComplexStructure, in_lambda_p
+from .exterior import Form, adjoint_wedge, basis_masks, contract, contract_index, inner, wedge
+from .hermitian import ComplexStructure, in_lambda_p, per_structure
 from .linalg import exact_nullspace
 
 
+@per_structure
 def kahler_form(j_struct: ComplexStructure) -> Form:
     """omega(X, Y) = <J X, Y>; for the standard structure this is
     sum_i e^{2i-1} ^ e^{2i}.  Built once per structure and cached."""
-    cache = j_struct._misc_cache
-    if "kahler" not in cache:
-        cache["kahler"] = _kahler_form(j_struct)
-    return cache["kahler"]
-
-
-def _kahler_form(j_struct: ComplexStructure) -> Form:
     space = j_struct.space
     coeffs = {}
     n = space.dim
@@ -58,11 +52,8 @@ def lefschetz_lstar(j_struct: ComplexStructure, alpha: Form) -> Form:
 
 def is_primitive(j_struct: ComplexStructure, alpha: Form) -> bool:
     """A form is primitive when the adjoint Lefschetz operator kills it."""
-    ls = lefschetz_lstar(j_struct, alpha)
-    if alpha.space.backend == "exact":
-        return ls.is_zero()
-    scale = max(float(alpha.norm_sq()), 1.0)
-    return float(ls.norm_sq()) <= FLOAT_TOL * FLOAT_TOL * scale
+    tol = alpha.space.tol
+    return lefschetz_lstar(j_struct, alpha).norm_sq() <= tol * tol * max(alpha.norm_sq(), 1)
 
 
 def p_k(j_struct: ComplexStructure, alpha: Form, beta: Form, k: int) -> Form:
@@ -125,24 +116,17 @@ def alpha_from_holomorphic(j_struct: ComplexStructure, omega_form: Form) -> Form
     return Form(space, 2, coeffs)
 
 
+@per_structure
 def primitive_basis(j_struct: ComplexStructure, degree: int):
     """Exact basis of the primitive forms of a given degree (cached).
 
     Assembled as the nullspace of the adjoint Lefschetz operator on the
     increasing-multi-index basis.
     """
-    key = ("primitive", degree)
-    cache = j_struct._misc_cache
-    if key in cache:
-        return cache[key]
-    from .exterior import basis_masks
-
     space = j_struct.space
     masks = basis_masks(space.dim, degree)
     if degree < 2:
-        basis = [Form(space, degree, {m: 1}) for m in masks]
-        cache[key] = basis
-        return basis
+        return [Form(space, degree, {m: 1}) for m in masks]
     target_masks = basis_masks(space.dim, degree - 2)
     pos = {m: i for i, m in enumerate(target_masks)}
     rows = [{} for _ in target_masks]
@@ -150,9 +134,8 @@ def primitive_basis(j_struct: ComplexStructure, degree: int):
         image = lefschetz_lstar(j_struct, Form(space, degree, {m: 1}))
         for im, c in image.coeffs.items():
             rows[pos[im]][col] = c
-    basis = []
-    for vec in exact_nullspace(rows, len(masks)):
-        basis.append(Form(space, degree, {masks[c]: v for c, v in vec.items()}))
-    cache[key] = basis
-    return basis
+    return [
+        Form(space, degree, {masks[c]: v for c, v in vec.items()})
+        for vec in exact_nullspace(rows, len(masks))
+    ]
 

@@ -52,6 +52,7 @@ from .hermitian import (
     curly_j_squared,
     in_lambda_p,
     lambda_basis,
+    per_structure,
 )
 from .linalg import combine, compose, dense_rows, exact_nullspace, exact_rank, sparse_rows
 
@@ -214,32 +215,34 @@ def antisymmetrize(q_map: FormValuedMap) -> Form:
 
     Tuples with repeated indices vanish against the wedge prefix, so the
     ordered sum carries a p! multiplicity: rank-one tensors satisfy
-    a(phi (x) psi) = p! phi ^ psi.  Computed through the cached basis wedge
-    table via Q = sum_d b_d (x) Q(b_d) / |b_d|^2, which gives the same value.
+    a(phi (x) psi) = p! phi ^ psi.  Computed as the cached rows of
+    ``a_full_matrix`` applied to the coordinates Q[e][d] / |b_d|^2 of Q on
+    the tensors b_d (x) c_e, since Q = sum_d b_d (x) Q(b_d) / |b_d|^2.
     """
-    space = q_map.j.space
-    p, q = q_map.p, q_map.q
+    j_struct, p, q = q_map.j, q_map.p, q_map.q
+    space = j_struct.space
     if p + q > space.dim:
         raise DegreeOverflowError(f"degree {p + q} exceeds dimension {space.dim}")
-    table = _wedge_table(q_map.j, p, q)
-    out = space.zero_form(p + q)
-    fac = factorial(p)
-    for d, ns in enumerate(q_map.domain.norms_sq):
-        for i, row in enumerate(q_map.rows):
-            if d in row:
-                out = out + Fraction(fac * row[d], ns) * table[d][i]
-    return out
+    dq, norms_sq = q_map.codomain.dim, q_map.domain.norms_sq
+    coords = {
+        d * dq + e: Fraction(v, norms_sq[d]) for e, row in enumerate(q_map.rows)
+        for d, v in row.items()
+    }
+    coeffs = {
+        mask: sum(v * coords[c] for c, v in row.items() if c in coords)
+        for mask, row in zip(basis_masks(space.dim, p + q), a_full_matrix(j_struct, p, q))
+    }
+    return Form(space, p + q, coeffs)
 
 
 def antisymmetrize_multilinear(space: Space, p: int, q: int, eval_mask) -> Form:
     if p + q > space.dim:
         raise DegreeOverflowError(f"degree {p + q} exceeds dimension {space.dim}")
     out = space.zero_form(p + q)
-    one = 1 if space.backend == "exact" else 1.0
     for mask in basis_masks(space.dim, p):
         value = eval_mask(mask)
         if not value.is_zero():
-            out = out + wedge(Form(space, p, {mask: one}), value)
+            out = out + wedge(Form(space, p, {mask: space.one}), value)
     return factorial(p) * out
 
 
@@ -251,14 +254,11 @@ def bidegree_eigen_residual(j_struct: ComplexStructure, alpha: Form, p: int, q: 
 # -- rank and kernel of the antisymmetrization ---------------------------
 
 
+@per_structure
 def _wedge_table(j_struct, p, q):
-    key = ("wedge_table", p, q)
-    cache = j_struct._misc_cache
-    if key not in cache:
-        dom = lambda_basis(j_struct, p).forms
-        cod = lambda_basis(j_struct, q).forms
-        cache[key] = [[wedge(b, c) for c in cod] for b in dom]
-    return cache[key]
+    """b_d ^ c_e for the Lambda basis forms b_d of degree p and c_e of degree q."""
+    cod = lambda_basis(j_struct, q).forms
+    return [[wedge(b, c) for c in cod] for b in lambda_basis(j_struct, p).forms]
 
 
 def _commuting_projector(j_struct: ComplexStructure, p: int, q: int):
@@ -301,8 +301,10 @@ def a_restricted_rank(j_struct: ComplexStructure, p: int, q: int) -> int:
     return exact_rank(compose(a_full_matrix(j_struct, p, q), projector), len(projector))
 
 
+@per_structure
 def a_full_matrix(j_struct: ComplexStructure, p: int, q: int):
-    """Sparse rows of a on the elementary tensor basis b_d (x) c_e."""
+    """Sparse rows of a on the elementary tensor basis b_d (x) c_e (column
+    d * dq + e), one row per mask of degree p + q in lexicographic order."""
     table = _wedge_table(j_struct, p, q)
     dp = lambda_basis(j_struct, p).dim
     dq = lambda_basis(j_struct, q).dim
@@ -548,24 +550,34 @@ def _bullet_rows(q_rows, n: int, skew):
     return rows
 
 
+def _commutation_rows(J, skew, base: int, sign):
+    """Rows of (F J + sign J F)[r][c] = 0 in the parameters of the skew F
+    at column ``base``; J is a dense n x n matrix."""
+    n = len(J)
+    rows = []
+    for r in range(n):
+        for c in range(n):
+            row = {}
+            for k in range(n):
+                _add_entry(row, skew, base, r, k, J[k][c])
+                _add_entry(row, skew, base, k, c, sign * J[r][k])
+            row = {col: v for col, v in row.items() if v != 0}
+            if row:
+                rows.append(row)
+    return rows
+
+
 def _structural_rows(j_struct: ComplexStructure):
     """Rows of the cyclic and J-compatibility constraints in eta parameters."""
     n = j_struct.space.dim
     J = j_struct.rows
     skew = _skew_params(n)
     npairs = n * (n - 1) // 2
-    rows = []
-    # cyclic identity on increasing triples
-    for x in range(n):
-        for y in range(x + 1, n):
-            for z in range(y + 1, n):
-                row = {}
-                for a, r, c in ((x, z, y), (y, x, z), (z, y, x)):
-                    _add_entry(row, skew, a * npairs, r, c, 1)
-                rows.append(row)
-    # eta_{J e_a} = eta_a J and eta_a J = -J eta_a, entrywise
+    # the cyclic identity on increasing triples is the bullet of the identity
+    rows = _bullet_rows([{i: 1} for i in range(n)], n, skew)
     for a in range(n):
         base = a * npairs
+        # eta_{J e_a} = eta_a J, entrywise
         for r in range(n):
             for c in range(n):
                 row = {}
@@ -576,13 +588,8 @@ def _structural_rows(j_struct: ComplexStructure):
                 row = {col: v for col, v in row.items() if v != 0}
                 if row:
                     rows.append(row)
-                row2 = {}
-                for k in range(n):
-                    _add_entry(row2, skew, base, r, k, J[k][c])
-                    _add_entry(row2, skew, base, k, c, J[r][k])
-                row2 = {col: v for col, v in row2.items() if v != 0}
-                if row2:
-                    rows.append(row2)
+        # eta_a J = -J eta_a
+        rows.extend(_commutation_rows(J, skew, base, 1))
     return rows, npairs
 
 
@@ -611,20 +618,7 @@ def anti_invariant_skew_basis(j_struct: ComplexStructure):
 def _constrained_skew_basis(j_struct: ComplexStructure, commuting: bool):
     """The skew F with F J = J F (commuting) or F J = -J F, as {column: value} rows."""
     n = j_struct.space.dim
-    J = j_struct.rows
-    skew = _skew_params(n)
-    rows = []
-    sign = -1 if commuting else 1
-    for r in range(n):
-        for c in range(n):
-            row = {}
-            # (F J + sign * J F)[r][c]
-            for k in range(n):
-                _add_entry(row, skew, 0, r, k, J[k][c])
-                _add_entry(row, skew, 0, k, c, sign * J[r][k])
-            row = {col: v for col, v in row.items() if v != 0}
-            if row:
-                rows.append(row)
+    rows = _commutation_rows(j_struct.rows, _skew_params(n), 0, -1 if commuting else 1)
     return [_skew_from_params(vec, n) for vec in exact_nullspace(rows, n * (n - 1) // 2)]
 
 

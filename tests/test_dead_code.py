@@ -7,7 +7,8 @@ made of dotted identifiers (the bench tracer names the functions it wraps
 in strings).  A member that shares its name with a used member elsewhere
 passes unnoticed; such duplicates are pruned by hand.  Calls are matched by
 the same names: ``C(...)`` is a call of ``C.__init__`` (for a dataclass, of
-its generated ``__init__`` over the annotated fields).
+its generated ``__init__`` over the annotated fields).  The per-structure
+cache attributes are touched by ``hermitian`` alone.
 """
 
 import ast
@@ -18,6 +19,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hodgelab"
 SEARCHED = ("src", "tests", "demos", "bench")
+CACHE_ATTRIBUTES = ("_cache", "_misc_cache", "_lambda_cache")
 
 
 def definitions(tree):
@@ -146,3 +148,19 @@ def test_every_member_has_a_reference():
 
 def test_every_defaulted_parameter_is_set_somewhere():
     assert unset_parameters() == []
+
+
+def cache_attribute_uses():
+    """module:line of every read or write of a cache attribute outside hermitian."""
+    uses = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "hermitian.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in CACHE_ATTRIBUTES:
+                uses.append(f"{path.name}:{node.lineno}")
+    return uses
+
+
+def test_only_hermitian_touches_the_per_structure_cache():
+    assert cache_attribute_uses() == []

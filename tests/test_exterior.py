@@ -13,6 +13,7 @@ from hodgelab.errors import (
     SpaceMismatchError,
 )
 from hodgelab.exterior import (
+    FLOAT_TOL,
     Form,
     Space,
     _permutation_sign,
@@ -279,6 +280,17 @@ def test_form_evaluate_signs():
     assert evaluate(a, 3, 1) == Fraction(-5, 2)
     assert evaluate(a, 1, 1) == 0
     assert evaluate(a, 2, 4) == 0
+
+
+def test_space_scalar_rules_have_the_backend_types():
+    exact, fl = Space(4), Space(4, "float")
+    assert (type(exact.zero), type(exact.one), type(exact.tol)) == (int, int, int)
+    assert (exact.zero, exact.one, exact.tol) == (0, 1, 0)
+    assert type(exact.ratio(1, 3)) is Fraction and exact.ratio(1, 3) == Fraction(1, 3)
+    assert exact.ratio(Fraction(1, 2), 3) == Fraction(1, 6)
+    assert (type(fl.zero), type(fl.one), type(fl.tol)) == (float, float, float)
+    assert (fl.zero, fl.one, fl.tol) == (0.0, 1.0, FLOAT_TOL)
+    assert type(fl.ratio(1, 3)) is float and fl.ratio(1, 3) == 1 / 3
 
 
 def test_exact_backend_rejects_float_scalars():

@@ -1,5 +1,7 @@
 """Skew-map duality, cubic stability, spectra, moments, and the splitting operator."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -266,3 +268,16 @@ def test_splitting_q_rejects_bad_frame():
     s6 = Space(6)
     with pytest.raises(InvalidFrameError):
         splitting_q([s6.vector([1, 1, 0, 0, 0, 0])], s6.basis_form(1, 2))
+
+
+def test_exact_checks_stay_exact():
+    """Defects that float() rounds to zero are still rejected exactly."""
+    tiny = Fraction(1, 10**400)
+    s4 = Space(4)
+    rows = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+    rows[0][1] += tiny
+    with pytest.raises(InvariantViolationError):
+        SkewEndo(s4, rows)
+    frame = [s4.basis_vector(1), s4.vector([tiny, 1, 0, 0])]
+    with pytest.raises(InvalidFrameError):
+        splitting_q(frame, s4.basis_form(1, 2))

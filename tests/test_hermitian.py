@@ -270,3 +270,11 @@ def test_nonstandard_structure_accepted():
     assert j_pullback(j_alt, omega_alt) == omega_alt
     assert curly_j(j_alt, omega_alt).is_zero()
     assert lambda_basis(j_alt, 2).dim == 2
+
+
+def test_exact_structure_check_stays_exact():
+    """A defect that float() rounds to zero is still rejected."""
+    rows = [list(row) for row in J4.rows]
+    rows[0][1] += Fraction(1, 10**400)
+    with pytest.raises(InvariantViolationError):
+        ComplexStructure(S4, rows)

@@ -1,12 +1,20 @@
 """Lefschetz-type operators, the contraction pairing family, and alpha_Omega."""
 
+from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from hodgelab.errors import ContractionUnderflowError, NotInLambdaPError
 from hodgelab.exterior import Form, Space, basis_masks, inner, wedge
-from hodgelab.hermitian import ComplexStructure, bidegree_project, j_pullback, lambda_basis
+from hodgelab.hermitian import (
+    ComplexStructure,
+    LambdaBasis,
+    bb_j_matrix,
+    bidegree_project,
+    j_pullback,
+    lambda_basis,
+)
 from hodgelab.lefschetz import (
     alpha_from_holomorphic,
     is_primitive,
@@ -17,6 +25,7 @@ from hodgelab.lefschetz import (
     primitive_basis,
 )
 from hodgelab.rng import SplitMix64, random_form
+from hodgelab.tensor_maps import _wedge_table, a_full_matrix
 
 S4 = Space(4)
 J4 = ComplexStructure.standard(S4)
@@ -51,9 +60,38 @@ def test_kahler_form_structure():
 
 
 def test_kahler_form_is_built_once_per_structure():
+    """kahler_form and every other per-structure table is built once per
+    structure and arguments; an equal but fresh structure builds its own."""
     j = ComplexStructure.standard(Space(6))
-    assert kahler_form(j) is kahler_form(j)
-    assert kahler_form(ComplexStructure.standard(Space(6))) == kahler_form(j)
+    fresh = ComplexStructure.standard(Space(6))
+    tables = [
+        (kahler_form, ()),
+        (lambda_basis, (2,)),
+        (bb_j_matrix, (2,)),
+        (primitive_basis, (3,)),
+        (_wedge_table, (1, 2)),
+        (a_full_matrix, (1, 2)),
+    ]
+
+    def content(table):
+        return (table.forms, table.norms_sq) if isinstance(table, LambdaBasis) else table
+
+    for build, args in tables:
+        first = build(j, *args)
+        assert build(j, *args) is first, build.__name__
+        other = build(fresh, *args)
+        assert other is not first, build.__name__
+        assert content(other) == content(first), build.__name__
+    assert lambda_basis(j, 1) is not lambda_basis(j, 2)
+    assert _wedge_table(j, 2, 1) is not _wedge_table(j, 1, 2)
+
+
+def test_is_primitive_stays_exact():
+    """A defect that float() rounds to zero still makes a form non-primitive."""
+    tiny = Fraction(1, 10**400)
+    e13 = S4.basis_form(1, 3)
+    assert is_primitive(J4, e13)
+    assert not is_primitive(J4, e13 + tiny * OMEGA4)
 
 
 def test_lefschetz_l_examples():

@@ -92,8 +92,7 @@ class Space:
             raise ValueError(f"unknown backend {backend!r}")
         self.dim = dim
         self.backend = backend
-        exact = backend == "exact"
-        self.zero, self.one, self.tol = (0, 1, 0) if exact else (0.0, 1.0, FLOAT_TOL)
+        self.zero, self.one, self.tol = (0, 1, 0) if backend == "exact" else (0.0, 1.0, FLOAT_TOL)
 
     def __eq__(self, other):
         return (

@@ -12,6 +12,7 @@ Q psi = sum_{e in H} (e -| psi) ^ e^flat with spectrum (-1)^(p-1) j.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -40,8 +41,9 @@ class SkewEndo:
         if len(rows) != space.dim or any(len(r) != space.dim for r in rows):
             raise InvariantViolationError("matrix shape must match the space dimension")
         n = space.dim
-        bound = space.tol * max(1, max(abs(v) for row in rows for v in row))
-        if any(abs(rows[i][j] + rows[j][i]) > bound for i in range(n) for j in range(n)):
+        # relative to the largest entry; a zero tolerance needs no scale
+        bound = space.tol and space.tol * max(1, max(map(abs, chain.from_iterable(rows))))
+        if any(abs(rows[i][j] + rows[j][i]) > bound for i in range(n) for j in range(i, n)):
             raise InvariantViolationError("matrix is not skew-symmetric")
         self.space = space
         self.rows = rows

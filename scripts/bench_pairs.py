@@ -42,10 +42,14 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def src_lines(checkout: Path) -> int:
-    return sum(len(p.read_text().splitlines()) for p in (checkout / "src" / "hodgelab").glob("*.py"))
+    files = (checkout / "src" / "hodgelab").glob("*.py")
+    return sum(len(p.read_text().splitlines()) for p in files)
 
 
 def commit_of(checkout: Path):
+    """HEAD of a git checkout; None for an exported tree."""
+    if not (checkout / ".git").exists():
+        return None
     done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
                           capture_output=True, text=True)
     return done.stdout.strip() if done.returncode == 0 else None
@@ -106,7 +110,8 @@ def summarize(workload: str, seeds: list[int], runs: list[dict], metrics: list[d
                   for s in SIDES}
         stats = {s: side_stats(values[s]) for s in SIDES}
         change = stats["change"]["median"] / stats["parent"]["median"] - 1
-        wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
+        paired = zip(values["parent"], values["change"])
+        wins = sum((c < p) if lower else (c > p) for p, c in paired)
         worse = change if lower else -change
         out["metrics"][name] = {
             "unit": metric["unit"], "better": metric["better"], **stats,

@@ -173,7 +173,9 @@ def test_cor_4_12_identity_cases_report_their_residual(monkeypatch):
     from hodgelab import campaigns
 
     real = campaigns.obstruction_kernel
-    monkeypatch.setattr(campaigns, "obstruction_kernel", lambda td, restrict: real(td, restrict) + 1)
+    monkeypatch.setattr(
+        campaigns, "obstruction_kernel", lambda td, restrict: real(td, restrict) + 1
+    )
     cases = {c.id: c for c in campaigns.run_cor_4_12(3, [1])}
     for case_id in ("identity/complex", "identity/real"):
         assert not cases[case_id].passed

@@ -9,7 +9,9 @@ Givens-rotated J and a float J; ``bb_j`` and ``bb_j_matrix`` are compared
 with their constructions on top of the oracle.
 
 ``lefschetz_lstar`` is the wedge adjoint of omega; its oracle is the
-contraction formula 1/2 sum_i J e_i -| (e_i -| beta).  ``a_restricted_rank``
+contraction formula 1/2 sum_i J e_i -| (e_i -| beta).  ``p_k`` contracts
+through the wedge adjoints of e^I and J e^I; its oracle is the iterated
+single contractions against e_i and J e_i.  ``a_restricted_rank``
 multiplies the antisymmetrization by the commuting projector; its oracle
 sums each column of that product out of wedge-table forms.
 
@@ -21,6 +23,7 @@ twice-rotated rational J.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -49,7 +52,7 @@ from hodgelab.hermitian import (
     lambda_basis,
     lambda_p_project,
 )
-from hodgelab.lefschetz import kahler_form, lefschetz_lstar
+from hodgelab.lefschetz import kahler_form, lefschetz_lstar, p_k
 from hodgelab.linalg import add_scaled, exact_rank
 from hodgelab.rng import SplitMix64, random_form
 from hodgelab.tensor_maps import _commuting_projector, _wedge_table, a_restricted_rank
@@ -220,6 +223,38 @@ def test_lstar_matches_the_contraction_formula(kind, n):
         forms.append(random_form(space, p, rng, integer=True, terms=6))
         for beta in forms:
             assert_same(lefschetz_lstar(j, beta), contraction_lstar(j, beta))
+
+
+def contraction_p_k(j_struct, alpha, beta, k):
+    """P_k by iterated contractions: k! times the sum over increasing
+    (i1 < ... < ik) of (e_i1 -| ... -| e_ik -| alpha) ^ (J e_i1 -| ... -| J e_ik -| beta)."""
+    space = alpha.space
+    if k == 0:
+        return wedge(alpha, beta)
+    out = space.zero_form(alpha.degree + beta.degree - 2 * k)
+    for combo in combinations(range(1, space.dim + 1), k):
+        left, right = alpha, beta
+        for i in reversed(combo):  # innermost contraction uses the last index
+            left = contract_index(i, left)
+            right = contract(j_struct.basis_image(i), right)
+        out = out + wedge(left, right)
+    return factorial(k) * out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", DIMS)
+def test_p_k_matches_the_iterated_contractions(kind, n):
+    j = structure(kind, n)
+    space = j.space
+    rng = SplitMix64(4000 * n + KINDS.index(kind))
+    degrees = range(1, min(4, n) + 1)
+    for r in degrees:
+        for s in degrees:
+            alpha = random_form(space, r, rng, terms=6)
+            beta = random_form(space, s, rng, terms=6)
+            # the result degree r + s - 2k must not pass n
+            for k in range(max(0, r + s - n + 1) // 2, min(r, s) + 1):
+                assert_same(p_k(j, alpha, beta, k), contraction_p_k(j, alpha, beta, k))
 
 
 def column_sum_restricted_rank(j_struct, p, q):

@@ -4,7 +4,7 @@
         [--backend exact|float] [--json out.json]
     hodgelab decompose <file>
 
-Exit codes: 0 pass, 1 verification failure, 2 usage or parse error,
+Exit codes: 0 pass, 1 verification failure, 2 usage, parse or write error,
 3 numerical conditioning failure.  A seed list may name at most MAX_SEEDS
 seeds; a repeated seed or dimension runs once.
 """
@@ -63,6 +63,8 @@ def _parse_dims(values) -> list[int]:
         for part in str(v).split(","):
             if part.strip():
                 out.append(int(part))
+    if not out:
+        raise ValueError("no dims given")
     return out
 
 
@@ -108,8 +110,12 @@ def _cmd_verify(args) -> int:
     payload = report.to_json()
     sys.stdout.write(payload)
     if args.json_path:
-        with open(args.json_path, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.json_path, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write {args.json_path}: {exc}", file=sys.stderr)
+            return 2
     print(
         f"{report.campaign}: {report.summary['passed']}/{report.summary['total']} cases passed "
         f"in {report.wall_time:.2f}s",

@@ -346,28 +346,12 @@ def wedge(alpha: Form, beta: Form) -> Form:
 
 def contract_index(i: int, alpha: Form) -> Form:
     """Interior product e_i -| alpha for a single 1-based basis index."""
-    if alpha.degree == 0:
-        raise DegreeUnderflowError("cannot contract a degree-0 form")
-    bit = 1 << (i - 1)
-    out: dict = {}
-    for m, c in alpha.coeffs.items():
-        if m & bit:
-            sign = -1 if (m & (bit - 1)).bit_count() & 1 else 1
-            out[m ^ bit] = c * sign
-    return Form(alpha.space, alpha.degree - 1, out)
+    return adjoint_wedge(Form(alpha.space, 1, {1 << (i - 1): alpha.space.one}), alpha)
 
 
 def contract(x: Vector, alpha: Form) -> Form:
     """Interior product (x -| alpha)(v1, ..., v_{p-1}) = alpha(x, v1, ...)."""
-    if alpha.space != x.space:
-        raise SpaceMismatchError(f"{alpha.space} vs {x.space}")
-    if alpha.degree == 0:
-        raise DegreeUnderflowError("cannot contract a degree-0 form")
-    out = alpha.space.zero_form(alpha.degree - 1)
-    for i, comp in enumerate(x.components, start=1):
-        if comp != 0:
-            out = out + comp * contract_index(i, alpha)
-    return out
+    return adjoint_wedge(x.dual_one_form(), alpha)
 
 
 def inner(alpha: Form, beta: Form):
@@ -400,7 +384,12 @@ def hodge_star(alpha: Form) -> Form:
 
 
 def adjoint_wedge(phi: Form, psi: Form) -> Form:
-    """Metric adjoint of wedging by phi:  <adjoint_wedge(phi, psi), chi> = <psi, phi ^ chi>."""
+    """Metric adjoint of wedging by phi:  <adjoint_wedge(phi, psi), chi> = <psi, phi ^ chi>.
+
+    The one interior-product kernel: for a 1-form phi = x^flat this is
+    x -| psi, and for phi = e^{i1} ^ ... ^ e^{ik} it is
+    e_ik -| ... -| e_i1 -| psi (the first index contracts innermost).
+    """
     if phi.space != psi.space:
         raise SpaceMismatchError(f"{phi.space} vs {psi.space}")
     if psi.degree < phi.degree:

@@ -4,19 +4,20 @@ L is wedging with the fundamental 2-form omega = g(J., .); its metric
 adjoint Lstar is computed as adjoint_wedge(omega, .).  The contraction
 formula Lstar(beta) = 1/2 sum_i J e_i -| (e_i -| beta) is the oracle it is
 tested against, so the 1/2 cannot drift.  P_k contracts k slots of one
-form against J-rotated slots of the other; the sum runs over all ordered
-k-tuples of basis indices (computed over increasing tuples with the k!
-multiplicity factored in, which is the same value).
+form against J-rotated slots of the other, summed over all ordered k-tuples
+of basis indices.  Tuples with a repeated index contribute nothing, so it is
+computed as (-1)^k k! sum_{|I|=k} adjoint_wedge(e^I, alpha) ^
+adjoint_wedge(J e^I, beta) over increasing I; the sign comes from
+(J e_i)^flat = -J e^i for the orthogonal J with J^2 = -1.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import factorial
 
 from .errors import ContractionUnderflowError, NotInLambdaPError, SpaceMismatchError
 from .exterior import Form, adjoint_wedge, basis_masks, contract, contract_index, inner, wedge
-from .hermitian import ComplexStructure, in_lambda_p, per_structure
+from .hermitian import ComplexStructure, in_lambda_p, j_pullback, per_structure
 from .linalg import exact_nullspace
 
 
@@ -59,10 +60,11 @@ def is_primitive(j_struct: ComplexStructure, alpha: Form) -> bool:
 def p_k(j_struct: ComplexStructure, alpha: Form, beta: Form, k: int) -> Form:
     """The k-fold contraction pairing of degree r + s - 2k.
 
-    P_0 is the plain wedge; for primitive p-forms P_p(alpha, beta) is the
-    scalar p! <alpha, J beta>.  Tuples with a repeated index contribute
-    nothing, so the ordered-tuple sum equals k! times the increasing-tuple
-    sum computed here.
+    P_k(alpha, beta) = (-1)^k k! sum over increasing I of
+    adjoint_wedge(e^I, alpha) ^ adjoint_wedge(J e^I, beta), with J e^I the
+    pullback j_pullback(J, e^I); both factors contract in the same order, and
+    the sign is that of (J e_i)^flat = -J e^i.  P_0 is the plain wedge; for
+    primitive p-forms P_p(alpha, beta) is the scalar p! <alpha, J beta>.
     """
     if alpha.space != beta.space or alpha.space != j_struct.space:
         raise SpaceMismatchError("operands live on different spaces")
@@ -73,20 +75,12 @@ def p_k(j_struct: ComplexStructure, alpha: Form, beta: Form, k: int) -> Form:
     if k == 0:
         return wedge(alpha, beta)
     out = space.zero_form(r + s - 2 * k)
-    j_images = [j_struct.basis_image(i) for i in range(1, space.dim + 1)]
-    for combo in combinations(range(1, space.dim + 1), k):
-        left = alpha
-        right = beta
-        for i in reversed(combo):  # innermost contraction uses the last index
-            left = contract_index(i, left)
-            if left.is_zero():
-                break
-            right = contract(j_images[i - 1], right)
-            if right.is_zero():
-                break
-        else:
-            out = out + wedge(left, right)
-    return factorial(k) * out
+    for mask in basis_masks(space.dim, k):
+        e_mask = Form(space, k, {mask: space.one})
+        left = adjoint_wedge(e_mask, alpha)
+        if not left.is_zero():
+            out = out + wedge(left, adjoint_wedge(j_pullback(j_struct, e_mask), beta))
+    return ((-1) ** k * factorial(k)) * out
 
 
 def alpha_from_holomorphic(j_struct: ComplexStructure, omega_form: Form) -> Form:

@@ -52,6 +52,21 @@ def test_verify_bad_seed_syntax_exit_two():
     assert proc.returncode == 2
 
 
+def test_verify_empty_dim_list_exit_two(capsys):
+    assert cli.main(["verify", "prop-4.1", "--dim", ",", "--seeds", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "no dims given" in err
+
+
+def test_verify_unwritable_json_path_exit_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    args = ["verify", "prop-4.1", "--dim", "4", "--seeds", "1", "--json", str(target)]
+    assert cli.main(args) == 2
+    assert f"error: cannot write {target}" in capsys.readouterr().err
+    assert not target.exists()
+
+
 def test_repeated_seeds_and_dims_are_dropped():
     # run_campaign keeps the first appearance of each dim and seed, so a
     # campaign whose body ignores the dimension (lemma-4.4) runs once too

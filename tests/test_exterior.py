@@ -1,8 +1,10 @@
 """Exterior algebra: frozen examples, independent oracles, and properties."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
+from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +22,11 @@ from hodgelab.exterior import (
     adjoint_wedge,
     basis_masks,
     contract,
+    contract_index,
     hodge_star,
     indices_to_mask,
     inner,
+    mask_to_indices,
     wedge,
 )
 from hodgelab.rng import SplitMix64, random_form, random_vector
@@ -71,6 +75,114 @@ def shuffle_wedge(alpha, beta):
         if total != 0:
             coeffs[mask] = total
     return Form(space, p + q, coeffs)
+
+
+# -- dense alternating-tensor model ---------------------------------------
+#
+# A p-form is the n^p numpy array of its values on basis tuples, with
+# e^{i1...ip}(e_i1, ..., e_ip) = 1.  The model runs on integer forms, so
+# int64 arrays keep it exact; each division below is checked to be exact.
+
+
+def dense(alpha):
+    """The alternating array of alpha's values on basis tuples."""
+    n, p = alpha.space.dim, alpha.degree
+    t = np.zeros((n,) * p, dtype=np.int64)
+    for mask, c in alpha.coeffs.items():
+        idx = [i - 1 for i in mask_to_indices(mask)]
+        for perm in permutations(range(p)):
+            t[tuple(idx[k] for k in perm)] = _permutation_sign(perm) * c
+    return t
+
+
+def exact_div(t, d):
+    assert not np.any(t % d)
+    return t // d
+
+
+def dense_wedge(a, b):
+    """(a ^ b)(v_1, ..., v_{p+q}) = 1/(p! q!) sum_sigma sgn(sigma) (a (x) b)(v_sigma)."""
+    p, q = a.ndim, b.ndim
+    outer = np.multiply.outer(a, b)
+    total = sum(_permutation_sign(perm) * np.transpose(outer, perm)
+                for perm in permutations(range(p + q)))
+    return exact_div(total, factorial(p) * factorial(q))
+
+
+def dense_adjoint(phi, psi):
+    """adjoint_wedge(phi, psi)_J = 1/p! sum_I phi_I psi_{I J} over all p-tuples I."""
+    return exact_div(np.tensordot(phi, psi, axes=phi.ndim), factorial(phi.ndim))
+
+
+def dense_inner(a, b):
+    return exact_div(np.sum(a * b), factorial(a.ndim))
+
+
+def dense_star(a, n):
+    """(star a)_J = 1/p! sum_I a_I eps_{I J} with the Levi-Civita tensor eps."""
+    eps = dense(Space(n).volume_form())
+    return exact_div(np.tensordot(a, eps, axes=a.ndim), factorial(a.ndim))
+
+
+def assert_dense_equal(form, t):
+    """Compare as full arrays, so the antisymmetry of t is checked too."""
+    t = np.asarray(t)  # indexing and sums turn 0-d arrays into scalars
+    assert form.degree == t.ndim
+    assert np.array_equal(dense(form), t)
+
+
+def test_dense_model_convention():
+    s = Space(3)
+    e1, e2, e12 = dense(s.basis_form(1)), dense(s.basis_form(2)), dense(s.basis_form(1, 2))
+    assert e12[0, 1] == 1 and e12[1, 0] == -1
+    assert np.array_equal(dense_wedge(e1, e2), e12)
+    assert dense_inner(e12, e12) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_exterior_matches_the_dense_model(n):
+    """Every basis form and two random integer forms per degree, against
+    random integer forms of every degree that fits."""
+    space = Space(n)
+    rng = SplitMix64(7000 + n)
+    forms = {
+        p: [Form(space, p, {m: 1}) for m in basis_masks(n, p)]
+        + [random_form(space, p, rng, terms=3, integer=True) for _ in range(2)]
+        for p in range(n + 1)
+    }
+    for p in range(n + 1):
+        for a in forms[p]:
+            da = dense(a)
+            assert_dense_equal(hodge_star(a), dense_star(da, n))
+            if p >= 1:
+                x = random_vector(space, rng)
+                comps = np.array(x.components, dtype=np.int64)
+                assert_dense_equal(contract(x, a), np.tensordot(comps, da, axes=1))
+                for i in range(1, n + 1):
+                    assert_dense_equal(contract_index(i, a), da[i - 1])
+            for b in forms[p][-2:]:
+                assert inner(a, b) == dense_inner(da, dense(b))
+            for q in range(n + 1 - p):
+                for b in forms[q][-2:]:
+                    assert_dense_equal(wedge(a, b), dense_wedge(da, dense(b)))
+            for q in range(p, n + 1):
+                for psi in forms[q][-2:]:
+                    assert_dense_equal(adjoint_wedge(a, psi), dense_adjoint(da, dense(psi)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_contract_fills_the_first_slot(n):
+    """(x -| alpha)(e_I) = sum_i x_i alpha(e_i, e_I) on every ordered tuple I."""
+    space = Space(n)
+    rng = SplitMix64(8000 + n)
+    for p in range(1, n + 1):
+        for _ in range(3):
+            alpha = random_form(space, p, rng)
+            x = random_vector(space, rng)
+            got = contract(x, alpha)
+            for idx in product(range(1, n + 1), repeat=p - 1):
+                want = sum(c * evaluate(alpha, i, *idx) for i, c in enumerate(x.components, 1))
+                assert evaluate(got, *idx) == want
 
 
 # -- frozen examples -----------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -27,6 +27,7 @@ from .exterior import (
     wedge,
 )
 from .frames import (
+    FRAME_TOL,
     ComplexForm,
     FrameTriple,
     TransitionData,
@@ -40,6 +41,8 @@ from .frames import (
     transition_p,
 )
 from .harmonic import (
+    MOMENT_TOL,
+    SPECTRAL_TOL,
     SkewEndo,
     compatible_patch_dim6,
     endo_form,
@@ -100,7 +103,7 @@ class Report:
     dims: list
     cases: list
     summary: dict
-    wall_time: float = field(default=0.0)
+    wall_time: float
 
     def to_payload(self) -> dict:
         """The serializable report; wall time is deliberately excluded."""
@@ -168,7 +171,7 @@ def _random_combination(space, degree, basis, rng, terms=2):
 def _p_or_zero(j_struct, alpha, beta, k, out_degree):
     """P_k extended by zero when a factor is zero or too shallow to contract."""
     if alpha.is_zero() or beta.is_zero() or k > min(alpha.degree, beta.degree):
-        return alpha.space.zero_form(max(out_degree, 0))
+        return alpha.space.zero_form(out_degree)
     return p_k(j_struct, alpha, beta, k)
 
 
@@ -426,7 +429,7 @@ def run_prop_4_2(dim, seeds):
         if cand.compatible:
             c_endo = np.array([[float(v) for v in row] for row in form_endo(cand.form).rows])
             cand_res = max(cand_res, float(np.max(np.abs(c_endo @ c_endo + np.eye(dim)))))
-        passed = rec <= 1e-8 and moment_res <= 1e-6 and cand_res <= 1e-8
+        passed = rec <= SPECTRAL_TOL and moment_res <= MOMENT_TOL and cand_res <= SPECTRAL_TOL
         yield CaseResult(f"dim{dim}/seed{seed}", passed, max(rec, moment_res, cand_res), seed)
 
 
@@ -462,7 +465,7 @@ def run_lemma_4_4(dim, seeds):
         patched = compatible_patch_dim6(alpha)
         c = np.array([[float(v) for v in row] for row in form_endo(patched).rows])
         residual = float(np.max(np.abs(c @ c + np.eye(6))))
-        yield CaseResult(f"seed{seed}", residual <= 1e-8, residual, seed)
+        yield CaseResult(f"seed{seed}", residual <= SPECTRAL_TOL, residual, seed)
 
 
 def run_lemma_4_8(dim, seeds):
@@ -486,7 +489,7 @@ def run_lemma_4_8(dim, seeds):
             acc = r[i, 0] * crossed[0] + r[i, 1] * crossed[1] + r[i, 2] * crossed[2]
             diff = alpha.wedge(frame.gammas[i]) - acc
             worst = max(worst, float(np.sqrt(diff.norm_sq())))
-        yield CaseResult(f"seed{seed}", worst <= 1e-9, float(worst), seed)
+        yield CaseResult(f"seed{seed}", worst <= FRAME_TOL, float(worst), seed)
 
 
 def run_prop_4_11(dim, seeds):
@@ -528,7 +531,7 @@ def run_prop_4_11(dim, seeds):
             worst = max(
                 worst, float(np.sqrt((lhs2[i] - (1 / td.k) * b_wedge_gamma[i]).norm_sq()))
             )
-        yield CaseResult(f"seed{seed}", worst <= 1e-9, worst, seed)
+        yield CaseResult(f"seed{seed}", worst <= FRAME_TOL, worst, seed)
 
 
 def run_cor_4_12(dim, seeds):

@@ -124,12 +124,7 @@ class Space:
 
     def basis_form(self, *indices) -> "Form":
         """The basis form e^{i1} ^ ... ^ e^{ip} for increasing 1-based indices."""
-        idx = tuple(indices)
-        if any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
-            raise ValueError("indices must be strictly increasing")
-        if idx and (idx[0] < 1 or idx[-1] > self.dim):
-            raise ValueError("index out of range")
-        return Form(self, len(idx), {indices_to_mask(idx): self.one})
+        return self.form(len(indices), {indices: self.one})
 
     def form(self, degree: int, terms) -> "Form":
         """Build a form from a mapping {index tuple: coefficient}."""
@@ -291,19 +286,11 @@ class Vector:
                 coeffs[1 << i] = c
         return Form(self.space, 1, coeffs)
 
-    def __add__(self, other: "Vector") -> "Vector":
-        if self.space != other.space:
-            raise SpaceMismatchError(f"{self.space} vs {other.space}")
-        return Vector(self.space, [a + b for a, b in zip(self.components, other.components)])
-
     def __mul__(self, scalar) -> "Vector":
         scalar = self.space.scalar(scalar)
         return Vector(self.space, [c * scalar for c in self.components])
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return Vector(self.space, [-c for c in self.components])
 
     def __eq__(self, other):
         return (
@@ -378,8 +365,6 @@ def hodge_star(alpha: Form) -> Form:
     for m, c in alpha.coeffs.items():
         comp = full ^ m
         out[comp] = c * merge_sign(m, comp)
-    if not alpha.coeffs and alpha.degree <= n:
-        return Form(alpha.space, n - alpha.degree, {})
     return Form(alpha.space, n - alpha.degree, out)
 
 

@@ -55,10 +55,6 @@ class ComplexForm:
         self.im = im
 
     @property
-    def degree(self):
-        return self.re.degree
-
-    @property
     def space(self):
         return self.re.space
 
@@ -94,9 +90,6 @@ class ComplexForm:
 
     def __sub__(self, other: "ComplexForm") -> "ComplexForm":
         return ComplexForm(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return ComplexForm(-self.re, -self.im)
 
     def __mul__(self, scalar) -> "ComplexForm":
         scalar = complex(scalar)

@@ -48,12 +48,6 @@ class SkewEndo:
         self.space = space
         self.rows = rows
 
-    def __add__(self, other: "SkewEndo") -> "SkewEndo":
-        if self.space != other.space:
-            raise SpaceMismatchError(f"{self.space} vs {other.space}")
-        total = combine(sparse_rows(self.rows), sparse_rows(other.rows))
-        return SkewEndo(self.space, dense_rows(total, self.space.dim))
-
     def __mul__(self, scalar) -> "SkewEndo":
         return SkewEndo(self.space, [[v * scalar for v in row] for row in self.rows])
 
@@ -83,7 +77,8 @@ def form_endo(alpha: Form) -> SkewEndo:
 
 
 def endo_form(a: SkewEndo) -> Form:
-    """Inverse of form_endo."""
+    """Inverse of form_endo: omega(e_i, e_j) = a.rows[j][i].  Reads only
+    ``space`` and ``rows``, so a ComplexStructure gives its Kahler form."""
     coeffs = {}
     n = a.space.dim
     for i in range(n):

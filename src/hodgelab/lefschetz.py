@@ -17,24 +17,17 @@ from math import factorial
 
 from .errors import ContractionUnderflowError, NotInLambdaPError, SpaceMismatchError
 from .exterior import Form, adjoint_wedge, basis_masks, contract, contract_index, inner, wedge
+from .harmonic import endo_form
 from .hermitian import ComplexStructure, in_lambda_p, j_pullback, per_structure
 from .linalg import exact_nullspace
 
 
 @per_structure
 def kahler_form(j_struct: ComplexStructure) -> Form:
-    """omega(X, Y) = <J X, Y>; for the standard structure this is
-    sum_i e^{2i-1} ^ e^{2i}.  Built once per structure and cached."""
-    space = j_struct.space
-    coeffs = {}
-    n = space.dim
-    for i in range(1, n + 1):
-        col = [row[i - 1] for row in j_struct.rows]
-        for j in range(i + 1, n + 1):
-            val = col[j - 1]  # omega(e_i, e_j) = (J e_i)_j
-            if val != 0:
-                coeffs[(1 << (i - 1)) | (1 << (j - 1))] = val
-    return Form(space, 2, coeffs)
+    """omega(X, Y) = <J X, Y>, the 2-form of the skew matrix J; for the
+    standard structure this is sum_i e^{2i-1} ^ e^{2i}.  Built once per
+    structure and cached."""
+    return endo_form(j_struct)
 
 
 def lefschetz_l(omega: Form, alpha: Form) -> Form:
@@ -65,6 +58,8 @@ def p_k(j_struct: ComplexStructure, alpha: Form, beta: Form, k: int) -> Form:
     pullback j_pullback(J, e^I); both factors contract in the same order, and
     the sign is that of (J e_i)^flat = -J e^i.  P_0 is the plain wedge; for
     primitive p-forms P_p(alpha, beta) is the scalar p! <alpha, J beta>.
+    Like P_0, a P_k whose degree would exceed the dimension is the zero form
+    of top degree.
     """
     if alpha.space != beta.space or alpha.space != j_struct.space:
         raise SpaceMismatchError("operands live on different spaces")
@@ -74,7 +69,7 @@ def p_k(j_struct: ComplexStructure, alpha: Form, beta: Form, k: int) -> Form:
     space = alpha.space
     if k == 0:
         return wedge(alpha, beta)
-    out = space.zero_form(r + s - 2 * k)
+    out = space.zero_form(min(r + s - 2 * k, space.dim))
     for mask in basis_masks(space.dim, k):
         e_mask = Form(space, k, {mask: space.one})
         left = adjoint_wedge(e_mask, alpha)

@@ -4,9 +4,9 @@ A linear map is a list of {column: value} rows without zeros; ``compose``
 and ``combine`` multiply and add such maps, and ``sparse_rows``/``dense_rows``
 convert the dense matrices that numpy and the JSON codecs read.  Rank and
 nullspace share one sparse fraction elimination with a shortest-row pivot
-heuristic (dense rows are accepted too), fast enough for every shipped
-system, the largest constrained-torsion one included (a few thousand rows,
-a few hundred columns).
+heuristic over {column: value} rows of a given width, fast enough for every
+shipped system, the largest constrained-torsion one included (a few
+thousand rows, a few hundred columns).
 """
 
 from __future__ import annotations
@@ -25,23 +25,14 @@ def add_scaled(row: dict, factor, other: dict) -> dict:
     return row
 
 
-def _eliminate(matrix, ncols: int | None):
-    """Forward elimination; returns ({pivot column: pivot row}, ncols).
+def _eliminate(matrix, ncols: int):
+    """Forward elimination of {column: value} rows; returns {pivot column: pivot row}.
 
     Columns are taken in increasing order and each is pivoted on the
     shortest remaining row containing it, so every pivot row is zero left
-    of its pivot column.  Without ``ncols`` the width is read off the rows.
+    of its pivot column.  The rows are copied, never modified.
     """
-    active = []
-    width = 0
-    for row in matrix:
-        dense = not isinstance(row, dict)
-        r = {c: v for c, v in (enumerate(row) if dense else row.items()) if v != 0}
-        width = max(width, len(row) if dense else 1 + max(r, default=-1))
-        if r:
-            active.append(r)
-    if ncols is None:
-        ncols = width
+    active = [r for r in ({c: v for c, v in row.items() if v != 0} for row in matrix) if r]
     pivots = {}
     for col in range(ncols):
         if not active:
@@ -62,15 +53,16 @@ def _eliminate(matrix, ncols: int | None):
             if r:
                 remaining.append(r)
         active = remaining
-    return pivots, ncols
+    return pivots
 
 
-def exact_rank(matrix, ncols: int | None = None) -> int:
-    """Rank over the rationals of a matrix with int/Fraction entries."""
-    return len(_eliminate(matrix, ncols)[0])
+def exact_rank(matrix, ncols: int) -> int:
+    """Rank over the rationals of {column: value} rows with int/Fraction
+    entries in columns 0..ncols-1."""
+    return len(_eliminate(matrix, ncols))
 
 
-def exact_nullspace(matrix, ncols: int | None = None):
+def exact_nullspace(matrix, ncols: int):
     """Basis of the rational nullspace, as sparse {column: Fraction} vectors.
 
     The pivot rows are back-substituted into the reduced row echelon form,
@@ -79,7 +71,7 @@ def exact_nullspace(matrix, ncols: int | None = None):
     and 0 elsewhere; only pivots left of f have an entry at f, so the keys
     increase.  A matrix without rows has the identity basis.
     """
-    pivots, ncols = _eliminate(matrix, ncols)
+    pivots = _eliminate(matrix, ncols)
     reduced = {}
     for col in sorted(pivots, reverse=True):
         row = pivots[col]

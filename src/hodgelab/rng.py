@@ -34,11 +34,11 @@ class SplitMix64:
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return lo + (hi - lo) * (self.next_u64() / 2.0**64)
 
-    def rational(self, zero_ok: bool = True) -> Fraction:
+    def rational(self) -> Fraction:
+        """A nonzero rational with numerator in [-9, 9] and denominator in [1, 9]."""
         num = self.randint(-9, 9)
-        if not zero_ok:
-            while num == 0:
-                num = self.randint(-9, 9)
+        while num == 0:
+            num = self.randint(-9, 9)
         return Fraction(num, self.randint(1, 9))
 
     def small_int(self, zero_ok: bool = True) -> int:
@@ -47,9 +47,6 @@ class SplitMix64:
             while v == 0:
                 v = self.randint(-9, 9)
         return v
-
-    def choice(self, seq):
-        return seq[self.next_u64() % len(seq)]
 
 
 def random_form(space, degree: int, rng: SplitMix64, terms: int | None = None,
@@ -70,7 +67,7 @@ def random_form(space, degree: int, rng: SplitMix64, terms: int | None = None,
     for _ in range(terms):
         mask = masks[rng.next_u64() % len(masks)]
         if space.backend == "exact":
-            val = rng.small_int(zero_ok=False) if integer else rng.rational(zero_ok=False)
+            val = rng.small_int(zero_ok=False) if integer else rng.rational()
         else:
             val = rng.uniform(-1.0, 1.0)
         coeffs[mask] = coeffs.get(mask, 0) + val

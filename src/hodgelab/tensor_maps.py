@@ -182,13 +182,6 @@ class FormValuedMap:
     def __sub__(self, other):
         return FormValuedMap(self.j, self.p, self.q, combine(self.rows, other.rows, 1, -1))
 
-    def __mul__(self, scalar):
-        return FormValuedMap(
-            self.j, self.p, self.q, [{c: v * scalar for c, v in row.items()} for row in self.rows]
-        )
-
-    __rmul__ = __mul__
-
     def is_zero(self) -> bool:
         return not any(self.rows)
 
@@ -352,15 +345,11 @@ def contraction_identity_check(q_map: FormValuedMap, x: Vector) -> bool:
                 out = out + comp * q_map.eval_tuple((m,) + rest)
         return out
 
+    def q_upper(mask):
+        return contract(x, q_map.eval_mask(mask))
+
     a_qx = antisymmetrize_multilinear(space, p - 1, q, q_x)
-
-    if q >= 1:
-        def q_upper(mask):
-            return contract(x, q_map.eval_mask(mask))
-
-        a_qupper = antisymmetrize_multilinear(space, p, q - 1, q_upper)
-    else:
-        a_qupper = space.zero_form(p)
+    a_qupper = antisymmetrize_multilinear(space, p, q - 1, q_upper)
     rhs = p * a_qx + ((-1) ** p) * a_qupper
     return lhs == rhs
 
@@ -463,8 +452,10 @@ class TorsionTensor:
     almost-Kahler intrinsic torsion:
 
     * cyclic sum <eta_X Y, Z> + <eta_Y Z, X> + <eta_Z X, Y> = 0,
-    * eta_{J X} = eta_X J,
-    * eta_X J = -J eta_X.
+    * eta_{J X} = eta_X J.
+
+    These imply eta_X J = -J eta_X: eta_X J = eta_{J X} is skew, and
+    (eta_X J)^T = J eta_X since J^T = -J.
     """
 
     __slots__ = ("j", "etas")
@@ -472,8 +463,9 @@ class TorsionTensor:
     def __init__(self, j_struct: ComplexStructure, etas):
         n = j_struct.space.dim
         etas = tuple(tuple(tuple(row) for row in eta) for eta in etas)
-        if len(etas) != n:
-            raise InvariantViolationError("need one skew map per basis direction")
+        if len(etas) != n or any(len(eta) != n or any(len(row) != n for row in eta)
+                                 for eta in etas):
+            raise InvariantViolationError("need one n x n skew map per basis direction")
         self.j = j_struct
         self.etas = etas
         self._validate()
@@ -496,17 +488,12 @@ class TorsionTensor:
                     lhs = combine(lhs, etas[b], 1, j_row[a])
             if lhs != eta_j:
                 raise InvariantViolationError("eta_{JX} = eta_X J fails")
-            if any(combine(eta_j, compose(J, etas[a]))):
-                raise InvariantViolationError("eta_X J = -J eta_X fails")
         for x in range(n):
             for y in range(x + 1, n):
                 for z in range(y + 1, n):
                     s = self.etas[x][z][y] + self.etas[y][x][z] + self.etas[z][y][x]
                     if s != 0:
                         raise InvariantViolationError("cyclic identity fails")
-
-    def is_zero(self):
-        return all(v == 0 for eta in self.etas for row in eta for v in row)
 
 
 def torsion_bullet(q_rows, eta: TorsionTensor):
@@ -550,17 +537,17 @@ def _bullet_rows(q_rows, n: int, skew):
     return rows
 
 
-def _commutation_rows(J, skew, base: int, sign):
-    """Rows of (F J + sign J F)[r][c] = 0 in the parameters of the skew F
-    at column ``base``; J is a dense n x n matrix."""
+def _commutation_rows(J, skew, sign):
+    """Rows of (F J + sign J F)[r][c] = 0 in the parameters of the skew F;
+    J is a dense n x n matrix."""
     n = len(J)
     rows = []
     for r in range(n):
         for c in range(n):
             row = {}
             for k in range(n):
-                _add_entry(row, skew, base, r, k, J[k][c])
-                _add_entry(row, skew, base, k, c, sign * J[r][k])
+                _add_entry(row, skew, 0, r, k, J[k][c])
+                _add_entry(row, skew, 0, k, c, sign * J[r][k])
             row = {col: v for col, v in row.items() if v != 0}
             if row:
                 rows.append(row)
@@ -568,7 +555,11 @@ def _commutation_rows(J, skew, base: int, sign):
 
 
 def _structural_rows(j_struct: ComplexStructure):
-    """Rows of the cyclic and J-compatibility constraints in eta parameters."""
+    """Rows of the cyclic and eta_{JX} = eta_X J constraints in eta parameters.
+
+    eta_X J = -J eta_X needs no rows: it lies in the span of these (see
+    ``TorsionTensor``).
+    """
     n = j_struct.space.dim
     J = j_struct.rows
     skew = _skew_params(n)
@@ -588,13 +579,11 @@ def _structural_rows(j_struct: ComplexStructure):
                 row = {col: v for col, v in row.items() if v != 0}
                 if row:
                     rows.append(row)
-        # eta_a J = -J eta_a
-        rows.extend(_commutation_rows(J, skew, base, 1))
     return rows, npairs
 
 
 def admissible_torsion_basis(j_struct: ComplexStructure):
-    """Exact basis of the torsion tensors satisfying the three constraints."""
+    """Exact basis of the torsion tensors satisfying the ``TorsionTensor`` constraints."""
     n = j_struct.space.dim
     rows, npairs = _structural_rows(j_struct)
     return [
@@ -618,7 +607,7 @@ def anti_invariant_skew_basis(j_struct: ComplexStructure):
 def _constrained_skew_basis(j_struct: ComplexStructure, commuting: bool):
     """The skew F with F J = J F (commuting) or F J = -J F, as {column: value} rows."""
     n = j_struct.space.dim
-    rows = _commutation_rows(j_struct.rows, _skew_params(n), 0, -1 if commuting else 1)
+    rows = _commutation_rows(j_struct.rows, _skew_params(n), -1 if commuting else 1)
     return [_skew_from_params(vec, n) for vec in exact_nullspace(rows, n * (n - 1) // 2)]
 
 

@@ -48,14 +48,8 @@ GOLDEN = {
     ("prop-4.2", 8): "727630a649bfb6ef7668942d1eb8ac3f9262b89eaa8de0e3f3528229682f2bf7",
 }
 
-# criteria 2 and 3 of tests/test_acceptance.py: prop-2.3 on seeds 1..40,
-# lemma-2.1 on seeds 1..200 and prop-2.2 at its defaults, all over the
-# default dims
-ACCEPTANCE_SEEDS = {
-    "prop-2.3": list(range(1, 41)),
-    "lemma-2.1": list(range(1, 201)),
-    "prop-2.2": None,
-}
+# criteria 2 and 3 of tests/test_acceptance.py, at the parameters of the
+# ``acceptance_report`` fixture in tests/conftest.py
 ACCEPTANCE_GOLDEN = {
     "prop-2.3": "e0cec6e64033ca98b1da1bc33000540d68ba6d91d9181d584c4b8cf6ad61ca4a",
     "lemma-2.1": "4a3ef7e3b590bdea6c1dd343695013d71652230407e9e776c10451999c324e42",
@@ -78,6 +72,5 @@ def test_report_hash_is_pinned(name, dim):
 
 
 @pytest.mark.parametrize("name", sorted(ACCEPTANCE_GOLDEN))
-def test_acceptance_report_hash_is_pinned(name):
-    report = run_campaign(Campaign(name, seeds=ACCEPTANCE_SEEDS[name]))
-    assert _digest(report) == ACCEPTANCE_GOLDEN[name]
+def test_acceptance_report_hash_is_pinned(name, acceptance_report):
+    assert _digest(acceptance_report(name)) == ACCEPTANCE_GOLDEN[name]

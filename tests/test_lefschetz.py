@@ -142,6 +142,19 @@ def test_p_k_examples():
         p_k(J4, S4.basis_form(1), S4.basis_form(1, 2), 2)
 
 
+@pytest.mark.parametrize("dim,r,s,k", [(4, 4, 4, 1), (4, 4, 3, 1), (4, 3, 4, 1), (6, 5, 4, 1),
+                                       (6, 5, 5, 1), (6, 6, 6, 2)])
+def test_p_k_above_top_degree_is_the_top_degree_zero(dim, r, s, k):
+    """Like P_0 = wedge, a P_k of degree r + s - 2k > n is the zero n-form."""
+    j_struct = ComplexStructure.standard(Space(dim))
+    rng = SplitMix64(dim * 100 + r * 10 + s)
+    alpha = random_form(j_struct.space, r, rng)
+    beta = random_form(j_struct.space, s, rng)
+    assert r + s - 2 * k > dim
+    assert p_k(j_struct, alpha, beta, k) == j_struct.space.zero_form(dim)
+    assert p_k(j_struct, alpha, beta, 0) == j_struct.space.zero_form(dim)
+
+
 @pytest.mark.parametrize("dim", [4, 6, 8])
 def test_p_p_evaluates_inner_product_on_primitive_forms(dim):
     """P_p(alpha, beta) = p! <alpha, J beta> for primitive p-forms."""

@@ -29,18 +29,8 @@ from hodgelab.linalg import (
 from hodgelab.tensor_maps import _structural_rows, a_full_matrix
 
 
-def _dense(rows, ncols):
-    out = []
-    for row in rows:
-        if isinstance(row, dict):
-            out.append([row.get(c, 0) for c in range(ncols)])
-        else:
-            out.append(list(row))
-    return out
-
-
 def _sympy_matrix(rows, ncols):
-    dense = _dense(rows, ncols)
+    dense = dense_rows(rows, ncols)
     entries = [sympy.Rational(Fraction(v).numerator, Fraction(v).denominator)
                for row in dense for v in row]
     return sympy.Matrix(len(dense), ncols, entries)
@@ -49,7 +39,7 @@ def _sympy_matrix(rows, ncols):
 def _assert_matches_sympy(rows, ncols):
     m = _sympy_matrix(rows, ncols)
     expected = [[Fraction(int(v.p), int(v.q)) for v in vec] for vec in m.nullspace()]
-    assert _dense(exact_nullspace(rows, ncols), ncols) == expected
+    assert dense_rows(exact_nullspace(rows, ncols), ncols) == expected
     assert exact_rank(rows, ncols) == m.rank()
 
 
@@ -76,33 +66,16 @@ def _sparse_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_sparse_matrices())
-def test_random_dense_rows_match_sympy(case):
-    dense, ncols = case
-    _assert_matches_sympy(dense, ncols)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_sparse_matrices())
 def test_random_dict_rows_match_sympy(case):
     dense, ncols = case
     rows = [{c: v for c, v in enumerate(row) if v != 0} for row in dense]
     _assert_matches_sympy(rows, ncols)
 
 
-@settings(max_examples=100, deadline=None)
-@given(_sparse_matrices())
-def test_width_defaults_to_the_dense_row_length(case):
-    dense, ncols = case
-    if not dense:
-        return
-    assert exact_nullspace(dense) == exact_nullspace(dense, ncols)
-    assert exact_rank(dense) == exact_rank(dense, ncols)
-
-
 @pytest.mark.parametrize("ncols", [1, 3, 5])
 def test_matrix_without_rows_has_the_identity_nullspace(ncols):
     identity = [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    assert _dense(exact_nullspace([], ncols), ncols) == identity
+    assert dense_rows(exact_nullspace([], ncols), ncols) == identity
     assert exact_rank([], ncols) == 0
     _assert_matches_sympy([], ncols)
 
@@ -135,7 +108,7 @@ def test_primitive_system_matches_sympy(dim):
         _assert_matches_sympy(rows, len(masks))
         expected = [
             Form(space, degree, {m: v for m, v in zip(masks, vec) if v != 0})
-            for vec in _dense(exact_nullspace(rows, len(masks)), len(masks))
+            for vec in dense_rows(exact_nullspace(rows, len(masks)), len(masks))
         ]
         assert primitive_basis(j, degree) == expected
 
@@ -151,7 +124,7 @@ def test_antisymmetrization_system_matches_sympy(p, q):
 @given(_sparse_matrices())
 def test_nullspace_vectors_have_increasing_keys_and_no_zeros(case):
     dense, ncols = case
-    for vec in exact_nullspace(dense, ncols) + exact_nullspace(sparse_rows(dense), ncols):
+    for vec in exact_nullspace(sparse_rows(dense), ncols):
         keys = list(vec)
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert all(v != 0 for v in vec.values())

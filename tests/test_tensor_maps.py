@@ -1,14 +1,19 @@
 """Type splitting, antisymmetrization ranks, holomorphy maps, and torsion."""
 
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
 from hodgelab.errors import DegreeOverflowError, InvalidDerivativeError, InvariantViolationError
 from hodgelab.exterior import Space, Vector, wedge
 from hodgelab.hermitian import ComplexStructure, bb_j, bb_j_matrix, lambda_basis, lambda_p_project
+from hodgelab.linalg import compose, dense_rows, exact_nullspace, exact_rank, sparse_rows
 from hodgelab.rng import SplitMix64, random_form, random_vector
 from hodgelab.tensor_maps import (
     FormValuedMap,
     TorsionTensor,
+    _structural_rows,
     admissible_torsion_basis,
     antisymmetrize,
     antisymmetrize_multilinear,
@@ -279,6 +284,96 @@ def test_torsion_validation_rejects_bad_input():
     etas[0][1][0] = 1  # not skew
     with pytest.raises(InvariantViolationError):
         TorsionTensor(J4, etas)
+
+
+def _zero_etas(n, rows=None, cols=None):
+    return [[[0] * (cols or n) for _ in range(rows or n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("rows,cols", [(4, 5), (5, 4), (3, 4), (4, 3)])
+def test_torsion_rejects_values_that_are_not_n_by_n(rows, cols):
+    with pytest.raises(InvariantViolationError, match="n x n"):
+        TorsionTensor(J4, _zero_etas(4, rows, cols))
+
+
+def test_torsion_rejects_a_map_that_does_not_intertwine_j():
+    etas = _zero_etas(4)
+    etas[0][0][1], etas[0][1][0] = 1, -1  # eta_{e1} = e^2 (x) e_1 - e^1 (x) e_2
+    with pytest.raises(InvariantViolationError, match="eta_{JX} = eta_X J"):
+        TorsionTensor(J4, etas)
+
+
+def test_torsion_rejects_a_cyclic_defect():
+    """eta_X = f(X) F - f(J X) F J with F skew and anticommuting with J is
+    skew and satisfies eta_{JX} = eta_X J.  With f = e^1 and F acting on
+    e_3..e_6 only, <eta_{e1} e_3, e_6> = -1 is the whole cyclic sum."""
+    n = 6
+    f_rows = [[0] * n for _ in range(n)]
+    f_rows[2][5], f_rows[3][4], f_rows[4][3], f_rows[5][2] = 1, 1, -1, -1
+    fj_rows = dense_rows(compose(sparse_rows(f_rows), J6.sparse_rows), n)
+    etas = []
+    for a in range(n):
+        # f(e_a) = [a == 0] and f(J e_a) = J[0][a]
+        fa, fja = int(a == 0), J6.rows[0][a]
+        etas.append([[fa * f_rows[r][c] - fja * fj_rows[r][c] for c in range(n)]
+                     for r in range(n)])
+    with pytest.raises(InvariantViolationError, match="cyclic identity"):
+        TorsionTensor(J6, etas)
+
+
+def _anticommutation_rows(j_struct):
+    """Rows of eta_a J + J eta_a = 0 over the parameters of _structural_rows:
+    column a * npairs + i is the i-th entry above the diagonal of eta_a."""
+    n = j_struct.space.dim
+    J = j_struct.rows
+    index = {pair: i for i, pair in enumerate(combinations(range(n), 2))}
+    npairs = len(index)
+
+    def entry(a, r, c):
+        """eta_a[r][c] as {column: coefficient}."""
+        if r == c:
+            return {}
+        sign = 1 if r < c else -1
+        return {a * npairs + index[(min(r, c), max(r, c))]: sign}
+
+    rows = []
+    for a in range(n):
+        for r in range(n):
+            for c in range(n):
+                row = {}
+                for k in range(n):
+                    for col, v in entry(a, r, k).items():
+                        row[col] = row.get(col, 0) + v * J[k][c]
+                    for col, v in entry(a, k, c).items():
+                        row[col] = row.get(col, 0) + J[r][k] * v
+                rows.append({col: v for col, v in row.items() if v != 0})
+    return rows
+
+
+def _rotated_j(n):
+    """The standard J conjugated by the 3/5-4/5 rotation of the e_1, e_3 plane."""
+    rot = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rot[0][0], rot[0][2], rot[2][0], rot[2][2] = (
+        Fraction(3, 5), Fraction(-4, 5), Fraction(4, 5), Fraction(3, 5))
+    std = sparse_rows(ComplexStructure.standard(Space(n)).rows)
+    rows = compose(compose(sparse_rows(rot), std), sparse_rows(list(zip(*rot))))
+    return ComplexStructure(Space(n), dense_rows(rows, n))
+
+
+@pytest.mark.parametrize("j_struct", [
+    ComplexStructure.standard(Space(4)),
+    ComplexStructure.standard(Space(6)),
+    ComplexStructure.standard(Space(8)),
+    _rotated_j(6),
+], ids=["std4", "std6", "std8", "rotated6"])
+def test_anticommutation_rows_add_nothing_to_the_structural_rows(j_struct):
+    """eta_X J = -J eta_X follows from skewness and eta_{JX} = eta_X J, so adding
+    its rows leaves the reduced echelon form, hence the nullspace, unchanged."""
+    rows, npairs = _structural_rows(j_struct)
+    ncols = j_struct.space.dim * npairs
+    extended = rows + _anticommutation_rows(j_struct)
+    assert exact_nullspace(extended, ncols) == exact_nullspace(rows, ncols)
+    assert exact_rank(extended, ncols) == exact_rank(rows, ncols)
 
 
 def test_bullet_zero_cases_and_cyclicity():

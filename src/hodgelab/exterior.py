@@ -20,6 +20,7 @@ from .errors import (
     DegreeUnderflowError,
     SpaceMismatchError,
 )
+from .linalg import numerators
 
 FLOAT_TOL = 1e-9
 
@@ -80,7 +81,8 @@ class Space:
 
     The backend's scalar rules live here: ``zero`` and ``one``, the
     tolerance ``tol`` of its checks (0 on exact, so an exact check compares
-    exact values, ``FLOAT_TOL`` on float) and ``ratio(a, b)``.
+    exact values, ``FLOAT_TOL`` on float), ``ratio(a, b)`` and
+    ``numerators(coeffs)``.
     """
 
     __slots__ = ("dim", "backend", "zero", "one", "tol")
@@ -118,6 +120,11 @@ class Space:
     def ratio(self, a, b):
         """a / b as a ``Fraction`` on the exact backend, a float otherwise."""
         return Fraction(a, b) if self.backend == "exact" else a / b
+
+    def numerators(self, coeffs: dict):
+        """``(nums, den)`` with coeffs[k] == nums[k] / den: integers over the
+        lcm of the denominators on exact, the coefficients over 1 on float."""
+        return numerators(coeffs) if self.backend == "exact" else (coeffs, 1)
 
     def zero_form(self, degree: int) -> "Form":
         return Form(self, degree, {})

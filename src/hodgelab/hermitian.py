@@ -120,21 +120,36 @@ def per_structure(build):
 
 
 @per_structure
-def _compiled(j_struct: ComplexStructure, image, degree: int) -> dict:
-    """The sparse table mask -> {mask: coeff} of ``image`` on one degree."""
-    return {m: image(j_struct, m) for m in basis_masks(j_struct.space.dim, degree)}
+def _compiled(j_struct: ComplexStructure, image, degree: int):
+    """``(table, den)``: the sparse table mask -> {mask: numerator} of
+    ``image`` on one degree, over one common denominator ``den``."""
+    images = {m: image(j_struct, m) for m in basis_masks(j_struct.space.dim, degree)}
+    flat, den = j_struct.space.numerators(
+        {(m, k): v for m, row in images.items() for k, v in row.items()}
+    )
+    table: dict = {m: {} for m in images}
+    for (m, k), v in flat.items():
+        table[m][k] = v
+    return table, den
 
 
 def _apply_compiled(j_struct: ComplexStructure, image, alpha: Form) -> Form:
     """Apply the operator with basis images ``image(j_struct, mask)`` to alpha,
-    through its table compiled once per (J, image, degree)."""
+    through its table compiled once per (J, image, degree): the numerators
+    of alpha meet the table's, and the product of the two denominators
+    divides once at the end."""
     if alpha.space != j_struct.space:
         raise SpaceMismatchError(f"{alpha.space} vs {j_struct.space}")
-    table = _compiled(j_struct, image, alpha.degree)
+    space = alpha.space
+    table, den = _compiled(j_struct, image, alpha.degree)
+    nums, alpha_den = space.numerators(alpha.coeffs)
     out: dict = {}
-    for mask, coeff in alpha.coeffs.items():
+    for mask, coeff in nums.items():
         add_scaled(out, coeff, table[mask])
-    return Form(alpha.space, alpha.degree, out)
+    den *= alpha_den
+    if den != 1:
+        out = {m: space.ratio(v, den) for m, v in out.items()}
+    return Form(space, alpha.degree, out)
 
 
 def _pullback_image(j_struct: ComplexStructure, mask: int) -> dict:
@@ -287,11 +302,8 @@ class LambdaBasis:
 
 
 def _primitive_integer_form(alpha: Form) -> Form:
-    denom = 1
-    for c in alpha.coeffs.values():
-        denom = denom * Fraction(c).denominator // gcd(denom, Fraction(c).denominator)
-    scaled = {m: int(c * denom) for m, c in alpha.coeffs.items()}
-    g = reduce(gcd, (abs(v) for v in scaled.values()), 0)
+    scaled, _ = alpha.space.numerators(alpha.coeffs)
+    g = gcd(*scaled.values())
     if g > 1:
         scaled = {m: v // g for m, v in scaled.items()}
     lead = scaled[min(scaled)]

@@ -3,15 +3,35 @@
 A linear map is a list of {column: value} rows without zeros; ``compose``
 and ``combine`` multiply and add such maps, and ``sparse_rows``/``dense_rows``
 convert the dense matrices that numpy and the JSON codecs read.  Rank and
-nullspace share one sparse fraction elimination with a shortest-row pivot
-heuristic over {column: value} rows of a given width, fast enough for every
-shipped system, the largest constrained-torsion one included (a few
-thousand rows, a few hundred columns).
+nullspace share one sparse elimination with a shortest-row pivot heuristic
+over {column: value} rows of a given width.  It runs on integers: each row
+is scaled once to primitive integers (coprime entries) and stays primitive,
+in the spirit of Bareiss's fraction-free elimination (Math. Comp. 22,
+1968); the nullspace divides only when it back-substitutes.  That is fast
+enough for every shipped system, the largest constrained-torsion one
+included (a few thousand rows, a few hundred columns).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+
+def numerators(values: dict):
+    """``(nums, den)``: the int/Fraction values as integers over the lcm
+    ``den`` of their denominators, so values[k] == nums[k] / den."""
+    den = lcm(*(v.denominator for v in values.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
+
+
+def _make_primitive(row: dict) -> dict:
+    """Divide a nonzero integer row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g > 1:
+        for c in row:
+            row[c] //= g
+    return row
 
 
 def add_scaled(row: dict, factor, other: dict) -> dict:
@@ -28,11 +48,21 @@ def add_scaled(row: dict, factor, other: dict) -> dict:
 def _eliminate(matrix, ncols: int):
     """Forward elimination of {column: value} rows; returns {pivot column: pivot row}.
 
-    Columns are taken in increasing order and each is pivoted on the
-    shortest remaining row containing it, so every pivot row is zero left
-    of its pivot column.  The rows are copied, never modified.
+    Each row is scaled once to primitive integers.  Eliminating column col
+    of a row r on the pivot row P with entry piv there gives
+    (piv/g) r - (r[col]/g) P with g = gcd(piv, r[col]), made primitive
+    again.  Scaling changes no support, so the pivots are those of rational
+    elimination: columns are taken in increasing order and each is pivoted
+    on the shortest remaining row containing it (the first such in input
+    order), so every pivot row is zero left of its pivot column, and each
+    pivot row is a nonzero multiple of the rational one.  The rows are
+    copied, never modified.
     """
-    active = [r for r in ({c: v for c, v in row.items() if v != 0} for row in matrix) if r]
+    active = []
+    for row in matrix:
+        row = {c: v for c, v in row.items() if v != 0}
+        if row:
+            active.append(_make_primitive(numerators(row)[0]))
     pivots = {}
     for col in range(ncols):
         if not active:
@@ -49,7 +79,15 @@ def _eliminate(matrix, ncols: int):
         remaining = []
         for r in active:
             if col in r:
-                add_scaled(r, -Fraction(r[col], 1) / piv, pivot_row)
+                x = r[col]
+                g = gcd(piv, x)
+                scale = piv // g
+                if scale != 1:
+                    for c in r:
+                        r[c] *= scale
+                add_scaled(r, -(x // g), pivot_row)
+                if r:
+                    _make_primitive(r)
             if r:
                 remaining.append(r)
         active = remaining
@@ -76,7 +114,7 @@ def exact_nullspace(matrix, ncols: int):
     for col in sorted(pivots, reverse=True):
         row = pivots[col]
         piv = row[col]
-        row = {c: Fraction(v) / piv for c, v in row.items()}
+        row = {c: Fraction(v, piv) for c, v in row.items()}
         # the rows of later pivots are already reduced, so clearing their
         # columns changes only free columns
         for k in [k for k in row if k in reduced]:

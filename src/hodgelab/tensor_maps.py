@@ -374,6 +374,8 @@ def holomorphic_q(j_struct: ComplexStructure, omega_form: Form, derivative) -> F
     as D_{J X} = bb_j(D_X); violations raise InvalidDerivativeError.  The
     output sends (X_1, ..., X_{p-1}) to D at the metric dual of
     Omega(X_1, ..., X_{p-1}, .) and always lands in the commuting half.
+    The map is built on the exact lambda bases, so a float J gets the
+    InvariantViolationError of ``lambda_basis``.
     """
     space = j_struct.space
     p = omega_form.degree
@@ -405,12 +407,7 @@ def holomorphic_q(j_struct: ComplexStructure, omega_form: Form, derivative) -> F
             out = out + comp * d_table[mask.bit_length() - 1]
         return out
 
-    try:
-        return FormValuedMap.from_multilinear(j_struct, p - 1, p, fn)
-    except InvalidDerivativeError:
-        raise
-    except Exception as exc:  # pragma: no cover
-        raise InvalidDerivativeError(str(exc)) from exc
+    return FormValuedMap.from_multilinear(j_struct, p - 1, p, fn)
 
 
 # -- torsion tensors -------------------------------------------------------

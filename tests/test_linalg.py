@@ -9,6 +9,7 @@ order, so float results compare with ``==``.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -19,6 +20,7 @@ from hodgelab.exterior import Form, Space, basis_masks
 from hodgelab.hermitian import ComplexStructure, lambda_basis
 from hodgelab.lefschetz import lefschetz_lstar, primitive_basis
 from hodgelab.linalg import (
+    _eliminate,
     combine,
     compose,
     dense_rows,
@@ -80,12 +82,49 @@ def test_matrix_without_rows_has_the_identity_nullspace(ncols):
     _assert_matches_sympy([], ncols)
 
 
+# rows with denominators 2 to 11; row 3 is 3/2 row 1 - 5/7 row 2, so it
+# cancels to zero once columns 0 and 1 are eliminated, with columns left
+_MIXED_DENOMINATOR_ROWS = [
+    {0: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(1, 5), 4: Fraction(-2, 9)},
+    {0: Fraction(2, 7), 1: Fraction(-3, 4), 3: Fraction(5, 6)},
+    {0: Fraction(3, 4) - Fraction(10, 49), 1: Fraction(1, 2) + Fraction(15, 28),
+     2: Fraction(3, 10), 3: Fraction(-25, 42), 4: Fraction(-1, 3)},
+    {1: Fraction(1, 9), 2: Fraction(7, 10), 3: Fraction(1, 11)},
+    {2: 3, 4: Fraction(-4, 3)},
+]
+
+
+def test_mixed_denominators_and_a_row_cancelling_mid_elimination_match_sympy():
+    rows = _MIXED_DENOMINATOR_ROWS
+    assert exact_rank(rows, 5) == 4
+    assert exact_rank(rows[:3], 5) == 2
+    assert sorted(_eliminate(rows[:3], 5)) == [0, 1]
+    _assert_matches_sympy(rows, 5)
+    _assert_matches_sympy(rows[:3], 5)
+    _assert_matches_sympy(list(reversed(rows)), 5)
+
+
+def test_pivot_rows_are_primitive_integer_rows():
+    pivots = _eliminate(_MIXED_DENOMINATOR_ROWS, 5)
+    assert sorted(pivots) == [0, 1, 2, 3]
+    for col, row in pivots.items():
+        assert all(type(v) is int for v in row.values())
+        assert gcd(*row.values()) == 1
+        assert min(row) == col
+
+
 def test_input_rows_are_not_modified():
-    rows = [{0: 1, 1: 2}, {0: 2, 1: 4, 2: 1}]
-    snapshot = [dict(r) for r in rows]
-    exact_nullspace(rows, 3)
-    exact_rank(rows, 3)
-    assert rows == snapshot
+    # the integer rows are not primitive, and the fraction rows are scaled
+    for rows, ncols in (
+        ([{0: 1, 1: 2}, {0: 2, 1: 4, 2: 1}], 3),
+        ([dict(r) for r in _MIXED_DENOMINATOR_ROWS] + [{0: 4, 1: 6}, {0: 6, 1: 9}], 5),
+    ):
+        snapshot = [dict(r) for r in rows]
+        types = [[type(v) for v in r.values()] for r in rows]
+        exact_nullspace(rows, ncols)
+        exact_rank(rows, ncols)
+        assert rows == snapshot
+        assert [[type(v) for v in r.values()] for r in rows] == types
 
 
 def test_structural_torsion_rows_match_sympy():

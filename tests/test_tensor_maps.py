@@ -229,6 +229,18 @@ def test_holomorphic_q_zero_table():
     assert holomorphic_q(J4, big_omega, table).is_zero()
 
 
+def test_holomorphic_q_on_a_float_j_passes_the_backend_refusal_through():
+    # the input is valid; the map needs the exact lambda bases, and that
+    # refusal must not read as an invalid derivative table
+    space = Space(4, "float")
+    j_float = ComplexStructure.standard(space)
+    table = {i: space.zero_form(2) for i in range(1, 5)}
+    big_omega = space.form(2, {(1, 3): 1, (2, 4): -1})
+    with pytest.raises(InvariantViolationError, match="exact backend") as info:
+        holomorphic_q(j_float, big_omega, table)
+    assert not isinstance(info.value, InvalidDerivativeError)
+
+
 def test_holomorphic_q_structured_example():
     big_omega = S4.form(2, {(1, 3): 1, (2, 4): -1})
     other = S4.form(2, {(2, 3): 1, (1, 4): 1})

@@ -20,8 +20,17 @@ from math import gcd, lcm
 
 def numerators(values: dict):
     """``(nums, den)``: the int/Fraction values as integers over the lcm
-    ``den`` of their denominators, so values[k] == nums[k] / den."""
-    den = lcm(*(v.denominator for v in values.values()))
+    ``den`` of their denominators, so values[k] == nums[k] / den.
+
+    When every value is already an int, ``nums`` is ``values`` itself, not a
+    copy; no caller modifies it.
+    """
+    for v in values.values():
+        if type(v) is not int:
+            break
+    else:
+        return values, 1
+    den = lcm(*[v.denominator for v in values.values()])
     return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
 
 

@@ -26,6 +26,7 @@ from hodgelab.linalg import (
     dense_rows,
     exact_nullspace,
     exact_rank,
+    numerators,
     sparse_rows,
 )
 from hodgelab.tensor_maps import _structural_rows, a_full_matrix
@@ -92,6 +93,17 @@ _MIXED_DENOMINATOR_ROWS = [
     {1: Fraction(1, 9), 2: Fraction(7, 10), 3: Fraction(1, 11)},
     {2: 3, 4: Fraction(-4, 3)},
 ]
+
+
+def test_numerators_are_integers_over_the_lcm():
+    values = {3: Fraction(1, 6), 5: -2, 7: Fraction(3, 4), 9: Fraction(4, 1)}
+    nums, den = numerators(values)
+    assert den == 12 and nums == {3: 2, 5: -24, 7: 9, 9: 48}
+    assert all(type(v) is int for v in nums.values())
+    assert all(Fraction(nums[k], den) == v for k, v in values.items())
+    ints = {0: 4, 2: -6}
+    assert numerators(ints) == (ints, 1)
+    assert numerators({}) == ({}, 1)
 
 
 def test_mixed_denominators_and_a_row_cancelling_mid_elimination_match_sympy():

@@ -23,7 +23,7 @@ def numerators(values: dict):
     ``den`` of their denominators, so values[k] == nums[k] / den.
 
     When every value is already an int, ``nums`` is ``values`` itself, not a
-    copy; no caller modifies it.
+    copy, so a caller that modifies ``nums`` passes a dict of its own.
     """
     for v in values.values():
         if type(v) is not int:

@@ -13,8 +13,6 @@ from hodgelab.errors import (
 from hodgelab.exterior import Form, Space, basis_masks, contract, inner, mask_to_indices
 from hodgelab.hermitian import (
     ComplexStructure,
-    _curly_j_image,
-    _pullback_image,
     bb_j,
     bidegree_project,
     curly_j,
@@ -280,69 +278,3 @@ def test_exact_structure_check_stays_exact():
     rows[0][1] += Fraction(1, 10**400)
     with pytest.raises(InvariantViolationError):
         ComplexStructure(S4, rows)
-
-
-# -- the compiled integer tables against a per-term Fraction sum ---------------
-
-
-def _givens(n, p, q, cos, sin):
-    r = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    r[p][p] = r[q][q] = cos
-    r[p][q], r[q][p] = -sin, sin
-    return r
-
-
-def _matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
-def pythagorean_structure(dim):
-    """The standard J conjugated by R = G(1, 3; 3/5, 4/5) G(2, dim; 5/13, 12/13),
-    two Givens rotations across J-blocks: rational, orthogonal, J^2 = -1, with
-    denominators 5, 13 and their products in its entries."""
-    n = dim
-    r = _matmul(_givens(n, 0, 2, Fraction(3, 5), Fraction(4, 5)),
-                _givens(n, 1, n - 1, Fraction(5, 13), Fraction(12, 13)))
-    std = ComplexStructure.standard(Space(dim)).rows
-    rows = _matmul(_matmul(r, std), [list(col) for col in zip(*r)])
-    return ComplexStructure(Space(dim), rows)
-
-
-def per_term_oracle(j_struct, image, alpha):
-    """Sum over the terms of alpha of its coefficient times the basis image,
-    one Fraction product at a time."""
-    out = {}
-    for mask, c in alpha.coeffs.items():
-        for k, v in image(j_struct, mask).items():
-            out[k] = out.get(k, 0) + Fraction(c) * Fraction(v)
-    return Form(alpha.space, alpha.degree, out)
-
-
-def _alphas(space, degree):
-    """An alpha on every basis form with denominators 1 to 6, and an integer one."""
-    masks = basis_masks(space.dim, degree)
-    mixed = {m: Fraction((-1) ** i * (i + 2), i % 6 + 1) for i, m in enumerate(masks)}
-    integer = {m: (i % 5) - 2 for i, m in enumerate(masks)}
-    return Form(space, degree, mixed), Form(space, degree, integer)
-
-
-@pytest.mark.parametrize("dim", [4, 6, 8])
-def test_integer_tables_match_the_per_term_fraction_sum(dim):
-    j_struct = pythagorean_structure(dim)
-    assert any(isinstance(v, Fraction) and v.denominator > 1
-               for row in j_struct.rows for v in row)
-    for degree in range(dim + 1):
-        for alpha in _alphas(j_struct.space, degree):
-            assert curly_j(j_struct, alpha) == per_term_oracle(j_struct, _curly_j_image, alpha)
-            assert j_pullback(j_struct, alpha) == per_term_oracle(
-                j_struct, _pullback_image, alpha)
-
-
-@pytest.mark.parametrize("dim", [4, 6, 8])
-def test_integer_structure_and_alpha_keep_int_coefficients(dim):
-    j_struct = ComplexStructure.standard(Space(dim))
-    for degree in range(dim + 1):
-        _, alpha = _alphas(j_struct.space, degree)
-        for op in (curly_j, j_pullback):
-            image = op(j_struct, alpha)
-            assert all(type(v) is int for v in image.coeffs.values())

@@ -20,6 +20,11 @@ membership on its own image; their oracles are the full Gram-Schmidt over
 every mask and the ``bb_j`` that runs the Lagrange projection first, compared
 on dims 2-8 in every degree for the standard, the once- and the
 twice-rotated rational J.
+
+The compiled tables hold integer numerators over one denominator per
+(J, degree); on the twice-rotated J (denominators 5, 13 and 65) they are
+compared in every degree with the per-term Fraction sum of the basis images,
+for alphas with mixed denominators and integer alphas.
 """
 
 from fractions import Fraction
@@ -43,6 +48,8 @@ from hodgelab.exterior import (
 from hodgelab.hermitian import (
     ComplexStructure,
     LambdaBasis,
+    _curly_j_image,
+    _pullback_image,
     _primitive_integer_form,
     bb_j,
     bb_j_matrix,
@@ -346,6 +353,42 @@ def projecting_bb_j(j_struct, alpha):
         raise NotInLambdaPError("form is not of type (p,0)+(0,p)")
     p = alpha.degree
     return curly_j(j_struct, alpha) * (Fraction(1, p) if exact else 1 / p)
+
+
+def per_term_oracle(j_struct, image, alpha):
+    """Sum over the terms of alpha of its coefficient times the basis image,
+    one Fraction product at a time."""
+    out = {}
+    for mask, c in alpha.coeffs.items():
+        for k, v in image(j_struct, mask).items():
+            out[k] = out.get(k, 0) + Fraction(c) * Fraction(v)
+    return Form(alpha.space, alpha.degree, out)
+
+
+def mixed_and_integer_alphas(space, degree):
+    """An alpha on every basis form with denominators 1 to 6, and an integer one."""
+    masks = basis_masks(space.dim, degree)
+    mixed = {m: Fraction((-1) ** i * (i + 2), i % 6 + 1) for i, m in enumerate(masks)}
+    integer = {m: (i % 5) - 2 for i, m in enumerate(masks)}
+    return Form(space, degree, mixed), Form(space, degree, integer)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_integer_tables_match_the_per_term_fraction_sum(n):
+    j = structure("twice-rotated", n)
+    for p in range(n + 1):
+        for alpha in mixed_and_integer_alphas(j.space, p):
+            assert curly_j(j, alpha) == per_term_oracle(j, _curly_j_image, alpha)
+            assert j_pullback(j, alpha) == per_term_oracle(j, _pullback_image, alpha)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_integer_structure_and_alpha_keep_int_coefficients(n):
+    j = structure("standard", n)
+    for p in range(n + 1):
+        _, alpha = mixed_and_integer_alphas(j.space, p)
+        for op in (curly_j, j_pullback):
+            assert all(type(v) is int for v in op(j, alpha).coeffs.values())
 
 
 def test_twice_rotated_structure_mixes_three_blocks():

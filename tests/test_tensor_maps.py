@@ -236,9 +236,8 @@ def test_holomorphic_q_on_a_float_j_passes_the_backend_refusal_through():
     j_float = ComplexStructure.standard(space)
     table = {i: space.zero_form(2) for i in range(1, 5)}
     big_omega = space.form(2, {(1, 3): 1, (2, 4): -1})
-    with pytest.raises(InvariantViolationError, match="exact backend") as info:
+    with pytest.raises(InvariantViolationError, match="exact backend"):
         holomorphic_q(j_float, big_omega, table)
-    assert not isinstance(info.value, InvalidDerivativeError)
 
 
 def test_holomorphic_q_structured_example():

@@ -123,11 +123,11 @@ def per_structure(build):
 def _compiled(j_struct: ComplexStructure, image, degree: int):
     """``(table, den)``: the sparse table mask -> {mask: numerator} of
     ``image`` on one degree, over one common denominator ``den``."""
-    images = {m: image(j_struct, m) for m in basis_masks(j_struct.space.dim, degree)}
+    masks = basis_masks(j_struct.space.dim, degree)
     flat, den = j_struct.space.numerators(
-        {(m, k): v for m, row in images.items() for k, v in row.items()}
+        {(m, k): v for m in masks for k, v in image(j_struct, m).items()}
     )
-    table: dict = {m: {} for m in images}
+    table: dict = {m: {} for m in masks}
     for (m, k), v in flat.items():
         table[m][k] = v
     return table, den

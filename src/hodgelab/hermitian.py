@@ -186,6 +186,18 @@ def j_pullback(j_struct: ComplexStructure, alpha: Form) -> Form:
     return _apply_compiled(j_struct, _pullback_image, alpha)
 
 
+def basis_pullback(j_struct: ComplexStructure, mask: int) -> Form:
+    """J e^I for the mask I, read straight from the compiled pullback table:
+    j_pullback of the basis form without converting it to numerators."""
+    space = j_struct.space
+    degree = mask.bit_count()
+    table, den = _compiled(j_struct, _pullback_image, degree)
+    image = table[mask]
+    if den != 1:
+        image = {m: space.ratio(v, den) for m, v in image.items()}
+    return Form(space, degree, image)
+
+
 def curly_j(j_struct: ComplexStructure, alpha: Form) -> Form:
     """The derivation extension: J is applied to one argument slot at a time."""
     return _apply_compiled(j_struct, _curly_j_image, alpha)
@@ -261,16 +273,45 @@ def _lambda_dim(dim: int, degree: int) -> int:
     return 2 * comb(dim // 2, degree)
 
 
+def _lambda_candidate(j_struct: ComplexStructure, mask: int) -> dict:
+    """A nonzero multiple of lambda_p_project(e^I) for the mask I, as
+    {mask: int}; empty when the projection vanishes.
+
+    With ``(T, den)`` the compiled cal-J table, T = den cal-J is an integer
+    operator, and each Lagrange factor (cal-J^2 - ev)/(-p^2 - ev) of
+    ``bidegree_project`` is (T^2 - den^2 ev) up to a nonzero scalar.  The
+    product of those integer factors is applied to e^I, and the content is
+    divided out after each one.
+    """
+    degree = mask.bit_count()
+    table, den = _compiled(j_struct, _curly_j_image, degree)
+    vec = {mask: 1}
+    for j in range(1, degree // 2 + 1):
+        twice = compose(compose([vec], table), table)[0]
+        vec = add_scaled(twice, (den * (degree - 2 * j)) ** 2, vec)
+        if not vec:
+            break
+        g = gcd(*vec.values())
+        if g > 1:
+            vec = {m: v // g for m, v in vec.items()}
+    return vec
+
+
 class LambdaBasis:
     """Deterministic orthogonal basis of a type-(p,0)+(0,p) subspace.
 
     The increasing-multi-index basis is projected in lexicographic order and
-    orthogonalized by exact Gram-Schmidt; vectors are rescaled to primitive
-    integer coefficient lists, so expansion coefficients are <f, b>/<b, b>.
-    Normalization to unit length is impossible over the rationals, which is
-    why the basis is orthogonal rather than orthonormal.  The projection
-    stops once the basis reaches ``_lambda_dim``: every later candidate would
-    reduce to zero.
+    orthogonalized, all on integers: ``_lambda_candidate`` gives each
+    projection up to a nonzero integer, and fraction-free Gram-Schmidt
+    (Erlingsson, Kaltofen and Musser, ISSAC 1996) replaces a candidate c by
+    (ns/g) c - (<c, b>/g) b with ns = <b, b> and g = gcd(ns, <c, b>), a
+    nonzero multiple of c - (<c, b>/ns) b.  A surviving candidate is scaled
+    to its primitive integer form (coprime, positive lead), so each basis
+    form is the one rational Gram-Schmidt gives after the same scaling, and
+    expansion coefficients are <f, b>/<b, b>.  Normalization to unit length
+    is impossible over the rationals, which is why the basis is orthogonal
+    rather than orthonormal.  The projection stops once the basis reaches
+    ``_lambda_dim``: every later candidate would reduce to zero.
     """
 
     def __init__(self, j_struct: ComplexStructure, degree: int):
@@ -283,12 +324,16 @@ class LambdaBasis:
         for mask in basis_masks(space.dim, degree):
             if len(self.forms) == rank:
                 break
-            candidate = lambda_p_project(j_struct, Form(space, degree, {mask: 1}))
+            candidate = _lambda_candidate(j_struct, mask)
             for b, ns in zip(self.forms, self.norms_sq):
-                coeff = Fraction(inner(candidate, b), ns)
-                candidate = candidate - coeff * b
-            if not candidate.is_zero():
-                b = _primitive_integer_form(candidate)
+                x = sum(v * candidate[m] for m, v in b.coeffs.items() if m in candidate)
+                if x:
+                    g = gcd(ns, x)
+                    if ns != g:
+                        candidate = {m: v * (ns // g) for m, v in candidate.items()}
+                    add_scaled(candidate, -(x // g), b.coeffs)
+            if candidate:
+                b = _primitive_integer_form(Form(space, degree, candidate))
                 self.forms.append(b)
                 self.norms_sq.append(inner(b, b))
 

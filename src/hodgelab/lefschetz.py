@@ -18,7 +18,7 @@ from math import factorial
 from .errors import ContractionUnderflowError, NotInLambdaPError, SpaceMismatchError
 from .exterior import Form, adjoint_wedge, basis_masks, contract, contract_index, inner, wedge
 from .harmonic import endo_form
-from .hermitian import ComplexStructure, in_lambda_p, j_pullback, per_structure
+from .hermitian import ComplexStructure, basis_pullback, in_lambda_p, per_structure
 from .linalg import exact_nullspace
 
 
@@ -55,9 +55,10 @@ def p_k(j_struct: ComplexStructure, alpha: Form, beta: Form, k: int) -> Form:
 
     P_k(alpha, beta) = (-1)^k k! sum over increasing I of
     adjoint_wedge(e^I, alpha) ^ adjoint_wedge(J e^I, beta), with J e^I the
-    pullback j_pullback(J, e^I); both factors contract in the same order, and
-    the sign is that of (J e_i)^flat = -J e^i.  P_0 is the plain wedge; for
-    primitive p-forms P_p(alpha, beta) is the scalar p! <alpha, J beta>.
+    pullback j_pullback(J, e^I), read by ``basis_pullback``; both factors
+    contract in the same order, and the sign is that of
+    (J e_i)^flat = -J e^i.  P_0 is the plain wedge; for primitive p-forms
+    P_p(alpha, beta) is the scalar p! <alpha, J beta>.
     Like P_0, a P_k whose degree would exceed the dimension is the zero form
     of top degree.
     """
@@ -74,7 +75,7 @@ def p_k(j_struct: ComplexStructure, alpha: Form, beta: Form, k: int) -> Form:
         e_mask = Form(space, k, {mask: space.one})
         left = adjoint_wedge(e_mask, alpha)
         if not left.is_zero():
-            out = out + wedge(left, adjoint_wedge(j_pullback(j_struct, e_mask), beta))
+            out = out + wedge(left, adjoint_wedge(basis_pullback(j_struct, mask), beta))
     return ((-1) ** k * factorial(k)) * out
 
 

@@ -7,13 +7,18 @@ nullspace share one sparse elimination with a shortest-row pivot heuristic
 over {column: value} rows of a given width.  It runs on integers: each row
 is scaled once to primitive integers (coprime entries) and stays primitive,
 in the spirit of Bareiss's fraction-free elimination (Math. Comp. 22,
-1968); the nullspace divides only when it back-substitutes.  That is fast
-enough for every shipped system, the largest constrained-torsion one
-included (a few thousand rows, a few hundred columns).
+1968); the nullspace divides only when it back-substitutes.  The pivot
+search reads an index from each column to the rows that hold it, updated
+as elimination adds and cancels entries, so no column scans the remaining
+rows; the pivot rule (shortest row, then first in input order) is the one
+a scan applies.  That is fast enough for every shipped system, the largest
+constrained-torsion one included (a few thousand rows, a few hundred
+columns).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -64,42 +69,57 @@ def _eliminate(matrix, ncols: int):
     elimination: columns are taken in increasing order and each is pivoted
     on the shortest remaining row containing it (the first such in input
     order), so every pivot row is zero left of its pivot column, and each
-    pivot row is a nonzero multiple of the rational one.  The rows are
-    copied, never modified.
+    pivot row is a nonzero multiple of the rational one.  ``holders`` maps
+    each column to the input positions of the remaining rows with an entry
+    there and follows every entry that elimination adds or cancels, so the
+    pivot of col is the minimum of holders[col] by (row length, position):
+    the rule above, without a scan of the remaining rows.  The rows holding
+    col are eliminated in input order.  The rows are copied, never
+    modified.
     """
-    active = []
+    rows = []
+    holders = defaultdict(set)
     for row in matrix:
         row = {c: v for c, v in row.items() if v != 0}
         if row:
-            active.append(_make_primitive(numerators(row)[0]))
+            for c in row:
+                holders[c].add(len(rows))
+            rows.append(_make_primitive(numerators(row)[0]))
     pivots = {}
     for col in range(ncols):
-        if not active:
-            break
-        pivot_row = None
-        for r in active:
-            if col in r and (pivot_row is None or len(r) < len(pivot_row)):
-                pivot_row = r
-        if pivot_row is None:
+        held = holders.pop(col, None)
+        if not held:
             continue
-        pivots[col] = pivot_row
-        active.remove(pivot_row)
+        pos = min(held, key=lambda i: (len(rows[i]), i))
+        pivot_row = pivots[col] = rows[pos]
+        held.remove(pos)
+        others = [(c, v) for c, v in pivot_row.items() if c != col]
+        for c, _ in others:
+            holders[c].discard(pos)
         piv = pivot_row[col]
-        remaining = []
-        for r in active:
-            if col in r:
-                x = r[col]
-                g = gcd(piv, x)
-                scale = piv // g
-                if scale != 1:
-                    for c in r:
-                        r[c] *= scale
-                add_scaled(r, -(x // g), pivot_row)
-                if r:
-                    _make_primitive(r)
+        for i in sorted(held):
+            r = rows[i]
+            x = r.pop(col)
+            g = gcd(piv, x)
+            scale = piv // g
+            if scale != 1:
+                for c in r:
+                    r[c] *= scale
+            factor = -(x // g)
+            for c, v in others:
+                old = r.get(c)
+                if old is None:
+                    r[c] = factor * v
+                    holders[c].add(i)
+                else:
+                    nv = old + factor * v
+                    if nv:
+                        r[c] = nv
+                    else:
+                        del r[c]
+                        holders[c].discard(i)
             if r:
-                remaining.append(r)
-        active = remaining
+                _make_primitive(r)
     return pivots
 
 

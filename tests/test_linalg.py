@@ -21,6 +21,8 @@ from hodgelab.hermitian import ComplexStructure, lambda_basis
 from hodgelab.lefschetz import lefschetz_lstar, primitive_basis
 from hodgelab.linalg import (
     _eliminate,
+    _make_primitive,
+    add_scaled,
     combine,
     compose,
     dense_rows,
@@ -137,6 +139,79 @@ def test_input_rows_are_not_modified():
         exact_rank(rows, ncols)
         assert rows == snapshot
         assert [[type(v) for v in r.values()] for r in rows] == types
+
+
+def scan_eliminate(matrix, ncols):
+    """The elimination that scans every remaining row for each column's
+    pivot: the shortest row holding the column, the first such in input
+    order."""
+    active = []
+    for row in matrix:
+        row = {c: v for c, v in row.items() if v != 0}
+        if row:
+            active.append(_make_primitive(numerators(row)[0]))
+    pivots = {}
+    for col in range(ncols):
+        if not active:
+            break
+        pivot_row = None
+        for r in active:
+            if col in r and (pivot_row is None or len(r) < len(pivot_row)):
+                pivot_row = r
+        if pivot_row is None:
+            continue
+        pivots[col] = pivot_row
+        active.remove(pivot_row)
+        piv = pivot_row[col]
+        remaining = []
+        for r in active:
+            if col in r:
+                x = r[col]
+                g = gcd(piv, x)
+                scale = piv // g
+                if scale != 1:
+                    for c in r:
+                        r[c] *= scale
+                add_scaled(r, -(x // g), pivot_row)
+                if r:
+                    _make_primitive(r)
+            if r:
+                remaining.append(r)
+        active = remaining
+    return pivots
+
+
+@st.composite
+def _tied_rows(draw):
+    """(rows, ncols): sparse rows of one to three entries, so that many rows
+    tie on length, plus scaled duplicates and combinations of two earlier
+    rows, which cancel to zero (or to a shorter row) mid-elimination."""
+    ncols = draw(st.integers(1, 8))
+    nonzero = _ENTRIES.filter(lambda v: v != 0)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        support = draw(st.sets(st.integers(0, ncols - 1), min_size=1, max_size=3))
+        rows.append({c: draw(nonzero) for c in sorted(support)})
+    for _ in range(draw(st.integers(0, 4))):
+        if not rows:
+            break
+        first = draw(st.sampled_from(rows))
+        second = draw(st.sampled_from(rows + [{}]))
+        row = add_scaled(add_scaled({}, draw(nonzero), first), draw(_ENTRIES), second)
+        rows.append(row)
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tied_rows())
+def test_indexed_pivot_search_matches_the_scan(case):
+    rows, ncols = case
+    snapshot = [list(r.items()) for r in rows]
+    got = _eliminate(rows, ncols)
+    want = scan_eliminate([dict(r) for r in rows], ncols)
+    assert list(got) == list(want)
+    assert got == want
+    assert [list(r.items()) for r in rows] == snapshot
 
 
 def test_structural_torsion_rows_match_sympy():

@@ -1,9 +1,10 @@
 """Operators against their direct definitions.
 
 ``curly_j`` and ``j_pullback`` apply sparse tables compiled once per
-(J, degree).  The oracles below are the direct definitions: a pulled-back
-1-form wedged into each argument slot in turn, and the wedge of the
-pulled-back 1-forms.  They are compared on every basis form of every degree
+(J, degree), and ``basis_pullback`` reads one basis form's pullback from its
+table.  The oracles below are the direct definitions: a pulled-back 1-form
+wedged into each argument slot in turn, and the wedge of the pulled-back
+1-forms.  They are compared on every basis form of every degree
 on dims 2-8 and on random combinations, for the standard J, a rational
 Givens-rotated J and a float J; ``bb_j`` and ``bb_j_matrix`` are compared
 with their constructions on top of the oracle.
@@ -15,11 +16,12 @@ single contractions against e_i and J e_i.  ``a_restricted_rank``
 multiplies the antisymmetrization by the commuting projector; its oracle
 sums each column of that product out of wedge-table forms.
 
-``LambdaBasis`` stops Gram-Schmidt at the known rank and ``bb_j`` tests
-membership on its own image; their oracles are the full Gram-Schmidt over
-every mask and the ``bb_j`` that runs the Lagrange projection first, compared
-on dims 2-8 in every degree for the standard, the once- and the
-twice-rotated rational J.
+``LambdaBasis`` builds its basis on integers and stops Gram-Schmidt at the
+known rank, and ``bb_j`` tests membership on its own image; their oracles
+are the Fraction Gram-Schmidt over every Lagrange-projected mask and the
+``bb_j`` that runs the Lagrange projection first, compared on dims 2-8 in
+every degree for the standard, the once- and the twice-rotated rational J,
+and on dim 10 for the two rotated ones.
 
 The compiled tables hold integer numerators over one denominator per
 (J, degree); on the twice-rotated J (denominators 5, 13 and 65) they are
@@ -51,6 +53,7 @@ from hodgelab.hermitian import (
     _curly_j_image,
     _pullback_image,
     _primitive_integer_form,
+    basis_pullback,
     bb_j,
     bb_j_matrix,
     curly_j,
@@ -166,6 +169,8 @@ def test_compiled_operators_match_the_wedge_definitions(kind, n):
         for alpha in forms:
             assert_same(curly_j(j, alpha), slot_curly_j(j, alpha))
             assert_same(j_pullback(j, alpha), wedge_pullback(j, alpha))
+        for m in basis_masks(n, p):
+            assert_same(basis_pullback(j, m), wedge_pullback(j, Form(space, p, {m: space.one})))
 
 
 def test_rotated_structure_is_not_a_signed_permutation():
@@ -397,25 +402,27 @@ def test_twice_rotated_structure_mixes_three_blocks():
     assert any(v.denominator == 65 for row in rows for v in row)
 
 
-@pytest.mark.parametrize("kind", EXACT_KINDS)
-@pytest.mark.parametrize("n", DIMS)
+@pytest.mark.parametrize(
+    "n, kind",
+    [(n, kind) for n in DIMS for kind in EXACT_KINDS] + [(10, "rotated"), (10, "twice-rotated")],
+)
 def test_rank_stopped_lambda_basis_matches_full_gram_schmidt(kind, n, monkeypatch):
     j = structure(kind, n)
     for p in range(n + 1):
         forms, norms_sq, used = full_gram_schmidt(j, p)
         projected = []
-        project = hermitian.lambda_p_project
+        candidate = hermitian._lambda_candidate
         monkeypatch.setattr(
-            hermitian, "lambda_p_project", lambda js, a: projected.append(a) or project(js, a)
+            hermitian, "_lambda_candidate", lambda js, m: projected.append(m) or candidate(js, m)
         )
         basis = LambdaBasis(j, p)
-        monkeypatch.setattr(hermitian, "lambda_p_project", project)
+        monkeypatch.setattr(hermitian, "_lambda_candidate", candidate)
         assert basis.forms == forms
         assert basis.norms_sq == norms_sq
         assert basis.dim == (1 if p == 0 else 2 * comb(n // 2, p))
         # the build projects the masks up to the one that completes the basis
         last = basis_masks(n, p).index(used[-1]) if used else -1
-        assert [next(iter(a.coeffs)) for a in projected] == basis_masks(n, p)[: last + 1]
+        assert projected == basis_masks(n, p)[: last + 1]
 
 
 @pytest.mark.parametrize("kind", EXACT_KINDS)

@@ -13,6 +13,7 @@ relative tolerance of 1e-9.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .errors import (
@@ -42,17 +43,13 @@ def merge_sign(a: int, b: int) -> int:
     return -1 if inversions & 1 else 1
 
 
-def basis_masks(n: int, p: int) -> list[int]:
-    """All bitmasks of p increasing indices out of 1..n, in lexicographic order."""
+@cache
+def basis_masks(n: int, p: int) -> tuple[int, ...]:
+    """All bitmasks of p increasing indices out of 1..n, in lexicographic
+    order; memoized, hence a tuple that no caller can modify."""
     if p < 0 or p > n:
-        return []
-    out = []
-    for combo in combinations(range(n), p):
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
-        out.append(mask)
-    return out
+        return ()
+    return tuple(sum(1 << i for i in combo) for combo in combinations(range(n), p))
 
 
 def mask_to_indices(mask: int) -> tuple[int, ...]:

@@ -133,20 +133,21 @@ def _compiled(j_struct: ComplexStructure, image, degree: int):
     return table, den
 
 
-def _apply_compiled(j_struct: ComplexStructure, image, alpha: Form) -> Form:
-    """Apply the operator with basis images ``image(j_struct, mask)`` to alpha,
-    through its table compiled once per (J, image, degree): the numerators
-    of alpha meet the table's, and the product of the two denominators
-    divides once at the end."""
+def _apply_compiled(j_struct: ComplexStructure, image, alpha: Form, power: int = 1) -> Form:
+    """Apply the ``power``-th power of the operator with basis images
+    ``image(j_struct, mask)`` to alpha, through its table compiled once per
+    (J, image, degree): the numerators of alpha meet the table's ``power``
+    times, and the product of the denominators divides once at the end."""
     if alpha.space != j_struct.space:
         raise SpaceMismatchError(f"{alpha.space} vs {j_struct.space}")
     space = alpha.space
     table, den = _compiled(j_struct, image, alpha.degree)
-    nums, alpha_den = space.numerators(alpha.coeffs)
-    out: dict = {}
-    for mask, coeff in nums.items():
-        add_scaled(out, coeff, table[mask])
-    den *= alpha_den
+    out, alpha_den = space.numerators(alpha.coeffs)
+    for _ in range(power):
+        nums, out = out, {}
+        for mask, coeff in nums.items():
+            add_scaled(out, coeff, table[mask])
+    den = den**power * alpha_den
     if den != 1:
         out = {m: space.ratio(v, den) for m, v in out.items()}
     return Form(space, alpha.degree, out)
@@ -204,7 +205,8 @@ def curly_j(j_struct: ComplexStructure, alpha: Form) -> Form:
 
 
 def curly_j_squared(j_struct: ComplexStructure, alpha: Form) -> Form:
-    return curly_j(j_struct, curly_j(j_struct, alpha))
+    """curly_j twice, on the integer numerators between the two steps."""
+    return _apply_compiled(j_struct, _curly_j_image, alpha, 2)
 
 
 def bidegree_project(j_struct: ComplexStructure, alpha: Form, p: int, q: int) -> Form:
@@ -368,7 +370,16 @@ def lambda_basis(j_struct: ComplexStructure, degree: int) -> LambdaBasis:
 @per_structure
 def bb_j_matrix(j_struct: ComplexStructure, degree: int) -> list[dict]:
     """{column: value} rows of bb_j over the cached orthogonal basis (cached
-    per degree); column d holds the coordinates of bb_j of basis form d."""
+    per degree); column d holds the coordinates of curly_j(b_d) / p.
+
+    The basis forms are members by construction, so the membership test of
+    ``bb_j`` and its second curly_j are not repeated here; the tests check
+    curly_j^2 b = -p^2 b on every basis form.
+    """
     basis = lambda_basis(j_struct, degree)
-    cols = [basis.expand(bb_j(j_struct, b)) for b in basis.forms]
+    pairs = list(zip(basis.forms, basis.norms_sq))
+    cols = [
+        [Fraction(inner(image, c), ns * degree) for c, ns in pairs]
+        for image in (curly_j(j_struct, b) for b in basis.forms)
+    ]
     return sparse_rows(zip(*cols))

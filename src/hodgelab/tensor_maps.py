@@ -14,6 +14,11 @@ whenever p != q.  (The slot assignment is pinned by the worked example
 Q = JJ on the 1-forms: a(JJ) = -2 omega, which has eigenvalue 0 = -(1-1)^2,
 and JJ commutes with itself.)
 
+A map holds its matrix as integer numerators over one common denominator,
+reduced once when the map is built; from_tensor, the bb_j conjugation,
+the split and a(Q) work on those integers, and each value a caller reads
+(the dense matrix, an entry, an evaluation, a(Q)) divides at the end.
+
 The module also hosts the derivative-driven construction of a commuting
 map out of a holomorphy-compatible derivative table, the torsion tensors of
 almost-Hermitian type with their cyclic/compatibility constraints, the
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .errors import (
     DegreeOverflowError,
@@ -42,6 +47,7 @@ from .exterior import (
     contract,
     contract_index,
     indices_to_mask,
+    inner,
     mask_to_indices,
     wedge,
 )
@@ -54,7 +60,15 @@ from .hermitian import (
     lambda_basis,
     per_structure,
 )
-from .linalg import combine, compose, dense_rows, exact_nullspace, exact_rank, sparse_rows
+from .linalg import (
+    combine,
+    compose,
+    dense_rows,
+    exact_nullspace,
+    exact_rank,
+    numerators,
+    sparse_rows,
+)
 
 _HALF = Fraction(1, 2)
 
@@ -63,30 +77,54 @@ class FormValuedMap:
     """Linear map between type-(p,0)+(0,p) and type-(q,0)+(0,q) forms.
 
     The matrix over the deterministic orthogonal bases of the two subspaces
-    is held as {column: value} ``rows``, zeros dropped; column d holds the
-    image of the d-th domain basis form.  ``matrix`` is a dense copy.
+    is held as integer numerators over one positive common denominator
+    ``den``: ``rows`` are {column: int} dicts, zeros dropped, and column d
+    holds ``den`` times the coordinates of the image of the d-th domain
+    basis form.  The constructor takes rows of ints and Fractions over an
+    optional integer ``den`` and reduces them once, through
+    ``linalg.numerators``, to lowest terms: den and the numerators have no
+    common factor.  What a caller reads is values: ``matrix`` (a dense copy
+    of Fractions), ``max_entry``, ``eval_mask``, ``+``/``-`` and
+    ``antisymmetrize``.
     """
 
-    __slots__ = ("j", "p", "q", "rows", "domain", "codomain")
+    __slots__ = ("j", "p", "q", "rows", "den", "domain", "codomain")
 
-    def __init__(self, j_struct: ComplexStructure, p: int, q: int, rows):
+    def __init__(self, j_struct: ComplexStructure, p: int, q: int, rows, den: int = 1):
         if p < 1 or q < 1:
             raise InvariantViolationError("degrees must be at least 1")
+        if type(den) is not int or den < 1:
+            raise InvariantViolationError("the common denominator must be a positive int")
         self.j = j_struct
         self.p = p
         self.q = q
         self.domain = lambda_basis(j_struct, p)
         self.codomain = lambda_basis(j_struct, q)
-        rows = [{c: v for c, v in row.items() if v != 0} for row in rows]
         width = self.domain.dim
         if len(rows) != self.codomain.dim or any(not 0 <= c < width for r in rows for c in r):
             raise InvariantViolationError("matrix shape does not match the bases")
+        # each row's numerators over the lcm of the row denominators, zeros
+        # dropped, then divided by their gcd with den.  The arguments of lcm
+        # and gcd are lists: a tuple built from a generator is allocated
+        # larger and shrunk, and the freed smaller tuples pile up in the
+        # interpreter's tuple free lists
+        converted = [numerators(row) for row in rows]
+        scale = lcm(*[d for _, d in converted])
+        rows = [{c: v * (scale // d) for c, v in nums.items() if v} for nums, d in converted]
+        den *= scale
+        g = gcd(den, *[v for row in rows for v in row.values()])
+        if g > 1:
+            rows = [{c: v // g for c, v in row.items()} for row in rows]
         self.rows = rows
+        self.den = den // g
 
     @property
     def matrix(self):
-        """The dense matrix, a fresh list of rows on every access."""
-        return dense_rows(self.rows, self.domain.dim)
+        """The dense matrix of values, a fresh list of rows on every access."""
+        den = self.den
+        return dense_rows(
+            [{c: Fraction(v, den) for c, v in row.items()} for row in self.rows], self.domain.dim
+        )
 
     # -- constructors ---------------------------------------------------
 
@@ -100,20 +138,24 @@ class FormValuedMap:
 
     @classmethod
     def from_tensor(cls, j_struct, phi: Form, psi: Form):
-        """The rank-one map chi -> <phi, chi> psi."""
-        from .exterior import inner
+        """The rank-one map chi -> <phi, chi> psi.
 
+        Entry (i, d) is the weight <phi, b_d> times the coordinate
+        <psi, c_i> / |c_i|^2.  With L the lcm of the |c_i|^2, the numerators
+        of the weights and of the <psi, c_i> L / |c_i|^2 are multiplied, over
+        the product of their denominators and L.
+        """
         dom = lambda_basis(j_struct, phi.degree)
         cod = lambda_basis(j_struct, psi.degree)
-        psi_coords = cod.expand(psi)
-        rows: list[dict] = [{} for _ in range(cod.dim)]
-        for d, b in enumerate(dom.forms):
-            weight = inner(phi, b)
-            if weight == 0:
-                continue
-            for i, c in enumerate(psi_coords):
-                rows[i][d] = weight * c
-        return cls(j_struct, phi.degree, psi.degree, rows)
+        weights, wden = numerators({d: inner(phi, b) for d, b in enumerate(dom.forms)})
+        inners, cden = numerators({i: inner(psi, c) for i, c in enumerate(cod.forms)})
+        scale = lcm(*cod.norms_sq)
+        weights = [(d, w) for d, w in weights.items() if w]
+        rows = [
+            {d: x * (scale // ns) * w for d, w in weights} if x else {}
+            for x, ns in zip(inners.values(), cod.norms_sq)
+        ]
+        return cls(j_struct, phi.degree, psi.degree, rows, wden * cden * scale)
 
     @classmethod
     def from_images(cls, j_struct, p, q, images):
@@ -161,7 +203,7 @@ class FormValuedMap:
         for d, (b, ns) in enumerate(zip(self.domain.forms, self.domain.norms_sq)):
             c = b.coeffs.get(mask)
             if c:
-                col = Fraction(c, ns)
+                col = Fraction(c, ns * self.den)
                 for i, row in enumerate(self.rows):
                     if d in row:
                         out = out + (row[d] * col) * self.codomain.forms[i]
@@ -176,31 +218,44 @@ class FormValuedMap:
 
     # -- algebra -----------------------------------------------------------
 
+    def _combine(self, other, sign: int, divisor: int = 1) -> "FormValuedMap":
+        """(self + sign * other) / divisor, over the lcm of the two denominators."""
+        den = lcm(self.den, other.den)
+        rows = combine(self.rows, other.rows, den // self.den, sign * (den // other.den))
+        return FormValuedMap(self.j, self.p, self.q, rows, divisor * den)
+
     def __add__(self, other):
-        return FormValuedMap(self.j, self.p, self.q, combine(self.rows, other.rows))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return FormValuedMap(self.j, self.p, self.q, combine(self.rows, other.rows, 1, -1))
+        return self._combine(other, -1)
 
     def is_zero(self) -> bool:
         return not any(self.rows)
 
     def max_entry(self):
-        return max((abs(v) for row in self.rows for v in row.values()), default=0)
+        return Fraction(max((abs(v) for row in self.rows for v in row.values()), default=0),
+                        self.den)
 
     def conjugated_by_bbj(self) -> "FormValuedMap":
-        """JJ o Q o JJ."""
-        jp = bb_j_matrix(self.j, self.p)
-        jq = bb_j_matrix(self.j, self.q)
-        return FormValuedMap(self.j, self.p, self.q, compose(jq, compose(self.rows, jp)))
+        """JJ o Q o JJ, composed on the integer rows of the bb_j maps."""
+        jp, jq = _bb_j_map(self.j, self.p), _bb_j_map(self.j, self.q)
+        rows = compose(jq.rows, compose(self.rows, jp.rows))
+        return FormValuedMap(self.j, self.p, self.q, rows, self.den * jp.den * jq.den)
+
+
+@per_structure
+def _bb_j_map(j_struct: ComplexStructure, degree: int) -> FormValuedMap:
+    """bb_j on the degree-p lambda forms as a map: the integer rows of
+    ``bb_j_matrix`` over their common denominator (1 on the standard J)."""
+    return FormValuedMap(j_struct, degree, degree, bb_j_matrix(j_struct, degree))
 
 
 def split_type(q_map: FormValuedMap):
-    """Split into the bb_j-commuting and bb_j-anticommuting parts, in that order."""
-    rows, conj = q_map.rows, q_map.conjugated_by_bbj().rows
-    commuting = FormValuedMap(q_map.j, q_map.p, q_map.q, combine(rows, conj, _HALF, -_HALF))
-    anticommuting = FormValuedMap(q_map.j, q_map.p, q_map.q, combine(rows, conj, _HALF, _HALF))
-    return commuting, anticommuting
+    """Split into the bb_j-commuting and bb_j-anticommuting parts, in that order:
+    (Q - JJ Q JJ) / 2 and (Q + JJ Q JJ) / 2, combined on integers."""
+    conj = q_map.conjugated_by_bbj()
+    return q_map._combine(conj, -1, 2), q_map._combine(conj, 1, 2)
 
 
 def antisymmetrize(q_map: FormValuedMap) -> Form:
@@ -210,21 +265,27 @@ def antisymmetrize(q_map: FormValuedMap) -> Form:
     ordered sum carries a p! multiplicity: rank-one tensors satisfy
     a(phi (x) psi) = p! phi ^ psi.  Computed as the cached rows of
     ``a_full_matrix`` applied to the coordinates Q[e][d] / |b_d|^2 of Q on
-    the tensors b_d (x) c_e, since Q = sum_d b_d (x) Q(b_d) / |b_d|^2.
+    the tensors b_d (x) c_e, since Q = sum_d b_d (x) Q(b_d) / |b_d|^2.  The
+    coordinates are integers over L den, with L the lcm of the |b_d|^2, and
+    each nonzero coefficient divides once.
     """
     j_struct, p, q = q_map.j, q_map.p, q_map.q
     space = j_struct.space
     if p + q > space.dim:
         raise DegreeOverflowError(f"degree {p + q} exceeds dimension {space.dim}")
     dq, norms_sq = q_map.codomain.dim, q_map.domain.norms_sq
-    coords = {
-        d * dq + e: Fraction(v, norms_sq[d]) for e, row in enumerate(q_map.rows)
-        for d, v in row.items()
-    }
-    coeffs = {
-        mask: sum(v * coords[c] for c, v in row.items() if c in coords)
-        for mask, row in zip(basis_masks(space.dim, p + q), a_full_matrix(j_struct, p, q))
-    }
+    scale = lcm(*norms_sq)
+    weights = [scale // ns for ns in norms_sq]
+    coords = [0] * (len(norms_sq) * dq)
+    for e, row in enumerate(q_map.rows):
+        for d, v in row.items():
+            coords[d * dq + e] = v * weights[d]
+    den = scale * q_map.den
+    coeffs = {}
+    for mask, row in zip(basis_masks(space.dim, p + q), a_full_matrix(j_struct, p, q)):
+        t = sum(v * coords[c] for c, v in row.items())
+        if t:
+            coeffs[mask] = Fraction(t, den)
     return Form(space, p + q, coeffs)
 
 

@@ -131,6 +131,16 @@ def assert_dense_equal(form, t):
     assert np.array_equal(dense(form), t)
 
 
+def test_basis_masks_are_one_memoized_tuple_per_degree():
+    for n in range(1, 9):
+        for p in range(-1, n + 2):
+            masks = basis_masks(n, p)
+            assert isinstance(masks, tuple)
+            assert basis_masks(n, p) is masks
+            want = [sum(1 << i for i in c) for c in combinations(range(n), p)] if p >= 0 else []
+            assert list(masks) == want
+
+
 def test_dense_model_convention():
     s = Space(3)
     e1, e2, e12 = dense(s.basis_form(1)), dense(s.basis_form(2)), dense(s.basis_form(1, 2))

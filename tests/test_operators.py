@@ -422,7 +422,21 @@ def test_rank_stopped_lambda_basis_matches_full_gram_schmidt(kind, n, monkeypatc
         assert basis.dim == (1 if p == 0 else 2 * comb(n // 2, p))
         # the build projects the masks up to the one that completes the basis
         last = basis_masks(n, p).index(used[-1]) if used else -1
-        assert projected == basis_masks(n, p)[: last + 1]
+        assert tuple(projected) == basis_masks(n, p)[: last + 1]
+
+
+@pytest.mark.parametrize("kind", EXACT_KINDS)
+@pytest.mark.parametrize("n", DIMS + (10,))
+def test_lambda_basis_forms_are_minus_p_squared_eigenforms(kind, n):
+    """bb_j_matrix reads curly_j(b) / p without bb_j's membership check, so
+    the membership of every basis form b of degree p is pinned here:
+    curly_j^2 b = -p^2 b."""
+    j = structure(kind, n)
+    for p in range(n + 1):
+        forms = lambda_basis(j, p).forms
+        assert len(forms) == (1 if p == 0 else 2 * comb(n // 2, p))
+        for b in forms:
+            assert curly_j(j, curly_j(j, b)) == -(p * p) * b
 
 
 @pytest.mark.parametrize("kind", EXACT_KINDS)

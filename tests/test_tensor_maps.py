@@ -2,18 +2,22 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgelab.errors import DegreeOverflowError, InvalidDerivativeError, InvariantViolationError
-from hodgelab.exterior import Space, Vector, wedge
+from hodgelab.exterior import Form, Space, Vector, basis_masks, inner, wedge
 from hodgelab.hermitian import ComplexStructure, bb_j, bb_j_matrix, lambda_basis, lambda_p_project
-from hodgelab.linalg import compose, dense_rows, exact_nullspace, exact_rank, sparse_rows
+from hodgelab.linalg import combine, compose, dense_rows, exact_nullspace, exact_rank, sparse_rows
 from hodgelab.rng import SplitMix64, random_form, random_vector
 from hodgelab.tensor_maps import (
     FormValuedMap,
     TorsionTensor,
     _structural_rows,
+    a_full_matrix,
     admissible_torsion_basis,
     antisymmetrize,
     antisymmetrize_multilinear,
@@ -57,6 +61,227 @@ def random_map(j_struct, p, q, rng, terms=3):
             j_struct, random_lambda(j_struct, p, rng), random_lambda(j_struct, q, rng)
         )
     return out
+
+
+# -- the Fraction oracle ---------------------------------------------------
+#
+# from_tensor, split_type and antisymmetrize as they were computed while a
+# map held its matrix as Fraction rows: one Fraction product per entry, the
+# bb_j conjugation and the halves in Fraction arithmetic.  The integer
+# numerators of FormValuedMap must give the same values.
+
+
+def fraction_from_tensor(j_struct, phi, psi):
+    """Rational rows of chi -> <phi, chi> psi."""
+    dom = lambda_basis(j_struct, phi.degree)
+    cod = lambda_basis(j_struct, psi.degree)
+    psi_coords = cod.expand(psi)
+    rows = [{} for _ in range(cod.dim)]
+    for d, b in enumerate(dom.forms):
+        weight = inner(phi, b)
+        if weight == 0:
+            continue
+        for i, c in enumerate(psi_coords):
+            if weight * c != 0:
+                rows[i][d] = weight * c
+    return rows
+
+
+def fraction_split_type(j_struct, p, q, rows):
+    """Rational rows of (Q - JJ Q JJ) / 2 and (Q + JJ Q JJ) / 2."""
+    conj = compose(bb_j_matrix(j_struct, q), compose(rows, bb_j_matrix(j_struct, p)))
+    half = Fraction(1, 2)
+    return combine(rows, conj, half, -half), combine(rows, conj, half, half)
+
+
+def fraction_antisymmetrize(j_struct, p, q, rows):
+    """a(Q) from the coordinates Q[e][d] / |b_d|^2 as Fractions."""
+    space = j_struct.space
+    dq, norms_sq = lambda_basis(j_struct, q).dim, lambda_basis(j_struct, p).norms_sq
+    coords = {
+        d * dq + e: Fraction(v, norms_sq[d]) for e, row in enumerate(rows)
+        for d, v in row.items()
+    }
+    coeffs = {
+        mask: sum(v * coords[c] for c, v in row.items() if c in coords)
+        for mask, row in zip(basis_masks(space.dim, p + q), a_full_matrix(j_struct, p, q))
+    }
+    return Form(space, p + q, coeffs)
+
+
+def values(q_map):
+    """The rational rows a map stands for."""
+    return [{c: Fraction(v, q_map.den) for c, v in row.items()} for row in q_map.rows]
+
+
+def assert_matches_oracle(q_map, want_rows):
+    """The map, its halves and the antisymmetrizations of all three agree
+    with the oracle applied to ``want_rows``."""
+    j_struct, p, q = q_map.j, q_map.p, q_map.q
+    width = q_map.domain.dim
+    assert q_map.matrix == dense_rows(want_rows, width)
+    halves = split_type(q_map)
+    want_halves = fraction_split_type(j_struct, p, q, want_rows)
+    for got, want in zip((q_map,) + halves, (want_rows,) + want_halves):
+        assert got.matrix == dense_rows(want, width)
+        if p + q <= j_struct.space.dim:
+            assert antisymmetrize(got).coeffs == fraction_antisymmetrize(j_struct, p, q, want).coeffs
+
+
+def oracle_structure(kind, n):
+    """The standard J, or the standard J conjugated by a 3/5-4/5 rotation
+    (``_rotated_j``, denominators 5 and 25).  On R^2 every orthogonal J is
+    +-J0, so there the rotated kind is the standard one."""
+    if kind == "standard" or n == 2:
+        return ComplexStructure.standard(Space(n))
+    return _rotated_j(n)
+
+
+ORACLE_STRUCTURES = [(kind, n) for kind in ("standard", "rotated") for n in (2, 4, 6, 8)]
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+def drawn_lambda(data, j_struct, degree):
+    """A combination of up to three lambda basis forms with drawn Fraction
+    coefficients; the zero form when the basis is empty."""
+    forms = lambda_basis(j_struct, degree).forms
+    out = j_struct.space.zero_form(degree)
+    if not forms:
+        return out
+    for _ in range(data.draw(st.integers(1, 3))):
+        b = forms[data.draw(st.integers(0, len(forms) - 1))]
+        out = out + data.draw(small_fractions) * b
+    return out
+
+
+def degree_pairs(n):
+    return [(p, q) for p in range(1, n) for q in range(1, n - p + 1)]
+
+
+@pytest.mark.parametrize("kind,n", ORACLE_STRUCTURES)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_integer_maps_match_the_fraction_oracle_on_tensors(kind, n, data):
+    """from_tensor of Fraction-coefficient forms, its halves and their
+    antisymmetrizations, for every (p, q) with p + q <= n."""
+    j_struct = oracle_structure(kind, n)
+    for p, q in degree_pairs(n):
+        phi, psi = drawn_lambda(data, j_struct, p), drawn_lambda(data, j_struct, q)
+        t = FormValuedMap.from_tensor(j_struct, phi, psi)
+        assert_matches_oracle(t, fraction_from_tensor(j_struct, phi, psi))
+        other = FormValuedMap.from_tensor(j_struct, drawn_lambda(data, j_struct, p), psi)
+        assert_matches_oracle(t + other, combine(values(t), values(other)))
+
+
+@pytest.mark.parametrize("kind,n", ORACLE_STRUCTURES)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_integer_maps_match_the_fraction_oracle_on_images(kind, n, data):
+    """from_images of Fraction-coefficient images: the input rows are the
+    Fraction coordinates of the images."""
+    j_struct = oracle_structure(kind, n)
+    for p, q in degree_pairs(n):
+        dom, cod = lambda_basis(j_struct, p), lambda_basis(j_struct, q)
+        images = [drawn_lambda(data, j_struct, q) for _ in range(dom.dim)]
+        cols = [cod.expand(img) for img in images]
+        want = [{d: col[i] for d, col in enumerate(cols) if col[i]} for i in range(cod.dim)]
+        assert_matches_oracle(FormValuedMap.from_images(j_struct, p, q, images), want)
+
+
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind, n in ORACLE_STRUCTURES if n <= 6])
+def test_integer_maps_match_the_fraction_oracle_on_kernel_tensors(kind, n):
+    """a_kernel_tensors builds each map from the Fraction nullspace vectors
+    t times |b_d|^2."""
+    j_struct = oracle_structure(kind, n)
+    dom_dims = {p: lambda_basis(j_struct, p) for p in range(1, n)}
+    for p, q in degree_pairs(n):
+        dom, cod = dom_dims[p], lambda_basis(j_struct, q)
+        vectors = exact_nullspace(a_full_matrix(j_struct, p, q), dom.dim * cod.dim)
+        kernel = a_kernel_tensors(j_struct, p, q)
+        assert len(kernel) == len(vectors)
+        for vec, ker in zip(vectors, kernel):
+            want = [{} for _ in range(cod.dim)]
+            for col, t in vec.items():
+                d, e = divmod(col, cod.dim)
+                want[e][d] = t * dom.norms_sq[d]
+            assert_matches_oracle(ker, want)
+
+
+# -- the integer representation ---------------------------------------------
+
+
+def invariant_maps():
+    """Maps from every constructor and operation, on the standard and the
+    rotated J, several of them with a denominator above 1."""
+    rng = SplitMix64(31)
+    for j_struct in (J6, _rotated_j(6)):
+        phi = random_lambda(j_struct, 2, rng) * Fraction(1, 3)
+        psi = random_lambda(j_struct, 1, rng) * Fraction(2, 7)
+        t = FormValuedMap.from_tensor(j_struct, phi, psi)
+        yield t
+        yield from split_type(t)
+        yield t.conjugated_by_bbj()
+        yield t + random_map(j_struct, 2, 1, rng)
+        yield t - t
+        yield FormValuedMap.zero(j_struct, 2, 1)
+        yield FormValuedMap.identity(j_struct, 2)
+        yield bb_j_map(j_struct, 2)
+        yield from a_kernel_tensors(j_struct, 1, 2)[:3]
+        cod = lambda_basis(j_struct, 2)
+        yield FormValuedMap.from_images(j_struct, 1, 2, [b * Fraction(1, 4) for b in cod.forms[:6]])
+
+
+def test_rows_are_integers_in_lowest_terms_over_a_positive_denominator():
+    dens = set()
+    for m in invariant_maps():
+        nums = [v for row in m.rows for v in row.values()]
+        assert all(type(v) is int and v != 0 for v in nums)
+        assert type(m.den) is int and m.den >= 1
+        assert gcd(m.den, *nums) == 1
+        dens.add(m.den)
+    assert len(dens) > 2
+
+
+def test_rational_rows_are_reduced_once_to_one_denominator():
+    j_struct = J4
+    rows = [{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: Fraction(0), 1: 2}, {}, {3: Fraction(-4, 6)}]
+    m = FormValuedMap(j_struct, 1, 1, rows)
+    assert m.den == 6
+    assert m.rows == [{0: 3, 1: 2}, {1: 12}, {}, {3: -4}]
+    # an explicit denominator divides the given rows
+    assert FormValuedMap(j_struct, 1, 1, rows, 5).den == 30
+    assert FormValuedMap(j_struct, 1, 1, [{0: 2}, {1: 4}, {}, {}], 6).rows == [{0: 1}, {1: 2}, {}, {}]
+    assert FormValuedMap(j_struct, 1, 1, [{0: 2}, {1: 4}, {}, {}], 6).den == 3
+
+
+@pytest.mark.parametrize("den", [0, -2, Fraction(1, 2), 1.0])
+def test_the_denominator_must_be_a_positive_int(den):
+    with pytest.raises(InvariantViolationError, match="positive int"):
+        FormValuedMap(J4, 1, 1, [{} for _ in range(4)], den)
+
+
+def test_readers_return_values_for_different_denominators():
+    rng = SplitMix64(37)
+    j_struct = _rotated_j(6)
+    a = FormValuedMap.from_tensor(
+        j_struct, random_lambda(j_struct, 2, rng) * Fraction(1, 3), random_lambda(j_struct, 2, rng))
+    b = FormValuedMap.from_tensor(
+        j_struct, random_lambda(j_struct, 2, rng), random_lambda(j_struct, 2, rng) * Fraction(5, 7))
+    assert a.den != b.den and a.den > 1 and b.den > 1
+    ma, mb = a.matrix, b.matrix
+    assert ma == dense_rows(values(a), a.domain.dim)
+    assert (a + b).matrix == [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(ma, mb)]
+    assert (a - b).matrix == [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ma, mb)]
+    assert a.max_entry() == max(abs(v) for row in ma for v in row)
+    assert FormValuedMap.zero(j_struct, 2, 2).max_entry() == 0
+    # eval_mask from the dense values: sum over d of b_d[mask] / |b_d|^2 times column d
+    dom, cod = a.domain, a.codomain
+    for mask in basis_masks(6, 2):
+        want = j_struct.space.zero_form(2)
+        for d, (bd, ns) in enumerate(zip(dom.forms, dom.norms_sq)):
+            for i, c in enumerate(cod.forms):
+                want = want + (Fraction(bd.coeffs.get(mask, 0), ns) * ma[i][d]) * c
+        assert a.eval_mask(mask) == want
 
 
 # -- split_type ----------------------------------------------------------

@@ -129,6 +129,12 @@ def exact_rank(matrix, ncols: int) -> int:
     return len(_eliminate(matrix, ncols))
 
 
+def row_basis(matrix, ncols: int):
+    """A basis of the row space: the pivot rows of the elimination, primitive
+    integer {column: value} rows in increasing order of their pivot column."""
+    return list(_eliminate(matrix, ncols).values())
+
+
 def exact_nullspace(matrix, ncols: int):
     """Basis of the rational nullspace, as sparse {column: Fraction} vectors.
 

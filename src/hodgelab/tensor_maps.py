@@ -61,12 +61,14 @@ from .hermitian import (
     per_structure,
 )
 from .linalg import (
+    add_scaled,
     combine,
     compose,
     dense_rows,
     exact_nullspace,
     exact_rank,
     numerators,
+    row_basis,
     sparse_rows,
 )
 
@@ -474,24 +476,22 @@ def holomorphic_q(j_struct: ComplexStructure, omega_form: Form, derivative) -> F
 # -- torsion tensors -------------------------------------------------------
 
 
-def _skew_params(n: int):
-    """Parameter lookup (r, c) -> (parameter, sign) of the skew n x n matrices.
-
-    The parameters are the entries above the diagonal in row-major order;
-    off-diagonal entry (r, c) equals sign times its parameter.
-    """
-    lookup = {}
+def _skew_entries(n: int, base: int = 0):
+    """Entry table of the skew n x n matrices: the parameters are the entries
+    above the diagonal in row-major order, in the columns from ``base`` on,
+    and entry[r][c] is the {column: +-1} row of entry (r, c), empty on the
+    diagonal.  Every linear condition on the entries combines table rows."""
+    entry: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
     for i, (r, c) in enumerate(combinations(range(n), 2)):
-        lookup[(r, c)] = (i, 1)
-        lookup[(c, r)] = (i, -1)
-    return lookup
+        entry[r][c] = {base + i: 1}
+        entry[c][r] = {base + i: -1}
+    return entry
 
 
-def _add_entry(row: dict, skew, base: int, r: int, c: int, coeff):
-    """Add coeff times entry (r, c) of the skew block at column ``base`` to a row."""
-    if coeff != 0 and r != c:
-        i, sign = skew[(r, c)]
-        row[base + i] = row.get(base + i, 0) + coeff * sign
+def _eta_entries(n: int):
+    """Entry tables of eta_0, ..., eta_{n-1}, their parameters in consecutive blocks."""
+    npairs = n * (n - 1) // 2
+    return [_skew_entries(n, a * npairs) for a in range(n)]
 
 
 def _skew_from_params(vec: dict, n: int, base: int = 0):
@@ -577,38 +577,19 @@ def torsion_bullet(q_rows, eta: TorsionTensor):
     return out
 
 
-def _bullet_rows(q_rows, n: int, skew):
-    """Constraint rows (Q o eta)(x, y, z) = 0 for x < y < z in eta parameters;
-    Q is given by its {column: value} rows."""
+def _bullet_rows(q_rows, etas):
+    """Constraint rows (Q o eta)(x, y, z) = 0 for x < y < z; ``etas`` holds the
+    entry tables of the eta_a and Q is given by its {column: value} rows.
+    Slot x of the cyclic sum, sum_a Q[a][x] eta_a[z][y], reads column x of Q."""
+    n = len(etas)
+    q_cols = sparse_rows(zip(*dense_rows(q_rows, n)))
     rows = []
-    npairs = n * (n - 1) // 2
-    for x in range(n):
-        for y in range(x + 1, n):
-            for z in range(y + 1, n):
-                row: dict = {}
-                for a, q_row in enumerate(q_rows):
-                    base = a * npairs
-                    _add_entry(row, skew, base, z, y, q_row.get(x, 0))
-                    _add_entry(row, skew, base, x, z, q_row.get(y, 0))
-                    _add_entry(row, skew, base, y, x, q_row.get(z, 0))
-                rows.append({c: v for c, v in row.items() if v != 0})
-    return rows
-
-
-def _commutation_rows(J, skew, sign):
-    """Rows of (F J + sign J F)[r][c] = 0 in the parameters of the skew F;
-    J is a dense n x n matrix."""
-    n = len(J)
-    rows = []
-    for r in range(n):
-        for c in range(n):
-            row = {}
-            for k in range(n):
-                _add_entry(row, skew, 0, r, k, J[k][c])
-                _add_entry(row, skew, 0, k, c, sign * J[r][k])
-            row = {col: v for col, v in row.items() if v != 0}
-            if row:
-                rows.append(row)
+    for x, y, z in combinations(range(n), 3):
+        row: dict = {}
+        for s, r, c in ((x, z, y), (y, x, z), (z, y, x)):
+            for a, v in q_cols[s].items():
+                add_scaled(row, v, etas[a][r][c])
+        rows.append(row)
     return rows
 
 
@@ -619,25 +600,23 @@ def _structural_rows(j_struct: ComplexStructure):
     ``TorsionTensor``).
     """
     n = j_struct.space.dim
-    J = j_struct.rows
-    skew = _skew_params(n)
-    npairs = n * (n - 1) // 2
+    etas = _eta_entries(n)
+    j_cols = sparse_rows(zip(*j_struct.rows))
     # the cyclic identity on increasing triples is the bullet of the identity
-    rows = _bullet_rows([{i: 1} for i in range(n)], n, skew)
-    for a in range(n):
-        base = a * npairs
-        # eta_{J e_a} = eta_a J, entrywise
+    rows = _bullet_rows([{i: 1} for i in range(n)], etas)
+    for a, eta in enumerate(etas):
+        # row r of the entry table of eta_a J is compose(J columns, eta[r])
+        eta_j = [compose(j_cols, eta_r) for eta_r in eta]
+        # eta_{J e_a} - eta_a J, entrywise, with eta_{J e_a} = sum_b J[b][a] eta_b
         for r in range(n):
             for c in range(n):
-                row = {}
-                for b in range(n):
-                    _add_entry(row, skew, b * npairs, r, c, J[b][a])
-                for k in range(n):
-                    _add_entry(row, skew, base, r, k, -J[k][c])
-                row = {col: v for col, v in row.items() if v != 0}
+                row: dict = {}
+                for b, v in j_cols[a].items():
+                    add_scaled(row, v, etas[b][r][c])
+                add_scaled(row, -1, eta_j[r][c])
                 if row:
                     rows.append(row)
-    return rows, npairs
+    return rows, n * (n - 1) // 2
 
 
 def admissible_torsion_basis(j_struct: ComplexStructure):
@@ -663,10 +642,44 @@ def anti_invariant_skew_basis(j_struct: ComplexStructure):
 
 
 def _constrained_skew_basis(j_struct: ComplexStructure, commuting: bool):
-    """The skew F with F J = J F (commuting) or F J = -J F, as {column: value} rows."""
+    """The skew F with F J = J F (commuting) or F J = -J F, as {column: value} rows.
+
+    For skew F and J, (J F)[r][c] = (F J)[c][r], so both conditions are read
+    off the entry table of F J, on the entries r <= c.
+    """
     n = j_struct.space.dim
-    rows = _commutation_rows(j_struct.rows, _skew_params(n), -1 if commuting else 1)
+    j_cols = sparse_rows(zip(*j_struct.rows))
+    fj = [compose(j_cols, row) for row in _skew_entries(n)]
+    sign = -1 if commuting else 1
+    rows = [add_scaled(dict(fj[r][c]), sign, fj[c][r]) for r in range(n) for c in range(r, n)]
     return [_skew_from_params(vec, n) for vec in exact_nullspace(rows, n * (n - 1) // 2)]
+
+
+def _product_basis(mbasis, sign: int):
+    """A basis of span{F G + sign G F : F, G in mbasis} as {column: value} rows:
+    the products flattened to n^2 columns, reduced by ``row_basis``."""
+    n = len(mbasis[0]) if mbasis else 0
+    flat = []
+    for i, f in enumerate(mbasis):
+        for g in mbasis[i:]:
+            product = combine(compose(f, g), compose(g, f), 1, sign)
+            flat.append({r * n + c: v for r, row in enumerate(product) for c, v in row.items()})
+    out = []
+    for vec in row_basis(flat, n * n):
+        rows: list[dict] = [{} for _ in range(n)]
+        for col, v in vec.items():
+            r, c = divmod(col, n)
+            rows[r][c] = v
+        out.append(rows)
+    return out
+
+
+def _standard_system(k: int):
+    """The standard J on R^{2k}, the eta entry tables, the structural rows
+    and the number of eta parameters."""
+    j_struct = ComplexStructure.standard(Space(2 * k, "exact"))
+    rows, npairs = _structural_rows(j_struct)
+    return j_struct, _eta_entries(2 * k), rows, 2 * k * npairs
 
 
 def van_kernel_dimension(k: int) -> int:
@@ -677,40 +690,29 @@ def van_kernel_dimension(k: int) -> int:
     the exact nullspace dimension.  Zero from k = 3 on; the value at k = 2
     is reported by the verification suite without an assertion.
     """
-    space = Space(2 * k, "exact")
-    j_struct = ComplexStructure.standard(space)
-    n = 2 * k
-    rows, npairs = _structural_rows(j_struct)
-    skew = _skew_params(n)
+    j_struct, etas, rows, ncols = _standard_system(k)
     for f in invariant_skew_basis(j_struct):
-        rows.extend(_bullet_rows(f, n, skew))
-    return n * npairs - exact_rank(rows, n * npairs)
+        rows.extend(_bullet_rows(f, etas))
+    return ncols - exact_rank(rows, ncols)
 
 
 def bracket_bullet_in_span(k: int) -> bool:
     """Commutator bullets follow from squared bullets of the anticommuting skews.
 
     Over R^{2k}, adds to the structural torsion constraints the rows
-    (F G + G F) o eta = 0 for all pairs from a basis of the J-anticommuting
-    skews (the polarized squares), and checks by exact rank comparison that
-    every row ([F, G]) o eta = 0 already lies in their span.
+    (F G + G F) o eta = 0 for the polarized squares of the J-anticommuting
+    skews, and checks by exact rank comparison that every row
+    ([F, G]) o eta = 0 already lies in their span.  Bullet rows are linear
+    in the product, so each takes a basis of the products (``_product_basis``).
     """
-    space = Space(2 * k, "exact")
-    j_struct = ComplexStructure.standard(space)
-    n = 2 * k
-    rows, npairs = _structural_rows(j_struct)
-    skew = _skew_params(n)
+    j_struct, etas, rows, ncols = _standard_system(k)
     mbasis = anti_invariant_skew_basis(j_struct)
-    for i, f in enumerate(mbasis):
-        for g in mbasis[i:]:
-            sym = combine(compose(f, g), compose(g, f))
-            rows.extend(_bullet_rows(sym, n, skew))
-    base_rank = exact_rank(rows, n * npairs)
-    for i, f in enumerate(mbasis):
-        for g in mbasis[i + 1:]:
-            comm = combine(compose(f, g), compose(g, f), 1, -1)
-            rows.extend(_bullet_rows(comm, n, skew))
-    return exact_rank(rows, n * npairs) == base_rank
+    for sym in _product_basis(mbasis, 1):
+        rows.extend(_bullet_rows(sym, etas))
+    base_rank = exact_rank(rows, ncols)
+    for comm in _product_basis(mbasis, -1):
+        rows.extend(_bullet_rows(comm, etas))
+    return exact_rank(rows, ncols) == base_rank
 
 
 def bracket_span_dimension(k: int) -> int:
@@ -718,15 +720,5 @@ def bracket_span_dimension(k: int) -> int:
 
     Equals k^2, the dimension of the J-invariant skews, for k >= 2.
     """
-    space = Space(2 * k, "exact")
-    j_struct = ComplexStructure.standard(space)
-    mbasis = anti_invariant_skew_basis(j_struct)
-    n = 2 * k
-    skew = _skew_params(n)
-    vecs = []
-    for i, f in enumerate(mbasis):
-        for g in mbasis[i + 1:]:
-            comm = combine(compose(f, g), compose(g, f), 1, -1)
-            vecs.append({skew[(r, c)][0]: v
-                         for r, row in enumerate(comm) for c, v in row.items() if c > r})
-    return exact_rank(vecs, n * (n - 1) // 2)
+    j_struct = ComplexStructure.standard(Space(2 * k, "exact"))
+    return len(_product_basis(anti_invariant_skew_basis(j_struct), -1))

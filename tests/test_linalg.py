@@ -29,6 +29,7 @@ from hodgelab.linalg import (
     exact_nullspace,
     exact_rank,
     numerators,
+    row_basis,
     sparse_rows,
 )
 from hodgelab.tensor_maps import _structural_rows, a_full_matrix
@@ -75,6 +76,23 @@ def test_random_dict_rows_match_sympy(case):
     dense, ncols = case
     rows = [{c: v for c, v in enumerate(row) if v != 0} for row in dense]
     _assert_matches_sympy(rows, ncols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_matrices())
+def test_row_basis_is_a_primitive_basis_of_the_row_space(case):
+    """As many rows as the sympy rank, each a primitive integer row, and
+    appending them to the input leaves the rank unchanged."""
+    dense, ncols = case
+    rows = sparse_rows(dense)
+    basis = row_basis(rows, ncols)
+    rank = _sympy_matrix(rows, ncols).rank()
+    assert len(basis) == rank
+    for row in basis:
+        assert row and all(type(v) is int for v in row.values())
+        assert gcd(*row.values()) == 1
+    assert _sympy_matrix(rows + basis, ncols).rank() == rank
+    assert sparse_rows(dense) == rows
 
 
 @pytest.mark.parametrize("ncols", [1, 3, 5])

@@ -16,6 +16,8 @@ from hodgelab.rng import SplitMix64, random_form, random_vector
 from hodgelab.tensor_maps import (
     FormValuedMap,
     TorsionTensor,
+    _product_basis,
+    _skew_from_params,
     _structural_rows,
     a_full_matrix,
     admissible_torsion_basis,
@@ -664,3 +666,165 @@ def test_bracket_span_dimension():
 
 def test_bracket_bullet_span_containment():
     assert bracket_bullet_in_span(3)
+
+
+# -- the pairwise torsion oracle ---------------------------------------------
+#
+# The torsion rows as they were built before the skew-entry table: entry
+# signs looked up per term through a parameter dict, the commutation rows
+# of F J + sign J F over every entry, and the bracket checks over every
+# pair of J-anticommuting skews.  The entry-table rows and the product-span
+# bases must give the same nullspaces, booleans and dimensions.
+
+
+def oracle_skew_params(n):
+    """(r, c) -> (parameter, sign) of the skew n x n matrices."""
+    lookup = {}
+    for i, (r, c) in enumerate(combinations(range(n), 2)):
+        lookup[(r, c)] = (i, 1)
+        lookup[(c, r)] = (i, -1)
+    return lookup
+
+
+def oracle_add_entry(row, skew, base, r, c, coeff):
+    """Add coeff times entry (r, c) of the skew block at column ``base`` to a row."""
+    if coeff != 0 and r != c:
+        i, sign = skew[(r, c)]
+        row[base + i] = row.get(base + i, 0) + coeff * sign
+
+
+def oracle_bullet_rows(q_rows, n, skew):
+    rows = []
+    npairs = n * (n - 1) // 2
+    for x in range(n):
+        for y in range(x + 1, n):
+            for z in range(y + 1, n):
+                row = {}
+                for a, q_row in enumerate(q_rows):
+                    base = a * npairs
+                    oracle_add_entry(row, skew, base, z, y, q_row.get(x, 0))
+                    oracle_add_entry(row, skew, base, x, z, q_row.get(y, 0))
+                    oracle_add_entry(row, skew, base, y, x, q_row.get(z, 0))
+                rows.append({c: v for c, v in row.items() if v != 0})
+    return rows
+
+
+def oracle_commutation_rows(J, skew, sign):
+    """Rows of (F J + sign J F)[r][c] = 0 over every entry (r, c)."""
+    n = len(J)
+    rows = []
+    for r in range(n):
+        for c in range(n):
+            row = {}
+            for k in range(n):
+                oracle_add_entry(row, skew, 0, r, k, J[k][c])
+                oracle_add_entry(row, skew, 0, k, c, sign * J[r][k])
+            row = {col: v for col, v in row.items() if v != 0}
+            if row:
+                rows.append(row)
+    return rows
+
+
+def oracle_structural_rows(j_struct):
+    n = j_struct.space.dim
+    J = j_struct.rows
+    skew = oracle_skew_params(n)
+    npairs = n * (n - 1) // 2
+    rows = oracle_bullet_rows([{i: 1} for i in range(n)], n, skew)
+    for a in range(n):
+        base = a * npairs
+        for r in range(n):
+            for c in range(n):
+                row = {}
+                for b in range(n):
+                    oracle_add_entry(row, skew, b * npairs, r, c, J[b][a])
+                for k in range(n):
+                    oracle_add_entry(row, skew, base, r, k, -J[k][c])
+                row = {col: v for col, v in row.items() if v != 0}
+                if row:
+                    rows.append(row)
+    return rows, npairs
+
+
+def oracle_skew_basis(j_struct, commuting):
+    n = j_struct.space.dim
+    rows = oracle_commutation_rows(j_struct.rows, oracle_skew_params(n), -1 if commuting else 1)
+    return [_skew_from_params(vec, n) for vec in exact_nullspace(rows, n * (n - 1) // 2)]
+
+
+def oracle_bracket_bullet_in_span(k):
+    j_struct = ComplexStructure.standard(Space(2 * k))
+    n = 2 * k
+    rows, npairs = oracle_structural_rows(j_struct)
+    skew = oracle_skew_params(n)
+    mbasis = anti_invariant_skew_basis(j_struct)
+    for i, f in enumerate(mbasis):
+        for g in mbasis[i:]:
+            rows.extend(oracle_bullet_rows(combine(compose(f, g), compose(g, f)), n, skew))
+    base_rank = exact_rank(rows, n * npairs)
+    for i, f in enumerate(mbasis):
+        for g in mbasis[i + 1:]:
+            comm = combine(compose(f, g), compose(g, f), 1, -1)
+            rows.extend(oracle_bullet_rows(comm, n, skew))
+    return exact_rank(rows, n * npairs) == base_rank
+
+
+def oracle_bracket_span_dimension(k):
+    j_struct = ComplexStructure.standard(Space(2 * k))
+    mbasis = anti_invariant_skew_basis(j_struct)
+    n = 2 * k
+    skew = oracle_skew_params(n)
+    vecs = []
+    for i, f in enumerate(mbasis):
+        for g in mbasis[i + 1:]:
+            comm = combine(compose(f, g), compose(g, f), 1, -1)
+            vecs.append({skew[(r, c)][0]: v
+                         for r, row in enumerate(comm) for c, v in row.items() if c > r})
+    return exact_rank(vecs, n * (n - 1) // 2)
+
+
+_TORSION_STRUCTURES = pytest.mark.parametrize("j_struct", [
+    ComplexStructure.standard(Space(4)),
+    ComplexStructure.standard(Space(6)),
+    ComplexStructure.standard(Space(8)),
+    _rotated_j(6),
+], ids=["std4", "std6", "std8", "rotated6"])
+
+
+@_TORSION_STRUCTURES
+def test_structural_rows_match_the_pairwise_oracle(j_struct):
+    rows, npairs = _structural_rows(j_struct)
+    want, want_npairs = oracle_structural_rows(j_struct)
+    ncols = j_struct.space.dim * npairs
+    assert npairs == want_npairs
+    assert exact_nullspace(rows, ncols) == exact_nullspace(want, ncols)
+
+
+@_TORSION_STRUCTURES
+def test_skew_bases_match_the_commutation_row_oracle(j_struct):
+    n = j_struct.space.dim
+    for commuting, basis in ((True, invariant_skew_basis(j_struct)),
+                             (False, anti_invariant_skew_basis(j_struct))):
+        want = oracle_skew_basis(j_struct, commuting)
+        assert [dense_rows(f, n) for f in basis] == [dense_rows(f, n) for f in want]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_bracket_checks_match_the_all_pairs_oracle(k):
+    assert bracket_bullet_in_span(k) == oracle_bracket_bullet_in_span(k)
+    assert bracket_span_dimension(k) == oracle_bracket_span_dimension(k)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_product_basis_spans_every_pair_product(k, sign):
+    mbasis = anti_invariant_skew_basis(ComplexStructure.standard(Space(2 * k)))
+    n = 2 * k
+
+    def flat(m):
+        return {r * n + c: v for r, row in enumerate(m) for c, v in row.items()}
+
+    basis = [flat(m) for m in _product_basis(mbasis, sign)]
+    pairs = [flat(combine(compose(f, g), compose(g, f), 1, sign))
+             for i, f in enumerate(mbasis) for g in mbasis[i:]]
+    assert len(basis) == exact_rank(pairs, n * n) == exact_rank(pairs + basis, n * n)

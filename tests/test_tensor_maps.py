@@ -8,9 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hodgelab import campaigns
 from hodgelab.errors import DegreeOverflowError, InvalidDerivativeError, InvariantViolationError
 from hodgelab.exterior import Form, Space, Vector, basis_masks, inner, wedge
-from hodgelab.hermitian import ComplexStructure, bb_j, bb_j_matrix, lambda_basis, lambda_p_project
+from hodgelab.hermitian import (
+    ComplexStructure,
+    bb_j,
+    bb_j_matrix,
+    curly_j_squared,
+    lambda_basis,
+    lambda_p_project,
+)
 from hodgelab.linalg import combine, compose, dense_rows, exact_nullspace, exact_rank, sparse_rows
 from hodgelab.rng import SplitMix64, random_form, random_vector
 from hodgelab.tensor_maps import (
@@ -386,6 +394,43 @@ def test_eigen_membership_of_halves():
                 assert bidegree_eigen_residual(
                     j_struct, antisymmetrize(q2), p + q, 0
                 ).is_zero()
+
+
+def form_eigen_residual(j_struct, alpha, p, q):
+    """The residual curly_j^2(alpha) + (p-q)^2 alpha in Form arithmetic."""
+    return curly_j_squared(j_struct, alpha) + (p - q) ** 2 * alpha
+
+
+def max_abs(alpha):
+    return float(max((abs(c) for c in alpha.coeffs.values()), default=0))
+
+
+def test_lemma_2_1_cases_fail_when_the_halves_are_swapped(monkeypatch):
+    """With the commuting and anticommuting halves swapped, a case fails
+    exactly when a swapped half has a nonzero a(Q), and its residual is the
+    oracle's largest |coefficient| over the two swapped checks."""
+    real = campaigns.split_type
+    halves = []
+
+    def swapped(t):
+        q1, q2 = real(t)
+        halves.append((q1, q2))
+        return q2, q1
+
+    monkeypatch.setattr(campaigns, "split_type", swapped)
+    report = campaigns.run_campaign(campaigns.Campaign("lemma-2.1", dims=[4, 6, 8], seeds=[1, 2]))
+    assert len(halves) == len(report.cases)
+    failed = 0
+    for case, (q1, q2) in zip(report.cases, halves):
+        j_struct, p, q = q1.j, q1.p, q1.q
+        want = max(
+            max_abs(form_eigen_residual(j_struct, antisymmetrize(q2), p, q)),
+            max_abs(form_eigen_residual(j_struct, antisymmetrize(q1), p + q, 0)),
+        )
+        assert case.residual == want
+        assert case.passed == (want == 0)
+        failed += not case.passed
+    assert failed > len(report.cases) // 2
 
 
 # -- rank and kernel -------------------------------------------------------

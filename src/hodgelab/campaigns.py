@@ -55,19 +55,19 @@ from .harmonic import (
     stab_expand,
     symplectic_candidate,
 )
-from .hermitian import ComplexStructure, bb_j, j_pullback, lambda_basis
+from .hermitian import ComplexStructure, bb_j, eigen_residual, j_pullback, lambda_basis
 from .lefschetz import alpha_from_holomorphic, lefschetz_lstar, p_k, primitive_basis
 from .linalg import add_scaled
 from .rng import SplitMix64, random_form, random_vector
 from .tensor_maps import (
     FormValuedMap,
     admissible_torsion_basis,
-    antisymmetrize,
+    antisymmetrize_numerators,
     a_kernel_tensors,
     a_restricted_rank,
     bidegree_eigen_residual,
+    bracket_bases,
     bracket_bullet_in_span,
-    bracket_span_dimension,
     contraction_identity_check,
     holomorphic_q,
     slot_one_form,
@@ -205,8 +205,9 @@ def run_lemma_2_1(dim, seeds):
             psi = _random_combination(j.space, q, lambda_basis(j, q).forms, rng)
             t = FormValuedMap.from_tensor(j, phi, psi)
             q1, q2 = split_type(t)
-            r1 = bidegree_eigen_residual(j, antisymmetrize(q1), p, q)
-            r2 = bidegree_eigen_residual(j, antisymmetrize(q2), p + q, 0)
+            # a(Q1) and a(Q2) go to the residual as integer numerators
+            r1 = eigen_residual(j, p + q, *antisymmetrize_numerators(q1), p, q)
+            r2 = eigen_residual(j, p + q, *antisymmetrize_numerators(q2), p + q, 0)
             yield _exact_case(f"dim{dim}/p{p}q{q}/seed{seed}", max(_res(r1), _res(r2)), seed)
 
 
@@ -561,8 +562,10 @@ def run_eq_7(dim, seeds):
                     worst = max(worst, abs(bullet[x][y][z] - bullet[y][z][x]))
                     worst = max(worst, abs(ident[x][y][z]))
     yield _exact_case(f"dim{dim}/cyclic", worst)
-    yield _exact_case(f"dim{dim}/bracket-span", 0 if bracket_bullet_in_span(k) else 1)
-    bdim = bracket_span_dimension(k)
+    squares, commutators = bracket_bases(j)
+    yield _exact_case(f"dim{dim}/bracket-span",
+                      0 if bracket_bullet_in_span(j, squares, commutators) else 1)
+    bdim = len(commutators)
     if k >= 3:
         yield _exact_case(f"dim{dim}/bracket-dim", k * k - bdim)
     else:

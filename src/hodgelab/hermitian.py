@@ -133,24 +133,39 @@ def _compiled(j_struct: ComplexStructure, image, degree: int):
     return table, den
 
 
-def _apply_compiled(j_struct: ComplexStructure, image, alpha: Form, power: int = 1) -> Form:
-    """Apply the ``power``-th power of the operator with basis images
-    ``image(j_struct, mask)`` to alpha, through its table compiled once per
-    (J, image, degree): the numerators of alpha meet the table's ``power``
-    times, and the product of the denominators divides once at the end."""
-    if alpha.space != j_struct.space:
-        raise SpaceMismatchError(f"{alpha.space} vs {j_struct.space}")
-    space = alpha.space
-    table, den = _compiled(j_struct, image, alpha.degree)
-    out, alpha_den = space.numerators(alpha.coeffs)
+def _apply_numerators(
+    j_struct: ComplexStructure, image, degree: int, nums: dict, den, power: int = 1, shift=0
+) -> Form:
+    """The form (A^power + shift) alpha for alpha = nums / den of the given
+    degree, A the operator with basis images ``image(j_struct, mask)``.
+
+    With ``(T, tden)`` the table of A compiled once per (J, image, degree),
+    T = tden A, the numerators meet T ``power`` times and shift tden^power
+    nums is added, all on integers; each nonzero entry is then divided once
+    by tden^power den.
+    """
+    table, tden = _compiled(j_struct, image, degree)
+    out = nums
     for _ in range(power):
-        nums, out = out, {}
-        for mask, coeff in nums.items():
+        prev, out = out, {}
+        for mask, coeff in prev.items():
             add_scaled(out, coeff, table[mask])
-    den = den**power * alpha_den
+    tden **= power
+    if shift:
+        add_scaled(out, shift * tden, nums)
+    den *= tden
+    space = j_struct.space
     if den != 1:
         out = {m: space.ratio(v, den) for m, v in out.items()}
-    return Form(space, alpha.degree, out)
+    return Form(space, degree, out)
+
+
+def _apply_compiled(j_struct: ComplexStructure, image, alpha: Form, power: int = 1) -> Form:
+    """``_apply_numerators`` on the numerators of alpha."""
+    if alpha.space != j_struct.space:
+        raise SpaceMismatchError(f"{alpha.space} vs {j_struct.space}")
+    nums, den = alpha.space.numerators(alpha.coeffs)
+    return _apply_numerators(j_struct, image, alpha.degree, nums, den, power)
 
 
 def _pullback_image(j_struct: ComplexStructure, mask: int) -> dict:
@@ -207,6 +222,14 @@ def curly_j(j_struct: ComplexStructure, alpha: Form) -> Form:
 def curly_j_squared(j_struct: ComplexStructure, alpha: Form) -> Form:
     """curly_j twice, on the integer numerators between the two steps."""
     return _apply_compiled(j_struct, _curly_j_image, alpha, 2)
+
+
+def eigen_residual(j_struct: ComplexStructure, degree: int, nums: dict, den, p: int, q: int) -> Form:
+    """curly_j^2(alpha) + (p-q)^2 alpha for alpha = nums / den of the given
+    degree: zero iff alpha is pure of bidegree (p, q).  Computed on integers
+    as (T^2 nums + (p-q)^2 tden^2 nums) / (tden^2 den), with (T, tden) the
+    compiled curly_j table; only the nonzero entries divide."""
+    return _apply_numerators(j_struct, _curly_j_image, degree, nums, den, 2, (p - q) ** 2)
 
 
 def bidegree_project(j_struct: ComplexStructure, alpha: Form, p: int, q: int) -> Form:

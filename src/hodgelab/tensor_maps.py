@@ -55,7 +55,7 @@ from .hermitian import (
     ComplexStructure,
     bb_j,
     bb_j_matrix,
-    curly_j_squared,
+    eigen_residual,
     in_lambda_p,
     lambda_basis,
     per_structure,
@@ -106,14 +106,20 @@ class FormValuedMap:
         if len(rows) != self.codomain.dim or any(not 0 <= c < width for r in rows for c in r):
             raise InvariantViolationError("matrix shape does not match the bases")
         # each row's numerators over the lcm of the row denominators, zeros
-        # dropped, then divided by their gcd with den.  The arguments of lcm
-        # and gcd are lists: a tuple built from a generator is allocated
-        # larger and shrunk, and the freed smaller tuples pile up in the
-        # interpreter's tuple free lists
+        # dropped, then divided by their gcd with den.  Integer rows without
+        # zeros (every row of from_tensor, split_type and the bb_j
+        # conjugation) are kept as given: a map never modifies its rows.
+        # The arguments of lcm and gcd are lists: a tuple built from a
+        # generator is allocated larger and shrunk, and the freed smaller
+        # tuples pile up in the interpreter's tuple free lists
         converted = [numerators(row) for row in rows]
         scale = lcm(*[d for _, d in converted])
-        rows = [{c: v * (scale // d) for c, v in nums.items() if v} for nums, d in converted]
-        den *= scale
+        if scale == 1:
+            rows = [nums if all(nums.values()) else {c: v for c, v in nums.items() if v}
+                    for nums, _ in converted]
+        else:
+            rows = [{c: v * (scale // d) for c, v in nums.items() if v} for nums, d in converted]
+            den *= scale
         g = gcd(den, *[v for row in rows for v in row.values()])
         if g > 1:
             rows = [{c: v // g for c, v in row.items()} for row in rows]
@@ -260,35 +266,40 @@ def split_type(q_map: FormValuedMap):
     return q_map._combine(conj, -1, 2), q_map._combine(conj, 1, 2)
 
 
-def antisymmetrize(q_map: FormValuedMap) -> Form:
-    """a(Q) = sum over ordered p-tuples of e^{i1} ^ ... ^ e^{ip} ^ Q(e_{i1}, ..., e_{ip}).
+def antisymmetrize_numerators(q_map: FormValuedMap):
+    """``(nums, den)``: a(Q) as {mask: int} numerators, zeros dropped, over
+    the positive integer ``den`` (see ``antisymmetrize``).
 
-    Tuples with repeated indices vanish against the wedge prefix, so the
-    ordered sum carries a p! multiplicity: rank-one tensors satisfy
-    a(phi (x) psi) = p! phi ^ psi.  Computed as the cached rows of
-    ``a_full_matrix`` applied to the coordinates Q[e][d] / |b_d|^2 of Q on
-    the tensors b_d (x) c_e, since Q = sum_d b_d (x) Q(b_d) / |b_d|^2.  The
-    coordinates are integers over L den, with L the lcm of the |b_d|^2, and
-    each nonzero coefficient divides once.
+    Q = sum_d b_d (x) Q(b_d) / |b_d|^2 and a(b_d (x) c_e) = p! b_d ^ c_e, so
+    each nonzero entry Q[e][d] adds its multiple of the cached wedge
+    b_d ^ c_e.  The coefficients Q[e][d] / |b_d|^2 are integers over L den,
+    with L the lcm of the |b_d|^2.
     """
     j_struct, p, q = q_map.j, q_map.p, q_map.q
     space = j_struct.space
     if p + q > space.dim:
         raise DegreeOverflowError(f"degree {p + q} exceeds dimension {space.dim}")
-    dq, norms_sq = q_map.codomain.dim, q_map.domain.norms_sq
+    norms_sq = q_map.domain.norms_sq
     scale = lcm(*norms_sq)
-    weights = [scale // ns for ns in norms_sq]
-    coords = [0] * (len(norms_sq) * dq)
+    weights = [factorial(p) * (scale // ns) for ns in norms_sq]
+    table = _wedge_table(j_struct, p, q)
+    nums: dict = {}
     for e, row in enumerate(q_map.rows):
         for d, v in row.items():
-            coords[d * dq + e] = v * weights[d]
-    den = scale * q_map.den
-    coeffs = {}
-    for mask, row in zip(basis_masks(space.dim, p + q), a_full_matrix(j_struct, p, q)):
-        t = sum(v * coords[c] for c, v in row.items())
-        if t:
-            coeffs[mask] = Fraction(t, den)
-    return Form(space, p + q, coeffs)
+            add_scaled(nums, v * weights[d], table[d][e].coeffs)
+    return nums, scale * q_map.den
+
+
+def antisymmetrize(q_map: FormValuedMap) -> Form:
+    """a(Q) = sum over ordered p-tuples of e^{i1} ^ ... ^ e^{ip} ^ Q(e_{i1}, ..., e_{ip}).
+
+    Tuples with repeated indices vanish against the wedge prefix, so the
+    ordered sum carries a p! multiplicity: rank-one tensors satisfy
+    a(phi (x) psi) = p! phi ^ psi.  Each nonzero numerator of
+    ``antisymmetrize_numerators`` divides once.
+    """
+    nums, den = antisymmetrize_numerators(q_map)
+    return Form(q_map.j.space, q_map.p + q_map.q, {m: Fraction(t, den) for m, t in nums.items()})
 
 
 def antisymmetrize_multilinear(space: Space, p: int, q: int, eval_mask) -> Form:
@@ -303,8 +314,12 @@ def antisymmetrize_multilinear(space: Space, p: int, q: int, eval_mask) -> Form:
 
 
 def bidegree_eigen_residual(j_struct: ComplexStructure, alpha: Form, p: int, q: int) -> Form:
-    """curly_j^2(alpha) + (p-q)^2 alpha; zero iff alpha is pure of bidegree (p, q)."""
-    return curly_j_squared(j_struct, alpha) + ((p - q) ** 2) * alpha
+    """curly_j^2(alpha) + (p-q)^2 alpha; zero iff alpha is pure of bidegree
+    (p, q).  ``eigen_residual`` on the numerators of alpha."""
+    if alpha.space != j_struct.space:
+        raise SpaceMismatchError(f"{alpha.space} vs {j_struct.space}")
+    nums, den = alpha.space.numerators(alpha.coeffs)
+    return eigen_residual(j_struct, alpha.degree, nums, den, p, q)
 
 
 # -- rank and kernel of the antisymmetrization ---------------------------
@@ -674,12 +689,12 @@ def _product_basis(mbasis, sign: int):
     return out
 
 
-def _standard_system(k: int):
-    """The standard J on R^{2k}, the eta entry tables, the structural rows
-    and the number of eta parameters."""
-    j_struct = ComplexStructure.standard(Space(2 * k, "exact"))
+def _torsion_system(j_struct: ComplexStructure):
+    """The eta entry tables, the structural rows and the number of eta
+    parameters of the torsion tensors of J."""
+    n = j_struct.space.dim
     rows, npairs = _structural_rows(j_struct)
-    return j_struct, _eta_entries(2 * k), rows, 2 * k * npairs
+    return _eta_entries(n), rows, n * npairs
 
 
 def van_kernel_dimension(k: int) -> int:
@@ -690,35 +705,36 @@ def van_kernel_dimension(k: int) -> int:
     the exact nullspace dimension.  Zero from k = 3 on; the value at k = 2
     is reported by the verification suite without an assertion.
     """
-    j_struct, etas, rows, ncols = _standard_system(k)
+    j_struct = ComplexStructure.standard(Space(2 * k, "exact"))
+    etas, rows, ncols = _torsion_system(j_struct)
     for f in invariant_skew_basis(j_struct):
         rows.extend(_bullet_rows(f, etas))
     return ncols - exact_rank(rows, ncols)
 
 
-def bracket_bullet_in_span(k: int) -> bool:
+def bracket_bases(j_struct: ComplexStructure):
+    """``(squares, commutators)``: ``_product_basis`` bases of
+    span{F G + G F} and span{[F, G]} over the J-anticommuting skews F, G.
+    On R^{2k} the commutators span k^2 dimensions, those of the J-invariant
+    skews, for k >= 3, and fewer at k = 2."""
+    mbasis = anti_invariant_skew_basis(j_struct)
+    return _product_basis(mbasis, 1), _product_basis(mbasis, -1)
+
+
+def bracket_bullet_in_span(j_struct: ComplexStructure, squares, commutators) -> bool:
     """Commutator bullets follow from squared bullets of the anticommuting skews.
 
-    Over R^{2k}, adds to the structural torsion constraints the rows
+    Adds to the structural torsion constraints of J the rows
     (F G + G F) o eta = 0 for the polarized squares of the J-anticommuting
     skews, and checks by exact rank comparison that every row
     ([F, G]) o eta = 0 already lies in their span.  Bullet rows are linear
-    in the product, so each takes a basis of the products (``_product_basis``).
+    in the product, so each takes the basis of the products from
+    ``bracket_bases``.
     """
-    j_struct, etas, rows, ncols = _standard_system(k)
-    mbasis = anti_invariant_skew_basis(j_struct)
-    for sym in _product_basis(mbasis, 1):
+    etas, rows, ncols = _torsion_system(j_struct)
+    for sym in squares:
         rows.extend(_bullet_rows(sym, etas))
     base_rank = exact_rank(rows, ncols)
-    for comm in _product_basis(mbasis, -1):
+    for comm in commutators:
         rows.extend(_bullet_rows(comm, etas))
     return exact_rank(rows, ncols) == base_rank
-
-
-def bracket_span_dimension(k: int) -> int:
-    """Dimension of the span of commutators of J-anticommuting skews.
-
-    Equals k^2, the dimension of the J-invariant skews, for k >= 2.
-    """
-    j_struct = ComplexStructure.standard(Space(2 * k, "exact"))
-    return len(_product_basis(anti_invariant_skew_basis(j_struct), -1))

@@ -16,6 +16,7 @@ from hodgelab.hermitian import (
     bb_j,
     bb_j_matrix,
     curly_j_squared,
+    eigen_residual,
     lambda_basis,
     lambda_p_project,
 )
@@ -31,12 +32,13 @@ from hodgelab.tensor_maps import (
     admissible_torsion_basis,
     antisymmetrize,
     antisymmetrize_multilinear,
+    antisymmetrize_numerators,
     anti_invariant_skew_basis,
     a_kernel_tensors,
     a_restricted_rank,
     bidegree_eigen_residual,
+    bracket_bases,
     bracket_bullet_in_span,
-    bracket_span_dimension,
     contraction_identity_check,
     holomorphic_q,
     invariant_skew_basis,
@@ -262,6 +264,18 @@ def test_rational_rows_are_reduced_once_to_one_denominator():
     assert FormValuedMap(j_struct, 1, 1, [{0: 2}, {1: 4}, {}, {}], 6).den == 3
 
 
+def test_integer_rows_drop_zeros_and_reduce_without_touching_the_given_rows():
+    rows = [{0: 4, 1: 0}, {1: 6}, {}, {2: -2}]
+    given = [dict(row) for row in rows]
+    m = FormValuedMap(J4, 1, 1, rows, 10)
+    assert rows == given
+    assert m.rows == [{0: 2}, {1: 3}, {}, {2: -1}]
+    assert m.den == 5
+    kept = FormValuedMap(J4, 1, 1, rows[1:2] + [{}, {}, {0: 1}], 3)
+    assert kept.rows == [{1: 6}, {}, {}, {0: 1}] and kept.den == 3
+    assert rows == given
+
+
 @pytest.mark.parametrize("den", [0, -2, Fraction(1, 2), 1.0])
 def test_the_denominator_must_be_a_positive_int(den):
     with pytest.raises(InvariantViolationError, match="positive int"):
@@ -403,6 +417,49 @@ def form_eigen_residual(j_struct, alpha, p, q):
 
 def max_abs(alpha):
     return float(max((abs(c) for c in alpha.coeffs.values()), default=0))
+
+
+def drawn_form(data, space, degree):
+    """A form with up to four drawn basis masks and nonzero Fraction coefficients."""
+    masks = basis_masks(space.dim, degree)
+    coeffs = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        coeffs[masks[data.draw(st.integers(0, len(masks) - 1))]] = data.draw(
+            small_fractions.filter(bool))
+    return Form(space, degree, coeffs)
+
+
+@pytest.mark.parametrize("kind,n", ORACLE_STRUCTURES)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_eigen_residual_matches_the_form_oracle(kind, n, data):
+    """The integer residual against ``form_eigen_residual`` for the halves'
+    a(Q), through ``bidegree_eigen_residual`` and from the numerators, and
+    for drawn forms, at every target pair (s, t) of the degree: the right
+    one and the wrong ones, whose residuals are nonzero."""
+    j_struct = oracle_structure(kind, n)
+    nonzero = 0
+
+    def check(alpha, got_from_nums):
+        nonlocal nonzero
+        d = alpha.degree
+        for s in range((d + 1) // 2, d + 1):
+            want = form_eigen_residual(j_struct, alpha, s, d - s)
+            got = [bidegree_eigen_residual(j_struct, alpha, s, d - s)]
+            if got_from_nums is not None:
+                got.append(eigen_residual(j_struct, d, *got_from_nums, s, d - s))
+            for g in got:
+                assert g.coeffs == want.coeffs
+                assert campaigns._res(g) == max_abs(want)
+            nonzero += not want.is_zero()
+
+    for p, q in degree_pairs(n):
+        phi, psi = drawn_lambda(data, j_struct, p), drawn_lambda(data, j_struct, q)
+        for half in split_type(FormValuedMap.from_tensor(j_struct, phi, psi)):
+            check(antisymmetrize(half), antisymmetrize_numerators(half))
+    for degree in range(1, n + 1):
+        check(drawn_form(data, j_struct.space, degree), None)
+    assert nonzero
 
 
 def test_lemma_2_1_cases_fail_when_the_halves_are_swapped(monkeypatch):
@@ -700,6 +757,17 @@ def test_van_kernel_dimensions():
     assert reported >= 0
 
 
+def bracket_span_dimension(k):
+    """The size of the commutator basis of ``bracket_bases`` on R^{2k}."""
+    return len(bracket_bases(ComplexStructure.standard(Space(2 * k)))[1])
+
+
+def bracket_in_span(k):
+    """``bracket_bullet_in_span`` on the standard J of R^{2k}."""
+    j_struct = ComplexStructure.standard(Space(2 * k))
+    return bracket_bullet_in_span(j_struct, *bracket_bases(j_struct))
+
+
 def test_bracket_span_dimension():
     # commutators of the anticommuting skews span the invariant skews from
     # k = 3 on; at k = 2 the anticommuting part is abelian-like and spans
@@ -710,7 +778,7 @@ def test_bracket_span_dimension():
 
 
 def test_bracket_bullet_span_containment():
-    assert bracket_bullet_in_span(3)
+    assert bracket_in_span(3)
 
 
 # -- the pairwise torsion oracle ---------------------------------------------
@@ -856,7 +924,7 @@ def test_skew_bases_match_the_commutation_row_oracle(j_struct):
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_bracket_checks_match_the_all_pairs_oracle(k):
-    assert bracket_bullet_in_span(k) == oracle_bracket_bullet_in_span(k)
+    assert bracket_in_span(k) == oracle_bracket_bullet_in_span(k)
     assert bracket_span_dimension(k) == oracle_bracket_span_dimension(k)
 
 

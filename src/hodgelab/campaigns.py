@@ -205,7 +205,6 @@ def run_lemma_2_1(dim, seeds):
             psi = _random_combination(j.space, q, lambda_basis(j, q).forms, rng)
             t = FormValuedMap.from_tensor(j, phi, psi)
             q1, q2 = split_type(t)
-            # a(Q1) and a(Q2) go to the residual as integer numerators
             r1 = eigen_residual(j, p + q, *antisymmetrize_numerators(q1), p, q)
             r2 = eigen_residual(j, p + q, *antisymmetrize_numerators(q2), p + q, 0)
             yield _exact_case(f"dim{dim}/p{p}q{q}/seed{seed}", max(_res(r1), _res(r2)), seed)

@@ -43,7 +43,6 @@ from .hermitian import (
     in_lambda_p,
     j_pullback,
     lambda_basis,
-    lambda_p_project,
 )
 from .lefschetz import (
     alpha_from_holomorphic,

@@ -232,8 +232,7 @@ def run_prop_2_2(dim, seeds):
         psi = _random_combination(j.space, 2, lambda_basis(j, 2).forms, rng)
         t1 = split_type(FormValuedMap.from_tensor(j, phi, psi))[0]
         x = random_vector(j.space, rng)
-        ok = contraction_identity_check(t1, x)
-        yield _exact_case(f"dim{dim}/contract/seed{seed}", 0 if ok else 1, seed)
+        yield _exact_case(f"dim{dim}/contract/seed{seed}", contraction_identity_check(t1, x), seed)
 
 
 def run_prop_2_3(dim, seeds):
@@ -562,8 +561,7 @@ def run_eq_7(dim, seeds):
                     worst = max(worst, abs(ident[x][y][z]))
     yield _exact_case(f"dim{dim}/cyclic", worst)
     squares, commutators = bracket_bases(j)
-    yield _exact_case(f"dim{dim}/bracket-span",
-                      0 if bracket_bullet_in_span(j, squares, commutators) else 1)
+    yield _exact_case(f"dim{dim}/bracket-span", bracket_bullet_in_span(j, squares, commutators))
     bdim = len(commutators)
     if k >= 3:
         yield _exact_case(f"dim{dim}/bracket-dim", k * k - bdim)

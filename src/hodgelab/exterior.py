@@ -152,9 +152,6 @@ class Space:
         comps[i - 1] = self.one
         return Vector(self, comps)
 
-    def vector(self, components) -> "Vector":
-        return Vector(self, [self.scalar(c) for c in components])
-
 
 class Form:
     """A real alternating p-form, coefficients on increasing multi-indices.
@@ -241,9 +238,6 @@ class Form:
         if self.degree != 0:
             raise DegreeMismatchError("scalar_value needs a degree-0 form")
         return self.coeffs.get(0, self.space.zero)
-
-    def coefficient(self, *indices):
-        return self.coeffs.get(indices_to_mask(indices), self.space.zero)
 
     def terms(self):
         """Sorted list of (index tuple, coefficient) pairs."""

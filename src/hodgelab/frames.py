@@ -139,26 +139,17 @@ class FrameTriple:
 
     __slots__ = ("gammas", "nu")
 
-    def __init__(self, gammas, nu: Form | None = None):
+    def __init__(self, gammas):
         gammas = tuple(gammas)
         if len(gammas) != 3:
             raise NotAValidFrameError("need exactly three complex 1-forms")
-        space = gammas[0].space
-        if nu is None:
-            nu = space.volume_form()
-        if not nu.isclose(space.volume_form(), FRAME_TOL):
-            raise NotAValidFrameError("volume form must be the oriented metric volume")
         gram = np.array(
             [[gammas[i].hermitian(gammas[j]) for j in range(3)] for i in range(3)]
         )
         if np.max(np.abs(gram - np.eye(3))) > FRAME_TOL:
             raise NotAValidFrameError("frame violates the unitarity relations")
         self.gammas = gammas
-        self.nu = nu
-
-    @classmethod
-    def standard(cls) -> "FrameTriple":
-        return cls([ComplexForm.from_coords(row) for row in np.eye(3)])
+        self.nu = gammas[0].space.volume_form()
 
     @classmethod
     def from_unitary(cls, u: np.ndarray) -> "FrameTriple":

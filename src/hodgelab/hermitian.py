@@ -255,11 +255,6 @@ def bidegree_project(j_struct: ComplexStructure, alpha: Form, p: int, q: int) ->
     return result
 
 
-def lambda_p_project(j_struct: ComplexStructure, alpha: Form) -> Form:
-    """Projection onto the real forms of complex type (p,0)+(0,p)."""
-    return bidegree_project(j_struct, alpha, alpha.degree, 0)
-
-
 def _is_lambda_eigen(alpha: Form, squared: Form) -> bool:
     """Whether squared = curly_j^2 alpha equals -p^2 alpha: on degree p the
     type-(p,0)+(0,p) forms are exactly that eigenspace."""
@@ -299,7 +294,7 @@ def _lambda_dim(dim: int, degree: int) -> int:
 
 
 def _lambda_candidate(j_struct: ComplexStructure, mask: int) -> dict:
-    """A nonzero multiple of lambda_p_project(e^I) for the mask I, as
+    """A nonzero multiple of bidegree_project(e^I, p, 0) for the mask I, as
     {mask: int}; empty when the projection vanishes.
 
     With ``(T, den)`` the compiled cal-J table, T = den cal-J is an integer

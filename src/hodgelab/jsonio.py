@@ -6,14 +6,12 @@ Form format (1-based strictly increasing indices):
      "terms": [{"index": [i1, ..., ip], "num": a, "den": b}, ...]}
 
 Float-backend terms carry {"index": [...], "value": x} instead of num/den.
-Complex structures are {"dim": 2k, "matrix": row-major} with "standard"
-accepted as a shorthand for the matrix; skew endomorphisms are
-{"dim": n, "matrix": row-major}; exact matrix entries are integers or
-{"num": a, "den": b}.  Integer fields ("dim", "degree", "index", "num",
-"den") take JSON integers only, float-backend values and matrix entries JSON
-numbers only.  Frame triples are three {re, im} pairs of real 1-forms plus
-the volume form.  Payloads with "dim" above MAX_DIM are rejected before
-anything of that size is built.
+Skew endomorphisms are read from {"dim": n, "matrix": rows or row-major};
+exact matrix entries are integers or {"num": a, "den": b}.  Integer fields
+("dim", "degree", "index", "num", "den") take JSON integers only,
+float-backend values and matrix entries JSON numbers only.  Spectral
+decompositions are written, never read.  Payloads with "dim" above MAX_DIM
+are rejected before anything of that size is built.
 """
 
 from __future__ import annotations
@@ -22,9 +20,7 @@ from fractions import Fraction
 
 from .errors import HodgeLabError
 from .exterior import Form, Space
-from .frames import ComplexForm, FrameTriple
 from .harmonic import SkewEndo, SpectralDecomposition
-from .hermitian import ComplexStructure
 
 # decompose builds an n x n structure, eigensolves it and enumerates the
 # C(n, p) basis masks; the campaigns stop at dimension 8
@@ -98,11 +94,9 @@ def form_from_dict(obj) -> Form:
 
 
 def _matrix_to_rows(obj, space: Space):
-    """The rows of a matrix payload, or None for the "standard" shorthand."""
+    """The rows of a matrix payload, nested or flat row-major."""
     try:
         flat = obj["matrix"]
-        if flat == "standard":
-            return None
         n = space.dim
         if len(flat) == n and all(isinstance(r, (list, tuple)) for r in flat):
             rows = [list(r) for r in flat]
@@ -119,42 +113,9 @@ def _matrix_to_rows(obj, space: Space):
         raise ParseError(f"bad matrix payload: {exc}") from exc
 
 
-def _matrix_to_dict(space: Space, rows) -> dict:
-    return {
-        "dim": space.dim,
-        "backend": space.backend,
-        "matrix": [[_num(v) for v in row] for row in rows],
-    }
-
-
-def complex_structure_to_dict(j: ComplexStructure) -> dict:
-    return _matrix_to_dict(j.space, j.rows)
-
-
-def complex_structure_from_dict(obj) -> ComplexStructure:
-    space = _space_from(obj)
-    rows = _matrix_to_rows(obj, space)
-    if rows is None:
-        return ComplexStructure.standard(space)
-    return ComplexStructure(space, rows)
-
-
-def skew_endo_to_dict(a: SkewEndo) -> dict:
-    return _matrix_to_dict(a.space, a.rows)
-
-
 def skew_endo_from_dict(obj) -> SkewEndo:
     space = _space_from(obj)
-    rows = _matrix_to_rows(obj, space)
-    if rows is None:
-        raise ParseError("skew matrices have no standard shorthand")
-    return SkewEndo(space, rows)
-
-
-def _num(v):
-    if isinstance(v, Fraction):
-        return v.numerator if v.denominator == 1 else {"num": v.numerator, "den": v.denominator}
-    return v
+    return SkewEndo(space, _matrix_to_rows(obj, space))
 
 
 def _fraction(obj) -> Fraction:
@@ -162,7 +123,7 @@ def _fraction(obj) -> Fraction:
 
 
 def _exact_entry(v):
-    """Inverse of _num on the exact backend: an int or a {"num", "den"} object."""
+    """An exact matrix entry: an int or a {"num", "den"} object."""
     return _fraction(v) if isinstance(v, dict) else _integer(v, "matrix entry")
 
 
@@ -179,26 +140,3 @@ def spectral_to_dict(d: SpectralDecomposition) -> dict:
             for c in d.clusters
         ],
     }
-
-
-def frame_to_dict(frame: FrameTriple) -> dict:
-    return {
-        "gammas": [
-            {"re": form_to_dict(g.re), "im": form_to_dict(g.im)} for g in frame.gammas
-        ],
-        "nu": form_to_dict(frame.nu),
-    }
-
-
-def frame_from_dict(obj) -> FrameTriple:
-    try:
-        gammas = [
-            ComplexForm(form_from_dict(g["re"]), form_from_dict(g["im"]))
-            for g in obj["gammas"]
-        ]
-        nu = form_from_dict(obj["nu"]) if "nu" in obj else None
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError(f"bad frame description: {exc}") from exc
-    return FrameTriple(gammas, nu)

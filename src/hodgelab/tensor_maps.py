@@ -137,10 +137,6 @@ class FormValuedMap:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, j_struct, p, q):
-        return cls(j_struct, p, q, [{} for _ in lambda_basis(j_struct, q).forms])
-
-    @classmethod
     def identity(cls, j_struct, p):
         return cls(j_struct, p, p, [{i: 1} for i in range(lambda_basis(j_struct, p).dim)])
 
@@ -237,9 +233,6 @@ class FormValuedMap:
 
     def __sub__(self, other):
         return self._combine(other, -1)
-
-    def is_zero(self) -> bool:
-        return not any(self.rows)
 
     def max_entry(self):
         return Fraction(max((abs(v) for row in self.rows for v in row.values()), default=0),
@@ -407,8 +400,9 @@ def a_kernel_tensors(j_struct: ComplexStructure, p: int, q: int):
     return out
 
 
-def contraction_identity_check(q_map: FormValuedMap, x: Vector) -> bool:
-    """X -| a(Q) = p a(Q_X) + (-1)^p a(Q^X), with Q_X = Q(X, .) and Q^X = X -| Q."""
+def contraction_identity_check(q_map: FormValuedMap, x: Vector) -> Form:
+    """The residual X -| a(Q) - p a(Q_X) - (-1)^p a(Q^X), with Q_X = Q(X, .)
+    and Q^X = X -| Q; the identity holds exactly when it is the zero form."""
     if x.space != q_map.j.space:
         raise SpaceMismatchError("vector lives on a different space")
     space = x.space
@@ -428,8 +422,7 @@ def contraction_identity_check(q_map: FormValuedMap, x: Vector) -> bool:
 
     a_qx = antisymmetrize_multilinear(space, p - 1, q, q_x)
     a_qupper = antisymmetrize_multilinear(space, p, q - 1, q_upper)
-    rhs = p * a_qx + ((-1) ** p) * a_qupper
-    return lhs == rhs
+    return lhs - p * a_qx - ((-1) ** p) * a_qupper
 
 
 # -- the holomorphy-driven construction ----------------------------------
@@ -721,15 +714,15 @@ def bracket_bases(j_struct: ComplexStructure):
     return _product_basis(mbasis, 1), _product_basis(mbasis, -1)
 
 
-def bracket_bullet_in_span(j_struct: ComplexStructure, squares, commutators) -> bool:
+def bracket_bullet_in_span(j_struct: ComplexStructure, squares, commutators) -> int:
     """Commutator bullets follow from squared bullets of the anticommuting skews.
 
     Adds to the structural torsion constraints of J the rows
     (F G + G F) o eta = 0 for the polarized squares of the J-anticommuting
-    skews, and checks by exact rank comparison that every row
-    ([F, G]) o eta = 0 already lies in their span.  Bullet rows are linear
-    in the product, so each takes the basis of the products from
-    ``bracket_bases``.
+    skews, and returns the exact rank increase when the rows
+    ([F, G]) o eta = 0 are appended: zero exactly when every one already
+    lies in their span.  Bullet rows are linear in the product, so each
+    takes the basis of the products from ``bracket_bases``.
     """
     etas, rows, ncols = _torsion_system(j_struct)
     for sym in squares:
@@ -737,4 +730,4 @@ def bracket_bullet_in_span(j_struct: ComplexStructure, squares, commutators) -> 
     base_rank = exact_rank(rows, ncols)
     for comm in commutators:
         rows.extend(_bullet_rows(comm, etas))
-    return exact_rank(rows, ncols) == base_rank
+    return exact_rank(rows, ncols) - base_rank

@@ -1,6 +1,7 @@
 """Every top-level function and class and every non-dunder method of the
 package has a reference somewhere in the project outside its own definition,
-and every parameter with a default is set by some call.
+and one outside the tests and the package's re-exports; every parameter with
+a default is set by some call.
 
 A reference is a name, an attribute, an import alias, or a string constant
 made of dotted identifiers (the bench tracer names the functions it wraps
@@ -19,6 +20,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hodgelab"
 SEARCHED = ("src", "tests", "demos", "bench")
+# a member only the tests call is not used; a re-export is not a use either
+OUTSIDE_TESTS = ("src", "demos", "bench", "scripts")
+REEXPORTS = PACKAGE / "__init__.py"
 CACHE_ATTRIBUTES = ("_cache", "_misc_cache", "_lambda_cache")
 
 
@@ -52,15 +56,16 @@ def referenced_names(tree):
                     yield part, node.lineno
 
 
-def searched_trees():
-    for top in SEARCHED:
+def searched_trees(tops=SEARCHED, skip=None):
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
-            yield path, ast.parse(path.read_text())
+            if path != skip:
+                yield path, ast.parse(path.read_text())
 
 
-def unreferenced_members():
+def unreferenced_members(tops=SEARCHED, skip=None):
     references = defaultdict(list)
-    for path, tree in searched_trees():
+    for path, tree in searched_trees(tops, skip):
         for name, line in referenced_names(tree):
             references[name].append((path, line))
     unused = []
@@ -144,6 +149,10 @@ def unset_parameters():
 
 def test_every_member_has_a_reference():
     assert unreferenced_members() == []
+
+
+def test_every_member_is_used_outside_the_tests():
+    assert unreferenced_members(OUTSIDE_TESTS, REEXPORTS) == []
 
 
 def test_every_defaulted_parameter_is_set_somewhere():

@@ -18,6 +18,7 @@ from hodgelab.exterior import (
     FLOAT_TOL,
     Form,
     Space,
+    Vector,
     _permutation_sign,
     adjoint_wedge,
     basis_masks,
@@ -426,7 +427,7 @@ def test_exact_backend_rejects_float_scalars():
     with pytest.raises(TypeError):
         S4.basis_vector(1) * 0.5
     assert alpha * Fraction(1, 2) == alpha / 2 == S4.form(2, {(1, 2): Fraction(1, 2)})
-    assert 3 * S4.basis_vector(2) == S4.vector([0, 3, 0, 0])
+    assert 3 * S4.basis_vector(2) == Vector(S4, [0, 3, 0, 0])
 
 
 def test_float_backend_coerces_scalars():

@@ -29,7 +29,7 @@ from hodgelab.frames import (
 
 
 def test_standard_frame():
-    frame = FrameTriple.standard()
+    frame = FrameTriple.from_unitary(np.eye(3))
     assert star_triple(frame) == pytest.approx(1.0)
     td = transition_p(frame)
     assert np.allclose(td.p_matrix, np.eye(3))
@@ -37,7 +37,7 @@ def test_standard_frame():
 
 
 def test_cross_examples():
-    frame = FrameTriple.standard()
+    frame = FrameTriple.from_unitary(np.eye(3))
     crossed = cross(frame.gammas)
     s3 = Space(3, "float")
     assert crossed[0].re.isclose(s3.basis_form(2, 3))
@@ -50,7 +50,7 @@ def test_cross_examples():
 
 
 def test_r_matrix_hand_example():
-    frame = FrameTriple.standard()
+    frame = FrameTriple.from_unitary(np.eye(3))
     alpha = ComplexForm.from_coords([0.0, 1.0, 0.0])  # e^2
     r = r_matrix(alpha, frame)
     expected = np.array([[0, 0, -1], [0, 0, 0], [1, 0, 0]], dtype=complex)
@@ -72,7 +72,7 @@ def test_r_matrix_cross_identity():
 
 
 def test_r_matrix_zero():
-    frame = FrameTriple.standard()
+    frame = FrameTriple.from_unitary(np.eye(3))
     assert np.allclose(r_matrix(ComplexForm.from_coords([0, 0, 0]), frame), 0)
 
 
@@ -155,7 +155,7 @@ def test_symmetric_skew_split():
 
 
 def test_expand_in_frame_rank_error():
-    frame = FrameTriple.standard()
+    frame = FrameTriple.from_unitary(np.eye(3))
     broken = object.__new__(FrameTriple)
     broken.gammas = (frame.gammas[0], frame.gammas[0], frame.gammas[2])
     broken.nu = frame.nu

@@ -11,7 +11,7 @@ from hodgelab.errors import (
     InvariantViolationError,
     MomentInconsistencyError,
 )
-from hodgelab.exterior import Form, Space, adjoint_wedge, basis_masks, wedge
+from hodgelab.exterior import Form, Space, Vector, adjoint_wedge, basis_masks, wedge
 from hodgelab.harmonic import (
     SkewEndo,
     compatible_patch_dim6,
@@ -259,7 +259,7 @@ def test_splitting_q_exhaustive_spectrum():
 def test_splitting_q_rotated_float_frame():
     space = Space(4, "float")
     c, s = np.cos(0.3), np.sin(0.3)
-    frame = [space.vector([c, s, 0, 0]), space.vector([-s, c, 0, 0])]
+    frame = [Vector(space, [c, s, 0, 0]), Vector(space, [-s, c, 0, 0])]
     psi = space.form(2, {(1, 2): 1.0})
     assert splitting_q(frame, psi).isclose(-2.0 * psi)
 
@@ -267,7 +267,7 @@ def test_splitting_q_rotated_float_frame():
 def test_splitting_q_rejects_bad_frame():
     s6 = Space(6)
     with pytest.raises(InvalidFrameError):
-        splitting_q([s6.vector([1, 1, 0, 0, 0, 0])], s6.basis_form(1, 2))
+        splitting_q([Vector(s6, [1, 1, 0, 0, 0, 0])], s6.basis_form(1, 2))
 
 
 def test_exact_checks_stay_exact():
@@ -278,6 +278,6 @@ def test_exact_checks_stay_exact():
     rows[0][1] += tiny
     with pytest.raises(InvariantViolationError):
         SkewEndo(s4, rows)
-    frame = [s4.basis_vector(1), s4.vector([tiny, 1, 0, 0])]
+    frame = [s4.basis_vector(1), Vector(s4, [tiny, 1, 0, 0])]
     with pytest.raises(InvalidFrameError):
         splitting_q(frame, s4.basis_form(1, 2))

@@ -20,7 +20,6 @@ from hodgelab.hermitian import (
     in_lambda_p,
     j_pullback,
     lambda_basis,
-    lambda_p_project,
 )
 from hodgelab.lefschetz import kahler_form
 from hodgelab.rng import SplitMix64, random_form
@@ -205,9 +204,9 @@ def test_bidegree_completeness_and_orthogonality():
 
 def test_lambda_projection_examples():
     big_omega = S4.form(2, {(1, 3): 1, (2, 4): -1})
-    assert lambda_p_project(J4, big_omega) == big_omega
-    assert lambda_p_project(J4, kahler_form(J4)).is_zero()
-    assert lambda_p_project(J4, S4.basis_form(1)) == S4.basis_form(1)
+    assert bidegree_project(J4, big_omega, 2, 0) == big_omega
+    assert bidegree_project(J4, kahler_form(J4), 2, 0).is_zero()
+    assert bidegree_project(J4, S4.basis_form(1), 1, 0) == S4.basis_form(1)
     assert in_lambda_p(J4, big_omega)
     assert not in_lambda_p(J4, kahler_form(J4))
 

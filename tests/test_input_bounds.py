@@ -11,12 +11,7 @@ import tracemalloc
 import pytest
 
 from hodgelab import cli, jsonio
-from hodgelab.jsonio import (
-    ParseError,
-    complex_structure_from_dict,
-    form_from_dict,
-    skew_endo_from_dict,
-)
+from hodgelab.jsonio import ParseError, form_from_dict, skew_endo_from_dict
 
 HUGE_DIM = 100_000
 
@@ -59,7 +54,7 @@ def test_verify_with_too_many_seeds_exits_two(capsys):
     "decode, payload",
     [
         (form_from_dict, {"dim": HUGE_DIM, "degree": 2, "terms": []}),
-        (complex_structure_from_dict, {"dim": HUGE_DIM, "matrix": "standard"}),
+        (skew_endo_from_dict, {"dim": HUGE_DIM, "matrix": []}),
         (skew_endo_from_dict, {"dim": HUGE_DIM, "backend": "float", "matrix": []}),
     ],
 )

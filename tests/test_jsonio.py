@@ -9,19 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgelab.exterior import Space
-from hodgelab.frames import ComplexForm, FrameTriple
 from hodgelab.harmonic import SkewEndo
-from hodgelab.hermitian import ComplexStructure
 from hodgelab.jsonio import (
+    MAX_DIM,
     ParseError,
-    complex_structure_from_dict,
-    complex_structure_to_dict,
     form_from_dict,
     form_to_dict,
-    frame_from_dict,
-    frame_to_dict,
     skew_endo_from_dict,
-    skew_endo_to_dict,
     spectral_to_dict,
 )
 
@@ -50,25 +44,24 @@ def test_form_parse_errors():
         form_from_dict({"dim": 3, "degree": 2, "terms": [{"index": [1, 1], "num": 1}]})
 
 
-def test_complex_structure_standard_shorthand():
-    j = complex_structure_from_dict({"dim": 6, "matrix": "standard"})
-    assert j == ComplexStructure.standard(Space(6))
-    payload = complex_structure_to_dict(j)
-    assert complex_structure_from_dict(payload) == j
-
-
-def test_complex_structure_row_major_flat():
-    j4 = ComplexStructure.standard(Space(4))
-    flat = [v for row in j4.rows for v in row]
-    assert complex_structure_from_dict({"dim": 4, "matrix": flat}) == j4
+def test_skew_row_major_flat():
+    rows = [[0, -1, 0, 0], [1, 0, 0, 0],
+            [0, 0, 0, {"num": -1, "den": 2}], [0, 0, {"num": 1, "den": 2}, 0]]
+    flat = [v for row in rows for v in row]
+    nested = skew_endo_from_dict({"dim": 4, "matrix": rows})
+    assert skew_endo_from_dict({"dim": 4, "matrix": flat}) == nested
+    assert nested.rows[2][3] == Fraction(-1, 2)
 
 
 def test_skew_round_trip():
     a = SkewEndo(Space(4, "float"), [[0, -2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
     payload = {"dim": 4, "backend": "float", "matrix": [list(r) for r in a.rows]}
     assert skew_endo_from_dict(payload).rows == a.rows
-    with pytest.raises(ParseError):
-        skew_endo_from_dict({"dim": 4, "matrix": "standard"})
+    # no matrix payload has a "standard" shorthand
+    for dim in range(1, MAX_DIM + 1):
+        for backend in ("exact", "float"):
+            with pytest.raises(ParseError):
+                skew_endo_from_dict({"dim": dim, "backend": backend, "matrix": "standard"})
 
 
 def test_spectral_serialization():
@@ -81,19 +74,6 @@ def test_spectral_serialization():
     assert payload["clusters"][1]["omega"] is None
 
 
-def test_frame_round_trip():
-    frame = FrameTriple.random(5)
-    payload = frame_to_dict(frame)
-    back = frame_from_dict(payload)
-    for g1, g2 in zip(frame.gammas, back.gammas):
-        assert g1.re.isclose(g2.re) and g1.im.isclose(g2.im)
-
-
-def test_frame_parse_error():
-    with pytest.raises(ParseError):
-        frame_from_dict({"gammas": [{"re": {}}]})
-
-
 # -- property-based round trips on both backends ---------------------------
 
 BACKENDS = st.sampled_from(["exact", "float"])
@@ -102,8 +82,6 @@ _EXACT = st.one_of(
     st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 7)),
 )
 _FLOAT = st.floats(-10, 10, allow_nan=False).filter(bool)
-# Pythagorean triples give exactly rational rotations
-_ROTATIONS = st.sampled_from([(3, 4, 5), (5, 12, 13), (8, 15, 17), (0, 1, 1)])
 
 
 def _json(payload):
@@ -112,28 +90,6 @@ def _json(payload):
 
 def _scalars(backend):
     return _EXACT if backend == "exact" else _FLOAT
-
-
-def mat_mul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
-def _convert(rows, backend):
-    return [[float(v) if backend == "float" else v for v in row] for row in rows]
-
-
-@st.composite
-def _rational_orthogonal(draw, n):
-    """A product of Givens rotations with rational cosine and sine."""
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(draw(st.integers(0, 3))):
-        i, k = draw(st.sampled_from(list(combinations(range(n), 2))))
-        a, b, c = draw(_ROTATIONS)
-        g = [[int(r == s) for s in range(n)] for r in range(n)]
-        g[i][i] = g[k][k] = Fraction(a, c)
-        g[i][k], g[k][i] = -Fraction(b, c), Fraction(b, c)
-        m = mat_mul(g, m)
-    return m
 
 
 # integer fields of the payloads: each accepts a JSON integer and nothing
@@ -184,7 +140,7 @@ def test_form_integer_fields_reject_non_integers(field, bad):
 @pytest.mark.parametrize("bad", NOT_INTEGERS)
 def test_matrix_payload_integer_fields_reject_non_integers(bad):
     with rejects("dim"):
-        complex_structure_from_dict({"dim": bad, "matrix": "standard"})
+        skew_endo_from_dict({"dim": bad, "matrix": [[0]]})
     with rejects("dim"):
         skew_endo_from_dict({"dim": bad, "backend": "float", "matrix": [[0.0]]})
     with rejects("num"):
@@ -214,7 +170,7 @@ def test_float_matrix_entries_reject_non_numbers(bad):
     rows = [[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
             [0.0, 0.0, 0.0, bad], [0.0, 0.0, 1.0, 0.0]]
     with pytest.raises(ParseError, match="'matrix entry' must be a number"):
-        complex_structure_from_dict({"dim": 4, "backend": "float", "matrix": rows})
+        skew_endo_from_dict({"dim": 4, "backend": "float", "matrix": rows})
 
 
 def test_float_number_fields_accept_ints_and_floats():
@@ -236,28 +192,6 @@ def test_form_round_trip_property(data, backend):
     assert form_from_dict(_json(form_to_dict(form))) == form
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data(), BACKENDS)
-def test_complex_structure_round_trip_property(data, backend):
-    n = data.draw(st.sampled_from([2, 4, 6]))
-    r = data.draw(_rational_orthogonal(n))
-    rt = [list(col) for col in zip(*r)]
-    rotated = mat_mul(r, mat_mul(ComplexStructure.standard(Space(n)).rows, rt))
-    j = ComplexStructure(Space(n, backend), _convert(rotated, backend))
-    assert complex_structure_from_dict(_json(complex_structure_to_dict(j))) == j
-
-
-def test_rotated_complex_structure_round_trip():
-    c, s = Fraction(3, 5), Fraction(4, 5)
-    r = [[c, 0, -s, 0], [0, 1, 0, 0], [s, 0, c, 0], [0, 0, 0, 1]]
-    rt = [list(col) for col in zip(*r)]
-    std = ComplexStructure.standard(Space(4)).rows
-    j = ComplexStructure(Space(4), mat_mul(r, mat_mul(std, rt)))
-    payload = complex_structure_to_dict(j)
-    assert {"num": -3, "den": 5} in payload["matrix"][0]
-    assert complex_structure_from_dict(payload) == j
-
-
 def test_exact_matrix_entries_must_be_integers_or_fractions():
     for bad in (0.5, "1/2", True):
         with pytest.raises(ParseError):
@@ -274,32 +208,7 @@ def test_skew_endo_round_trip_property(data, backend):
         v = data.draw(st.one_of(st.just(zero), _scalars(backend)))
         rows[r][c], rows[c][r] = v, -v
     a = SkewEndo(Space(n, backend), rows)
-    assert skew_endo_from_dict(_json(skew_endo_to_dict(a))) == a
-
-
-_UNITS = st.sampled_from([(1, 0), (0, 1), (-1, 0), (0, -1), (Fraction(3, 5), Fraction(4, 5))])
-
-
-def _assert_same_frame(f1, f2):
-    assert f1.nu == f2.nu
-    for g1, g2 in zip(f1.gammas, f2.gammas):
-        assert g1.re == g2.re and g1.im == g2.im
-
-
-@settings(max_examples=40, deadline=None)
-@given(_rational_orthogonal(3), st.lists(_UNITS, min_size=3, max_size=3))
-def test_exact_frame_round_trip_property(rows, units):
-    space = Space(3)
-    gammas = []
-    for row, (ur, ui) in zip(rows, units):
-        form = space.form(1, {(i + 1,): v for i, v in enumerate(row) if v != 0})
-        gammas.append(ComplexForm(ur * form, ui * form))
-    frame = FrameTriple(gammas)
-    _assert_same_frame(frame_from_dict(_json(frame_to_dict(frame))), frame)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6))
-def test_float_frame_round_trip_property(seed):
-    frame = FrameTriple.random(seed)
-    _assert_same_frame(frame_from_dict(_json(frame_to_dict(frame))), frame)
+    matrix = [[{"num": v.numerator, "den": v.denominator} if isinstance(v, Fraction) else v
+               for v in row] for row in rows]
+    payload = {"dim": n, "backend": backend, "matrix": matrix}
+    assert skew_endo_from_dict(_json(payload)) == a

@@ -185,7 +185,7 @@ def test_alpha_from_holomorphic_contraction_table():
     alpha = alpha_from_holomorphic(J4, big_omega)
     # e1 -| Omega = e3, e2 -| Omega = -e4, J e1 = e2,
     # so alpha(e1, e2) = <-e4, -e4> = 1
-    assert alpha.coefficient(1, 2) == 1
+    assert alpha.coeffs[0b0011] == 1  # 0b0011 is the mask of e^12
     assert alpha == OMEGA4
 
 

@@ -2,15 +2,15 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgelab import campaigns
+from hodgelab import campaigns, tensor_maps
 from hodgelab.errors import DegreeOverflowError, InvalidDerivativeError, InvariantViolationError
-from hodgelab.exterior import Form, Space, Vector, basis_masks, inner, wedge
+from hodgelab.exterior import Form, Space, Vector, basis_masks, contract, inner, wedge
 from hodgelab.hermitian import (
     ComplexStructure,
     bb_j,
@@ -18,7 +18,6 @@ from hodgelab.hermitian import (
     curly_j_squared,
     eigen_residual,
     lambda_basis,
-    lambda_p_project,
 )
 from hodgelab.linalg import combine, compose, dense_rows, exact_nullspace, exact_rank, sparse_rows
 from hodgelab.rng import SplitMix64, random_form, random_vector
@@ -66,8 +65,12 @@ def random_lambda(j_struct, degree, rng, terms=2):
     return out
 
 
+def zero_map(j_struct, p, q):
+    return FormValuedMap(j_struct, p, q, [{} for _ in range(lambda_basis(j_struct, q).dim)])
+
+
 def random_map(j_struct, p, q, rng, terms=3):
-    out = FormValuedMap.zero(j_struct, p, q)
+    out = zero_map(j_struct, p, q)
     for _ in range(terms):
         out = out + FormValuedMap.from_tensor(
             j_struct, random_lambda(j_struct, p, rng), random_lambda(j_struct, q, rng)
@@ -233,7 +236,7 @@ def invariant_maps():
         yield t.conjugated_by_bbj()
         yield t + random_map(j_struct, 2, 1, rng)
         yield t - t
-        yield FormValuedMap.zero(j_struct, 2, 1)
+        yield zero_map(j_struct, 2, 1)
         yield FormValuedMap.identity(j_struct, 2)
         yield bb_j_map(j_struct, 2)
         yield from a_kernel_tensors(j_struct, 1, 2)[:3]
@@ -295,7 +298,7 @@ def test_readers_return_values_for_different_denominators():
     assert (a + b).matrix == [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(ma, mb)]
     assert (a - b).matrix == [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ma, mb)]
     assert a.max_entry() == max(abs(v) for row in ma for v in row)
-    assert FormValuedMap.zero(j_struct, 2, 2).max_entry() == 0
+    assert zero_map(j_struct, 2, 2).max_entry() == 0
     # eval_mask from the dense values: sum over d of b_d[mask] / |b_d|^2 times column d
     dom, cod = a.domain, a.codomain
     for mask in basis_masks(6, 2):
@@ -312,13 +315,13 @@ def test_readers_return_values_for_different_denominators():
 def test_split_of_bb_j_is_commuting():
     q = bb_j_map(J4, 1)
     q1, q2 = split_type(q)
-    assert q1.matrix == q.matrix and q2.is_zero()
+    assert q1.matrix == q.matrix and q2.max_entry() == 0
 
 
 def test_split_of_identity_is_commuting():
     q = FormValuedMap.identity(J4, 2)
     q1, q2 = split_type(q)
-    assert q1.matrix == q.matrix and q2.is_zero()
+    assert q1.matrix == q.matrix and q2.max_entry() == 0
 
 
 def _compose(a, b):
@@ -344,7 +347,7 @@ def test_split_anticommuting_input_lands_second():
     base = random_map(J4, 1, 1, SplitMix64(43))
     anti = split_type(base)[1]
     back1, back2 = split_type(anti)
-    assert back1.is_zero() and back2.matrix == anti.matrix
+    assert back1.max_entry() == 0 and back2.matrix == anti.matrix
 
 
 def test_split_is_projection():
@@ -352,8 +355,8 @@ def test_split_is_projection():
     q = random_map(J6, 1, 2, rng)
     q1, q2 = split_type(q)
     assert split_type(q1)[0].matrix == q1.matrix
-    assert split_type(q1)[1].is_zero()
-    assert split_type(q2)[0].is_zero()
+    assert split_type(q1)[1].max_entry() == 0
+    assert split_type(q2)[0].max_entry() == 0
 
 
 # -- antisymmetrize --------------------------------------------------------
@@ -505,7 +508,7 @@ def test_kernel_vectors_have_zero_commuting_part():
     for (p, q) in ((1, 2), (2, 1)):
         for ker in a_kernel_tensors(J6, p, q):
             q1, q2 = split_type(ker)
-            assert q1.is_zero()
+            assert q1.max_entry() == 0
             assert not antisymmetrize(ker).coeffs  # really in the kernel
 
 
@@ -532,10 +535,38 @@ def test_contraction_identity_seeded():
         for _ in range(3):
             q_map = split_type(random_map(j_struct, 2, 2, rng))[0]
             x = random_vector(j_struct.space, rng)
-            assert contraction_identity_check(q_map, x)
+            assert contraction_identity_check(q_map, x).is_zero()
             # and on the anticommuting half, where it also holds identically
             q2 = split_type(random_map(j_struct, 2, 1, rng))[1]
-            assert contraction_identity_check(q2, x)
+            assert contraction_identity_check(q2, x).is_zero()
+
+
+def test_prop_2_2_contract_cases_fail_when_a_loses_its_factorial(monkeypatch):
+    """With a(Q) missing its p! inside the contraction check, every
+    contract case fails with the largest |coefficient| of
+    (1/p! - 1) X -| a(Q), a(Q) taken from the Fraction oracle: the identity
+    holds for the true a(Q), so that difference is the whole residual.  The
+    rank and kernel cases do not antisymmetrize and still pass."""
+    real = tensor_maps.antisymmetrize
+    monkeypatch.setattr(tensor_maps, "antisymmetrize",
+                        lambda q_map: real(q_map) * Fraction(1, factorial(q_map.p)))
+    real_check = campaigns.contraction_identity_check
+    inputs = []
+
+    def recorded(q_map, x):
+        inputs.append((q_map, x))
+        return real_check(q_map, x)
+
+    monkeypatch.setattr(campaigns, "contraction_identity_check", recorded)
+    report = campaigns.run_campaign(
+        campaigns.Campaign("prop-2.2", dims=[4, 6, 8], seeds=list(range(1, 7))))
+    cases = [c for c in report.cases if "/contract/" in c.id]
+    assert len(cases) == len(inputs) == 9
+    for case, (q_map, x) in zip(cases, inputs):
+        a_q = fraction_antisymmetrize(q_map.j, q_map.p, q_map.q, values(q_map))
+        want = max_abs(contract(x, a_q) * (Fraction(1, factorial(q_map.p)) - 1))
+        assert want > 0 and case.residual == want and not case.passed
+    assert all(c.passed for c in report.cases if "/contract/" not in c.id)
 
 
 # -- holomorphic_q ---------------------------------------------------------
@@ -553,7 +584,7 @@ def _compatible_table(j_struct, p, rng):
 def test_holomorphic_q_zero_table():
     table = {i: S4.zero_form(2) for i in range(1, 5)}
     big_omega = S4.form(2, {(1, 3): 1, (2, 4): -1})
-    assert holomorphic_q(J4, big_omega, table).is_zero()
+    assert holomorphic_q(J4, big_omega, table).max_entry() == 0
 
 
 def test_holomorphic_q_on_a_float_j_passes_the_backend_refusal_through():
@@ -573,7 +604,7 @@ def test_holomorphic_q_structured_example():
     table = {1: other, 2: bb_j(J4, other), 3: S4.zero_form(2), 4: S4.zero_form(2)}
     q_map = holomorphic_q(J4, big_omega, table)
     q1, q2 = split_type(q_map)
-    assert q2.is_zero() and not q1.is_zero()
+    assert q2.max_entry() == 0 and q1.max_entry() != 0
 
 
 def test_holomorphic_q_random_membership():
@@ -586,7 +617,7 @@ def test_holomorphic_q_random_membership():
                     continue
                 table = _compatible_table(j_struct, p, rng)
                 q_map = holomorphic_q(j_struct, omega_form, table)
-                assert split_type(q_map)[1].is_zero()
+                assert split_type(q_map)[1].max_entry() == 0
 
 
 def test_holomorphic_q_rejects_incompatible_table():
@@ -778,7 +809,7 @@ def test_bracket_span_dimension():
 
 
 def test_bracket_bullet_span_containment():
-    assert bracket_in_span(3)
+    assert bracket_in_span(3) == 0
 
 
 # -- the pairwise torsion oracle ---------------------------------------------
@@ -865,21 +896,23 @@ def oracle_skew_basis(j_struct, commuting):
     return [_skew_from_params(vec, n) for vec in exact_nullspace(rows, n * (n - 1) // 2)]
 
 
-def oracle_bracket_bullet_in_span(k):
+def oracle_bracket_bullet_in_span(k, squares=True):
+    """The rank the commutator rows add to the structural rows and, unless
+    ``squares`` is false, the rows of every square F G + G F."""
     j_struct = ComplexStructure.standard(Space(2 * k))
     n = 2 * k
     rows, npairs = oracle_structural_rows(j_struct)
     skew = oracle_skew_params(n)
     mbasis = anti_invariant_skew_basis(j_struct)
-    for i, f in enumerate(mbasis):
-        for g in mbasis[i:]:
-            rows.extend(oracle_bullet_rows(combine(compose(f, g), compose(g, f)), n, skew))
+    pairs = [(f, g) for i, f in enumerate(mbasis) for g in mbasis[i:]] if squares else []
+    for f, g in pairs:
+        rows.extend(oracle_bullet_rows(combine(compose(f, g), compose(g, f)), n, skew))
     base_rank = exact_rank(rows, n * npairs)
     for i, f in enumerate(mbasis):
         for g in mbasis[i + 1:]:
             comm = combine(compose(f, g), compose(g, f), 1, -1)
             rows.extend(oracle_bullet_rows(comm, n, skew))
-    return exact_rank(rows, n * npairs) == base_rank
+    return exact_rank(rows, n * npairs) - base_rank
 
 
 def oracle_bracket_span_dimension(k):
@@ -926,6 +959,24 @@ def test_skew_bases_match_the_commutation_row_oracle(j_struct):
 def test_bracket_checks_match_the_all_pairs_oracle(k):
     assert bracket_in_span(k) == oracle_bracket_bullet_in_span(k)
     assert bracket_span_dimension(k) == oracle_bracket_span_dimension(k)
+
+
+def test_eq_7_bracket_span_fails_when_the_squares_are_dropped(monkeypatch):
+    """Without the square rows, bracket-span reports the rank the commutator
+    rows add to the structural rows alone, as the all-pairs oracle counts
+    it: at dim 6 that is the admissible dimension, 16, and at dim 4 the
+    commutator rows already lie in the structural span.  The other cases do
+    not read the squares and still pass."""
+    real = campaigns.bracket_bases
+    monkeypatch.setattr(campaigns, "bracket_bases", lambda j_struct: ([], real(j_struct)[1]))
+    report = campaigns.run_campaign(campaigns.Campaign("eq-7", dims=[4, 6], seeds=[0]))
+    cases = {c.id: c for c in report.cases}
+    assert cases["dim4/bracket-span"].residual == oracle_bracket_bullet_in_span(2, False) == 0
+    want = oracle_bracket_bullet_in_span(3, False)
+    assert want == cases["dim6/admissible"].residual == 16
+    span = cases.pop("dim6/bracket-span")
+    assert span.residual == want and not span.passed
+    assert all(c.passed for c in cases.values())
 
 
 @pytest.mark.parametrize("k", [2, 3])

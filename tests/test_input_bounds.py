@@ -54,7 +54,9 @@ def test_verify_with_too_many_seeds_exits_two(capsys):
     "decode, payload",
     [
         (form_from_dict, {"dim": HUGE_DIM, "degree": 2, "terms": []}),
-        (skew_endo_from_dict, {"dim": HUGE_DIM, "matrix": []}),
+        pytest.param(
+            skew_endo_from_dict, {"dim": HUGE_DIM, "matrix": []}, id="exact_skew_endo"
+        ),
         (skew_endo_from_dict, {"dim": HUGE_DIM, "backend": "float", "matrix": []}),
     ],
 )

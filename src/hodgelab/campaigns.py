@@ -337,8 +337,7 @@ def run_alpha_omega(dim, seeds):
             sign = (-1) ** (p * (p - 1) // 2)
             worst = max(worst, _res(it - sign * pk_val))
             # type-(p,0)+(0,p) forms are primitive
-            if not lefschetz_lstar(j, omega_form).is_zero():
-                worst = max(worst, 1.0)
+            worst = max(worst, _res(lefschetz_lstar(j, omega_form)))
             yield _exact_case(f"dim{dim}/p{p}/seed{seed}", worst, seed)
 
 

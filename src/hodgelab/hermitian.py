@@ -202,18 +202,6 @@ def j_pullback(j_struct: ComplexStructure, alpha: Form) -> Form:
     return _apply_compiled(j_struct, _pullback_image, alpha)
 
 
-def basis_pullback(j_struct: ComplexStructure, mask: int) -> Form:
-    """J e^I for the mask I, read straight from the compiled pullback table:
-    j_pullback of the basis form without converting it to numerators."""
-    space = j_struct.space
-    degree = mask.bit_count()
-    table, den = _compiled(j_struct, _pullback_image, degree)
-    image = table[mask]
-    if den != 1:
-        image = {m: space.ratio(v, den) for m, v in image.items()}
-    return Form(space, degree, image)
-
-
 def curly_j(j_struct: ComplexStructure, alpha: Form) -> Form:
     """The derivation extension: J is applied to one argument slot at a time."""
     return _apply_compiled(j_struct, _curly_j_image, alpha)

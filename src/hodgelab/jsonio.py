@@ -97,6 +97,8 @@ def _matrix_to_rows(obj, space: Space):
     """The rows of a matrix payload, nested or flat row-major."""
     try:
         flat = obj["matrix"]
+        if not isinstance(flat, list):
+            raise ParseError("'matrix' must be a list of rows or a flat row-major list")
         n = space.dim
         if len(flat) == n and all(isinstance(r, (list, tuple)) for r in flat):
             rows = [list(r) for r in flat]

@@ -6,20 +6,23 @@ formula Lstar(beta) = 1/2 sum_i J e_i -| (e_i -| beta) is the oracle it is
 tested against, so the 1/2 cannot drift.  P_k contracts k slots of one
 form against J-rotated slots of the other, summed over all ordered k-tuples
 of basis indices.  Tuples with a repeated index contribute nothing, so it is
-computed as (-1)^k k! sum_{|I|=k} adjoint_wedge(e^I, alpha) ^
-adjoint_wedge(J e^I, beta) over increasing I; the sign comes from
-(J e_i)^flat = -J e^i for the orthogonal J with J^2 = -1.
+(-1)^k k! sum_{|I|=k} adjoint_wedge(e^I, alpha) ^ adjoint_wedge(J e^I, beta)
+over increasing I; the sign comes from (J e_i)^flat = -J e^i for the
+orthogonal J with J^2 = -1.  P_k and alpha_Omega are each one pass over the
+input terms into one coefficient dict (a sparse accumulator, Gustavson,
+ACM TOMS 4(3), 1978); no intermediate form is built.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import factorial
 
 from .errors import ContractionUnderflowError, NotInLambdaPError, SpaceMismatchError
-from .exterior import Form, adjoint_wedge, basis_masks, contract, contract_index, inner, wedge
+from .exterior import Form, adjoint_wedge, basis_masks, mask_to_indices, merge_sign, wedge
 from .harmonic import endo_form
-from .hermitian import ComplexStructure, basis_pullback, in_lambda_p, per_structure
-from .linalg import exact_nullspace
+from .hermitian import ComplexStructure, _compiled, _pullback_image, in_lambda_p, per_structure
+from .linalg import add_scaled, exact_nullspace
 
 
 @per_structure
@@ -55,12 +58,17 @@ def p_k(j_struct: ComplexStructure, alpha: Form, beta: Form, k: int) -> Form:
 
     P_k(alpha, beta) = (-1)^k k! sum over increasing I of
     adjoint_wedge(e^I, alpha) ^ adjoint_wedge(J e^I, beta), with J e^I the
-    pullback j_pullback(J, e^I), read by ``basis_pullback``; both factors
-    contract in the same order, and the sign is that of
-    (J e_i)^flat = -J e^i.  P_0 is the plain wedge; for primitive p-forms
-    P_p(alpha, beta) is the scalar p! <alpha, J beta>.
+    pullback j_pullback(J, e^I); both factors contract in the same order,
+    and the sign is that of (J e_i)^flat = -J e^i.  P_0 is the plain wedge;
+    for primitive p-forms P_p(alpha, beta) is the scalar p! <alpha, J beta>.
     Like P_0, a P_k whose degree would exceed the dimension is the zero form
     of top degree.
+
+    For k >= 1 it is one pass over the terms c e^M of alpha: each k-subset
+    I of M gives the left factor c merge_sign(I, M - I) e^(M - I), whose
+    wedge with adjoint_wedge(J e^I, beta) (taken once per I from row I of the
+    compiled pullback table, on its numerators over ``den``) is added into
+    one dict; each nonzero entry is scaled by (-1)^k k! and divided by ``den``.
     """
     if alpha.space != beta.space or alpha.space != j_struct.space:
         raise SpaceMismatchError("operands live on different spaces")
@@ -70,13 +78,32 @@ def p_k(j_struct: ComplexStructure, alpha: Form, beta: Form, k: int) -> Form:
     space = alpha.space
     if k == 0:
         return wedge(alpha, beta)
-    out = space.zero_form(min(r + s - 2 * k, space.dim))
-    for mask in basis_masks(space.dim, k):
-        e_mask = Form(space, k, {mask: space.one})
-        left = adjoint_wedge(e_mask, alpha)
-        if not left.is_zero():
-            out = out + wedge(left, adjoint_wedge(basis_pullback(j_struct, mask), beta))
-    return ((-1) ** k * factorial(k)) * out
+    if r + s - 2 * k > space.dim:
+        return space.zero_form(space.dim)
+    table, den = _compiled(j_struct, _pullback_image, k)
+    rights, out = {}, {}
+    for ma, ca in alpha.coeffs.items():
+        for subset in combinations([1 << (i - 1) for i in mask_to_indices(ma)], k):
+            mask = sum(subset)
+            left = ma ^ mask
+            cl = ca * merge_sign(mask, left)
+            right = rights.get(mask)
+            if right is None:
+                right = rights[mask] = {}
+                for mt, ct in table[mask].items():
+                    for mb, cb in beta.coeffs.items():
+                        if mb & mt == mt:
+                            rest = mb ^ mt
+                            right[rest] = right.get(rest, 0) + ct * cb * merge_sign(mt, rest)
+            for mr, cr in right.items():
+                if not left & mr:
+                    key = left | mr
+                    out[key] = out.get(key, 0) + cl * cr * merge_sign(left, mr)
+    scale = (-1) ** k * factorial(k)
+    out = {m: scale * v for m, v in out.items() if v}
+    if den != 1:
+        out = {m: space.ratio(v, den) for m, v in out.items()}
+    return Form(space, r + s - 2 * k, out)
 
 
 def alpha_from_holomorphic(j_struct: ComplexStructure, omega_form: Form) -> Form:
@@ -85,6 +112,10 @@ def alpha_from_holomorphic(j_struct: ComplexStructure, omega_form: Form) -> Form
     Requires Omega of type (p,0)+(0,p); the result lands in the (1,1)
     component and satisfies
     P_{p-1}(Omega, J Omega) = 2 (-1)^p (p-1)! alpha_Omega.
+
+    One pass over the terms c e^M of Omega gives each e_i -| Omega (c e^(M - i),
+    signed by the indices of M below i); J e_i -| Omega is sum_l J[l][i]
+    (e_l -| Omega), and the pairings are taken on these coefficient dicts.
     """
     space = omega_form.space
     if omega_form.is_zero():
@@ -93,16 +124,20 @@ def alpha_from_holomorphic(j_struct: ComplexStructure, omega_form: Form) -> Form
         raise NotInLambdaPError("need a form of degree >= 1")
     if not in_lambda_p(j_struct, omega_form):
         raise NotInLambdaPError("form is not of type (p,0)+(0,p)")
-    contractions = [contract_index(i, omega_form) for i in range(1, space.dim + 1)]
-    j_contractions = [
-        contract(j_struct.basis_image(i), omega_form) for i in range(1, space.dim + 1)
-    ]
-    coeffs = {}
-    for i in range(1, space.dim + 1):
-        for j in range(i + 1, space.dim + 1):
-            val = inner(j_contractions[i - 1], contractions[j - 1])
-            if val != 0:
-                coeffs[(1 << (i - 1)) | (1 << (j - 1))] = val
+    contractions: list[dict] = [{} for _ in range(space.dim)]
+    for m, c in omega_form.coeffs.items():
+        for i in mask_to_indices(m):
+            bit = 1 << (i - 1)
+            contractions[i - 1][m ^ bit] = -c if (m & (bit - 1)).bit_count() & 1 else c
+    j_contractions: list[dict] = [{} for _ in range(space.dim)]
+    for row, contraction in zip(j_struct.sparse_rows, contractions):
+        for i, v in row.items():
+            add_scaled(j_contractions[i], v, contraction)
+    coeffs = {
+        (1 << i) | (1 << j): sum(v * ji[m] for m, v in contractions[j].items() if m in ji)
+        for i, ji in enumerate(j_contractions)
+        for j in range(i + 1, space.dim)
+    }
     return Form(space, 2, coeffs)
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hodgelab import cli
 from hodgelab.exterior import Space
 from hodgelab.harmonic import SkewEndo
 from hodgelab.jsonio import (
@@ -62,6 +63,29 @@ def test_skew_round_trip():
         for backend in ("exact", "float"):
             with pytest.raises(ParseError):
                 skew_endo_from_dict({"dim": dim, "backend": backend, "matrix": "standard"})
+
+
+NOT_A_LIST = "'matrix' must be a list of rows or a flat row-major list"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"dim": 2, "matrix": "abcd"},
+        {"dim": 4, "matrix": "standard"},
+        {"dim": 1, "backend": "float", "matrix": {"0": 1}},
+    ],
+    ids=["string-of-entries", "standard-shorthand", "float-object"],
+)
+def test_a_matrix_that_is_not_a_list_is_rejected_by_name(payload, tmp_path, capsys):
+    with pytest.raises(ParseError) as info:
+        skew_endo_from_dict(payload)
+    assert str(info.value) == NOT_A_LIST
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["decompose", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {NOT_A_LIST}\n"
 
 
 def test_spectral_serialization():

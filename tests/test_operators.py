@@ -1,18 +1,23 @@
 """Operators against their direct definitions.
 
 ``curly_j`` and ``j_pullback`` apply sparse tables compiled once per
-(J, degree), and ``basis_pullback`` reads one basis form's pullback from its
-table.  The oracles below are the direct definitions: a pulled-back 1-form
-wedged into each argument slot in turn, and the wedge of the pulled-back
-1-forms.  They are compared on every basis form of every degree
+(J, degree), and ``p_k`` reads the rows of the pullback table over its
+denominator.  The oracles below are the direct definitions: a pulled-back
+1-form wedged into each argument slot in turn, and the wedge of the
+pulled-back 1-forms.  They are compared on every basis form of every degree
 on dims 2-8 and on random combinations, for the standard J, a rational
 Givens-rotated J and a float J; ``bb_j`` and ``bb_j_matrix`` are compared
 with their constructions on top of the oracle.
 
 ``lefschetz_lstar`` is the wedge adjoint of omega; its oracle is the
 contraction formula 1/2 sum_i J e_i -| (e_i -| beta).  ``p_k`` contracts
-through the wedge adjoints of e^I and J e^I; its oracle is the iterated
-single contractions against e_i and J e_i.  ``a_restricted_rank``
+through the wedge adjoints of e^I and J e^I in one pass over alpha's terms;
+its oracle is the iterated single contractions against e_i and J e_i.
+``alpha_from_holomorphic`` reads every e_i -| Omega off Omega's terms and
+pairs coefficient dicts; its oracle pairs the contraction forms
+J e_i -| Omega and e_j -| Omega.  Planted faults in the ``prop-2.3`` and
+``alpha-omega`` campaigns must fail the cases they reach, with the residual
+these oracles give, and leave the other cases passing.  ``a_restricted_rank``
 multiplies the antisymmetrization by the commuting projector; its oracle
 sums each column of that product out of wedge-table forms.
 
@@ -35,6 +40,7 @@ from math import comb, factorial
 
 import pytest
 
+import hodgelab.campaigns as campaigns
 import hodgelab.hermitian as hermitian
 from hodgelab.errors import DegreeUnderflowError, NotInLambdaPError
 from hodgelab.exterior import (
@@ -50,10 +56,10 @@ from hodgelab.exterior import (
 from hodgelab.hermitian import (
     ComplexStructure,
     LambdaBasis,
+    _compiled,
     _curly_j_image,
     _pullback_image,
     _primitive_integer_form,
-    basis_pullback,
     bb_j,
     bb_j_matrix,
     bidegree_project,
@@ -62,7 +68,7 @@ from hodgelab.hermitian import (
     j_pullback,
     lambda_basis,
 )
-from hodgelab.lefschetz import kahler_form, lefschetz_lstar, p_k
+from hodgelab.lefschetz import alpha_from_holomorphic, kahler_form, lefschetz_lstar, p_k
 from hodgelab.linalg import add_scaled, exact_rank
 from hodgelab.rng import SplitMix64, random_form
 from hodgelab.tensor_maps import _commuting_projector, _wedge_table, a_restricted_rank
@@ -169,8 +175,11 @@ def test_compiled_operators_match_the_wedge_definitions(kind, n):
         for alpha in forms:
             assert_same(curly_j(j, alpha), slot_curly_j(j, alpha))
             assert_same(j_pullback(j, alpha), wedge_pullback(j, alpha))
+        # the rows p_k reads: J e^I as table numerators over the table's den
+        table, den = _compiled(j, _pullback_image, p)
         for m in basis_masks(n, p):
-            assert_same(basis_pullback(j, m), wedge_pullback(j, Form(space, p, {m: space.one})))
+            row = Form(space, p, {t: space.ratio(v, den) for t, v in table[m].items()})
+            assert_same(row, wedge_pullback(j, Form(space, p, {m: space.one})))
 
 
 def test_rotated_structure_is_not_a_signed_permutation():
@@ -267,6 +276,166 @@ def test_p_k_matches_the_iterated_contractions(kind, n):
             # the result degree r + s - 2k must not pass n
             for k in range(max(0, r + s - n + 1) // 2, min(r, s) + 1):
                 assert_same(p_k(j, alpha, beta, k), contraction_p_k(j, alpha, beta, k))
+
+
+def contraction_alpha_from_holomorphic(j_struct, omega_form):
+    """alpha_Omega by contractions: <J e_i -| Omega, e_j -| Omega> on e^{ij}, i < j."""
+    space = omega_form.space
+    n = space.dim
+    contractions = [contract_index(i, omega_form) for i in range(1, n + 1)]
+    j_contractions = [contract(j_struct.basis_image(i), omega_form) for i in range(1, n + 1)]
+    coeffs = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            coeffs[(1 << (i - 1)) | (1 << (j - 1))] = inner(
+                j_contractions[i - 1], contractions[j - 1]
+            )
+    return Form(space, 2, coeffs)
+
+
+def fraction_lambda(j_struct, degree, rng, terms=3):
+    """A combination of lambda basis forms with Fraction coefficients; on a
+    float J the basis is that of the same rotated J on the exact backend."""
+    space = j_struct.space
+    exact = j_struct if space.backend == "exact" else structure("rotated", space.dim)
+    basis = lambda_basis(exact, degree).forms
+    coeffs = {}
+    for _ in range(terms):
+        add_scaled(coeffs, rng.rational(), basis[rng.next_u64() % len(basis)].coeffs)
+    if space.backend == "float":
+        coeffs = {m: float(v) for m, v in coeffs.items()}
+    return Form(space, degree, coeffs)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", DIMS)
+def test_alpha_from_holomorphic_matches_the_contraction_pairings(kind, n):
+    j = structure(kind, n)
+    rng = SplitMix64(5000 * n + KINDS.index(kind))
+    for p in range(1, n // 2 + 1):
+        for _ in range(4):
+            omega_form = fraction_lambda(j, p, rng)
+            assert not omega_form.is_zero()
+            assert_same(
+                alpha_from_holomorphic(j, omega_form),
+                contraction_alpha_from_holomorphic(j, omega_form),
+            )
+
+
+# -- planted faults in the Lefschetz campaigns -------------------------------
+
+
+def max_abs(alpha):
+    return float(max((abs(c) for c in alpha.coeffs.values()), default=0))
+
+
+def recorded(monkeypatch, name, wrap=lambda real: real):
+    """Replace ``campaigns.<name>`` by ``wrap(real)`` and record every call
+    as (arguments, result); returns the list of records."""
+    calls = []
+    fn = wrap(getattr(campaigns, name))
+
+    def recording(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(campaigns, name, recording)
+    return calls
+
+
+def negated_above_zero(real):
+    return lambda j_struct, alpha, beta, k: real(j_struct, alpha, beta, k) * (-1 if k else 1)
+
+
+def doubled(real):
+    return lambda j_struct, omega_form: real(j_struct, omega_form) * 2
+
+
+def opposite(real):
+    return lambda j_struct, alpha: -real(j_struct, alpha)
+
+
+def run(name, dims=(4, 6), seeds=(1, 2, 3)):
+    return campaigns.run_campaign(campaigns.Campaign(name, dims=list(dims), seeds=list(seeds)))
+
+
+def pairing(omega_form):
+    """P_{p-1}(Omega, J Omega) from the iterated contractions, with its
+    J Omega from the wedge definition, on the standard J of the campaigns."""
+    j = ComplexStructure.standard(omega_form.space)
+    p = omega_form.degree
+    return j, contraction_p_k(j, omega_form, wedge_pullback(j, omega_form), p - 1)
+
+
+def test_prop_2_3_rec_cases_fail_when_p_k_is_negated(monkeypatch):
+    """With P_k negated for k >= 1, every recursion step k >= 1 is the true
+    identity negated and still holds, while step 0 becomes
+    Lstar(a ^ b) - P_0(Lstar a, b) - P_0(a, Lstar b) + (-1)^(r-1) P_1(a, b)
+    = 2 (-1)^(r-1) P_1(a, b): a rec case fails with 2 max |P_1(a, b)|, P_1
+    from the iterated contractions.  The eval cases take no P_k and pass."""
+    recorded(monkeypatch, "p_k", negated_above_zero)
+    calls = recorded(monkeypatch, "random_form")
+    report = run("prop-2.3")
+    drawn = [result for _, result in calls]
+    rec = [c for c in report.cases if "/rec/" in c.id]
+    assert 2 * len(rec) == len(drawn) == 12
+    for case, alpha, beta in zip(rec, drawn[::2], drawn[1::2]):
+        j = ComplexStructure.standard(alpha.space)
+        want = 2 * max_abs(contraction_p_k(j, alpha, beta, 1))
+        assert want > 0 and case.residual == want and not case.passed
+    assert all(c.passed for c in report.cases if "/rec/" not in c.id)
+
+
+def test_alpha_omega_cases_fail_when_p_k_is_negated(monkeypatch):
+    """With P_{p-1} negated, the pairing law reads -P - 2(-1)^p (p-1)! alpha
+    = -2 P and the iterated-adjoint route (Lstar)^{p-1}(Omega ^ J Omega) +
+    (-1)^{p(p-1)/2} P = 2 (-1)^{p(p-1)/2} P: every case fails with
+    2 max |P|, P from the iterated contractions."""
+    recorded(monkeypatch, "p_k", negated_above_zero)
+    calls = recorded(monkeypatch, "alpha_from_holomorphic")
+    report = run("alpha-omega")
+    omegas = [args[1] for args, _ in calls]
+    assert len(report.cases) == len(omegas) == 9
+    for case, omega_form in zip(report.cases, omegas):
+        want = 2 * max_abs(pairing(omega_form)[1])
+        assert want > 0 and case.residual == want and not case.passed
+
+
+def test_alpha_omega_cases_fail_when_alpha_is_doubled(monkeypatch):
+    """A doubled alpha_Omega is still J-invariant, of type (1,1), and Omega
+    stays primitive, so only the pairing law fails: with P from the
+    iterated contractions and alpha from the contraction pairings, the
+    residual is max |P - 2(-1)^p (p-1)! 2 alpha|, which is max |P|."""
+    calls = recorded(monkeypatch, "alpha_from_holomorphic", doubled)
+    report = run("alpha-omega")
+    omegas = [args[1] for args, _ in calls]
+    assert len(report.cases) == len(omegas) == 9
+    for case, omega_form in zip(report.cases, omegas):
+        j, pk = pairing(omega_form)
+        p = omega_form.degree
+        alpha = contraction_alpha_from_holomorphic(j, omega_form)
+        want = max_abs(pk - (2 * (-1) ** p * factorial(p - 1) * 2) * alpha)
+        assert want == max_abs(pk) > 0
+        assert case.residual == want and not case.passed
+
+
+def test_prop_2_3_eval_cases_fail_when_the_pullback_is_negated(monkeypatch):
+    """With -J b for J b, the evaluation (Lstar)^p(a ^ b) = (-1)^{p(p-1)/2}
+    p! <a, J b> is compared with its negative: an eval case fails with
+    2 p! |<a, J b>|, J b from the wedge definition.  The rec cases take no
+    pullback and pass.  Where <a, J b> = 0 the eval case still passes."""
+    recorded(monkeypatch, "j_pullback", opposite)
+    calls = recorded(monkeypatch, "wedge")
+    report = run("prop-2.3", seeds=range(1, 7))
+    evals = [c for c in report.cases if "/eval/" in c.id]
+    assert len(evals) == len(calls) == 11
+    for case, ((a_p, b_p), _) in zip(evals, calls):
+        j = ComplexStructure.standard(a_p.space)
+        want = float(abs(2 * factorial(a_p.degree) * inner(a_p, wedge_pullback(j, b_p))))
+        assert case.residual == want and case.passed == (want == 0)
+    assert sum(not c.passed for c in evals) == 7
+    assert all(c.passed for c in report.cases if "/eval/" not in c.id)
 
 
 def column_sum_restricted_rank(j_struct, p, q):

@@ -253,18 +253,6 @@ class Form:
         return "Form<" + " + ".join(parts) + f", n={self.space.dim}>"
 
 
-def _permutation_sign(perm) -> int:
-    """Sign of a permutation given as a list of positions."""
-    p = list(perm)
-    sign = 1
-    for i in range(len(p)):
-        while p[i] != i:
-            j = p[i]
-            p[i], p[j] = p[j], p[i]
-            sign = -sign
-    return sign
-
-
 class Vector:
     """A vector in components over the standard orthonormal basis."""
 

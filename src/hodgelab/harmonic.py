@@ -61,7 +61,7 @@ class SkewEndo:
         )
 
     def __repr__(self):
-        return f"SkewEndo(dim={self.space.dim})"
+        return f"{type(self).__name__}(dim={self.space.dim})"
 
 
 def form_endo(alpha: Form) -> SkewEndo:
@@ -77,8 +77,7 @@ def form_endo(alpha: Form) -> SkewEndo:
 
 
 def endo_form(a: SkewEndo) -> Form:
-    """Inverse of form_endo: omega(e_i, e_j) = a.rows[j][i].  Reads only
-    ``space`` and ``rows``, so a ComplexStructure gives its Kahler form."""
+    """Inverse of form_endo: omega(e_i, e_j) = a.rows[j][i]."""
     coeffs = {}
     n = a.space.dim
     for i in range(n):

@@ -36,11 +36,14 @@ from .exterior import (
     mask_to_indices,
     wedge,
 )
-from .linalg import add_scaled, combine, compose, sparse_rows
+from .harmonic import SkewEndo
+from .linalg import _make_primitive, add_scaled, combine, compose, sparse_rows
 
 
-class ComplexStructure:
-    """An orthogonal endomorphism J with J^2 = -I on an even-dimensional space.
+class ComplexStructure(SkewEndo):
+    """An orthogonal complex structure: a skew map J with J^2 = -I on an
+    even-dimensional space.  For a skew J, J^T J = -J^2, so the inherited
+    skew check and J^2 + I = 0 make J orthogonal; no J^T J is formed.
 
     ``rows`` is the matrix acting on column vectors of components, so the
     image of the i-th basis vector is column i; ``sparse_rows`` holds the
@@ -48,28 +51,17 @@ class ComplexStructure:
     ``_cache`` holds the tables built by ``per_structure`` functions.
     """
 
-    __slots__ = ("space", "rows", "sparse_rows", "_cache")
+    __slots__ = ("sparse_rows", "_cache")
 
     def __init__(self, space: Space, rows):
         if space.dim % 2:
             raise InvariantViolationError("complex structure needs even dimension")
-        rows = tuple(tuple(space.scalar(v) for v in row) for row in rows)
-        if len(rows) != space.dim or any(len(r) != space.dim for r in rows):
-            raise InvariantViolationError("matrix shape must match the space dimension")
-        self.space = space
-        self.rows = rows
-        self.sparse_rows = sparse_rows(rows)
-        self._validate()
-        self._cache: dict = {}
-
-    def _validate(self):
-        j = self.sparse_rows
-        ident = [{i: 1} for i in range(self.space.dim)]
-        sq_plus_id = combine(compose(j, j), ident)
-        ortho_defect = combine(compose(sparse_rows(zip(*self.rows)), j), ident, 1, -1)
-        tol = self.space.tol
-        if any(abs(v) > tol for row in sq_plus_id + ortho_defect for v in row.values()):
+        super().__init__(space, rows)
+        j = self.sparse_rows = sparse_rows(self.rows)
+        sq_plus_id = combine(compose(j, j), [{i: 1} for i in range(space.dim)])
+        if any(abs(v) > space.tol for row in sq_plus_id for v in row.values()):
             raise InvariantViolationError("matrix is not an orthogonal complex structure")
+        self._cache: dict = {}
 
     @classmethod
     def standard(cls, space: Space) -> "ComplexStructure":
@@ -85,18 +77,8 @@ class ComplexStructure:
         """J e_i as a vector (column i of the matrix), 1-based."""
         return Vector(self.space, [row[i - 1] for row in self.rows])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ComplexStructure)
-            and self.space == other.space
-            and self.rows == other.rows
-        )
-
     def __hash__(self):
         return hash((self.space, self.rows))
-
-    def __repr__(self):
-        return f"ComplexStructure(dim={self.space.dim})"
 
 
 def per_structure(build):
@@ -299,9 +281,7 @@ def _lambda_candidate(j_struct: ComplexStructure, mask: int) -> dict:
         vec = add_scaled(twice, (den * (degree - 2 * j)) ** 2, vec)
         if not vec:
             break
-        g = gcd(*vec.values())
-        if g > 1:
-            vec = {m: v // g for m, v in vec.items()}
+        _make_primitive(vec)
     return vec
 
 
@@ -355,10 +335,8 @@ class LambdaBasis:
 
 
 def _primitive_integer_form(alpha: Form) -> Form:
-    scaled, _ = alpha.space.numerators(alpha.coeffs)
-    g = gcd(*scaled.values())
-    if g > 1:
-        scaled = {m: v // g for m, v in scaled.items()}
+    # numerators returns the coefficient dict itself when it holds only ints
+    scaled = _make_primitive(dict(alpha.space.numerators(alpha.coeffs)[0]))
     lead = scaled[min(scaled)]
     if lead < 0:
         scaled = {m: -v for m, v in scaled.items()}

@@ -9,7 +9,7 @@ Float-backend terms carry {"index": [...], "value": x} instead of num/den.
 Skew endomorphisms are read from {"dim": n, "matrix": rows or row-major};
 exact matrix entries are integers or {"num": a, "den": b}.  Integer fields
 ("dim", "degree", "index", "num", "den") take JSON integers only,
-float-backend values and matrix entries JSON numbers only.  Spectral
+float-backend values and matrix entries finite JSON numbers only.  Spectral
 decompositions are written, never read.  Payloads with "dim" above MAX_DIM
 are rejected before anything of that size is built.
 """
@@ -17,6 +17,7 @@ are rejected before anything of that size is built.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isfinite
 
 from .errors import HodgeLabError
 from .exterior import Form, Space
@@ -39,9 +40,12 @@ def _integer(v, field: str) -> int:
 
 
 def _number(v, field: str) -> float:
-    """A float-backend number field; bools and strings are rejected, not coerced."""
+    """A finite float-backend number field; bools and strings are rejected,
+    not coerced, and so are the NaN and infinities that ``json`` accepts."""
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
+        if isfinite(v):
+            return float(v)
+        raise ParseError(f"{field!r} must be finite, got {v!r}")
     raise ParseError(f"{field!r} must be a number, got {v!r}")
 
 

@@ -42,15 +42,15 @@ from .exterior import (
     Form,
     Space,
     Vector,
-    _permutation_sign,
     basis_masks,
     contract,
     contract_index,
-    indices_to_mask,
     inner,
     mask_to_indices,
+    merge_sign,
     wedge,
 )
+from .harmonic import SkewEndo
 from .hermitian import (
     ComplexStructure,
     bb_j,
@@ -212,13 +212,6 @@ class FormValuedMap:
                     if d in row:
                         out = out + (row[d] * col) * self.codomain.forms[i]
         return out
-
-    def eval_tuple(self, indices) -> Form:
-        """Evaluation on an arbitrary ordered tuple of distinct basis indices."""
-        if len(set(indices)) != len(indices):
-            return self.j.space.zero_form(self.q)
-        order = sorted(range(len(indices)), key=lambda t: indices[t])
-        return _permutation_sign(order) * self.eval_mask(indices_to_mask(sorted(indices)))
 
     # -- algebra -----------------------------------------------------------
 
@@ -410,11 +403,12 @@ def contraction_identity_check(q_map: FormValuedMap, x: Vector) -> Form:
     lhs = contract(x, antisymmetrize(q_map))
 
     def q_x(mask):
-        rest = mask_to_indices(mask)
+        # Q(X, e_rest) = sum_m X^m Q(e_m, e_rest); merge_sign sorts (m, rest)
         out = space.zero_form(q)
-        for m, comp in enumerate(x.components, start=1):
-            if comp != 0:
-                out = out + comp * q_map.eval_tuple((m,) + rest)
+        for m, comp in enumerate(x.components):
+            bit = 1 << m
+            if comp != 0 and not mask & bit:
+                out = out + (comp * merge_sign(bit, mask)) * q_map.eval_mask(mask | bit)
         return out
 
     def q_upper(mask):
@@ -533,25 +527,16 @@ class TorsionTensor:
                                  for eta in etas):
             raise InvariantViolationError("need one n x n skew map per basis direction")
         self.j = j_struct
-        self.etas = etas
-        self._validate()
-
-    def _validate(self):
-        n = self.j.space.dim
-        J = self.j.sparse_rows
-        for eta in self.etas:
-            for i in range(n):
-                for jj in range(n):
-                    if eta[i][jj] != -eta[jj][i]:
-                        raise InvariantViolationError("torsion values must be skew")
-        etas = [sparse_rows(eta) for eta in self.etas]
+        self.etas = tuple(SkewEndo(j_struct.space, eta).rows for eta in etas)
+        J = j_struct.sparse_rows
+        sparse = [sparse_rows(eta) for eta in self.etas]
         for a in range(n):
-            eta_j = compose(etas[a], J)
+            eta_j = compose(sparse[a], J)
             # eta_{J e_a} = sum_b J[b][a] eta_b
             lhs: list[dict] = [{} for _ in range(n)]
             for b, j_row in enumerate(J):
                 if a in j_row:
-                    lhs = combine(lhs, etas[b], 1, j_row[a])
+                    lhs = combine(lhs, sparse[b], 1, j_row[a])
             if lhs != eta_j:
                 raise InvariantViolationError("eta_{JX} = eta_X J fails")
         for x in range(n):

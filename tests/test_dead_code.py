@@ -6,7 +6,8 @@ a default is set by some call.
 A reference is a name, an attribute, an import alias, or a string constant
 made of dotted identifiers (the bench tracer names the functions it wraps
 in strings).  A member that shares its name with a used member elsewhere
-passes unnoticed; such duplicates are pruned by hand.  Calls are matched by
+passes unnoticed, so the names shared between members are pinned: a new one
+fails until it is checked by hand.  Calls are matched by
 the same names: ``C(...)`` is a call of ``C.__init__`` (for a dataclass, of
 its generated ``__init__`` over the annotated fields).  The per-structure
 cache attributes are touched by ``hermitian`` alone.
@@ -14,7 +15,7 @@ cache attributes are touched by ``hermitian`` alone.
 
 import ast
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,6 +25,11 @@ SEARCHED = ("src", "tests", "demos", "bench")
 OUTSIDE_TESTS = ("src", "demos", "bench", "scripts")
 REEXPORTS = PACKAGE / "__init__.py"
 CACHE_ATTRIBUTES = ("_cache", "_misc_cache", "_lambda_cache")
+# bare names a function, class or method shares with another member; each is
+# checked by hand, since the reference guards cannot tell the two apart
+SHARED_NAMES = {
+    "dim", "form", "kernel_rank", "norm_sq", "numerators", "space", "sparse_rows", "wedge",
+}
 
 
 def definitions(tree):
@@ -173,3 +179,31 @@ def cache_attribute_uses():
 
 def test_only_hermitian_touches_the_per_structure_cache():
     assert cache_attribute_uses() == []
+
+
+def data_members(tree):
+    """The ``__slots__`` entries and dataclass fields of a module's classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            dataclass = "dataclass" in {_name(d) for d in node.decorator_list}
+            for member in node.body:
+                if isinstance(member, ast.Assign) and "__slots__" in map(_name, member.targets):
+                    yield from ast.literal_eval(member.value)
+                elif dataclass and isinstance(member, ast.AnnAssign):
+                    yield member.target.id
+
+
+def shared_names():
+    """Bare names of the functions, classes and methods that share their name
+    with another member: one of those, a ``__slots__`` entry or a field."""
+    defined, data = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined += [qualname.rsplit(".", 1)[-1] for qualname, _, _ in definitions(tree)]
+        data += data_members(tree)
+    counts = Counter(defined + data)
+    return {name for name in defined if counts[name] > 1}
+
+
+def test_names_shared_between_members_are_the_checked_ones():
+    assert shared_names() == SHARED_NAMES

@@ -19,7 +19,6 @@ from hodgelab.exterior import (
     Form,
     Space,
     Vector,
-    _permutation_sign,
     adjoint_wedge,
     basis_masks,
     contract,
@@ -34,6 +33,18 @@ from hodgelab.rng import SplitMix64, random_form, random_vector
 
 S3 = Space(3)
 S4 = Space(4)
+
+
+def _permutation_sign(perm) -> int:
+    """Sign of a permutation given as a list of positions."""
+    p = list(perm)
+    sign = 1
+    for i in range(len(p)):
+        while p[i] != i:
+            j = p[i]
+            p[i], p[j] = p[j], p[i]
+            sign = -sign
+    return sign
 
 
 def evaluate(alpha, *indices):

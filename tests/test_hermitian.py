@@ -11,6 +11,7 @@ from hodgelab.errors import (
     NotInLambdaPError,
 )
 from hodgelab.exterior import Form, Space, basis_masks, contract, inner, mask_to_indices
+from hodgelab.harmonic import SkewEndo, endo_form
 from hodgelab.hermitian import (
     ComplexStructure,
     bb_j,
@@ -100,6 +101,21 @@ def test_invalid_structures_rejected():
     scaled = [[2 * v for v in row] for row in J4.rows]
     with pytest.raises(InvariantViolationError):
         ComplexStructure(S4, scaled)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_a_square_root_of_minus_one_that_is_not_orthogonal_is_rejected(backend):
+    """[[1, -2], [1, -1]] squares to -I but is neither skew nor orthogonal;
+    block-summed with the standard block it must still be rejected."""
+    rows = [[1, -2, 0, 0], [1, -1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    with pytest.raises(InvariantViolationError):
+        ComplexStructure(Space(4, backend), rows)
+
+
+def test_a_complex_structure_is_the_skew_map_of_its_kahler_form():
+    j_struct = ComplexStructure.standard(Space(4))
+    assert isinstance(j_struct, SkewEndo)
+    assert endo_form(j_struct) == kahler_form(j_struct)
 
 
 def test_pullback_examples():

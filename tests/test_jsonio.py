@@ -197,6 +197,25 @@ def test_float_matrix_entries_reject_non_numbers(bad):
         skew_endo_from_dict({"dim": 4, "backend": "float", "matrix": rows})
 
 
+# ``json`` reads the bare tokens NaN, Infinity and -Infinity as floats
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field", ["value", "matrix entry"])
+def test_non_finite_numbers_are_a_parse_error(field, bad, tmp_path, capsys):
+    if field == "value":
+        payload = float_form_payload()
+        payload["terms"][0]["value"] = bad
+    else:
+        payload = {"dim": 2, "backend": "float", "matrix": [[0.0, bad], [1.0, 0.0]]}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["decompose", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {field!r} must be finite, got {bad!r}\n"
+
+
 def test_float_number_fields_accept_ints_and_floats():
     payload = float_form_payload()
     payload["terms"][0]["value"] = 2

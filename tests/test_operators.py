@@ -571,6 +571,14 @@ def test_twice_rotated_structure_mixes_three_blocks():
     assert any(v.denominator == 65 for row in rows for v in row)
 
 
+def test_primitive_integer_form_leaves_its_input_alone():
+    """An all-int form is its own numerators, so the content is divided out
+    of a copy."""
+    alpha = Space(4).form(2, {(1, 2): -4, (3, 4): 6})
+    assert _primitive_integer_form(alpha) == Space(4).form(2, {(1, 2): 2, (3, 4): -3})
+    assert alpha == Space(4).form(2, {(1, 2): -4, (3, 4): 6})
+
+
 @pytest.mark.parametrize(
     "n, kind",
     [(n, kind) for n in DIMS for kind in EXACT_KINDS] + [(10, "rotated"), (10, "twice-rotated")],

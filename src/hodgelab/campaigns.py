@@ -429,14 +429,14 @@ def run_prop_4_2(dim, seeds):
 
 
 def run_lemma_4_3(dim, seeds):
-    """Exhaustive spectrum of the subspace splitting operator on R^6."""
-    space = Space(6, "exact")
-    for h_rank in (2, 4):
+    """Exhaustive spectrum of the subspace splitting operator on R^dim."""
+    space = Space(dim)
+    for h_rank in range(2, dim - 1, 2):
         frame = [space.basis_vector(i) for i in range(1, h_rank + 1)]
         h_mask = sum(1 << (i - 1) for i in range(1, h_rank + 1))
-        for p in range(0, 7):
+        for p in range(dim + 1):
             worst = 0
-            for mask in basis_masks(6, p):
+            for mask in basis_masks(dim, p):
                 psi = Form(space, p, {mask: 1})
                 jcount = (mask & h_mask).bit_count()
                 expected = ((-1) ** (p - 1)) * jcount if p else 0

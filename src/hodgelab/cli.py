@@ -21,7 +21,6 @@ from .errors import HodgeLabError, IllConditionedSpectrumError
 from .exterior import Space
 from .hermitian import ComplexStructure, bidegree_project
 from .jsonio import (
-    ParseError,
     form_from_dict,
     form_to_dict,
     skew_endo_from_dict,
@@ -170,9 +169,6 @@ def _cmd_decompose(args) -> int:
         else:
             print("error: payload is neither a form nor a skew matrix", file=sys.stderr)
             return 2
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except IllConditionedSpectrumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -357,8 +357,9 @@ def hodge_star(alpha: Form) -> Form:
 def adjoint_wedge(phi: Form, psi: Form) -> Form:
     """Metric adjoint of wedging by phi:  <adjoint_wedge(phi, psi), chi> = <psi, phi ^ chi>.
 
-    The one interior-product kernel: for a 1-form phi = x^flat this is
-    x -| psi, and for phi = e^{i1} ^ ... ^ e^{ik} it is
+    The interior product behind ``contract``, ``contract_index`` and Lstar:
+    for a 1-form phi = x^flat this is x -| psi, and for
+    phi = e^{i1} ^ ... ^ e^{ik} it is
     e_ik -| ... -| e_i1 -| psi (the first index contracts innermost).
     """
     if phi.space != psi.space:

@@ -29,7 +29,7 @@ constrained torsion space is zero from dimension 6 on.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial, gcd, lcm
 
 from .errors import (
@@ -490,12 +490,6 @@ def _skew_entries(n: int, base: int = 0):
     return entry
 
 
-def _eta_entries(n: int):
-    """Entry tables of eta_0, ..., eta_{n-1}, their parameters in consecutive blocks."""
-    npairs = n * (n - 1) // 2
-    return [_skew_entries(n, a * npairs) for a in range(n)]
-
-
 def _skew_from_params(vec: dict, n: int, base: int = 0):
     """{column: value} rows of the skew n x n matrix with parameters vec[base + i]."""
     rows: list[dict] = [{} for _ in range(n)]
@@ -532,58 +526,60 @@ class TorsionTensor:
         sparse = [sparse_rows(eta) for eta in self.etas]
         for a in range(n):
             eta_j = compose(sparse[a], J)
-            # eta_{J e_a} = sum_b J[b][a] eta_b
+            # eta_{J e_a} = sum_b J[b][a] eta_b, and J[b][a] = -J[a][b]
             lhs: list[dict] = [{} for _ in range(n)]
-            for b, j_row in enumerate(J):
-                if a in j_row:
-                    lhs = combine(lhs, sparse[b], 1, j_row[a])
+            for b, v in J[a].items():
+                lhs = combine(lhs, sparse[b], 1, -v)
             if lhs != eta_j:
                 raise InvariantViolationError("eta_{JX} = eta_X J fails")
-        for x in range(n):
-            for y in range(x + 1, n):
-                for z in range(y + 1, n):
-                    s = self.etas[x][z][y] + self.etas[y][x][z] + self.etas[z][y][x]
-                    if s != 0:
-                        raise InvariantViolationError("cyclic identity fails")
+        if any(_bullet_values([{i: 1} for i in range(n)], self.etas)):
+            raise InvariantViolationError("cyclic identity fails")
+
+
+def _bullet_rows(q_rows, n: int):
+    """Rows of (Q o eta)(x, y, z) for x < y < z in the eta parameters, in the
+    order of ``basis_masks(n, 3)``; Q is given by its {column: value} rows.
+
+    The bullet is the alternating 3-form sum_a theta_a ^ omega_a, where
+    theta_a = sum_x Q[a][x] e^x is row a of Q and omega_a(Y, Z) = <eta_a Y, Z>.
+    Parameter i of eta_a is its entry (r, c), r < c, whose 2-form is -e^{rc},
+    so it enters the row of the triple x|r|c as -Q[a][x] merge_sign(e^x, e^{rc}).
+    """
+    npairs = n * (n - 1) // 2
+    pairs = [(1 << r) | (1 << c) for r, c in combinations(range(n), 2)]
+    # (parameter, triple, sign of e^x ^ -e^{rc}) for each x
+    terms = [[(i, (1 << x) | pair, -merge_sign(1 << x, pair))
+              for i, pair in enumerate(pairs) if not pair >> x & 1] for x in range(n)]
+    rows: dict = {mask: {} for mask in basis_masks(n, 3)}
+    for a, q_row in enumerate(q_rows):
+        for x, v in q_row.items():
+            for i, mask, sign in terms[x]:
+                rows[mask][a * npairs + i] = sign * v
+    return list(rows.values())
+
+
+def _bullet_values(q_rows, etas):
+    """(Q o eta) on the increasing triples: ``_bullet_rows`` evaluated at the
+    entries of the eta_a above the diagonal."""
+    n = len(etas)
+    params = [eta[r][c] for eta in etas for r, c in combinations(range(n), 2)]
+    return [sum(v * params[col] for col, v in row.items()) for row in _bullet_rows(q_rows, n)]
 
 
 def torsion_bullet(q_rows, eta: TorsionTensor):
     """(Q o eta)(X, Y, Z) = cyclic sum of <eta_{Q X} Y, Z> as an n^3 array.
 
-    ``q_rows`` is any endomorphism matrix, not necessarily skew.  The result
-    is invariant under cyclic permutation of the three slots.
+    ``q_rows`` is any endomorphism matrix, not necessarily skew.  The bullet
+    is alternating, so its values on the increasing triples fill the array.
     """
     n = eta.j.space.dim
-    etas = eta.etas
     out = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                val = 0
-                for a in range(n):
-                    val += (
-                        q_rows[a][x] * etas[a][z][y]
-                        + q_rows[a][y] * etas[a][x][z]
-                        + q_rows[a][z] * etas[a][y][x]
-                    )
-                out[x][y][z] = val
+    values = _bullet_values(sparse_rows(q_rows), eta.etas)
+    for triple, v in zip(combinations(range(n), 3), values):
+        # the signs of permutations(triple), in its order
+        for (x, y, z), sign in zip(permutations(triple), (1, -1, -1, 1, 1, -1)):
+            out[x][y][z] = sign * v
     return out
-
-
-def _bullet_rows(q_rows, etas):
-    """Constraint rows (Q o eta)(x, y, z) = 0 for x < y < z; ``etas`` holds the
-    entry tables of the eta_a and Q is given by its {column: value} rows.
-    Slot x of the cyclic sum, sum_a Q[a][x] eta_a[z][y], reads column x of Q."""
-    n = len(etas)
-    q_cols = sparse_rows(zip(*dense_rows(q_rows, n)))
-    rows = []
-    for x, y, z in combinations(range(n), 3):
-        row: dict = {}
-        for s, r, c in ((x, z, y), (y, x, z), (z, y, x)):
-            for a, v in q_cols[s].items():
-                add_scaled(row, v, etas[a][r][c])
-        rows.append(row)
-    return rows
 
 
 def _structural_rows(j_struct: ComplexStructure):
@@ -593,10 +589,12 @@ def _structural_rows(j_struct: ComplexStructure):
     ``TorsionTensor``).
     """
     n = j_struct.space.dim
-    etas = _eta_entries(n)
-    j_cols = sparse_rows(zip(*j_struct.rows))
+    npairs = n * (n - 1) // 2
+    etas = [_skew_entries(n, a * npairs) for a in range(n)]
+    # J is skew, so its columns are its rows negated
+    j_cols = [{k: -v for k, v in row.items()} for row in j_struct.sparse_rows]
     # the cyclic identity on increasing triples is the bullet of the identity
-    rows = _bullet_rows([{i: 1} for i in range(n)], etas)
+    rows = _bullet_rows([{i: 1} for i in range(n)], n)
     for a, eta in enumerate(etas):
         # row r of the entry table of eta_a J is compose(J columns, eta[r])
         eta_j = [compose(j_cols, eta_r) for eta_r in eta]
@@ -609,7 +607,7 @@ def _structural_rows(j_struct: ComplexStructure):
                 add_scaled(row, -1, eta_j[r][c])
                 if row:
                     rows.append(row)
-    return rows, n * (n - 1) // 2
+    return rows, npairs
 
 
 def admissible_torsion_basis(j_struct: ComplexStructure):
@@ -641,7 +639,7 @@ def _constrained_skew_basis(j_struct: ComplexStructure, commuting: bool):
     off the entry table of F J, on the entries r <= c.
     """
     n = j_struct.space.dim
-    j_cols = sparse_rows(zip(*j_struct.rows))
+    j_cols = [{k: -v for k, v in row.items()} for row in j_struct.sparse_rows]
     fj = [compose(j_cols, row) for row in _skew_entries(n)]
     sign = -1 if commuting else 1
     rows = [add_scaled(dict(fj[r][c]), sign, fj[c][r]) for r in range(n) for c in range(r, n)]
@@ -667,14 +665,6 @@ def _product_basis(mbasis, sign: int):
     return out
 
 
-def _torsion_system(j_struct: ComplexStructure):
-    """The eta entry tables, the structural rows and the number of eta
-    parameters of the torsion tensors of J."""
-    n = j_struct.space.dim
-    rows, npairs = _structural_rows(j_struct)
-    return _eta_entries(n), rows, n * npairs
-
-
 def van_kernel_dimension(k: int) -> int:
     """Dimension of the torsion tensors killed by every J-invariant bullet.
 
@@ -683,11 +673,12 @@ def van_kernel_dimension(k: int) -> int:
     the exact nullspace dimension.  Zero from k = 3 on; the value at k = 2
     is reported by the verification suite without an assertion.
     """
-    j_struct = ComplexStructure.standard(Space(2 * k, "exact"))
-    etas, rows, ncols = _torsion_system(j_struct)
+    n = 2 * k
+    j_struct = ComplexStructure.standard(Space(n, "exact"))
+    rows, npairs = _structural_rows(j_struct)
     for f in invariant_skew_basis(j_struct):
-        rows.extend(_bullet_rows(f, etas))
-    return ncols - exact_rank(rows, ncols)
+        rows.extend(_bullet_rows(f, n))
+    return n * npairs - exact_rank(rows, n * npairs)
 
 
 def bracket_bases(j_struct: ComplexStructure):
@@ -709,10 +700,11 @@ def bracket_bullet_in_span(j_struct: ComplexStructure, squares, commutators) -> 
     lies in their span.  Bullet rows are linear in the product, so each
     takes the basis of the products from ``bracket_bases``.
     """
-    etas, rows, ncols = _torsion_system(j_struct)
+    n = j_struct.space.dim
+    rows, npairs = _structural_rows(j_struct)
     for sym in squares:
-        rows.extend(_bullet_rows(sym, etas))
-    base_rank = exact_rank(rows, ncols)
+        rows.extend(_bullet_rows(sym, n))
+    base_rank = exact_rank(rows, n * npairs)
     for comm in commutators:
-        rows.extend(_bullet_rows(comm, etas))
-    return exact_rank(rows, ncols) - base_rank
+        rows.extend(_bullet_rows(comm, n))
+    return exact_rank(rows, n * npairs) - base_rank

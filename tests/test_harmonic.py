@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hodgelab import campaigns
 from hodgelab.errors import (
     IllConditionedSpectrumError,
     InvalidFrameError,
@@ -254,6 +255,16 @@ def test_splitting_q_exhaustive_spectrum():
                 j_count = (mask & h_mask).bit_count()
                 expected = ((-1) ** (p - 1)) * j_count if p else 0
                 assert splitting_q(frame, psi) == expected * psi
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_lemma_4_3_body_runs_on_its_dimension(dim):
+    """Every even H-rank 2..dim-2 and every degree 0..dim, on R^dim."""
+    cases = list(campaigns.run_lemma_4_3(dim, [0]))
+    assert [c.id for c in cases] == [
+        f"rank{h}/p{p}" for h in range(2, dim - 1, 2) for p in range(dim + 1)
+    ]
+    assert all(c.passed and c.residual == 0 for c in cases)
 
 
 def test_splitting_q_rotated_float_frame():

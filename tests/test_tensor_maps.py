@@ -771,6 +771,57 @@ def test_bullet_zero_cases_and_cyclicity():
                 assert bullet[x][y][z] == bullet[y][z][x]
 
 
+def oracle_torsion_bullet(q_rows, eta):
+    """The cyclic sum of eq. (7), term by term over every (x, y, z) and a."""
+    n = eta.j.space.dim
+    etas = eta.etas
+    out = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                val = 0
+                for a in range(n):
+                    val += (
+                        q_rows[a][x] * etas[a][z][y]
+                        + q_rows[a][y] * etas[a][x][z]
+                        + q_rows[a][z] * etas[a][y][x]
+                    )
+                out[x][y][z] = val
+    return out
+
+
+def random_endomorphisms(n, rng):
+    """An integer n x n matrix, in general neither skew nor invertible, and
+    the same matrix with its first and last rows zeroed."""
+    q_rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    zeroed = [[0] * n if a in (0, n - 1) else row for a, row in enumerate(q_rows)]
+    return q_rows, zeroed
+
+
+@pytest.mark.parametrize("j_struct", [J4, J6, _rotated_j(6)], ids=["std4", "std6", "rotated6"])
+def test_torsion_bullet_matches_the_cyclic_sum_oracle(j_struct):
+    """Every value, not only the zeros and the cyclic symmetry: a bullet of
+    the wrong sign has the same zeros and the same symmetry."""
+    rng = SplitMix64(19)
+    nonzero = 0
+    for eta in admissible_torsion_basis(j_struct):
+        for q_rows in random_endomorphisms(j_struct.space.dim, rng):
+            bullet = torsion_bullet(q_rows, eta)
+            assert bullet == oracle_torsion_bullet(q_rows, eta)
+            nonzero += sum(1 for plane in bullet for row in plane for v in row if v)
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_bullet_rows_match_the_pairwise_oracle(n):
+    rng = SplitMix64(100 + n)
+    for q_rows in random_endomorphisms(n, rng):
+        q_sparse = sparse_rows(q_rows)
+        rows = tensor_maps._bullet_rows(q_sparse, n)
+        assert rows == oracle_bullet_rows(q_sparse, n, oracle_skew_params(n))
+        assert any(rows)
+
+
 def test_skew_bases_dimensions():
     for k in (2, 3, 4):
         j_struct = ComplexStructure.standard(Space(2 * k))

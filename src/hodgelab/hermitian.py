@@ -300,6 +300,12 @@ class LambdaBasis:
     is impossible over the rationals, which is why the basis is orthogonal
     rather than orthonormal.  The projection stops once the basis reaches
     ``_lambda_dim``: every later candidate would reduce to zero.
+
+    ``_by_mask`` is the coordinate table of the basis, filled once: each
+    mask of the degree maps to {d: b_d[mask]} over the forms b_d with a
+    term on it.  ``pairings`` reads every <alpha, b_d> off that table in
+    one walk over alpha's terms; ``expand``, ``FormValuedMap.from_tensor``
+    and ``bb_j_matrix`` go through it.
     """
 
     def __init__(self, j_struct: ComplexStructure, degree: int):
@@ -324,14 +330,34 @@ class LambdaBasis:
                 b = _primitive_integer_form(Form(space, degree, candidate))
                 self.forms.append(b)
                 self.norms_sq.append(inner(b, b))
+        self._by_mask: dict = {m: {} for m in basis_masks(space.dim, degree)}
+        for d, b in enumerate(self.forms):
+            for m, v in b.coeffs.items():
+                self._by_mask[m][d] = v
 
     @property
     def dim(self) -> int:
         return len(self.forms)
 
+    def pairings(self, alpha: Form) -> dict:
+        """{d: <alpha, b_d>} for the basis forms b_d that share a term with
+        alpha; a missing d pairs to zero.  Raises like ``inner`` when alpha
+        lives on another space or has another degree."""
+        if alpha.space != self.j.space:
+            raise SpaceMismatchError(f"{alpha.space} vs {self.j.space}")
+        if alpha.degree != self.degree:
+            raise DegreeMismatchError(f"degree {alpha.degree} vs {self.degree}")
+        table = self._by_mask
+        out: dict = {}
+        for m, c in alpha.coeffs.items():
+            for d, v in table[m].items():
+                out[d] = out.get(d, 0) + c * v
+        return out
+
     def expand(self, alpha: Form) -> list:
         """Coefficients of a member form over the orthogonal basis."""
-        return [Fraction(inner(alpha, b), ns) for b, ns in zip(self.forms, self.norms_sq)]
+        coords = self.pairings(alpha)
+        return [Fraction(coords.get(d, 0), ns) for d, ns in enumerate(self.norms_sq)]
 
 
 def _primitive_integer_form(alpha: Form) -> Form:
@@ -361,9 +387,8 @@ def bb_j_matrix(j_struct: ComplexStructure, degree: int) -> list[dict]:
     curly_j^2 b = -p^2 b on every basis form.
     """
     basis = lambda_basis(j_struct, degree)
-    pairs = list(zip(basis.forms, basis.norms_sq))
-    cols = [
-        [Fraction(inner(image, c), ns * degree) for c, ns in pairs]
-        for image in (curly_j(j_struct, b) for b in basis.forms)
+    cols = [basis.pairings(curly_j(j_struct, b)) for b in basis.forms]
+    return [
+        {d: Fraction(col[r], ns * degree) for d, col in enumerate(cols) if col.get(r)}
+        for r, ns in enumerate(basis.norms_sq)
     ]
-    return sparse_rows(zip(*cols))

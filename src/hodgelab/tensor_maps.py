@@ -18,6 +18,9 @@ A map holds its matrix as integer numerators over one common denominator,
 reduced once when the map is built; from_tensor, the bb_j conjugation,
 the split and a(Q) work on those integers, and each value a caller reads
 (the dense matrix, an entry, an evaluation, a(Q)) divides at the end.
+from_tensor reads its pairings off the coordinate tables of the two lambda
+bases (``LambdaBasis.pairings``), and the constructor checks the integer
+rows of its internal callers in a few C-level passes over all values.
 
 The module also hosts the derivative-driven construction of a commuting
 map out of a holomorphy-compatible derivative table, the torsion tensors of
@@ -29,7 +32,7 @@ constrained torsion space is zero from dimension 6 on.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import factorial, gcd, lcm
 
 from .errors import (
@@ -45,7 +48,6 @@ from .exterior import (
     basis_masks,
     contract,
     contract_index,
-    inner,
     mask_to_indices,
     merge_sign,
     wedge,
@@ -83,11 +85,11 @@ class FormValuedMap:
     ``den``: ``rows`` are {column: int} dicts, zeros dropped, and column d
     holds ``den`` times the coordinates of the image of the d-th domain
     basis form.  The constructor takes rows of ints and Fractions over an
-    optional integer ``den`` and reduces them once, through
-    ``linalg.numerators``, to lowest terms: den and the numerators have no
-    common factor.  What a caller reads is values: ``matrix`` (a dense copy
-    of Fractions), ``max_entry``, ``eval_mask``, ``+``/``-`` and
-    ``antisymmetrize``.
+    optional integer ``den`` and reduces them once to lowest terms: den and
+    the numerators have no common factor.  Rows of ints need only one type
+    scan; rows with Fractions first go through ``linalg.numerators``.
+    What a caller reads is values: ``matrix`` (a dense copy of Fractions),
+    ``max_entry``, ``eval_mask``, ``+``/``-`` and ``antisymmetrize``.
     """
 
     __slots__ = ("j", "p", "q", "rows", "den", "domain", "codomain")
@@ -102,25 +104,30 @@ class FormValuedMap:
         self.q = q
         self.domain = lambda_basis(j_struct, p)
         self.codomain = lambda_basis(j_struct, q)
-        width = self.domain.dim
-        if len(rows) != self.codomain.dim or any(not 0 <= c < width for r in rows for c in r):
+        filled = list(filter(None, rows))
+        if len(rows) != self.codomain.dim or filled and (
+            min(map(min, filled)) < 0 or max(map(max, filled)) >= self.domain.dim
+        ):
             raise InvariantViolationError("matrix shape does not match the bases")
-        # each row's numerators over the lcm of the row denominators, zeros
-        # dropped, then divided by their gcd with den.  Integer rows without
-        # zeros (every row of from_tensor, split_type and the bb_j
-        # conjugation) are kept as given: a map never modifies its rows.
-        # The arguments of lcm and gcd are lists: a tuple built from a
-        # generator is allocated larger and shrunk, and the freed smaller
-        # tuples pile up in the interpreter's tuple free lists
-        converted = [numerators(row) for row in rows]
-        scale = lcm(*[d for _, d in converted])
-        if scale == 1:
-            rows = [nums if all(nums.values()) else {c: v for c, v in nums.items() if v}
-                    for nums, _ in converted]
-        else:
-            rows = [{c: v * (scale // d) for c, v in nums.items() if v} for nums, d in converted]
+        # Integer rows (every row of from_tensor, split_type and the bb_j
+        # conjugation) are checked by one type scan over all values; other
+        # rows become numerators over the lcm of the row denominators.
+        # Zeros are dropped, and one gcd with den brings the map to lowest
+        # terms.  Rows that need no change are kept as given: a map never
+        # modifies its rows.  The values go to gcd as one list: a tuple
+        # built from a generator is allocated larger and shrunk, and the
+        # freed smaller tuples pile up in the interpreter's tuple free lists
+        values = list(chain.from_iterable(map(dict.values, rows)))
+        if set(map(type, values)) - {int}:
+            converted = [numerators(row) for row in rows]
+            scale = lcm(*[d for _, d in converted])
+            rows = [{c: v * (scale // d) for c, v in nums.items()} for nums, d in converted]
             den *= scale
-        g = gcd(den, *[v for row in rows for v in row.values()])
+            values = list(chain.from_iterable(map(dict.values, rows)))
+        if not all(values):
+            rows = [row if all(row.values()) else {c: v for c, v in row.items() if v}
+                    for row in rows]
+        g = gcd(den, *values)
         if g > 1:
             rows = [{c: v // g for c, v in row.items()} for row in rows]
         self.rows = rows
@@ -145,19 +152,20 @@ class FormValuedMap:
         """The rank-one map chi -> <phi, chi> psi.
 
         Entry (i, d) is the weight <phi, b_d> times the coordinate
-        <psi, c_i> / |c_i|^2.  With L the lcm of the |c_i|^2, the numerators
+        <psi, c_i> / |c_i|^2; both pairings are read off the coordinate
+        tables of the bases.  With L the lcm of the |c_i|^2, the numerators
         of the weights and of the <psi, c_i> L / |c_i|^2 are multiplied, over
         the product of their denominators and L.
         """
         dom = lambda_basis(j_struct, phi.degree)
         cod = lambda_basis(j_struct, psi.degree)
-        weights, wden = numerators({d: inner(phi, b) for d, b in enumerate(dom.forms)})
-        inners, cden = numerators({i: inner(psi, c) for i, c in enumerate(cod.forms)})
+        weights, wden = numerators(dom.pairings(phi))
+        inners, cden = numerators(cod.pairings(psi))
         scale = lcm(*cod.norms_sq)
         weights = [(d, w) for d, w in weights.items() if w]
         rows = [
-            {d: x * (scale // ns) * w for d, w in weights} if x else {}
-            for x, ns in zip(inners.values(), cod.norms_sq)
+            {d: x * (scale // ns) * w for d, w in weights} if (x := inners.get(i)) else {}
+            for i, ns in enumerate(cod.norms_sq)
         ]
         return cls(j_struct, phi.degree, psi.degree, rows, wden * cden * scale)
 

@@ -216,7 +216,11 @@ def test_bb_j_matrix_matches_the_slot_construction(kind, n, monkeypatch):
     for p, matrix in got.items():
         basis = lambda_basis(oracle, p)
         assert basis.forms == lambda_basis(compiled, p).forms
-        cols = [basis.expand(slot_curly_j(oracle, b) * Fraction(1, p)) for b in basis.forms]
+        cols = [
+            [Fraction(inner(slot_curly_j(oracle, b), c), ns * p)
+             for c, ns in zip(basis.forms, basis.norms_sq)]
+            for b in basis.forms
+        ]
         want = [[cols[c][r] for c in range(basis.dim)] for r in range(basis.dim)]
         assert dense_matrix(matrix) == want
         assert dense_matrix(bb_j_matrix(oracle, p)) == want

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgelab import campaigns, tensor_maps
-from hodgelab.errors import DegreeOverflowError, InvalidDerivativeError, InvariantViolationError
+from hodgelab.errors import (
+    DegreeMismatchError,
+    DegreeOverflowError,
+    InvalidDerivativeError,
+    InvariantViolationError,
+    SpaceMismatchError,
+)
 from hodgelab.exterior import Form, Space, Vector, basis_masks, contract, inner, wedge
 from hodgelab.hermitian import (
     ComplexStructure,
@@ -86,11 +92,17 @@ def random_map(j_struct, p, q, rng, terms=3):
 # numerators of FormValuedMap must give the same values.
 
 
+def fraction_coordinates(basis, alpha):
+    """<alpha, c> / |c|^2 over the orthogonal basis forms c, one ``inner``
+    call each: no coordinate table of the basis is read."""
+    return [Fraction(inner(alpha, c), ns) for c, ns in zip(basis.forms, basis.norms_sq)]
+
+
 def fraction_from_tensor(j_struct, phi, psi):
     """Rational rows of chi -> <phi, chi> psi."""
     dom = lambda_basis(j_struct, phi.degree)
     cod = lambda_basis(j_struct, psi.degree)
-    psi_coords = cod.expand(psi)
+    psi_coords = fraction_coordinates(cod, psi)
     rows = [{} for _ in range(cod.dim)]
     for d, b in enumerate(dom.forms):
         weight = inner(phi, b)
@@ -197,9 +209,28 @@ def test_integer_maps_match_the_fraction_oracle_on_images(kind, n, data):
     for p, q in degree_pairs(n):
         dom, cod = lambda_basis(j_struct, p), lambda_basis(j_struct, q)
         images = [drawn_lambda(data, j_struct, q) for _ in range(dom.dim)]
-        cols = [cod.expand(img) for img in images]
+        cols = [fraction_coordinates(cod, img) for img in images]
         want = [{d: col[i] for d, col in enumerate(cols) if col[i]} for i in range(cod.dim)]
         assert_matches_oracle(FormValuedMap.from_images(j_struct, p, q, images), want)
+
+
+@pytest.mark.parametrize("kind,n", ORACLE_STRUCTURES)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_pairings_match_one_inner_call_per_basis_form(kind, n, data):
+    """LambdaBasis.pairings reads <alpha, b_d> off the coordinate table; one
+    ``inner`` call per basis form must agree, in every degree, on lambda
+    members and on arbitrary forms with Fraction coefficients."""
+    j_struct = oracle_structure(kind, n)
+    rng = SplitMix64(data.draw(st.integers(0, 2**32)))
+    for degree in range(n + 1):
+        basis = lambda_basis(j_struct, degree)
+        member = drawn_lambda(data, j_struct, degree)
+        arbitrary = random_form(j_struct.space, degree, rng)
+        for alpha in (member, arbitrary):
+            got = basis.pairings(alpha)
+            assert set(got) <= set(range(basis.dim))
+            assert [got.get(d, 0) for d in range(basis.dim)] == [inner(alpha, b) for b in basis.forms]
 
 
 @pytest.mark.parametrize("kind,n", [(kind, n) for kind, n in ORACLE_STRUCTURES if n <= 6])
@@ -277,6 +308,42 @@ def test_integer_rows_drop_zeros_and_reduce_without_touching_the_given_rows():
     kept = FormValuedMap(J4, 1, 1, rows[1:2] + [{}, {}, {0: 1}], 3)
     assert kept.rows == [{1: 6}, {}, {}, {0: 1}] and kept.den == 3
     assert rows == given
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{0: 1}, {1: 2}],
+        [{-1: 1}, {}, {}, {0: Fraction(1, 2)}],
+        [{0: 1, 2: 3}, {}, {}, {}],
+    ],
+    ids=["row-count", "negative-column", "column-past-the-domain"],
+)
+def test_the_matrix_shape_must_match_the_bases(rows):
+    """A map from the degree-2 to the degree-1 lambda forms on R^4 has
+    four rows (the codomain) and columns 0 and 1 (the domain)."""
+    assert (lambda_basis(J4, 2).dim, lambda_basis(J4, 1).dim) == (2, 4)
+    assert FormValuedMap(J4, 2, 1, [{0: 1, 1: 3}, {}, {}, {1: Fraction(1, 2)}]).den == 2
+    with pytest.raises(InvariantViolationError, match="matrix shape does not match the bases"):
+        FormValuedMap(J4, 2, 1, rows)
+
+
+@pytest.mark.parametrize("other", [Space(6), Space(4, "float")], ids=["dim6", "float4"])
+@pytest.mark.parametrize("side", ["phi", "psi"])
+def test_from_tensor_rejects_a_form_from_another_space(other, side):
+    """e^1 and e^12 of another space have masks that the coordinate tables
+    of R^4 know, so only the space check can refuse them."""
+    forms = {"phi": S4.basis_form(1, 2), "psi": S4.basis_form(1)}
+    forms[side] = other.basis_form(*((1, 2) if side == "phi" else (1,)))
+    with pytest.raises(SpaceMismatchError):
+        FormValuedMap.from_tensor(J4, forms["phi"], forms["psi"])
+
+
+def test_expand_rejects_a_form_of_another_degree():
+    with pytest.raises(DegreeMismatchError):
+        lambda_basis(J4, 2).expand(S4.basis_form(1))
+    with pytest.raises(DegreeMismatchError):
+        lambda_basis(J4, 1).expand(S4.basis_form(1, 2))
 
 
 @pytest.mark.parametrize("den", [0, -2, Fraction(1, 2), 1.0])

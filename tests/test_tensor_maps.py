@@ -333,10 +333,13 @@ def test_the_matrix_shape_must_match_the_bases(rows):
 def test_from_tensor_rejects_a_form_from_another_space(other, side):
     """e^1 and e^12 of another space have masks that the coordinate tables
     of R^4 know, so only the space check can refuse them."""
-    forms = {"phi": S4.basis_form(1, 2), "psi": S4.basis_form(1)}
-    forms[side] = other.basis_form(*((1, 2) if side == "phi" else (1,)))
+    phi, psi = S4.basis_form(1, 2), S4.basis_form(1)
+    if side == "phi":
+        phi = other.basis_form(1, 2)
+    else:
+        psi = other.basis_form(1)
     with pytest.raises(SpaceMismatchError):
-        FormValuedMap.from_tensor(J4, forms["phi"], forms["psi"])
+        FormValuedMap.from_tensor(J4, phi, psi)
 
 
 def test_expand_rejects_a_form_of_another_degree():

@@ -37,7 +37,7 @@ from .exterior import (
     wedge,
 )
 from .harmonic import SkewEndo
-from .linalg import _make_primitive, add_scaled, combine, compose, sparse_rows
+from .linalg import _make_primitive, add_scaled, combine, compose, integer_rows, sparse_rows
 
 
 class ComplexStructure(SkewEndo):
@@ -304,8 +304,8 @@ class LambdaBasis:
     ``_by_mask`` is the coordinate table of the basis, filled once: each
     mask of the degree maps to {d: b_d[mask]} over the forms b_d with a
     term on it.  ``pairings`` reads every <alpha, b_d> off that table in
-    one walk over alpha's terms; ``expand``, ``FormValuedMap.from_tensor``
-    and ``bb_j_matrix`` go through it.
+    one walk over alpha's terms; ``bb_j_matrix`` and the ``FormValuedMap``
+    constructors go through it, and divide by <b, b> themselves.
     """
 
     def __init__(self, j_struct: ComplexStructure, degree: int):
@@ -354,11 +354,6 @@ class LambdaBasis:
                 out[d] = out.get(d, 0) + c * v
         return out
 
-    def expand(self, alpha: Form) -> list:
-        """Coefficients of a member form over the orthogonal basis."""
-        coords = self.pairings(alpha)
-        return [Fraction(coords.get(d, 0), ns) for d, ns in enumerate(self.norms_sq)]
-
 
 def _primitive_integer_form(alpha: Form) -> Form:
     # numerators returns the coefficient dict itself when it holds only ints
@@ -378,17 +373,19 @@ def lambda_basis(j_struct: ComplexStructure, degree: int) -> LambdaBasis:
 
 
 @per_structure
-def bb_j_matrix(j_struct: ComplexStructure, degree: int) -> list[dict]:
-    """{column: value} rows of bb_j over the cached orthogonal basis (cached
-    per degree); column d holds the coordinates of curly_j(b_d) / p.
+def bb_j_matrix(j_struct: ComplexStructure, degree: int):
+    """``(rows, den)``: bb_j over the cached orthogonal basis (cached per
+    degree) as {column: int} rows over one positive ``den``, 1 on the
+    standard J; column d holds den times the coordinates of curly_j(b_d) / p.
 
     The basis forms are members by construction, so the membership test of
     ``bb_j`` and its second curly_j are not repeated here; the tests check
     curly_j^2 b = -p^2 b on every basis form.
     """
     basis = lambda_basis(j_struct, degree)
-    cols = [basis.pairings(curly_j(j_struct, b)) for b in basis.forms]
-    return [
-        {d: Fraction(col[r], ns * degree) for d, col in enumerate(cols) if col.get(r)}
-        for r, ns in enumerate(basis.norms_sq)
-    ]
+    entries = (
+        (r, d, Fraction(v, basis.norms_sq[r] * degree))
+        for d, b in enumerate(basis.forms)
+        for r, v in basis.pairings(curly_j(j_struct, b)).items()
+    )
+    return integer_rows(entries, basis.dim)

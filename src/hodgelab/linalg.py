@@ -1,19 +1,19 @@
 """Exact rational linear algebra and the matrix helpers.
 
 A linear map is a list of {column: value} rows without zeros; ``compose``
-and ``combine`` multiply and add such maps, and ``sparse_rows``/``dense_rows``
-convert the dense matrices that numpy and the JSON codecs read.  Rank and
-nullspace share one sparse elimination with a shortest-row pivot heuristic
-over {column: value} rows of a given width.  It runs on integers: each row
-is scaled once to primitive integers (coprime entries) and stays primitive,
-in the spirit of Bareiss's fraction-free elimination (Math. Comp. 22,
-1968); the nullspace divides only when it back-substitutes.  The pivot
-search reads an index from each column to the rows that hold it, updated
-as elimination adds and cancels entries, so no column scans the remaining
-rows; the pivot rule (shortest row, then first in input order) is the one
-a scan applies.  That is fast enough for every shipped system, the largest
-constrained-torsion one included (a few thousand rows, a few hundred
-columns).
+and ``combine`` multiply and add such maps, ``integer_rows`` builds them as
+ints over one denominator, and ``sparse_rows``/``dense_rows`` convert the
+dense matrices that numpy and the JSON codecs read.  Rank and nullspace
+share one sparse elimination with a shortest-row pivot heuristic over
+{column: value} rows of a given width.  It runs on integers: each row is
+scaled once to primitive integers (coprime entries) and stays primitive, in
+the spirit of Bareiss's fraction-free elimination (Math. Comp. 22, 1968);
+the nullspace divides only when it back-substitutes.  The pivot search
+reads an index from each column to the rows that hold it, updated as
+elimination adds and cancels entries, so no column scans the remaining
+rows; the pivot rule (shortest row, then first in input order) is the one a
+scan applies.  That is fast enough for every shipped system, the largest
+constrained-torsion one included (a few thousand rows, a few hundred columns).
 """
 
 from __future__ import annotations
@@ -37,6 +37,19 @@ def numerators(values: dict):
         return values, 1
     den = lcm(*[v.denominator for v in values.values()])
     return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
+
+
+def integer_rows(entries, nrows: int):
+    """``(rows, den)`` from (row, column, value) triples of int/Fraction
+    values: ``nrows`` {column: int} rows, zeros dropped, over den = the lcm
+    of the value denominators (1 for ints), so value == rows[row][column] / den
+    in lowest terms; each row keeps its columns in arrival order."""
+    entries = [(r, c, v) for r, c, v in entries if v]
+    den = lcm(*[v.denominator for _, _, v in entries])
+    rows: list[dict] = [{} for _ in range(nrows)]
+    for r, c, v in entries:
+        rows[r][c] = v.numerator * (den // v.denominator)
+    return rows, den
 
 
 def _make_primitive(row: dict) -> dict:

@@ -14,13 +14,13 @@ whenever p != q.  (The slot assignment is pinned by the worked example
 Q = JJ on the 1-forms: a(JJ) = -2 omega, which has eigenvalue 0 = -(1-1)^2,
 and JJ commutes with itself.)
 
-A map holds its matrix as integer numerators over one common denominator,
-reduced once when the map is built; from_tensor, the bb_j conjugation,
-the split and a(Q) work on those integers, and each value a caller reads
-(the dense matrix, an entry, an evaluation, a(Q)) divides at the end.
-from_tensor reads its pairings off the coordinate tables of the two lambda
-bases (``LambdaBasis.pairings``), and the constructor checks the integer
-rows of its internal callers in a few C-level passes over all values.
+Operators on the lambda bases (a map, bb_j, the commuting projector) are
+{column: int} rows over one positive denominator, as ``bb_j_matrix`` returns
+them; rational entries become such rows in ``linalg.integer_rows``.  A map
+is reduced once when built; from_tensor (pairings off the coordinate tables
+of the lambda bases), the bb_j conjugation, the split, the projector and
+a(Q) work on the integers, and each value a caller reads (the dense matrix,
+an entry, an evaluation, a(Q)) divides at the end.
 
 The module also hosts the derivative-driven construction of a commuting
 map out of a holomorphy-compatible derivative table, the torsion tensors of
@@ -69,12 +69,11 @@ from .linalg import (
     dense_rows,
     exact_nullspace,
     exact_rank,
+    integer_rows,
     numerators,
     row_basis,
     sparse_rows,
 )
-
-_HALF = Fraction(1, 2)
 
 
 class FormValuedMap:
@@ -84,10 +83,9 @@ class FormValuedMap:
     is held as integer numerators over one positive common denominator
     ``den``: ``rows`` are {column: int} dicts, zeros dropped, and column d
     holds ``den`` times the coordinates of the image of the d-th domain
-    basis form.  The constructor takes rows of ints and Fractions over an
-    optional integer ``den`` and reduces them once to lowest terms: den and
-    the numerators have no common factor.  Rows of ints need only one type
-    scan; rows with Fractions first go through ``linalg.numerators``.
+    basis form.  The constructor takes int rows over an optional int ``den``
+    (rationals go through ``linalg.integer_rows``; other entries are refused)
+    and reduces them once to lowest terms: den and the numerators are coprime.
     What a caller reads is values: ``matrix`` (a dense copy of Fractions),
     ``max_entry``, ``eval_mask``, ``+``/``-`` and ``antisymmetrize``.
     """
@@ -109,21 +107,15 @@ class FormValuedMap:
             min(map(min, filled)) < 0 or max(map(max, filled)) >= self.domain.dim
         ):
             raise InvariantViolationError("matrix shape does not match the bases")
-        # Integer rows (every row of from_tensor, split_type and the bb_j
-        # conjugation) are checked by one type scan over all values; other
-        # rows become numerators over the lcm of the row denominators.
-        # Zeros are dropped, and one gcd with den brings the map to lowest
-        # terms.  Rows that need no change are kept as given: a map never
-        # modifies its rows.  The values go to gcd as one list: a tuple
+        # One type scan over all values refuses every entry that is not an
+        # int.  Zeros are dropped, and one gcd with den brings the map to
+        # lowest terms.  Rows that need no change are kept as given: a map
+        # never modifies its rows.  The values go to gcd as one list: a tuple
         # built from a generator is allocated larger and shrunk, and the
         # freed smaller tuples pile up in the interpreter's tuple free lists
         values = list(chain.from_iterable(map(dict.values, rows)))
         if set(map(type, values)) - {int}:
-            converted = [numerators(row) for row in rows]
-            scale = lcm(*[d for _, d in converted])
-            rows = [{c: v * (scale // d) for c, v in nums.items()} for nums, d in converted]
-            den *= scale
-            values = list(chain.from_iterable(map(dict.values, rows)))
+            raise InvariantViolationError("map entries must be ints over the common denominator")
         if not all(values):
             rows = [row if all(row.values()) else {c: v for c, v in row.items() if v}
                     for row in rows]
@@ -171,10 +163,14 @@ class FormValuedMap:
 
     @classmethod
     def from_images(cls, j_struct, p, q, images):
+        """Column d holds the coordinates <images[d], c_i> / |c_i|^2."""
         cod = lambda_basis(j_struct, q)
-        cols = [cod.expand(img) for img in images]
-        rows = [{d: col[i] for d, col in enumerate(cols)} for i in range(cod.dim)]
-        return cls(j_struct, p, q, rows)
+        entries = (
+            (i, d, Fraction(v, cod.norms_sq[i]))
+            for d, img in enumerate(images)
+            for i, v in cod.pairings(img).items()
+        )
+        return cls(j_struct, p, q, *integer_rows(entries, cod.dim))
 
     @classmethod
     def from_multilinear(cls, j_struct, p, q, fn):
@@ -240,17 +236,10 @@ class FormValuedMap:
                         self.den)
 
     def conjugated_by_bbj(self) -> "FormValuedMap":
-        """JJ o Q o JJ, composed on the integer rows of the bb_j maps."""
-        jp, jq = _bb_j_map(self.j, self.p), _bb_j_map(self.j, self.q)
-        rows = compose(jq.rows, compose(self.rows, jp.rows))
-        return FormValuedMap(self.j, self.p, self.q, rows, self.den * jp.den * jq.den)
-
-
-@per_structure
-def _bb_j_map(j_struct: ComplexStructure, degree: int) -> FormValuedMap:
-    """bb_j on the degree-p lambda forms as a map: the integer rows of
-    ``bb_j_matrix`` over their common denominator (1 on the standard J)."""
-    return FormValuedMap(j_struct, degree, degree, bb_j_matrix(j_struct, degree))
+        """JJ o Q o JJ, composed on the integer rows of ``bb_j_matrix``."""
+        (jp, dp), (jq, dq) = bb_j_matrix(self.j, self.p), bb_j_matrix(self.j, self.q)
+        rows = compose(jq, compose(self.rows, jp))
+        return FormValuedMap(self.j, self.p, self.q, rows, self.den * dp * dq)
 
 
 def split_type(q_map: FormValuedMap):
@@ -327,29 +316,28 @@ def _wedge_table(j_struct, p, q):
 
 
 def _commuting_projector(j_struct: ComplexStructure, p: int, q: int):
-    """Sparse rows of 1/2 (I + Jp (x) Jq) on the elementary tensors b_d (x) c_e.
-
-    Row and column d * dq + e belong to b_d (x) c_e.  Since (Jp (x) Jq)^2 = I
-    this is the projector onto the commuting half; only the nonzeros of the
-    bb_j rows are visited.
-    """
-    jp, jq = bb_j_matrix(j_struct, p), bb_j_matrix(j_struct, q)
-    dq = len(jq)
+    """``(rows, den)``: P = 1/2 (I + Jp (x) Jq) on the tensors b_d (x) c_e
+    (row and column d * nq + e) as the integer rows of den P, den = 2 dp dq
+    for the ``bb_j_matrix`` rows (Jp, dp) and (Jq, dq).  Since
+    (Jp (x) Jq)^2 = I, P projects onto the commuting half; only the nonzeros
+    of the bb_j rows are visited."""
+    (jp, dp), (jq, dq) = bb_j_matrix(j_struct, p), bb_j_matrix(j_struct, q)
+    nq = len(jq)
     rows = []
     for i, row_p in enumerate(jp):
         for k, row_q in enumerate(jq):
-            row = {i * dq + k: _HALF}
+            row = {i * nq + k: dp * dq}
             for d, vp in row_p.items():
                 for e, vq in row_q.items():
-                    col = d * dq + e
-                    row[col] = row.get(col, 0) + _HALF * vp * vq
-            rows.append({col: v for col, v in row.items() if v != 0})
-    return rows
+                    col = d * nq + e
+                    row[col] = row.get(col, 0) + vp * vq
+            rows.append({col: v for col, v in row.items() if v})
+    return rows, 2 * dp * dq
 
 
 def tensor_type_dims(j_struct: ComplexStructure, p: int, q: int):
     """Dimensions of the commuting and anticommuting halves of the tensor space."""
-    rows = _commuting_projector(j_struct, p, q)
+    rows, _ = _commuting_projector(j_struct, p, q)
     dim1 = exact_rank(rows, len(rows))
     return dim1, len(rows) - dim1
 
@@ -362,7 +350,7 @@ def a_restricted_rank(j_struct: ComplexStructure, p: int, q: int) -> int:
     """
     if p == 0 or q == 0:
         return 0
-    projector = _commuting_projector(j_struct, p, q)
+    projector, _ = _commuting_projector(j_struct, p, q)
     return exact_rank(compose(a_full_matrix(j_struct, p, q), projector), len(projector))
 
 
@@ -387,17 +375,16 @@ def a_full_matrix(j_struct: ComplexStructure, p: int, q: int):
 
 def a_kernel_tensors(j_struct: ComplexStructure, p: int, q: int):
     """FormValuedMap basis of the kernel of a on the full tensor space."""
-    rows = a_full_matrix(j_struct, p, q)
-    dom = lambda_basis(j_struct, p)
-    cod = lambda_basis(j_struct, q)
+    norms_sq = lambda_basis(j_struct, p).norms_sq
+    dq = lambda_basis(j_struct, q).dim
     out = []
-    for vec in exact_nullspace(rows, dom.dim * cod.dim):
-        m: list[dict] = [{} for _ in range(cod.dim)]
+    for vec in exact_nullspace(a_full_matrix(j_struct, p, q), len(norms_sq) * dq):
+        entries = []
         for col, t in vec.items():
-            d, e = divmod(col, cod.dim)
+            d, e = divmod(col, dq)
             # tensor b_d (x) c_e acts as chi -> <b_d, chi> c_e
-            m[e][d] = t * dom.norms_sq[d]
-        out.append(FormValuedMap(j_struct, p, q, m))
+            entries.append((e, d, t * norms_sq[d]))
+        out.append(FormValuedMap(j_struct, p, q, *integer_rows(entries, dq)))
     return out
 
 

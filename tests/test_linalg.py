@@ -28,6 +28,7 @@ from hodgelab.linalg import (
     dense_rows,
     exact_nullspace,
     exact_rank,
+    integer_rows,
     numerators,
     row_basis,
     sparse_rows,
@@ -124,6 +125,23 @@ def test_numerators_are_integers_over_the_lcm():
     ints = {0: 4, 2: -6}
     assert numerators(ints) == (ints, 1)
     assert numerators({}) == ({}, 1)
+
+
+def test_integer_rows_are_numerators_over_the_lcm_in_arrival_order():
+    entries = [(2, 4, Fraction(1, 6)), (0, 3, 5), (2, 1, Fraction(-3, 4)),
+               (0, 0, Fraction(0)), (1, 2, 0), (0, 1, Fraction(4, 2))]
+    rows, den = integer_rows(entries, 4)
+    assert den == 12
+    assert rows == [{3: 60, 1: 24}, {}, {4: 2, 1: -9}, {}]
+    # each row keeps its columns in the order their entries arrived
+    assert [list(row) for row in rows] == [[3, 1], [], [4, 1], []]
+    assert all(type(v) is int for row in rows for v in row.values())
+    for r, c, v in entries:
+        assert Fraction(rows[r].get(c, 0), den) == v
+    # lowest terms: den shares no factor with every numerator
+    assert integer_rows([(0, 0, Fraction(1, 2)), (0, 1, Fraction(3, 2))], 1) == ([{0: 1, 1: 3}], 2)
+    assert integer_rows([(1, 0, 4), (0, 2, -6), (0, 1, 0)], 2) == ([{2: -6}, {0: 4}], 1)
+    assert integer_rows([], 3) == ([{}, {}, {}], 1)
 
 
 def test_mixed_denominators_and_a_row_cancelling_mid_elimination_match_sympy():

@@ -36,7 +36,7 @@ for alphas with mixed denominators and integer alphas.
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -76,9 +76,13 @@ from hodgelab.tensor_maps import _commuting_projector, _wedge_table, a_restricte
 DIMS = (2, 4, 6, 8)
 
 
-def dense_matrix(rows):
-    """The dense square matrix of {column: value} rows."""
-    return [[row.get(c, 0) for c in range(len(rows))] for row in rows]
+def dense_matrix(matrix):
+    """The dense square matrix of values of ``(rows, den)``: {column: int}
+    rows over one positive int denominator, as ``bb_j_matrix`` returns."""
+    rows, den = matrix
+    assert type(den) is int and den >= 1
+    assert all(type(v) is int and v != 0 for row in rows for v in row.values())
+    return [[Fraction(row.get(c, 0), den) for c in range(len(rows))] for row in rows]
 
 
 def pulled_one_form(j_struct, i):
@@ -224,6 +228,10 @@ def test_bb_j_matrix_matches_the_slot_construction(kind, n, monkeypatch):
         want = [[cols[c][r] for c in range(basis.dim)] for r in range(basis.dim)]
         assert dense_matrix(matrix) == want
         assert dense_matrix(bb_j_matrix(oracle, p)) == want
+        # in lowest terms: 1 on the standard J
+        rows, den = matrix
+        assert gcd(den, *[v for row in rows for v in row.values()]) == 1
+        assert kind != "standard" or den == 1
 
 
 def contraction_lstar(j_struct, beta):
@@ -480,10 +488,15 @@ def test_a_restricted_rank_matches_the_column_sums(kind, n):
 @pytest.mark.parametrize("n", (4, 6, 8))
 def test_commuting_projector_is_the_idempotent_half_sum(kind, n):
     j = structure(kind, n)
+    dens = set()
     for p, q in type_pairs(n) + [(p, p) for p in range(1, n // 2 + 1)]:
         jp, jq = dense_matrix(bb_j_matrix(j, p)), dense_matrix(bb_j_matrix(j, q))
         dp, dq = len(jp), len(jq)
-        rows = _commuting_projector(j, p, q)
+        rows, den = _commuting_projector(j, p, q)
+        # integer rows of den P, den twice the product of the bb_j denominators
+        assert den == 2 * bb_j_matrix(j, p)[1] * bb_j_matrix(j, q)[1]
+        assert all(type(v) is int and v != 0 for row in rows for v in row.values())
+        dens.add(den)
         # entry for entry 1/2 (I + Jp (x) Jq), by the dense definition
         for i in range(dp):
             for k in range(dq):
@@ -492,13 +505,16 @@ def test_commuting_projector_is_the_idempotent_half_sum(kind, n):
                     for d in range(dp)
                     for e in range(dq)
                 }
-                assert rows[i * dq + k] == {c: v for c, v in dense.items() if v != 0}
-        # (Jp (x) Jq)^2 = I, so P P = P
+                got = {c: Fraction(v, den) for c, v in rows[i * dq + k].items()}
+                assert got == {c: v for c, v in dense.items() if v != 0}
+        # (Jp (x) Jq)^2 = I, so P P = P: (den P)(den P) = den (den P)
         for row in rows:
             square: dict = {}
             for c, v in row.items():
                 add_scaled(square, v, rows[c])
-            assert square == row
+            assert square == {c: den * v for c, v in row.items()}
+    # the rotated J has bb_j rows over a denominator above 1
+    assert dens == {2} if kind == "standard" else max(dens) > 2
 
 
 EXACT_KINDS = ("standard", "rotated", "twice-rotated")

@@ -60,7 +60,7 @@ J6 = ComplexStructure.standard(S6)
 
 
 def bb_j_map(j_struct, p):
-    return FormValuedMap(j_struct, p, p, bb_j_matrix(j_struct, p))
+    return FormValuedMap(j_struct, p, p, *bb_j_matrix(j_struct, p))
 
 
 def random_lambda(j_struct, degree, rng, terms=2):
@@ -115,8 +115,10 @@ def fraction_from_tensor(j_struct, phi, psi):
 
 
 def fraction_split_type(j_struct, p, q, rows):
-    """Rational rows of (Q - JJ Q JJ) / 2 and (Q + JJ Q JJ) / 2."""
-    conj = compose(bb_j_matrix(j_struct, q), compose(rows, bb_j_matrix(j_struct, p)))
+    """Rational rows of (Q - JJ Q JJ) / 2 and (Q + JJ Q JJ) / 2, with JJ the
+    ``bb_j_matrix`` rows divided by their denominator."""
+    jp, jq = over_den(*bb_j_matrix(j_struct, p)), over_den(*bb_j_matrix(j_struct, q))
+    conj = compose(jq, compose(rows, jp))
     half = Fraction(1, 2)
     return combine(rows, conj, half, -half), combine(rows, conj, half, half)
 
@@ -136,9 +138,14 @@ def fraction_antisymmetrize(j_struct, p, q, rows):
     return Form(space, p + q, coeffs)
 
 
+def over_den(rows, den):
+    """The rational rows that integer rows over ``den`` stand for."""
+    return [{c: Fraction(v, den) for c, v in row.items()} for row in rows]
+
+
 def values(q_map):
     """The rational rows a map stands for."""
-    return [{c: Fraction(v, q_map.den) for c, v in row.items()} for row in q_map.rows]
+    return over_den(q_map.rows, q_map.den)
 
 
 def assert_matches_oracle(q_map, want_rows):
@@ -231,6 +238,9 @@ def test_pairings_match_one_inner_call_per_basis_form(kind, n, data):
             got = basis.pairings(alpha)
             assert set(got) <= set(range(basis.dim))
             assert [got.get(d, 0) for d in range(basis.dim)] == [inner(alpha, b) for b in basis.forms]
+        # a form of another degree is refused, like ``inner`` refuses it
+        with pytest.raises(DegreeMismatchError):
+            basis.pairings(random_form(j_struct.space, (degree + 1) % (n + 1), rng))
 
 
 @pytest.mark.parametrize("kind,n", [(kind, n) for kind, n in ORACLE_STRUCTURES if n <= 6])
@@ -286,16 +296,14 @@ def test_rows_are_integers_in_lowest_terms_over_a_positive_denominator():
     assert len(dens) > 2
 
 
-def test_rational_rows_are_reduced_once_to_one_denominator():
-    j_struct = J4
-    rows = [{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: Fraction(0), 1: 2}, {}, {3: Fraction(-4, 6)}]
-    m = FormValuedMap(j_struct, 1, 1, rows)
-    assert m.den == 6
-    assert m.rows == [{0: 3, 1: 2}, {1: 12}, {}, {3: -4}]
-    # an explicit denominator divides the given rows
-    assert FormValuedMap(j_struct, 1, 1, rows, 5).den == 30
-    assert FormValuedMap(j_struct, 1, 1, [{0: 2}, {1: 4}, {}, {}], 6).rows == [{0: 1}, {1: 2}, {}, {}]
-    assert FormValuedMap(j_struct, 1, 1, [{0: 2}, {1: 4}, {}, {}], 6).den == 3
+def test_map_entries_must_be_ints_over_the_denominator():
+    """Rationals become rows in ``linalg.integer_rows``; the constructor
+    refuses any other entry, and reduces int rows over an explicit den."""
+    for bad in (0.5, Fraction(1, 2), Fraction(2), 1.0, True):
+        with pytest.raises(InvariantViolationError, match="ints over the common denominator"):
+            FormValuedMap(J4, 1, 1, [{0: 1}, {1: bad}, {}, {}])
+    reduced = FormValuedMap(J4, 1, 1, [{0: 2}, {1: 4}, {}, {}], 6)
+    assert reduced.rows == [{0: 1}, {1: 2}, {}, {}] and reduced.den == 3
 
 
 def test_integer_rows_drop_zeros_and_reduce_without_touching_the_given_rows():
@@ -314,7 +322,7 @@ def test_integer_rows_drop_zeros_and_reduce_without_touching_the_given_rows():
     "rows",
     [
         [{0: 1}, {1: 2}],
-        [{-1: 1}, {}, {}, {0: Fraction(1, 2)}],
+        [{-1: 1}, {}, {}, {0: 1}],
         [{0: 1, 2: 3}, {}, {}, {}],
     ],
     ids=["row-count", "negative-column", "column-past-the-domain"],
@@ -323,7 +331,7 @@ def test_the_matrix_shape_must_match_the_bases(rows):
     """A map from the degree-2 to the degree-1 lambda forms on R^4 has
     four rows (the codomain) and columns 0 and 1 (the domain)."""
     assert (lambda_basis(J4, 2).dim, lambda_basis(J4, 1).dim) == (2, 4)
-    assert FormValuedMap(J4, 2, 1, [{0: 1, 1: 3}, {}, {}, {1: Fraction(1, 2)}]).den == 2
+    assert FormValuedMap(J4, 2, 1, [{0: 1, 1: 3}, {}, {}, {1: 1}], 2).den == 2
     with pytest.raises(InvariantViolationError, match="matrix shape does not match the bases"):
         FormValuedMap(J4, 2, 1, rows)
 
@@ -340,13 +348,6 @@ def test_from_tensor_rejects_a_form_from_another_space(other, side):
         psi = other.basis_form(1)
     with pytest.raises(SpaceMismatchError):
         FormValuedMap.from_tensor(J4, phi, psi)
-
-
-def test_expand_rejects_a_form_of_another_degree():
-    with pytest.raises(DegreeMismatchError):
-        lambda_basis(J4, 2).expand(S4.basis_form(1))
-    with pytest.raises(DegreeMismatchError):
-        lambda_basis(J4, 1).expand(S4.basis_form(1, 2))
 
 
 @pytest.mark.parametrize("den", [0, -2, Fraction(1, 2), 1.0])
@@ -1097,6 +1098,31 @@ def test_eq_7_bracket_span_fails_when_the_squares_are_dropped(monkeypatch):
     assert want == cases["dim6/admissible"].residual == 16
     span = cases.pop("dim6/bracket-span")
     assert span.residual == want and not span.passed
+    assert all(c.passed for c in cases.values())
+
+
+def test_eq_7_cyclic_fails_when_the_bullet_is_negated(monkeypatch):
+    """cyclic compares each bullet value with the cyclic sum of eq. (7)
+    evaluated directly.  With every bullet value negated it reads
+    2 max |sum| over the drawn Q and the first four admissible tensors, the
+    sum taken from the term-by-term oracle; the other cases do not read the
+    bullet and still pass."""
+    real = campaigns.torsion_bullet
+    monkeypatch.setattr(
+        campaigns, "torsion_bullet",
+        lambda q_rows, eta: [[[-v for v in row] for row in plane] for plane in real(q_rows, eta)],
+    )
+    report = campaigns.run_campaign(campaigns.Campaign("eq-7", dims=[4, 6], seeds=[0]))
+    cases = {c.id: c for c in report.cases}
+    for dim in (4, 6):
+        rng = campaigns._case_rng("eq-7", dim, 1)
+        largest = 0
+        for eta in admissible_torsion_basis(ComplexStructure.standard(Space(dim)))[:4]:
+            q_rows = [[rng.small_int() for _ in range(dim)] for _ in range(dim)]
+            bullet = oracle_torsion_bullet(q_rows, eta)
+            largest = max(largest, max(abs(v) for plane in bullet for row in plane for v in row))
+        cyclic = cases.pop(f"dim{dim}/cyclic")
+        assert cyclic.residual == 2 * largest == 36 and not cyclic.passed
     assert all(c.passed for c in cases.values())
 
 

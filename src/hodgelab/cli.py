@@ -18,7 +18,6 @@ import sys
 from . import harmonic  # spectral functions are looked up per call
 from .campaigns import Campaign, UsageError, campaign_names, run_campaign
 from .errors import HodgeLabError, IllConditionedSpectrumError
-from .exterior import Space
 from .hermitian import ComplexStructure, bidegree_project
 from .jsonio import (
     form_from_dict,
@@ -159,9 +158,8 @@ def _cmd_decompose(args) -> int:
                     comps.append({"p": p, "q": q, "component": form_to_dict(piece)})
                 out["bidegree"] = comps
             if form.degree == 2:
-                fspace = Space(form.space.dim, "float")
-                terms = {idx: float(c) for idx, c in form.terms()}
-                out.update(_spectral_fields(harmonic.form_endo(fspace.form(2, terms))))
+                # spectral reads the map as floats on either backend
+                out.update(_spectral_fields(harmonic.form_endo(form)))
         elif isinstance(payload, dict) and "matrix" in payload:
             payload = dict(payload)
             payload.setdefault("backend", "float")

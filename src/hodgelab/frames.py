@@ -292,7 +292,7 @@ def real_coefficient_basis(td: TransitionData):
     top = np.hstack([np.eye(3) - pr, pi])
     bot = np.hstack([-pi, -np.eye(3) - pr])
     system = np.vstack([top, bot])
-    u, sv, vt = np.linalg.svd(system)
+    _, sv, vt = np.linalg.svd(system)
     null = vt[np.sum(sv > FRAME_TOL * max(sv[0], 1.0)):]
     if null.shape[0] != 3:
         raise InvalidTransitionError(

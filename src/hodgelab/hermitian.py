@@ -122,16 +122,14 @@ def _apply_numerators(
     degree, A the operator with basis images ``image(j_struct, mask)``.
 
     With ``(T, tden)`` the table of A compiled once per (J, image, degree),
-    T = tden A, the numerators meet T ``power`` times and shift tden^power
-    nums is added, all on integers; each nonzero entry is then divided once
-    by tden^power den.
+    T = tden A, the numerators are composed with T ``power`` times, as one
+    row through ``linalg.compose``, and shift tden^power nums is added, all
+    on integers; each nonzero entry is then divided once by tden^power den.
     """
     table, tden = _compiled(j_struct, image, degree)
     out = nums
     for _ in range(power):
-        prev, out = out, {}
-        for mask, coeff in prev.items():
-            add_scaled(out, coeff, table[mask])
+        out = compose([out], table)[0]
     tden **= power
     if shift:
         add_scaled(out, shift * tden, nums)
@@ -206,22 +204,22 @@ def bidegree_project(j_struct: ComplexStructure, alpha: Form, p: int, q: int) ->
     """Component of alpha in the -(p-q)^2 eigenspace of the squared derivation.
 
     Realized as exact Lagrange interpolation in curly_j^2 over the spectrum
-    {-(s-2j)^2 : 0 <= j <= s//2} of degree s = p+q; the components over all
-    (p, q) with p >= q sum back to alpha and are mutually orthogonal.
+    {-(s-2i)^2 : 0 <= i <= s//2} of degree s = p+q; the components over all
+    (p, q) with p >= q sum back to alpha and are mutually orthogonal.  Each
+    factor (curly_j^2 + (s-2i)^2) / ((s-2i)^2 - (p-q)^2), i != q, is an
+    ``eigen_residual`` on the numerators of the running result.
     """
     if p < q or q < 0:
         raise DegreeMismatchError("need p >= q >= 0")
     if p + q != alpha.degree:
         raise DegreeMismatchError(f"p+q = {p + q} does not match degree {alpha.degree}")
-    s = alpha.degree
-    target = -((p - q) ** 2)
-    result = alpha
-    for j in range(s // 2 + 1):
-        ev = -((s - 2 * j) ** 2)
-        if ev == target:
-            continue
-        num = curly_j_squared(j_struct, result) - ev * result
-        result = num * alpha.space.ratio(1, target - ev)
+    if alpha.space != j_struct.space:
+        raise SpaceMismatchError(f"{alpha.space} vs {j_struct.space}")
+    s, space, result = alpha.degree, alpha.space, alpha
+    for i in range(s // 2 + 1):
+        if i != q:
+            scale = space.ratio(1, (s - 2 * i) ** 2 - (p - q) ** 2)
+            result = eigen_residual(j_struct, s, *space.numerators(result.coeffs), s - i, i) * scale
     return result
 
 

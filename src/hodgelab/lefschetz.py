@@ -22,7 +22,7 @@ from .errors import ContractionUnderflowError, NotInLambdaPError, SpaceMismatchE
 from .exterior import Form, adjoint_wedge, basis_masks, mask_to_indices, merge_sign, wedge
 from .harmonic import endo_form
 from .hermitian import ComplexStructure, _compiled, _pullback_image, in_lambda_p, per_structure
-from .linalg import add_scaled, exact_nullspace
+from .linalg import add_scaled, exact_nullspace, integer_rows
 
 
 @per_structure
@@ -146,19 +146,18 @@ def primitive_basis(j_struct: ComplexStructure, degree: int):
     """Exact basis of the primitive forms of a given degree (cached).
 
     Assembled as the nullspace of the adjoint Lefschetz operator on the
-    increasing-multi-index basis.
+    increasing-multi-index basis, as ``integer_rows`` over any denominator.
     """
     space = j_struct.space
     masks = basis_masks(space.dim, degree)
     if degree < 2:
         return [Form(space, degree, {m: 1}) for m in masks]
-    target_masks = basis_masks(space.dim, degree - 2)
-    pos = {m: i for i, m in enumerate(target_masks)}
-    rows = [{} for _ in target_masks]
-    for col, m in enumerate(masks):
-        image = lefschetz_lstar(j_struct, Form(space, degree, {m: 1}))
-        for im, c in image.coeffs.items():
-            rows[pos[im]][col] = c
+    pos = {m: i for i, m in enumerate(basis_masks(space.dim, degree - 2))}
+    rows, _ = integer_rows(
+        ((pos[im], col, c) for col, m in enumerate(masks)
+         for im, c in lefschetz_lstar(j_struct, Form(space, degree, {m: 1})).coeffs.items()),
+        len(pos),
+    )
     return [
         Form(space, degree, {masks[c]: v for c, v in vec.items()})
         for vec in exact_nullspace(rows, len(masks))

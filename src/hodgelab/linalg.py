@@ -3,17 +3,18 @@
 A linear map is a list of {column: value} rows without zeros; ``compose``
 and ``combine`` multiply and add such maps, ``integer_rows`` builds them as
 ints over one denominator, and ``sparse_rows``/``dense_rows`` convert the
-dense matrices that numpy and the JSON codecs read.  Rank and nullspace
-share one sparse elimination with a shortest-row pivot heuristic over
-{column: value} rows of a given width.  It runs on integers: each row is
-scaled once to primitive integers (coprime entries) and stays primitive, in
-the spirit of Bareiss's fraction-free elimination (Math. Comp. 22, 1968);
-the nullspace divides only when it back-substitutes.  The pivot search
-reads an index from each column to the rows that hold it, updated as
-elimination adds and cancels entries, so no column scans the remaining
-rows; the pivot rule (shortest row, then first in input order) is the one a
-scan applies.  That is fast enough for every shipped system, the largest
-constrained-torsion one included (a few thousand rows, a few hundred columns).
+dense matrices that numpy and the JSON codecs read.  ``integer_rows`` and
+the elimination read values through ``numerators``, which refuses inexact
+ones.  Rank and nullspace share one sparse elimination with a shortest-row
+pivot heuristic over {column: value} rows of a given width.  It runs on
+integers: each row is scaled once to primitive integers (coprime entries)
+and stays primitive, in the spirit of Bareiss's fraction-free elimination
+(Math. Comp. 22, 1968); the nullspace divides only when it back-substitutes.
+The pivot search reads an index from each column to the rows that hold it,
+updated as elimination adds and cancels entries, so no column scans the
+remaining rows; the pivot rule (shortest row, then first in input order) is
+the one a scan applies.  That is fast enough for every shipped system, the
+largest constrained-torsion one (a few thousand rows, a few hundred columns).
 """
 
 from __future__ import annotations
@@ -22,21 +23,27 @@ from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import InvariantViolationError
+
 
 def numerators(values: dict):
     """``(nums, den)``: the int/Fraction values as integers over the lcm
     ``den`` of their denominators, so values[k] == nums[k] / den.
 
     When every value is already an int, ``nums`` is ``values`` itself, not a
-    copy, so a caller that modifies ``nums`` passes a dict of its own.
+    copy, so a caller that modifies ``nums`` passes a dict of its own.  A
+    value without a numerator and denominator raises InvariantViolationError.
     """
     for v in values.values():
         if type(v) is not int:
             break
     else:
         return values, 1
-    den = lcm(*[v.denominator for v in values.values()])
-    return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
+    try:
+        den = lcm(*[v.denominator for v in values.values()])
+        return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
+    except AttributeError as exc:
+        raise InvariantViolationError(f"exact values needed, got {type(exc.obj).__name__}") from exc
 
 
 def integer_rows(entries, nrows: int):
@@ -44,11 +51,10 @@ def integer_rows(entries, nrows: int):
     values: ``nrows`` {column: int} rows, zeros dropped, over den = the lcm
     of the value denominators (1 for ints), so value == rows[row][column] / den
     in lowest terms; each row keeps its columns in arrival order."""
-    entries = [(r, c, v) for r, c, v in entries if v]
-    den = lcm(*[v.denominator for _, _, v in entries])
+    nums, den = numerators({(r, c): v for r, c, v in entries if v})
     rows: list[dict] = [{} for _ in range(nrows)]
-    for r, c, v in entries:
-        rows[r][c] = v.numerator * (den // v.denominator)
+    for (r, c), v in nums.items():
+        rows[r][c] = v
     return rows, den
 
 

@@ -208,13 +208,11 @@ class FormValuedMap:
     def eval_mask(self, mask: int) -> Form:
         """Multilinear evaluation on the increasing basis tuple of ``mask``."""
         out = self.j.space.zero_form(self.q)
-        for d, (b, ns) in enumerate(zip(self.domain.forms, self.domain.norms_sq)):
-            c = b.coeffs.get(mask)
-            if c:
-                col = Fraction(c, ns * self.den)
-                for i, row in enumerate(self.rows):
-                    if d in row:
-                        out = out + (row[d] * col) * self.codomain.forms[i]
+        for d, c in self.domain._by_mask[mask].items():
+            col = Fraction(c, self.domain.norms_sq[d] * self.den)
+            for i, row in enumerate(self.rows):
+                if d in row:
+                    out = out + (row[d] * col) * self.codomain.forms[i]
         return out
 
     # -- algebra -----------------------------------------------------------
@@ -356,21 +354,19 @@ def a_restricted_rank(j_struct: ComplexStructure, p: int, q: int) -> int:
 
 @per_structure
 def a_full_matrix(j_struct: ComplexStructure, p: int, q: int):
-    """Sparse rows of a on the elementary tensor basis b_d (x) c_e (column
+    """Sparse int rows of a on the elementary tensor basis b_d (x) c_e (column
     d * dq + e), one row per mask of degree p + q in lexicographic order."""
     table = _wedge_table(j_struct, p, q)
     dp = lambda_basis(j_struct, p).dim
     dq = lambda_basis(j_struct, q).dim
-    space = j_struct.space
-    target = basis_masks(space.dim, p + q)
-    pos = {m: i for i, m in enumerate(target)}
+    pos = {m: i for i, m in enumerate(basis_masks(j_struct.space.dim, p + q))}
     fac = factorial(p)
-    rows = [{} for _ in target]
-    for d in range(dp):
-        for e in range(dq):
-            for m, c in table[d][e].coeffs.items():
-                rows[pos[m]][d * dq + e] = fac * c
-    return rows
+    # the basis forms are integer forms, so the denominator is 1
+    return integer_rows(
+        ((pos[m], d * dq + e, fac * c) for d in range(dp) for e in range(dq)
+         for m, c in table[d][e].coeffs.items()),
+        len(pos),
+    )[0]
 
 
 def a_kernel_tensors(j_struct: ComplexStructure, p: int, q: int):
@@ -447,7 +443,7 @@ def holomorphic_q(j_struct: ComplexStructure, omega_form: Form, derivative) -> F
     for d_val in d_table:
         if d_val.degree != p:
             raise InvalidDerivativeError("derivative values must match the base degree")
-        if not d_val.is_zero() and not in_lambda_p(j_struct, d_val):
+        if not in_lambda_p(j_struct, d_val):
             raise InvalidDerivativeError("derivative value is not of type (p,0)+(0,p)")
     for i in range(1, space.dim + 1):
         j_image = j_struct.basis_image(i)
@@ -455,9 +451,7 @@ def holomorphic_q(j_struct: ComplexStructure, omega_form: Form, derivative) -> F
         for m, comp in enumerate(j_image.components, start=1):
             if comp != 0:
                 lhs = lhs + comp * d_table[m - 1]
-        rhs = d_table[i - 1]
-        rhs = bb_j(j_struct, rhs) if not rhs.is_zero() else rhs
-        if lhs != rhs:
+        if lhs != bb_j(j_struct, d_table[i - 1]):
             raise InvalidDerivativeError("derivative table does not intertwine J")
 
     def fn(indices):

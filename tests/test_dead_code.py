@@ -126,12 +126,13 @@ def defaulted_parameters(tree):
                 yield node.name, node.name, param, index
 
 
-def set_parameters():
+def set_parameters(tops=SEARCHED):
     """callee name -> [most positional arguments, keyword names] over every
-    call; a starred argument fills every position, and ``**mapping`` shows
-    up as the keyword None, which sets every keyword."""
+    call in the trees under ``tops``; a starred argument fills every
+    position, and ``**mapping`` shows up as the keyword None, which sets
+    every keyword."""
     calls = defaultdict(lambda: [0, set()])
-    for _, tree in searched_trees():
+    for _, tree in searched_trees(tops):
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 seen = calls[_name(node.func)]
@@ -141,8 +142,8 @@ def set_parameters():
     return calls
 
 
-def unset_parameters():
-    calls = set_parameters()
+def unset_parameters(tops=SEARCHED):
+    calls = set_parameters(tops)
     unset = []
     for path in sorted(PACKAGE.glob("*.py")):
         for callee, qualname, param, index in defaulted_parameters(ast.parse(path.read_text())):
@@ -163,6 +164,15 @@ def test_every_member_is_used_outside_the_tests():
 
 def test_every_defaulted_parameter_is_set_somewhere():
     assert unset_parameters() == []
+
+
+def test_only_the_named_knobs_are_left_to_the_tests():
+    """A defaulted parameter that no call outside the tests sets is a knob
+    only the tests turn; the README names the two that remain."""
+    assert unset_parameters(OUTSIDE_TESTS) == [
+        "exterior.py:Form.isclose(tol)",
+        "harmonic.py:spectral(gap_tol)",
+    ]
 
 
 def cache_attribute_uses():

@@ -1,5 +1,6 @@
 """Skew-map duality, cubic stability, spectra, moments, and the splitting operator."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -199,7 +200,7 @@ def test_moment_agreement_with_spectral():
     for n in (4, 6, 8):
         space = Space(n, "float")
         for _ in range(10):
-            rows, _, _, _ = _structured_skew(n, rng)
+            rows, _ = _structured_skew(n, rng)
             a = SkewEndo(space, rows.tolist())
             d = spectral(a)
             negs = d.negative_clusters
@@ -208,6 +209,24 @@ def test_moment_agreement_with_spectral():
             for (m, mu), c in zip(got, negs):
                 assert m == c.multiplicity
                 assert abs(mu - c.mu) <= 1e-6 * max(1.0, abs(c.mu))
+
+
+def test_prop_4_2_candidate_residual_measures_the_kernel_rank(monkeypatch):
+    """A candidate kernel rank two off the spectral kernel fails every case
+    with residual 2.0, the size of the miss."""
+    real = campaigns.symplectic_candidate
+
+    def shifted(decomp):
+        cand = real(decomp)
+        return dataclasses.replace(cand, kernel_rank=cand.kernel_rank + 2)
+
+    monkeypatch.setattr(campaigns, "symplectic_candidate", shifted)
+    for dim in (4, 6, 8):
+        cases = list(campaigns.run_prop_4_2(dim, range(1, 7)))
+        assert len(cases) == 6
+        for case in cases:
+            assert not case.passed
+            assert case.residual == 2.0
 
 
 def test_symplectic_candidate_compatible_case():

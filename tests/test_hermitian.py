@@ -23,6 +23,7 @@ from hodgelab.hermitian import (
     lambda_basis,
 )
 from hodgelab.lefschetz import kahler_form
+from hodgelab.linalg import compose, dense_rows, sparse_rows
 from hodgelab.rng import SplitMix64, random_form
 
 S4 = Space(4)
@@ -186,6 +187,54 @@ def test_bidegree_eigenvalue_law_exhaustive(j_struct):
                 base = Form(space, s, {mask: 1})
                 comp = bidegree_project(j_struct, base, p, q)
                 assert curly_j_squared(j_struct, comp) == (-((p - q) ** 2)) * comp
+
+
+def lagrange_oracle(j_struct, alpha, p, q):
+    """bidegree_project as Form-level Lagrange factors: alpha times the
+    product of (curly_j^2 - ev) / (target - ev) over the other eigenvalues."""
+    s = alpha.degree
+    target = -((p - q) ** 2)
+    result = alpha
+    for j in range(s // 2 + 1):
+        ev = -((s - 2 * j) ** 2)
+        if ev == target:
+            continue
+        num = curly_j_squared(j_struct, result) - ev * result
+        result = num * alpha.space.ratio(1, target - ev)
+    return result
+
+
+def rotated_j(n, backend):
+    """The standard J conjugated by the 3/5-4/5 rotation of the e_1, e_3 plane."""
+    rot = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rot[0][0], rot[0][2], rot[2][0], rot[2][2] = (
+        Fraction(3, 5), Fraction(-4, 5), Fraction(4, 5), Fraction(3, 5))
+    std = sparse_rows(ComplexStructure.standard(Space(n)).rows)
+    rows = dense_rows(compose(compose(sparse_rows(rot), std), sparse_rows(list(zip(*rot)))), n)
+    space = Space(n, backend)
+    return ComplexStructure(space, [[space.scalar(v) for v in row] for row in rows])
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("kind,n", [
+    ("standard", 2), ("standard", 4), ("standard", 6), ("standard", 8),
+    ("rotated", 4), ("rotated", 6), ("rotated", 8),
+])
+def test_bidegree_project_matches_the_lagrange_oracle(kind, n, backend):
+    """Values and key order agree with the Form-level loop, every (p, q)."""
+    j_struct = (
+        ComplexStructure.standard(Space(n, backend)) if kind == "standard" else rotated_j(n, backend)
+    )
+    space = j_struct.space
+    rng = SplitMix64(97 + n)
+    for s in range(n + 1):
+        forms = [random_form(space, s, rng), random_form(space, s, rng, terms=comb(n, s))]
+        for q in range(s // 2 + 1):
+            for alpha in forms:
+                got = bidegree_project(j_struct, alpha, s - q, q)
+                want = lagrange_oracle(j_struct, alpha, s - q, q)
+                assert got == want
+                assert list(got.coeffs) == list(want.coeffs)
 
 
 def test_bidegree_examples():

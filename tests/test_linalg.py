@@ -16,6 +16,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hodgelab.errors import InvariantViolationError
 from hodgelab.exterior import Form, Space, basis_masks
 from hodgelab.hermitian import ComplexStructure, lambda_basis
 from hodgelab.lefschetz import lefschetz_lstar, primitive_basis
@@ -33,7 +34,12 @@ from hodgelab.linalg import (
     row_basis,
     sparse_rows,
 )
-from hodgelab.tensor_maps import _structural_rows, a_full_matrix
+from hodgelab.tensor_maps import (
+    _structural_rows,
+    a_full_matrix,
+    admissible_torsion_basis,
+    invariant_skew_basis,
+)
 
 
 def _sympy_matrix(rows, ncols):
@@ -255,10 +261,26 @@ def test_structural_torsion_rows_match_sympy():
     _assert_matches_sympy(rows, 4 * npairs)
 
 
-@pytest.mark.parametrize("dim", [4, 6])
-def test_primitive_system_matches_sympy(dim):
-    j = ComplexStructure.standard(Space(dim))
+def _rotated_j(n):
+    """The standard J conjugated by the 3/5-4/5 rotation of the e_1, e_3 plane."""
+    rot = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rot[0][0], rot[0][2], rot[2][0], rot[2][2] = (
+        Fraction(3, 5), Fraction(-4, 5), Fraction(4, 5), Fraction(3, 5))
+    std = sparse_rows(ComplexStructure.standard(Space(n)).rows)
+    rows = compose(compose(sparse_rows(rot), std), sparse_rows(list(zip(*rot))))
+    return ComplexStructure(Space(n), dense_rows(rows, n))
+
+
+@pytest.mark.parametrize("j", [
+    ComplexStructure.standard(Space(4)),
+    ComplexStructure.standard(Space(6)),
+    _rotated_j(6),
+], ids=["4", "6", "rotated6"])
+def test_primitive_system_matches_sympy(j):
+    """On the rotated J the adjoint Lefschetz rows have denominator 5, so
+    ``primitive_basis`` builds them as ints over a denominator above 1."""
     space = j.space
+    dim = space.dim
     for degree in range(2, dim + 1):
         masks = basis_masks(dim, degree)
         pos = {m: i for i, m in enumerate(basis_masks(dim, degree - 2))}
@@ -273,6 +295,21 @@ def test_primitive_system_matches_sympy(dim):
             for vec in dense_rows(exact_nullspace(rows, len(masks)), len(masks))
         ]
         assert primitive_basis(j, degree) == expected
+
+
+@pytest.mark.parametrize("build", [
+    lambda j: primitive_basis(j, 2), admissible_torsion_basis, invariant_skew_basis,
+], ids=["primitive_basis", "admissible_torsion_basis", "invariant_skew_basis"])
+def test_exact_kernels_refuse_a_float_structure(build):
+    with pytest.raises(InvariantViolationError):
+        build(ComplexStructure.standard(Space(4, "float")))
+
+
+def test_elimination_refuses_float_entries():
+    with pytest.raises(InvariantViolationError):
+        exact_rank([{0: 0.5}], 1)
+    with pytest.raises(InvariantViolationError):
+        integer_rows([(0, 0, Fraction(1, 2)), (0, 1, 0.5)], 1)
 
 
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)])

@@ -16,8 +16,6 @@ from functools import cache
 from itertools import combinations
 from math import factorial
 
-import numpy as np
-
 from .exterior import (
     Form,
     Space,
@@ -59,7 +57,7 @@ from .harmonic import (
 )
 from .hermitian import ComplexStructure, bb_j, eigen_residual, j_pullback, lambda_basis
 from .lefschetz import alpha_from_holomorphic, lefschetz_lstar, p_k, primitive_basis
-from .linalg import add_scaled
+from .linalg import _lazy_numpy, add_scaled
 from .rng import SplitMix64, random_form, random_vector
 from .tensor_maps import (
     FormValuedMap,
@@ -78,6 +76,8 @@ from .tensor_maps import (
     torsion_bullet,
     van_kernel_dimension,
 )
+
+np = _lazy_numpy()
 
 
 class UsageError(ValueError):

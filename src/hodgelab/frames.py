@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     FrameInconsistencyError,
     FrameRankError,
@@ -36,8 +34,10 @@ from .errors import (
     SpaceMismatchError,
 )
 from .exterior import Form, Space, hodge_star, inner, wedge
+from .linalg import _lazy_numpy
 from .rng import SplitMix64
 
+np = _lazy_numpy()
 FRAME_TOL = 1e-9
 
 _SPACE3 = Space(3, "float")

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-import numpy as np
-
 from .errors import (
     DegreeMismatchError,
     IllConditionedSpectrumError,
@@ -25,7 +23,9 @@ from .errors import (
     SpaceMismatchError,
 )
 from .exterior import Form, Space, contract, hodge_star, inner, wedge
-from .linalg import combine, compose, dense_rows, sparse_rows
+from .linalg import _lazy_numpy, combine, compose, dense_rows, sparse_rows
+
+np = _lazy_numpy()
 
 SPECTRAL_TOL = 1e-8
 MOMENT_TOL = 1e-6

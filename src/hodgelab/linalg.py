@@ -19,6 +19,8 @@ largest constrained-torsion one (a few thousand rows, a few hundred columns).
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
@@ -210,3 +212,17 @@ def sparse_rows(matrix):
 def dense_rows(rows, ncols: int):
     """The dense matrix of sparse rows, with ``ncols`` columns."""
     return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
+def _lazy_numpy():
+    """numpy, executed on its first attribute access rather than at import.
+
+    No module body may touch an ``np.`` attribute at import time, or the
+    exact path executes numpy after all.  An imported numpy is returned as is.
+    """
+    if "numpy" not in sys.modules:
+        spec = importlib.util.find_spec("numpy")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules["numpy"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["numpy"])
+    return sys.modules["numpy"]

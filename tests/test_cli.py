@@ -211,3 +211,55 @@ def test_report_payload_schema():
     assert all(set(c) == {"id", "pass", "residual", "seed"} for c in payload["cases"])
     assert "wall_time" not in json.dumps(payload)
     assert report.wall_time >= 0.0
+
+
+# Runs each argv list of sys.argv[1] through cli.main in this interpreter and
+# prints the exit codes and the numpy submodules that were loaded.
+_RUN_IN_FRESH_INTERPRETER = """
+import io, json, sys
+from contextlib import redirect_stdout
+from hodgelab.cli import main
+with redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("numpy."))]))
+"""
+
+
+def test_the_exact_path_does_not_execute_numpy(tmp_path):
+    """numpy is bound lazily, so exact runs never execute it.  The lazy module
+    itself sits in sys.modules as "numpy"; an executed numpy adds submodules."""
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"dim": 6, "degree": 3, "backend": "exact", "terms": [
+        {"index": [1, 2, 3], "num": 1, "den": 1},
+        {"index": [1, 4, 5], "num": -2, "den": 3},
+        {"index": [2, 5, 6], "num": 5, "den": 1},
+    ]}))
+    runs = [["verify", "lemma-2.1", "--dim", "6", "--seeds", "3"],
+            ["verify", "lemma-5.5", "--dim", "4", "--seeds", "0"],
+            ["decompose", str(form)]]
+    proc = subprocess.run([sys.executable, "-c", _RUN_IN_FRESH_INTERPRETER, json.dumps(runs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0], []]
+
+
+def test_cold_float_runs_match_the_in_process_result(tmp_path, capsys):
+    """The float path executes numpy on first use, with the same output as a
+    process that imported numpy before hodgelab."""
+    skew = tmp_path / "skew.json"
+    skew.write_text(json.dumps({"dim": 4, "backend": "float", "matrix": [
+        [0, -1.5, 0.25, 0], [1.5, 0, 0, -0.5], [-0.25, 0, 0, 2.0], [0, 0.5, -2.0, 0]]}))
+    for argv in (["verify", "prop-4.2", "--dim", "4", "--seeds", "1"],
+                 ["verify", "lemma-4.8", "--dim", "3", "--seeds", "1"],
+                 ["decompose", str(skew)]):
+        proc = run_cli(argv)
+        assert proc.returncode == 0 == cli.main(argv), proc.stderr
+        assert proc.stdout == capsys.readouterr().out
+
+
+def test_a_numpy_imported_first_is_the_one_bound():
+    code = ("import numpy, hodgelab\n"
+            "print([m.np is numpy for m in (hodgelab.harmonic, hodgelab.frames, hodgelab.campaigns)])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[True, True, True]"

@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from hodgelab.errors import ContractionUnderflowError, NotInLambdaPError
-from hodgelab.exterior import Form, Space, basis_masks, inner, wedge
+from hodgelab.exterior import Form, Space, basis_masks, hodge_star, inner, wedge
 from hodgelab.hermitian import (
     ComplexStructure,
     LambdaBasis,
@@ -24,6 +24,7 @@ from hodgelab.lefschetz import (
     p_k,
     primitive_basis,
 )
+from hodgelab.linalg import compose, dense_rows, sparse_rows
 from hodgelab.rng import SplitMix64, random_form
 from hodgelab.tensor_maps import _wedge_table, a_full_matrix
 
@@ -255,3 +256,45 @@ def test_recursion_on_dense_random_forms():
             + ((-1) ** (r - k - 1)) * p_k(J6, alpha, beta, k + 1)
         )
         assert lhs == rhs
+
+
+def _rotated_j(n):
+    """The standard J conjugated by the 3/5-4/5 rotation of the e_1, e_3 plane."""
+    rot = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rot[0][0], rot[0][2], rot[2][0], rot[2][2] = (
+        Fraction(3, 5), Fraction(-4, 5), Fraction(4, 5), Fraction(3, 5))
+    std = sparse_rows(ComplexStructure.standard(Space(n)).rows)
+    rows = compose(compose(sparse_rows(rot), std), sparse_rows(list(zip(*rot))))
+    return ComplexStructure(Space(n), dense_rows(rows, n))
+
+
+def lefschetz_power(omega, alpha, power):
+    for _ in range(power):
+        alpha = wedge(omega, alpha)
+    return alpha
+
+
+@pytest.mark.parametrize("kind, dim", [("standard", d) for d in (2, 4, 6, 8, 10)]
+                         + [("rotated", d) for d in (4, 6, 8, 10)])
+def test_weil_formula_on_primitive_forms(kind, dim):
+    """Weil's formula (Huybrechts, Complex Geometry, Prop. 1.2.31): for a
+    primitive k-form alpha on R^2n and 0 <= j <= n - k,
+    *L^j alpha = (-1)^(k(k+1)/2) j!/(n-k-j)! L^(n-k-j) J*alpha, exactly;
+    the opposite sign fails."""
+    j_struct = ComplexStructure.standard(Space(dim)) if kind == "standard" else _rotated_j(dim)
+    omega = kahler_form(j_struct)
+    n = dim // 2
+    rng = SplitMix64(dim)
+    for k in range(n + 1):
+        alpha = j_struct.space.zero_form(k)
+        for form in primitive_basis(j_struct, k):
+            alpha = alpha + rng.small_int() * form
+        assert not alpha.is_zero()
+        j_alpha = j_pullback(j_struct, alpha)
+        sign = (-1) ** (k * (k + 1) // 2)
+        for j in range(n - k + 1):
+            lhs = hodge_star(lefschetz_power(omega, alpha, j))
+            rhs = Fraction(factorial(j), factorial(n - k - j)) * lefschetz_power(
+                omega, j_alpha, n - k - j)
+            assert (lhs - sign * rhs).is_zero()
+            assert not (lhs + sign * rhs).is_zero()

@@ -144,7 +144,10 @@ class SpectralDecomposition:
 
 
 def _to_float_matrix(a: SkewEndo) -> np.ndarray:
-    return np.array([[float(v) for v in row] for row in a.rows], dtype=float)
+    try:
+        return np.array([[float(v) for v in row] for row in a.rows], dtype=float)
+    except OverflowError as exc:
+        raise IllConditionedSpectrumError("a matrix entry lies outside the float range") from exc
 
 
 def spectral(a: SkewEndo, gap_tol: float = SPECTRAL_TOL) -> SpectralDecomposition:
@@ -159,7 +162,10 @@ def spectral(a: SkewEndo, gap_tol: float = SPECTRAL_TOL) -> SpectralDecompositio
     """
     am = _to_float_matrix(a)
     n = am.shape[0]
-    sq = am @ am
+    with np.errstate(over="ignore"):
+        sq = am @ am
+    if not np.isfinite(sq).all():
+        raise IllConditionedSpectrumError("the squared matrix has entries outside the float range")
     evals, evecs = np.linalg.eigh(sq)
     scale = max(abs(evals[0]), abs(evals[-1]), 1e-300)
     # group consecutive eigenvalues (ascending) within the relative gap

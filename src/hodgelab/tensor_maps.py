@@ -23,7 +23,8 @@ a(Q) work on the integers, and each value a caller reads (the dense matrix,
 an entry, an evaluation, a(Q)) divides at the end.
 
 The module also hosts the derivative-driven construction of a commuting
-map out of a holomorphy-compatible derivative table, the torsion tensors of
+map out of a holomorphy-compatible derivative table, in closed form
+Q = (-1)^(p-1) sum_k (e_k -| Omega) (x) D_k, the torsion tensors of
 almost-Hermitian type with their cyclic/compatibility constraints, the
 cyclic bullet pairing, and the exact kernel computation showing that the
 constrained torsion space is zero from dimension 6 on.
@@ -48,7 +49,6 @@ from .exterior import (
     basis_masks,
     contract,
     contract_index,
-    mask_to_indices,
     merge_sign,
     wedge,
 )
@@ -171,37 +171,6 @@ class FormValuedMap:
             for i, v in cod.pairings(img).items()
         )
         return cls(j_struct, p, q, *integer_rows(entries, cod.dim))
-
-    @classmethod
-    def from_multilinear(cls, j_struct, p, q, fn):
-        """Build the map whose multilinear evaluation on basis tuples is fn.
-
-        ``fn`` takes an increasing 1-based index tuple of length p and
-        returns a degree-q form.  The construction is faithful only when the
-        underlying tensor has its input factor inside the (p,0)+(0,p) forms;
-        the multilinear values are re-derived from the built map and a
-        mismatch raises InvalidDerivativeError.
-        """
-        dom = lambda_basis(j_struct, p)
-        space = j_struct.space
-        values = {}
-        images = []
-        for b in dom.forms:
-            img = space.zero_form(q)
-            for mask, coeff in b.coeffs.items():
-                if mask not in values:
-                    values[mask] = fn(mask_to_indices(mask))
-                img = img + coeff * values[mask]
-            images.append(img)
-        out = cls.from_images(j_struct, p, q, images)
-        for mask in basis_masks(space.dim, p):
-            if mask not in values:
-                values[mask] = fn(mask_to_indices(mask))
-            if out.eval_mask(mask) != values[mask]:
-                raise InvalidDerivativeError(
-                    "multilinear data has an input factor outside the (p,0)+(0,p) forms"
-                )
-        return out
 
     # -- evaluation ------------------------------------------------------
 
@@ -430,8 +399,11 @@ def holomorphic_q(j_struct: ComplexStructure, omega_form: Form, derivative) -> F
     as D_{J X} = bb_j(D_X); violations raise InvalidDerivativeError.  The
     output sends (X_1, ..., X_{p-1}) to D at the metric dual of
     Omega(X_1, ..., X_{p-1}, .) and always lands in the commuting half.
-    The map is built on the exact lambda bases, so a float J gets the
-    InvariantViolationError of ``lambda_basis``.
+    As a tensor it is Q = (-1)^(p-1) sum_k (e_k -| Omega) (x) D_k, so
+    Q(b_d) = (-1)^(p-1) sum_k <e_k -| Omega, b_d> D_k on the basis forms
+    b_d of degree p - 1.  Each e_k -| Omega is of type (p-1,0)+(0,p-1), so
+    the map is faithful on those bases.  The map is built on the exact lambda
+    bases, so a float J gets the InvariantViolationError of ``lambda_basis``.
     """
     space = j_struct.space
     p = omega_form.degree
@@ -454,14 +426,13 @@ def holomorphic_q(j_struct: ComplexStructure, omega_form: Form, derivative) -> F
         if lhs != bb_j(j_struct, d_table[i - 1]):
             raise InvalidDerivativeError("derivative table does not intertwine J")
 
-    def fn(indices):
-        s = slot_one_form(omega_form, indices)
-        out = space.zero_form(p)
-        for mask, comp in s.coeffs.items():
-            out = out + comp * d_table[mask.bit_length() - 1]
-        return out
-
-    return FormValuedMap.from_multilinear(j_struct, p - 1, p, fn)
+    sign = (-1) ** (p - 1)
+    dom = lambda_basis(j_struct, p - 1)
+    images = [space.zero_form(p) for _ in range(dom.dim)]
+    for k, d_val in enumerate(d_table, start=1):
+        for d, v in dom.pairings(contract_index(k, omega_form)).items():
+            images[d] = images[d] + (sign * v) * d_val
+    return FormValuedMap.from_images(j_struct, p - 1, p, images)
 
 
 # -- torsion tensors -------------------------------------------------------

@@ -195,6 +195,25 @@ def test_decompose_ill_conditioned_exit_three(monkeypatch, tmp_path):
     assert cli.main(["decompose", str(skew)]) == 3
 
 
+def test_decompose_values_outside_the_float_range_exit_three(tmp_path):
+    big = 10**400
+    payloads = [
+        {"dim": 2, "backend": "exact", "matrix": [[0, -big], [big, 0]]},
+        {"dim": 2, "degree": 2, "backend": "exact", "terms": [{"index": [1, 2], "num": big}]},
+        {"dim": 2, "backend": "float", "matrix": [[0, -1e200], [1e200, 0]]},
+    ]
+    path = tmp_path / "input.json"
+    for payload in payloads:
+        path.write_text(json.dumps(payload))
+        proc = run_cli(["decompose", str(path)])
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        # one line naming the range: no traceback, no numpy warning
+        assert proc.stderr.count("\n") == 1 and "outside the float range" in proc.stderr
+    path.write_text(json.dumps({"dim": 2, "backend": "float", "matrix": [[0, -1e-320], [1e-320, 0]]}))
+    assert run_cli(["decompose", str(path)]).returncode == 0
+
+
 def test_reports_are_byte_identical():
     first = run_campaign(Campaign("lemma-4.8", seeds=list(range(1, 21))))
     second = run_campaign(Campaign("lemma-4.8", seeds=list(range(1, 21))))

@@ -1,7 +1,8 @@
 """Every top-level function and class and every non-dunder method of the
 package has a reference somewhere in the project outside its own definition,
 and one outside the tests and the package's re-exports; every parameter with
-a default is set by some call.
+a default is set by some call; every name a package module imports is used
+in that module.
 
 A reference is a name, an attribute, an import alias, or a string constant
 made of dotted identifiers (the bench tracer names the functions it wraps
@@ -173,6 +174,30 @@ def test_only_the_named_knobs_are_left_to_the_tests():
         "exterior.py:Form.isclose(tol)",
         "harmonic.py:spectral(gap_tol)",
     ]
+
+
+def unused_imports():
+    """module:name for every name a package module imports and never uses;
+    the re-exports of ``__init__`` and ``from __future__`` are not checked."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path == REEXPORTS:
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{name}" for name in sorted(imported - used)]
+    return unused
+
+
+def test_every_imported_name_is_used():
+    assert unused_imports() == []
 
 
 def cache_attribute_uses():

@@ -23,8 +23,9 @@ from hodgelab.hermitian import (
     lambda_basis,
 )
 from hodgelab.lefschetz import kahler_form
-from hodgelab.linalg import compose, dense_rows, sparse_rows
 from hodgelab.rng import SplitMix64, random_form
+
+from conftest import rotated_j
 
 S4 = Space(4)
 J4 = ComplexStructure.standard(S4)
@@ -202,17 +203,6 @@ def lagrange_oracle(j_struct, alpha, p, q):
         num = curly_j_squared(j_struct, result) - ev * result
         result = num * alpha.space.ratio(1, target - ev)
     return result
-
-
-def rotated_j(n, backend):
-    """The standard J conjugated by the 3/5-4/5 rotation of the e_1, e_3 plane."""
-    rot = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rot[0][0], rot[0][2], rot[2][0], rot[2][2] = (
-        Fraction(3, 5), Fraction(-4, 5), Fraction(4, 5), Fraction(3, 5))
-    std = sparse_rows(ComplexStructure.standard(Space(n)).rows)
-    rows = dense_rows(compose(compose(sparse_rows(rot), std), sparse_rows(list(zip(*rot)))), n)
-    space = Space(n, backend)
-    return ComplexStructure(space, [[space.scalar(v) for v in row] for row in rows])
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])

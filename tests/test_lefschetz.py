@@ -24,9 +24,10 @@ from hodgelab.lefschetz import (
     p_k,
     primitive_basis,
 )
-from hodgelab.linalg import compose, dense_rows, sparse_rows
 from hodgelab.rng import SplitMix64, random_form
 from hodgelab.tensor_maps import _wedge_table, a_full_matrix
+
+from conftest import rotated_j
 
 S4 = Space(4)
 J4 = ComplexStructure.standard(S4)
@@ -258,16 +259,6 @@ def test_recursion_on_dense_random_forms():
         assert lhs == rhs
 
 
-def _rotated_j(n):
-    """The standard J conjugated by the 3/5-4/5 rotation of the e_1, e_3 plane."""
-    rot = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rot[0][0], rot[0][2], rot[2][0], rot[2][2] = (
-        Fraction(3, 5), Fraction(-4, 5), Fraction(4, 5), Fraction(3, 5))
-    std = sparse_rows(ComplexStructure.standard(Space(n)).rows)
-    rows = compose(compose(sparse_rows(rot), std), sparse_rows(list(zip(*rot))))
-    return ComplexStructure(Space(n), dense_rows(rows, n))
-
-
 def lefschetz_power(omega, alpha, power):
     for _ in range(power):
         alpha = wedge(omega, alpha)
@@ -281,7 +272,7 @@ def test_weil_formula_on_primitive_forms(kind, dim):
     primitive k-form alpha on R^2n and 0 <= j <= n - k,
     *L^j alpha = (-1)^(k(k+1)/2) j!/(n-k-j)! L^(n-k-j) J*alpha, exactly;
     the opposite sign fails."""
-    j_struct = ComplexStructure.standard(Space(dim)) if kind == "standard" else _rotated_j(dim)
+    j_struct = ComplexStructure.standard(Space(dim)) if kind == "standard" else rotated_j(dim)
     omega = kahler_form(j_struct)
     n = dim // 2
     rng = SplitMix64(dim)

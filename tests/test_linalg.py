@@ -41,6 +41,8 @@ from hodgelab.tensor_maps import (
     invariant_skew_basis,
 )
 
+from conftest import rotated_j
+
 
 def _sympy_matrix(rows, ncols):
     dense = dense_rows(rows, ncols)
@@ -261,20 +263,10 @@ def test_structural_torsion_rows_match_sympy():
     _assert_matches_sympy(rows, 4 * npairs)
 
 
-def _rotated_j(n):
-    """The standard J conjugated by the 3/5-4/5 rotation of the e_1, e_3 plane."""
-    rot = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rot[0][0], rot[0][2], rot[2][0], rot[2][2] = (
-        Fraction(3, 5), Fraction(-4, 5), Fraction(4, 5), Fraction(3, 5))
-    std = sparse_rows(ComplexStructure.standard(Space(n)).rows)
-    rows = compose(compose(sparse_rows(rot), std), sparse_rows(list(zip(*rot))))
-    return ComplexStructure(Space(n), dense_rows(rows, n))
-
-
 @pytest.mark.parametrize("j", [
     ComplexStructure.standard(Space(4)),
     ComplexStructure.standard(Space(6)),
-    _rotated_j(6),
+    rotated_j(6),
 ], ids=["4", "6", "rotated6"])
 def test_primitive_system_matches_sympy(j):
     """On the rotated J the adjoint Lefschetz rows have denominator 5, so

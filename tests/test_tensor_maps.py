@@ -16,13 +16,24 @@ from hodgelab.errors import (
     InvariantViolationError,
     SpaceMismatchError,
 )
-from hodgelab.exterior import Form, Space, Vector, basis_masks, contract, inner, wedge
+from hodgelab.exterior import (
+    Form,
+    Space,
+    Vector,
+    basis_masks,
+    contract,
+    contract_index,
+    inner,
+    mask_to_indices,
+    wedge,
+)
 from hodgelab.hermitian import (
     ComplexStructure,
     bb_j,
     bb_j_matrix,
     curly_j_squared,
     eigen_residual,
+    in_lambda_p,
     lambda_basis,
 )
 from hodgelab.linalg import combine, compose, dense_rows, exact_nullspace, exact_rank, sparse_rows
@@ -47,11 +58,14 @@ from hodgelab.tensor_maps import (
     contraction_identity_check,
     holomorphic_q,
     invariant_skew_basis,
+    slot_one_form,
     split_type,
     tensor_type_dims,
     torsion_bullet,
     van_kernel_dimension,
 )
+
+from conftest import rotated_j
 
 S4 = Space(4)
 J4 = ComplexStructure.standard(S4)
@@ -163,11 +177,11 @@ def assert_matches_oracle(q_map, want_rows):
 
 def oracle_structure(kind, n):
     """The standard J, or the standard J conjugated by a 3/5-4/5 rotation
-    (``_rotated_j``, denominators 5 and 25).  On R^2 every orthogonal J is
+    (``rotated_j``, denominators 5 and 25).  On R^2 every orthogonal J is
     +-J0, so there the rotated kind is the standard one."""
     if kind == "standard" or n == 2:
         return ComplexStructure.standard(Space(n))
-    return _rotated_j(n)
+    return rotated_j(n)
 
 
 ORACLE_STRUCTURES = [(kind, n) for kind in ("standard", "rotated") for n in (2, 4, 6, 8)]
@@ -268,7 +282,7 @@ def invariant_maps():
     """Maps from every constructor and operation, on the standard and the
     rotated J, several of them with a denominator above 1."""
     rng = SplitMix64(31)
-    for j_struct in (J6, _rotated_j(6)):
+    for j_struct in (J6, rotated_j(6)):
         phi = random_lambda(j_struct, 2, rng) * Fraction(1, 3)
         psi = random_lambda(j_struct, 1, rng) * Fraction(2, 7)
         t = FormValuedMap.from_tensor(j_struct, phi, psi)
@@ -358,7 +372,7 @@ def test_the_denominator_must_be_a_positive_int(den):
 
 def test_readers_return_values_for_different_denominators():
     rng = SplitMix64(37)
-    j_struct = _rotated_j(6)
+    j_struct = rotated_j(6)
     a = FormValuedMap.from_tensor(
         j_struct, random_lambda(j_struct, 2, rng) * Fraction(1, 3), random_lambda(j_struct, 2, rng))
     b = FormValuedMap.from_tensor(
@@ -704,6 +718,85 @@ def test_holomorphic_q_rejects_incompatible_table():
         holomorphic_q(J4, big_omega, {1: bad, 2: bad, 3: bad, 4: bad})
 
 
+# -- the multilinear oracle for holomorphic_q -------------------------------
+#
+# holomorphic_q as it was built before the closed form: the multilinear
+# value Q(e_I) = sum_k Omega(e_I, e_k) D_k on every increasing index tuple I,
+# summed over the terms of each basis form, then re-evaluated on every mask.
+
+
+def multilinear_holomorphic_q(j_struct, omega_form, d_table):
+    space = j_struct.space
+    p = omega_form.degree
+
+    def fn(indices):
+        s = slot_one_form(omega_form, indices)
+        out = space.zero_form(p)
+        for mask, comp in s.coeffs.items():
+            out = out + comp * d_table[mask.bit_length()]
+        return out
+
+    values = {mask: fn(mask_to_indices(mask)) for mask in basis_masks(space.dim, p - 1)}
+    images = []
+    for b in lambda_basis(j_struct, p - 1).forms:
+        img = space.zero_form(p)
+        for mask, coeff in b.coeffs.items():
+            img = img + coeff * values[mask]
+        images.append(img)
+    out = FormValuedMap.from_images(j_struct, p - 1, p, images)
+    # faithful only when the input factor lies in the (p-1,0)+(0,p-1) forms
+    assert all(out.eval_mask(mask) == value for mask, value in values.items())
+    return out
+
+
+def general_compatible_table(j_struct, p, rng):
+    """D_X = A_X - bb_j(A_{J X}) for random A_X in the (p,0)+(0,p) forms, so
+    that D_{J X} = A_{J X} + bb_j(A_X) = bb_j(D_X) for any J."""
+    space = j_struct.space
+    a_table = [random_lambda(j_struct, p, rng) for _ in range(space.dim)]
+    table = {}
+    for i in range(1, space.dim + 1):
+        a_jx = space.zero_form(p)
+        for m, comp in enumerate(j_struct.basis_image(i).components):
+            a_jx = a_jx + comp * a_table[m]
+        table[i] = a_table[i - 1] - bb_j(j_struct, a_jx)
+    return table
+
+
+@pytest.mark.parametrize("kind, n", [(kind, n) for kind in ("standard", "rotated")
+                                     for n in (4, 6, 8)])
+def test_holomorphic_q_matches_the_multilinear_oracle(kind, n):
+    """Equal integer rows and denominator, p = 2 and 3; a sign flip of the
+    closed form fails here."""
+    j_struct = oracle_structure(kind, n)
+    rng = SplitMix64(311 + n)
+    nonzero = 0
+    for p in (2, 3):
+        if lambda_basis(j_struct, p).dim == 0:
+            continue
+        for _ in range(3):
+            omega_form = random_lambda(j_struct, p, rng, terms=3)
+            table = general_compatible_table(j_struct, p, rng)
+            got = holomorphic_q(j_struct, omega_form, table)
+            want = multilinear_holomorphic_q(j_struct, omega_form, table)
+            assert (got.rows, got.den) == (want.rows, want.den)
+            nonzero += got.max_entry() != 0
+    assert nonzero
+
+
+@pytest.mark.parametrize("kind, n", [(kind, n) for kind in ("standard", "rotated")
+                                     for n in (2, 4, 6, 8, 10)])
+def test_contraction_keeps_the_lambda_type(kind, n):
+    """e_k -| b is of type (p-1,0)+(0,p-1) for every basis form b of the
+    (p,0)+(0,p) forms and every k: the closed form of holomorphic_q is
+    exact on the lambda bases because of this."""
+    j_struct = oracle_structure(kind, n)
+    for p in range(1, n // 2 + 1):
+        for b in lambda_basis(j_struct, p).forms:
+            for k in range(1, n + 1):
+                assert in_lambda_p(j_struct, contract_index(k, b))
+
+
 # -- torsion ---------------------------------------------------------------
 
 
@@ -790,21 +883,11 @@ def _anticommutation_rows(j_struct):
     return rows
 
 
-def _rotated_j(n):
-    """The standard J conjugated by the 3/5-4/5 rotation of the e_1, e_3 plane."""
-    rot = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rot[0][0], rot[0][2], rot[2][0], rot[2][2] = (
-        Fraction(3, 5), Fraction(-4, 5), Fraction(4, 5), Fraction(3, 5))
-    std = sparse_rows(ComplexStructure.standard(Space(n)).rows)
-    rows = compose(compose(sparse_rows(rot), std), sparse_rows(list(zip(*rot))))
-    return ComplexStructure(Space(n), dense_rows(rows, n))
-
-
 @pytest.mark.parametrize("j_struct", [
     ComplexStructure.standard(Space(4)),
     ComplexStructure.standard(Space(6)),
     ComplexStructure.standard(Space(8)),
-    _rotated_j(6),
+    rotated_j(6),
 ], ids=["std4", "std6", "std8", "rotated6"])
 def test_anticommutation_rows_add_nothing_to_the_structural_rows(j_struct):
     """eta_X J = -J eta_X follows from skewness and eta_{JX} = eta_X J, so adding
@@ -869,7 +952,7 @@ def random_endomorphisms(n, rng):
     return q_rows, zeroed
 
 
-@pytest.mark.parametrize("j_struct", [J4, J6, _rotated_j(6)], ids=["std4", "std6", "rotated6"])
+@pytest.mark.parametrize("j_struct", [J4, J6, rotated_j(6)], ids=["std4", "std6", "rotated6"])
 def test_torsion_bullet_matches_the_cyclic_sum_oracle(j_struct):
     """Every value, not only the zeros and the cyclic symmetry: a bullet of
     the wrong sign has the same zeros and the same symmetry."""
@@ -1055,7 +1138,7 @@ _TORSION_STRUCTURES = pytest.mark.parametrize("j_struct", [
     ComplexStructure.standard(Space(4)),
     ComplexStructure.standard(Space(6)),
     ComplexStructure.standard(Space(8)),
-    _rotated_j(6),
+    rotated_j(6),
 ], ids=["std4", "std6", "std8", "rotated6"])
 
 

@@ -7,9 +7,7 @@ from hodgelab import (
     Space,
     adjoint_wedge,
     is_primitive,
-    j_pullback,
     kahler_form,
-    lefschetz_l,
     lefschetz_lstar,
     p_k,
     primitive_basis,

@@ -9,7 +9,6 @@ from hodgelab import (
     Space,
     adjoint_wedge,
     compatible_patch_dim6,
-    endo_form,
     form_endo,
     moment_recover,
     spectral,

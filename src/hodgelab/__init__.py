@@ -48,7 +48,6 @@ from .lefschetz import (
     alpha_from_holomorphic,
     is_primitive,
     kahler_form,
-    lefschetz_l,
     lefschetz_lstar,
     p_k,
     primitive_basis,

@@ -70,7 +70,6 @@ from .tensor_maps import (
     bracket_bullet_in_span,
     contraction_identity_check,
     holomorphic_q,
-    slot_one_form,
     split_type,
     tensor_type_dims,
     torsion_bullet,
@@ -300,7 +299,7 @@ def run_lemma_3_1(dim, seeds):
             worst = residual
             for mask in basis_masks(dim, p - 1)[:6]:
                 idx = mask_to_indices(mask)
-                s_plain = slot_one_form(omega_form, idx)
+                s_plain = adjoint_wedge(Form(space, p - 1, {mask: 1}), omega_form)
                 rotated = contract(j.basis_image(idx[0]), omega_form)
                 for i in idx[1:]:
                     rotated = contract(space.basis_vector(i), rotated)

@@ -140,7 +140,7 @@ def _cmd_decompose(args) -> int:
     try:
         with open(args.file) as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError, bad UTF-8, over-long ints
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
 
@@ -174,8 +174,12 @@ def _cmd_decompose(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    json.dump(out, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    try:
+        text = json.dumps(out, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        print("error: the output has values outside the float range", file=sys.stderr)
+        return 3
+    sys.stdout.write(text + "\n")
     return 0
 
 

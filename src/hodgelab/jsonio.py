@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isfinite
+from sys import float_info
 
 from .errors import HodgeLabError
 from .exterior import Form, Space
@@ -41,8 +42,11 @@ def _integer(v, field: str) -> int:
 
 def _number(v, field: str) -> float:
     """A finite float-backend number field; bools and strings are rejected,
-    not coerced, and so are the NaN and infinities that ``json`` accepts."""
+    not coerced, and so are the NaN and infinities that ``json`` accepts and
+    the integers past the float range."""
     if isinstance(v, (int, float)) and not isinstance(v, bool):
+        if isinstance(v, int) and abs(v) > float_info.max:
+            raise ParseError(f"{field!r} must lie in the float range, |x| <= {float_info.max!r}")
         if isfinite(v):
             return float(v)
         raise ParseError(f"{field!r} must be finite, got {v!r}")

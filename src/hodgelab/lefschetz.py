@@ -33,13 +33,8 @@ def kahler_form(j_struct: ComplexStructure) -> Form:
     return endo_form(j_struct)
 
 
-def lefschetz_l(omega: Form, alpha: Form) -> Form:
-    """Exterior multiplication with the fundamental form."""
-    return wedge(omega, alpha)
-
-
 def lefschetz_lstar(j_struct: ComplexStructure, alpha: Form) -> Form:
-    """Adjoint of lefschetz_l; returns zero on degrees below 2."""
+    """Lstar, the adjoint of L = wedge(omega, .); zero on degrees below 2."""
     if alpha.space != j_struct.space:
         raise SpaceMismatchError(f"{alpha.space} vs {j_struct.space}")
     if alpha.degree < 2:

@@ -23,8 +23,8 @@ a(Q) work on the integers, and each value a caller reads (the dense matrix,
 an entry, an evaluation, a(Q)) divides at the end.
 
 The module also hosts the derivative-driven construction of a commuting
-map out of a holomorphy-compatible derivative table, in closed form
-Q = (-1)^(p-1) sum_k (e_k -| Omega) (x) D_k, the torsion tensors of
+map out of a holomorphy-compatible derivative table, the sum of rank-one
+maps Q = (-1)^(p-1) sum_k (e_k -| Omega) (x) D_k, the torsion tensors of
 almost-Hermitian type with their cyclic/compatibility constraints, the
 cyclic bullet pairing, and the exact kernel computation showing that the
 constrained torsion space is zero from dimension 6 on.
@@ -160,17 +160,6 @@ class FormValuedMap:
             for i, ns in enumerate(cod.norms_sq)
         ]
         return cls(j_struct, phi.degree, psi.degree, rows, wden * cden * scale)
-
-    @classmethod
-    def from_images(cls, j_struct, p, q, images):
-        """Column d holds the coordinates <images[d], c_i> / |c_i|^2."""
-        cod = lambda_basis(j_struct, q)
-        entries = (
-            (i, d, Fraction(v, cod.norms_sq[i]))
-            for d, img in enumerate(images)
-            for i, v in cod.pairings(img).items()
-        )
-        return cls(j_struct, p, q, *integer_rows(entries, cod.dim))
 
     # -- evaluation ------------------------------------------------------
 
@@ -382,14 +371,6 @@ def contraction_identity_check(q_map: FormValuedMap, x: Vector) -> Form:
 # -- the holomorphy-driven construction ----------------------------------
 
 
-def slot_one_form(omega_form: Form, indices) -> Form:
-    """Omega(e_{i1}, ..., e_{i_{p-1}}, .) as a 1-form."""
-    out = omega_form
-    for i in indices:
-        out = contract_index(i, out)
-    return out
-
-
 def holomorphic_q(j_struct: ComplexStructure, omega_form: Form, derivative) -> FormValuedMap:
     """Map built from a derivative table along the slot duals of Omega.
 
@@ -399,11 +380,11 @@ def holomorphic_q(j_struct: ComplexStructure, omega_form: Form, derivative) -> F
     as D_{J X} = bb_j(D_X); violations raise InvalidDerivativeError.  The
     output sends (X_1, ..., X_{p-1}) to D at the metric dual of
     Omega(X_1, ..., X_{p-1}, .) and always lands in the commuting half.
-    As a tensor it is Q = (-1)^(p-1) sum_k (e_k -| Omega) (x) D_k, so
-    Q(b_d) = (-1)^(p-1) sum_k <e_k -| Omega, b_d> D_k on the basis forms
-    b_d of degree p - 1.  Each e_k -| Omega is of type (p-1,0)+(0,p-1), so
-    the map is faithful on those bases.  The map is built on the exact lambda
-    bases, so a float J gets the InvariantViolationError of ``lambda_basis``.
+    As a tensor it is Q = (-1)^(p-1) sum_k (e_k -| Omega) (x) D_k, and it
+    is built as that sum of rank-one ``from_tensor`` maps, starting from the
+    zero map.  Each e_k -| Omega is of type (p-1,0)+(0,p-1), so the map is
+    faithful on the lambda bases.  Those bases are exact, so a float J gets
+    the InvariantViolationError of ``lambda_basis``.
     """
     space = j_struct.space
     p = omega_form.degree
@@ -427,12 +408,10 @@ def holomorphic_q(j_struct: ComplexStructure, omega_form: Form, derivative) -> F
             raise InvalidDerivativeError("derivative table does not intertwine J")
 
     sign = (-1) ** (p - 1)
-    dom = lambda_basis(j_struct, p - 1)
-    images = [space.zero_form(p) for _ in range(dom.dim)]
-    for k, d_val in enumerate(d_table, start=1):
-        for d, v in dom.pairings(contract_index(k, omega_form)).items():
-            images[d] = images[d] + (sign * v) * d_val
-    return FormValuedMap.from_images(j_struct, p - 1, p, images)
+    terms = (FormValuedMap.from_tensor(j_struct, sign * contract_index(k, omega_form), d_val)
+             for k, d_val in enumerate(d_table, start=1))
+    zero = FormValuedMap(j_struct, p - 1, p, [{} for _ in lambda_basis(j_struct, p).forms])
+    return sum(terms, zero)
 
 
 # -- torsion tensors -------------------------------------------------------

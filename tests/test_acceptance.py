@@ -6,7 +6,6 @@ pass/fail lines and timings.
 
 import time
 
-import numpy as np
 import pytest
 
 from hodgelab.campaigns import Campaign, run_campaign

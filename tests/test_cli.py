@@ -4,8 +4,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 from hodgelab import cli
 from hodgelab.campaigns import CAMPAIGNS, Campaign, CaseResult, run_campaign, _Entry
 
@@ -151,8 +149,12 @@ def test_decompose_outputs(tmp_path):
 
 def test_decompose_malformed_exit_two(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert run_cli(["decompose", str(bad)]).returncode == 2
+    # not JSON, not UTF-8, and an integer past the interpreter's digit limit
+    for raw in (b"{not json", b"\xff\xfe{", b'{"dim": 2, "x": 1' + b"0" * 5000 + b"}"):
+        bad.write_bytes(raw)
+        proc = run_cli(["decompose", str(bad)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot read")
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"hello": 1}))
     assert run_cli(["decompose", str(wrong)]).returncode == 2
@@ -201,6 +203,10 @@ def test_decompose_values_outside_the_float_range_exit_three(tmp_path):
         {"dim": 2, "backend": "exact", "matrix": [[0, -big], [big, 0]]},
         {"dim": 2, "degree": 2, "backend": "exact", "terms": [{"index": [1, 2], "num": big}]},
         {"dim": 2, "backend": "float", "matrix": [[0, -1e200], [1e200, 0]]},
+        # finite terms whose bidegree components overflow in the output
+        {"dim": 6, "degree": 3, "backend": "float",
+         "terms": [{"index": [1, 2, 3], "value": 1e308}, {"index": [1, 4, 5], "value": -1e308},
+                   {"index": [2, 4, 6], "value": 1e308}]},
     ]
     path = tmp_path / "input.json"
     for payload in payloads:
@@ -212,6 +218,23 @@ def test_decompose_values_outside_the_float_range_exit_three(tmp_path):
         assert proc.stderr.count("\n") == 1 and "outside the float range" in proc.stderr
     path.write_text(json.dumps({"dim": 2, "backend": "float", "matrix": [[0, -1e-320], [1e-320, 0]]}))
     assert run_cli(["decompose", str(path)]).returncode == 0
+
+
+def test_decompose_float_numbers_past_the_float_range_exit_two(tmp_path, capsys):
+    """A JSON integer too large for a float is a parse error naming the field
+    and the range, not the message of an OverflowError."""
+    big = 10**400
+    payloads = {
+        "'matrix entry'": {"dim": 2, "backend": "float", "matrix": [[0, -big], [big, 0]]},
+        "'value'": {"dim": 2, "degree": 2, "backend": "float",
+                    "terms": [{"index": [1, 2], "value": big}]},
+    }
+    path = tmp_path / "input.json"
+    for field, payload in payloads.items():
+        path.write_text(json.dumps(payload))
+        assert cli.main(["decompose", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"{field} must lie in the float range" in err
 
 
 def test_reports_are_byte_identical():

@@ -1,8 +1,8 @@
 """Every top-level function and class and every non-dunder method of the
 package has a reference somewhere in the project outside its own definition,
 and one outside the tests and the package's re-exports; every parameter with
-a default is set by some call; every name a package module imports is used
-in that module.
+a default is set by some call; every name that a module of the package, the
+tests, the demos or the scripts imports is used in that module.
 
 A reference is a name, an attribute, an import alias, or a string constant
 made of dotted identifiers (the bench tracer names the functions it wraps
@@ -17,6 +17,7 @@ cache attributes are touched by ``hermitian`` alone.
 import ast
 import math
 from collections import Counter, defaultdict
+from itertools import chain
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,6 +26,7 @@ SEARCHED = ("src", "tests", "demos", "bench")
 # a member only the tests call is not used; a re-export is not a use either
 OUTSIDE_TESTS = ("src", "demos", "bench", "scripts")
 REEXPORTS = PACKAGE / "__init__.py"
+IMPORT_CHECKED = (PACKAGE, ROOT / "tests", ROOT / "demos", ROOT / "scripts")
 CACHE_ATTRIBUTES = ("_cache", "_misc_cache", "_lambda_cache")
 # bare names a function, class or method shares with another member; each is
 # checked by hand, since the reference guards cannot tell the two apart
@@ -177,10 +179,12 @@ def test_only_the_named_knobs_are_left_to_the_tests():
 
 
 def unused_imports():
-    """module:name for every name a package module imports and never uses;
-    the re-exports of ``__init__`` and ``from __future__`` are not checked."""
+    """path:name for every name a module of the package, the tests, the demos
+    or the scripts imports and never uses; the re-exports of ``__init__`` and
+    ``from __future__`` are not checked, and neither is ``bench/``, whose
+    set-up probe imports the package for its side effect."""
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(chain.from_iterable(top.rglob("*.py") for top in IMPORT_CHECKED)):
         if path == REEXPORTS:
             continue
         tree = ast.parse(path.read_text())
@@ -192,7 +196,8 @@ def unused_imports():
             for alias in node.names
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}:{name}" for name in sorted(imported - used)]
+        where = path.relative_to(ROOT)
+        unused += [f"{where}:{name}" for name in sorted(imported - used)]
     return unused
 
 

@@ -19,7 +19,6 @@ from hodgelab.lefschetz import (
     alpha_from_holomorphic,
     is_primitive,
     kahler_form,
-    lefschetz_l,
     lefschetz_lstar,
     p_k,
     primitive_basis,
@@ -97,11 +96,12 @@ def test_is_primitive_stays_exact():
 
 
 def test_lefschetz_l_examples():
+    """L is wedge(omega, .)."""
     one = S4.form(0, {(): 1})
-    assert lefschetz_l(OMEGA4, one) == OMEGA4
-    assert lefschetz_l(OMEGA4, OMEGA4) == 2 * S4.basis_form(1, 2, 3, 4)
+    assert wedge(OMEGA4, one) == OMEGA4
+    assert wedge(OMEGA4, OMEGA4) == 2 * S4.basis_form(1, 2, 3, 4)
     top = S4.basis_form(1, 2, 3, 4)
-    assert lefschetz_l(OMEGA4, top).is_zero()
+    assert wedge(OMEGA4, top).is_zero()
 
 
 def test_lefschetz_lstar_examples():
@@ -287,5 +287,44 @@ def test_weil_formula_on_primitive_forms(kind, dim):
             lhs = hodge_star(lefschetz_power(omega, alpha, j))
             rhs = Fraction(factorial(j), factorial(n - k - j)) * lefschetz_power(
                 omega, j_alpha, n - k - j)
+            assert (lhs - sign * rhs).is_zero()
+            assert not (lhs + sign * rhs).is_zero()
+
+
+@pytest.mark.parametrize("kind, dim", [("standard", d) for d in (2, 4, 6, 8, 10)]
+                         + [("rotated", d) for d in (4, 6, 8, 10)])
+def test_the_contact_lift_of_the_star_and_of_weils_formula(kind, dim):
+    """On R^(2n+1) with eta = e^(2n+1), a horizontal k-form alpha (no eta in
+    its terms) has *_(2n+1) alpha = (*_2n alpha) ^ eta = (-1)^k eta ^ *_2n alpha,
+    since wedging with eta takes vol_2n to vol_(2n+1).  With Weil's formula,
+    a primitive horizontal alpha has
+    *_(2n+1) L^j alpha = (-1)^(k(k+1)/2) j!/(n-k-j)! L^(n-k-j)(J*alpha) ^ eta,
+    exactly; the opposite signs fail."""
+    j_struct = ComplexStructure.standard(Space(dim)) if kind == "standard" else rotated_j(dim)
+    contact = Space(dim + 1)
+    eta = contact.basis_form(dim + 1)
+
+    def lift(form):
+        return Form(contact, form.degree, form.coeffs)
+
+    rng = SplitMix64(dim + 1)
+    for k in range(dim + 1):
+        alpha = random_form(j_struct.space, k, rng)
+        lhs, star = hodge_star(lift(alpha)), lift(hodge_star(alpha))
+        assert lhs == wedge(star, eta) == (-1) ** k * wedge(eta, star)
+        assert lhs != -wedge(star, eta)
+    omega = kahler_form(j_struct)
+    n = dim // 2
+    for k in range(n + 1):
+        alpha = j_struct.space.zero_form(k)
+        for form in primitive_basis(j_struct, k):
+            alpha = alpha + rng.small_int() * form
+        assert not alpha.is_zero()
+        j_alpha = j_pullback(j_struct, alpha)
+        sign = (-1) ** (k * (k + 1) // 2)
+        for j in range(n - k + 1):
+            lhs = hodge_star(lefschetz_power(lift(omega), lift(alpha), j))
+            rhs = Fraction(factorial(j), factorial(n - k - j)) * wedge(
+                lift(lefschetz_power(omega, j_alpha, n - k - j)), eta)
             assert (lhs - sign * rhs).is_zero()
             assert not (lhs + sign * rhs).is_zero()

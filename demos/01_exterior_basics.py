@@ -18,7 +18,7 @@ print("(e1 + e2) ^ (e1 - e2) =", wedge(a, b))          # -2 e^12
 
 # contraction is evaluation in the first slot
 omega = space.form(2, {(1, 2): 1, (3, 4): 1})
-print("e_2 -| omega =", contract(space.basis_vector(2), omega))
+print("e_2 -| omega =", contract(e(2), omega))
 
 # the star pairs a basis form with its signed complement
 print("star(e^12) =", hodge_star(e(1, 2)))

@@ -28,7 +28,6 @@ from .errors import (
 from .exterior import (
     Form,
     Space,
-    Vector,
     adjoint_wedge,
     contract,
     hodge_star,

@@ -302,7 +302,7 @@ def run_lemma_3_1(dim, seeds):
                 s_plain = adjoint_wedge(Form(space, p - 1, {mask: 1}), omega_form)
                 rotated = contract(j.basis_image(idx[0]), omega_form)
                 for i in idx[1:]:
-                    rotated = contract(space.basis_vector(i), rotated)
+                    rotated = contract(space.basis_form(i), rotated)
                 # J is orthogonal, so -(J s_sharp)_flat = s o J
                 worst = max(worst, _res(rotated - j_pullback(j, s_plain)))
             yield _exact_case(f"dim{dim}/p{p}/seed{seed}", worst, seed)
@@ -419,7 +419,7 @@ def run_lemma_4_3(dim, seeds):
     """Exhaustive spectrum of the subspace splitting operator on R^dim."""
     space = Space(dim)
     for h_rank in range(2, dim - 1, 2):
-        frame = [space.basis_vector(i) for i in range(1, h_rank + 1)]
+        frame = [space.basis_form(i) for i in range(1, h_rank + 1)]
         h_mask = sum(1 << (i - 1) for i in range(1, h_rank + 1))
         for p in range(dim + 1):
             worst = 0

@@ -147,11 +147,6 @@ class Space:
     def volume_form(self) -> "Form":
         return self.basis_form(*range(1, self.dim + 1))
 
-    def basis_vector(self, i: int) -> "Vector":
-        comps = [self.zero] * self.dim
-        comps[i - 1] = self.one
-        return Vector(self, comps)
-
 
 class Form:
     """A real alternating p-form, coefficients on increasing multi-indices.
@@ -253,42 +248,6 @@ class Form:
         return "Form<" + " + ".join(parts) + f", n={self.space.dim}>"
 
 
-class Vector:
-    """A vector in components over the standard orthonormal basis."""
-
-    __slots__ = ("space", "components")
-
-    def __init__(self, space: Space, components):
-        if len(components) != space.dim:
-            raise ValueError("component count must match dimension")
-        self.space = space
-        self.components = tuple(space.scalar(c) for c in components)
-
-    def dual_one_form(self) -> Form:
-        """The metric dual 1-form; components are unchanged in an orthonormal frame."""
-        coeffs = {}
-        for i, c in enumerate(self.components):
-            if c != 0:
-                coeffs[1 << i] = c
-        return Form(self.space, 1, coeffs)
-
-    def __mul__(self, scalar) -> "Vector":
-        scalar = self.space.scalar(scalar)
-        return Vector(self.space, [c * scalar for c in self.components])
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Vector)
-            and self.space == other.space
-            and self.components == other.components
-        )
-
-    def __repr__(self):
-        return f"Vector{self.components}"
-
-
 # -- operations ---------------------------------------------------------
 
 
@@ -322,9 +281,15 @@ def contract_index(i: int, alpha: Form) -> Form:
     return adjoint_wedge(Form(alpha.space, 1, {1 << (i - 1): alpha.space.one}), alpha)
 
 
-def contract(x: Vector, alpha: Form) -> Form:
-    """Interior product (x -| alpha)(v1, ..., v_{p-1}) = alpha(x, v1, ...)."""
-    return adjoint_wedge(x.dual_one_form(), alpha)
+def contract(x: Form, alpha: Form) -> Form:
+    """Interior product (x -| alpha)(v1, ..., v_{p-1}) = alpha(x, v1, ...).
+
+    A vector is given by its 1-form x: the frame is orthonormal, so the two
+    have the same components and this is ``adjoint_wedge(x, alpha)``.
+    """
+    if x.degree != 1:
+        raise DegreeMismatchError(f"contract needs a 1-form, got degree {x.degree}")
+    return adjoint_wedge(x, alpha)
 
 
 def inner(alpha: Form, beta: Form):
@@ -358,7 +323,7 @@ def adjoint_wedge(phi: Form, psi: Form) -> Form:
     """Metric adjoint of wedging by phi:  <adjoint_wedge(phi, psi), chi> = <psi, phi ^ chi>.
 
     The interior product behind ``contract``, ``contract_index`` and Lstar:
-    for a 1-form phi = x^flat this is x -| psi, and for
+    for a 1-form phi this is phi -| psi, and for
     phi = e^{i1} ^ ... ^ e^{ik} it is
     e_ik -| ... -| e_i1 -| psi (the first index contracts innermost).
     """

@@ -6,7 +6,8 @@ wedge-adjoint expansion, the spectral decomposition of A^2 into constant
 eigenvalue clusters with per-cluster complex structures, recovery of
 (multiplicity, eigenvalue) pairs from power traces, the symplectic
 candidate sum of the unit pieces, and the subspace splitting operator
-Q psi = sum_{e in H} (e -| psi) ^ e^flat with spectrum (-1)^(p-1) j.
+Q psi = sum_{h in H} (h -| psi) ^ h with spectrum (-1)^(p-1) j, each frame
+vector h given by its 1-form.
 """
 
 from __future__ import annotations
@@ -308,11 +309,12 @@ def compatible_patch_dim6(alpha: Form) -> Form:
 
 
 def splitting_q(h_frame, psi: Form) -> Form:
-    """Q psi = sum_a (h_a -| psi) ^ h_a^flat for an orthonormal frame of H.
+    """Q psi = sum_a (h_a -| psi) ^ h_a for an orthonormal frame of H.
 
     On a p-form with j of its factors along H the value is (-1)^(p-1) j psi,
     so the operator separates the mixed-degree components with respect to
-    the splitting H + H-perp.
+    the splitting H + H-perp.  Each h_a is given by its 1-form; a frame
+    member of any other degree raises DegreeMismatchError.
     """
     if not h_frame:
         return psi.space.zero_form(psi.degree)
@@ -320,8 +322,10 @@ def splitting_q(h_frame, psi: Form) -> Form:
     for a, va in enumerate(h_frame):
         if va.space != space:
             raise SpaceMismatchError("frame vector lives on a different space")
+        if va.degree != 1:
+            raise DegreeMismatchError("a frame vector is given by its 1-form")
         for b in range(a, len(h_frame)):
-            g = sum(x * y for x, y in zip(va.components, h_frame[b].components))
+            g = inner(va, h_frame[b])
             expected = 1 if a == b else 0
             if abs(g - expected) > space.tol:
                 raise InvalidFrameError("spanning list is not orthonormal")
@@ -329,5 +333,5 @@ def splitting_q(h_frame, psi: Form) -> Form:
         return space.zero_form(0)
     out = space.zero_form(psi.degree)
     for h in h_frame:
-        out = out + wedge(contract(h, psi), h.dual_one_form())
+        out = out + wedge(contract(h, psi), h)
     return out

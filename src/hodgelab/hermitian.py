@@ -30,7 +30,6 @@ from .errors import (
 from .exterior import (
     Form,
     Space,
-    Vector,
     basis_masks,
     inner,
     mask_to_indices,
@@ -73,9 +72,9 @@ class ComplexStructure(SkewEndo):
             rows[i + 1][i] = space.one
         return cls(space, rows)
 
-    def basis_image(self, i: int) -> Vector:
-        """J e_i as a vector (column i of the matrix), 1-based."""
-        return Vector(self.space, [row[i - 1] for row in self.rows])
+    def basis_image(self, i: int) -> Form:
+        """J e_i as a 1-form (column i of the matrix), 1-based."""
+        return Form(self.space, 1, {1 << r: row[i - 1] for r, row in enumerate(self.rows)})
 
     def __hash__(self):
         return hash((self.space, self.rows))

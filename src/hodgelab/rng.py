@@ -75,11 +75,12 @@ def random_form(space, degree: int, rng: SplitMix64, terms: int | None = None,
 
 
 def random_vector(space, rng: SplitMix64):
-    from .exterior import Vector
+    """A random vector, given by its 1-form: one draw per component, in order."""
+    from .exterior import Form
 
     if space.backend == "exact":
         comps = [rng.small_int() for _ in range(space.dim)]
     else:
         comps = [rng.uniform(-1.0, 1.0) for _ in range(space.dim)]
-    return Vector(space, comps)
+    return Form(space, 1, {1 << i: c for i, c in enumerate(comps)})
 

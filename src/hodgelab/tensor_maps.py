@@ -45,7 +45,6 @@ from .errors import (
 from .exterior import (
     Form,
     Space,
-    Vector,
     basis_masks,
     contract,
     contract_index,
@@ -342,7 +341,7 @@ def a_kernel_tensors(j_struct: ComplexStructure, p: int, q: int):
     return out
 
 
-def contraction_identity_check(q_map: FormValuedMap, x: Vector) -> Form:
+def contraction_identity_check(q_map: FormValuedMap, x: Form) -> Form:
     """The residual X -| a(Q) - p a(Q_X) - (-1)^p a(Q^X), with Q_X = Q(X, .)
     and Q^X = X -| Q; the identity holds exactly when it is the zero form."""
     if x.space != q_map.j.space:
@@ -354,9 +353,8 @@ def contraction_identity_check(q_map: FormValuedMap, x: Vector) -> Form:
     def q_x(mask):
         # Q(X, e_rest) = sum_m X^m Q(e_m, e_rest); merge_sign sorts (m, rest)
         out = space.zero_form(q)
-        for m, comp in enumerate(x.components):
-            bit = 1 << m
-            if comp != 0 and not mask & bit:
+        for bit, comp in x.coeffs.items():
+            if not mask & bit:
                 out = out + (comp * merge_sign(bit, mask)) * q_map.eval_mask(mask | bit)
         return out
 
@@ -399,11 +397,9 @@ def holomorphic_q(j_struct: ComplexStructure, omega_form: Form, derivative) -> F
         if not in_lambda_p(j_struct, d_val):
             raise InvalidDerivativeError("derivative value is not of type (p,0)+(0,p)")
     for i in range(1, space.dim + 1):
-        j_image = j_struct.basis_image(i)
         lhs = space.zero_form(p)
-        for m, comp in enumerate(j_image.components, start=1):
-            if comp != 0:
-                lhs = lhs + comp * d_table[m - 1]
+        for bit, comp in j_struct.basis_image(i).coeffs.items():
+            lhs = lhs + comp * d_table[bit.bit_length() - 1]
         if lhs != bb_j(j_struct, d_table[i - 1]):
             raise InvalidDerivativeError("derivative table does not intertwine J")
 

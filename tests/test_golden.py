@@ -1,16 +1,23 @@
 """Golden report hashes: every campaign, on each allowed dimension, at its default
-seeds, and the reports of acceptance criteria 2 and 3 at their acceptance
-parameters.
+seeds, the reports of acceptance criteria 2 and 3 at their acceptance
+parameters, and the stdout of each demo.
 
 A refactor must leave every serialized report byte-identical.  A change that
 alters a report on purpose regenerates its hash here and says why.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hodgelab
 from hodgelab.campaigns import CAMPAIGNS, Campaign, run_campaign
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 GOLDEN = {
     ("alpha-omega", 4): "19410418e324b2623e86de642770c7679d6271c352b241ac65dbef66f8a54ea8",
@@ -57,6 +64,17 @@ ACCEPTANCE_GOLDEN = {
 }
 
 
+# the stdout of each script in demos/, run on its own
+DEMO_GOLDEN = {
+    "01_exterior_basics.py": "7fed91fd2d51d0ff1e9cae3887111ddfa482ac1f381d838bd84854bb47731849",
+    "02_complex_bigrading.py": "ada82e42d59a2a22e2211b4021ddc468f227f6cf87eebeb0da30a0c882a9e883",
+    "03_lefschetz_pairings.py": "96f7e79265c9e76918093249bfee58727fa831722777a5430d93b50dda4b5f9b",
+    "04_two_form_spectra.py": "824d649a7bc563201fb1c56dd04881a31e9f179b178fe6c56edfeb341151bc98",
+    "05_coframe_calculus.py": "70a0e8ee5c01c124ff232dacb95d1245c357dd320d6fa2cdb9f7a55b5d598bef",
+    "06_torsion_kernel.py": "ab54bbcf24f61c1e22c74a979acf639562a3cc0fd080caf737dae9f0ded1b16e",
+}
+
+
 def _digest(report) -> str:
     return hashlib.sha256(report.to_json().encode()).hexdigest()
 
@@ -74,3 +92,18 @@ def test_report_hash_is_pinned(name, dim):
 @pytest.mark.parametrize("name", sorted(ACCEPTANCE_GOLDEN))
 def test_acceptance_report_hash_is_pinned(name, acceptance_report):
     assert _digest(acceptance_report(name)) == ACCEPTANCE_GOLDEN[name]
+
+
+def test_demo_golden_covers_every_demo():
+    assert set(DEMO_GOLDEN) == {path.name for path in DEMOS.glob("*.py")}
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_GOLDEN))
+def test_demo_stdout_hash_is_pinned(name):
+    """Each demo runs in a fresh interpreter on this package and prints what it
+    printed when pinned."""
+    src = str(Path(hodgelab.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, str(DEMOS / name)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == DEMO_GOLDEN[name]

@@ -8,12 +8,13 @@ import pytest
 
 from hodgelab import campaigns
 from hodgelab.errors import (
+    DegreeMismatchError,
     IllConditionedSpectrumError,
     InvalidFrameError,
     InvariantViolationError,
     MomentInconsistencyError,
 )
-from hodgelab.exterior import Form, Space, Vector, adjoint_wedge, basis_masks, wedge
+from hodgelab.exterior import Form, Space, adjoint_wedge, basis_masks, contract, inner, wedge
 from hodgelab.harmonic import (
     SkewEndo,
     compatible_patch_dim6,
@@ -257,7 +258,7 @@ def test_dim6_patch_squares_to_minus_identity():
 
 def test_splitting_q_examples():
     s6 = Space(6)
-    frame = [s6.basis_vector(1), s6.basis_vector(2)]
+    frame = [s6.basis_form(1), s6.basis_form(2)]
     assert splitting_q(frame, s6.basis_form(1, 3)) == -s6.basis_form(1, 3)
     assert splitting_q(frame, s6.basis_form(3, 4)).is_zero()
     assert splitting_q(frame, s6.basis_form(1, 2)) == -2 * s6.basis_form(1, 2)
@@ -266,7 +267,7 @@ def test_splitting_q_examples():
 def test_splitting_q_exhaustive_spectrum():
     s6 = Space(6)
     for h_rank in (2, 4):
-        frame = [s6.basis_vector(i) for i in range(1, h_rank + 1)]
+        frame = [s6.basis_form(i) for i in range(1, h_rank + 1)]
         h_mask = (1 << h_rank) - 1
         for p in range(0, 7):
             for mask in basis_masks(6, p):
@@ -289,7 +290,7 @@ def test_lemma_4_3_body_runs_on_its_dimension(dim):
 def test_splitting_q_rotated_float_frame():
     space = Space(4, "float")
     c, s = np.cos(0.3), np.sin(0.3)
-    frame = [Vector(space, [c, s, 0, 0]), Vector(space, [-s, c, 0, 0])]
+    frame = [space.form(1, {(1,): c, (2,): s}), space.form(1, {(1,): -s, (2,): c})]
     psi = space.form(2, {(1, 2): 1.0})
     assert splitting_q(frame, psi).isclose(-2.0 * psi)
 
@@ -297,7 +298,66 @@ def test_splitting_q_rotated_float_frame():
 def test_splitting_q_rejects_bad_frame():
     s6 = Space(6)
     with pytest.raises(InvalidFrameError):
-        splitting_q([Vector(s6, [1, 1, 0, 0, 0, 0])], s6.basis_form(1, 2))
+        splitting_q([s6.form(1, {(1,): 1, (2,): 1})], s6.basis_form(1, 2))
+    for psi in (s6.basis_form(1, 2, 3), s6.form(0, {(): 1})):
+        with pytest.raises(DegreeMismatchError):
+            splitting_q([s6.basis_form(1, 2)], psi)
+
+
+def test_lemma_4_3_cases_fail_when_the_wedge_order_is_reversed(monkeypatch):
+    """h ^ (h -| psi) is (-1)^(p-1) times (h -| psi) ^ h, so the reversed
+    operator has eigenvalue j where Q has (-1)^(p-1) j.  Exactly the even
+    p >= 2 cases fail, each with residual 2 min(p, h): the most factors of a
+    basis p-form that lie along H."""
+
+    def reversed_q(h_frame, psi):
+        out = psi.space.zero_form(psi.degree)
+        if psi.degree == 0:
+            return out
+        for h in h_frame:
+            out = out + wedge(h, contract(h, psi))
+        return out
+
+    monkeypatch.setattr(campaigns, "splitting_q", reversed_q)
+    report = campaigns.run_campaign(campaigns.Campaign("lemma-4.3", dims=[6]))
+    assert len(report.cases) == 2 * 7
+    for case in report.cases:
+        h, p = map(int, case.id.removeprefix("rank").split("/p"))
+        if p >= 2 and p % 2 == 0:
+            assert not case.passed and case.residual == 2 * min(p, h)
+        else:
+            assert case.passed and case.residual == 0
+
+
+def skew_matrix(alpha):
+    """The int64 skew matrix with entry [i, j] the coefficient of e^{i+1, j+1}, i < j."""
+    n = alpha.space.dim
+    m = np.zeros((n, n), dtype=np.int64)
+    for (i, j), c in alpha.terms():
+        m[i - 1, j - 1], m[j - 1, i - 1] = c, -c
+    return m
+
+
+def test_prop_4_1_cases_fail_when_the_triple_term_is_dropped(monkeypatch):
+    """Without g((A2 A1 A3 + A3 A1 A2)., .) the expansion misses exactly that
+    2-form, so a case fails when the triple product is nonzero, with the
+    largest |entry| of the product, here taken from dense int64 matrices."""
+    inputs = []
+
+    def without_triple(alpha1, alpha2, alpha3):
+        inputs.append((alpha1, alpha2, alpha3))
+        return inner(alpha1, alpha2) * alpha3 + inner(alpha1, alpha3) * alpha2
+
+    monkeypatch.setattr(campaigns, "stab_expand", without_triple)
+    report = campaigns.run_campaign(campaigns.Campaign("prop-4.1"))
+    assert len(report.cases) == len(inputs) == 510
+    failed = 0
+    for case, forms in zip(report.cases, inputs):
+        m1, m2, m3 = (skew_matrix(alpha) for alpha in forms)
+        want = int(np.max(np.abs(m2 @ m1 @ m3 + m3 @ m1 @ m2)))
+        assert case.residual == want and case.passed == (want == 0)
+        failed += want > 0
+    assert failed == 505
 
 
 def test_exact_checks_stay_exact():
@@ -308,6 +368,6 @@ def test_exact_checks_stay_exact():
     rows[0][1] += tiny
     with pytest.raises(InvariantViolationError):
         SkewEndo(s4, rows)
-    frame = [s4.basis_vector(1), Vector(s4, [tiny, 1, 0, 0])]
+    frame = [s4.basis_form(1), s4.form(1, {(1,): tiny, (2,): 1})]
     with pytest.raises(InvalidFrameError):
         splitting_q(frame, s4.basis_form(1, 2))

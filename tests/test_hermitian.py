@@ -48,7 +48,7 @@ def first_slot_insertion(j_struct, alpha):
         idx = mask_to_indices(mask)
         partial = contract(j_struct.basis_image(idx[0]), alpha)
         for i in idx[1:]:
-            partial = contract(space.basis_vector(i), partial)
+            partial = contract(space.basis_form(i), partial)
         val = partial.scalar_value()
         if val != 0:
             out[mask] = val
@@ -83,7 +83,7 @@ def eval_derivation_oracle(j_struct, alpha):
                 if t == slot:
                     partial = contract(j_struct.basis_image(idx[t]), partial)
                 else:
-                    partial = contract(space.basis_vector(idx[t]), partial)
+                    partial = contract(space.basis_form(idx[t]), partial)
             total += partial.scalar_value()
         if total != 0:
             out[mask] = total
@@ -92,7 +92,7 @@ def eval_derivation_oracle(j_struct, alpha):
 
 def test_standard_structure_shape():
     assert J4.rows[0][1] == -1 and J4.rows[1][0] == 1
-    assert J4.basis_image(1).components == (0, 1, 0, 0)
+    assert J4.basis_image(1).coeffs == {0b10: 1}
 
 
 def test_invalid_structures_rejected():

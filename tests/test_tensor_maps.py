@@ -755,7 +755,7 @@ def test_lemma_3_1_cases_fail_when_the_slot_form_contracts_in_reverse(monkeypatc
             first, *rest = mask_to_indices(mask)
             rotated = contract(j_struct.basis_image(first), omega_form)
             for i in rest:
-                rotated = contract(j_struct.space.basis_vector(i), rotated)
+                rotated = contract(j_struct.space.basis_form(i), rotated)
             want = max(want, 2 * max_abs(rotated))
         assert not case.passed and case.residual == want > 0
         failed += 1
@@ -802,8 +802,8 @@ def general_compatible_table(j_struct, p, rng):
     table = {}
     for i in range(1, space.dim + 1):
         a_jx = space.zero_form(p)
-        for m, comp in enumerate(j_struct.basis_image(i).components):
-            a_jx = a_jx + comp * a_table[m]
+        for bit, comp in j_struct.basis_image(i).coeffs.items():
+            a_jx = a_jx + comp * a_table[bit.bit_length() - 1]
         table[i] = a_table[i - 1] - bb_j(j_struct, a_jx)
     return table
 

@@ -78,8 +78,8 @@ class Space:
 
     The backend's scalar rules live here: ``zero`` and ``one``, the
     tolerance ``tol`` of its checks (0 on exact, so an exact check compares
-    exact values, ``FLOAT_TOL`` on float), ``ratio(a, b)`` and
-    ``numerators(coeffs)``.
+    exact values, ``FLOAT_TOL`` on float), ``ratio(a, b)``,
+    ``numerators(coeffs)`` and its inverse ``from_numerators``.
     """
 
     __slots__ = ("dim", "backend", "zero", "one", "tol")
@@ -122,6 +122,13 @@ class Space:
         """``(nums, den)`` with coeffs[k] == nums[k] / den: integers over the
         lcm of the denominators on exact, the coefficients over 1 on float."""
         return numerators(coeffs) if self.backend == "exact" else (coeffs, 1)
+
+    def from_numerators(self, degree: int, nums: dict, den) -> "Form":
+        """The inverse of ``numerators``: the form with coefficients
+        nums[k] / den, each entry divided once by ``ratio``."""
+        if den != 1:
+            nums = {k: self.ratio(v, den) for k, v in nums.items()}
+        return Form(self, degree, nums)
 
     def zero_form(self, degree: int) -> "Form":
         return Form(self, degree, {})

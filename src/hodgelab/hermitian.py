@@ -114,37 +114,35 @@ def _compiled(j_struct: ComplexStructure, image, degree: int):
     return table, den
 
 
-def _apply_numerators(
-    j_struct: ComplexStructure, image, degree: int, nums: dict, den, power: int = 1, shift=0
-) -> Form:
-    """The form (A^power + shift) alpha for alpha = nums / den of the given
-    degree, A the operator with basis images ``image(j_struct, mask)``.
+def _apply_compiled(j_struct: ComplexStructure, image, alpha: Form) -> Form:
+    """A alpha, A the operator with basis images ``image(j_struct, mask)``.
 
     With ``(T, tden)`` the table of A compiled once per (J, image, degree),
-    T = tden A, the numerators are composed with T ``power`` times, as one
-    row through ``linalg.compose``, and shift tden^power nums is added, all
-    on integers; each nonzero entry is then divided once by tden^power den.
+    T = tden A, the numerators of alpha = nums / den go through T as one row
+    of ``linalg.compose``; each nonzero entry then divides once by tden den.
     """
-    table, tden = _compiled(j_struct, image, degree)
-    out = nums
-    for _ in range(power):
-        out = compose([out], table)[0]
-    tden **= power
-    if shift:
-        add_scaled(out, shift * tden, nums)
-    den *= tden
-    space = j_struct.space
-    if den != 1:
-        out = {m: space.ratio(v, den) for m, v in out.items()}
-    return Form(space, degree, out)
-
-
-def _apply_compiled(j_struct: ComplexStructure, image, alpha: Form, power: int = 1) -> Form:
-    """``_apply_numerators`` on the numerators of alpha."""
     if alpha.space != j_struct.space:
         raise SpaceMismatchError(f"{alpha.space} vs {j_struct.space}")
     nums, den = alpha.space.numerators(alpha.coeffs)
-    return _apply_numerators(j_struct, image, alpha.degree, nums, den, power)
+    table, tden = _compiled(j_struct, image, alpha.degree)
+    return alpha.space.from_numerators(alpha.degree, compose([nums], table)[0], tden * den)
+
+
+def _lagrange(j_struct: ComplexStructure, degree: int, nums: dict, shifts) -> tuple:
+    """``(out, scale)``: the product of the factors (curly_j^2 + k), k in
+    ``shifts``, applied to nums of the given degree, as integer numerators
+    over scale, so the result is out / scale times whatever nums is over.
+
+    With ``(T, tden)`` the compiled curly_j table, T = tden curly_j, each
+    factor is out -> T(T out) + tden^2 k out, so scale = tden^(2 len(shifts)).
+    nums is never modified.
+    """
+    table, tden = _compiled(j_struct, _curly_j_image, degree)
+    out = nums
+    for k in shifts:
+        twice = compose(compose([out], table), table)[0]
+        out = add_scaled(twice, tden * tden * k, out) if k else twice
+    return out, tden ** (2 * len(shifts))
 
 
 def _pullback_image(j_struct: ComplexStructure, mask: int) -> dict:
@@ -186,17 +184,12 @@ def curly_j(j_struct: ComplexStructure, alpha: Form) -> Form:
     return _apply_compiled(j_struct, _curly_j_image, alpha)
 
 
-def curly_j_squared(j_struct: ComplexStructure, alpha: Form) -> Form:
-    """curly_j twice, on the integer numerators between the two steps."""
-    return _apply_compiled(j_struct, _curly_j_image, alpha, 2)
-
-
 def eigen_residual(j_struct: ComplexStructure, degree: int, nums: dict, den, p: int, q: int) -> Form:
     """curly_j^2(alpha) + (p-q)^2 alpha for alpha = nums / den of the given
-    degree: zero iff alpha is pure of bidegree (p, q).  Computed on integers
-    as (T^2 nums + (p-q)^2 tden^2 nums) / (tden^2 den), with (T, tden) the
-    compiled curly_j table; only the nonzero entries divide."""
-    return _apply_numerators(j_struct, _curly_j_image, degree, nums, den, 2, (p - q) ** 2)
+    degree: zero iff alpha is pure of bidegree (p, q).  One ``_lagrange``
+    factor on the integers; only the nonzero entries divide."""
+    out, scale = _lagrange(j_struct, degree, nums, [(p - q) ** 2])
+    return j_struct.space.from_numerators(degree, out, scale * den)
 
 
 def bidegree_project(j_struct: ComplexStructure, alpha: Form, p: int, q: int) -> Form:
@@ -232,7 +225,11 @@ def _is_lambda_eigen(alpha: Form, squared: Form) -> bool:
 
 
 def in_lambda_p(j_struct: ComplexStructure, alpha: Form) -> bool:
-    return _is_lambda_eigen(alpha, curly_j_squared(j_struct, alpha))
+    """Whether alpha is of type (p,0)+(0,p); the (0, 0) residual is curly_j^2 alpha."""
+    if alpha.space != j_struct.space:
+        raise SpaceMismatchError(f"{alpha.space} vs {j_struct.space}")
+    nums, den = alpha.space.numerators(alpha.coeffs)
+    return _is_lambda_eigen(alpha, eigen_residual(j_struct, alpha.degree, nums, den, 0, 0))
 
 
 def bb_j(j_struct: ComplexStructure, alpha: Form) -> Form:
@@ -260,34 +257,14 @@ def _lambda_dim(dim: int, degree: int) -> int:
     return 2 * comb(dim // 2, degree)
 
 
-def _lambda_candidate(j_struct: ComplexStructure, mask: int) -> dict:
-    """A nonzero multiple of bidegree_project(e^I, p, 0) for the mask I, as
-    {mask: int}; empty when the projection vanishes.
-
-    With ``(T, den)`` the compiled cal-J table, T = den cal-J is an integer
-    operator, and each Lagrange factor (cal-J^2 - ev)/(-p^2 - ev) of
-    ``bidegree_project`` is (T^2 - den^2 ev) up to a nonzero scalar.  The
-    product of those integer factors is applied to e^I, and the content is
-    divided out after each one.
-    """
-    degree = mask.bit_count()
-    table, den = _compiled(j_struct, _curly_j_image, degree)
-    vec = {mask: 1}
-    for j in range(1, degree // 2 + 1):
-        twice = compose(compose([vec], table), table)[0]
-        vec = add_scaled(twice, (den * (degree - 2 * j)) ** 2, vec)
-        if not vec:
-            break
-        _make_primitive(vec)
-    return vec
-
-
 class LambdaBasis:
     """Deterministic orthogonal basis of a type-(p,0)+(0,p) subspace.
 
     The increasing-multi-index basis is projected in lexicographic order and
-    orthogonalized, all on integers: ``_lambda_candidate`` gives each
-    projection up to a nonzero integer, and fraction-free Gram-Schmidt
+    orthogonalized, all on integers.  Each projection bidegree_project(e^I,
+    p, 0) is, up to a nonzero scalar, the ``_lagrange`` product of the
+    factors (curly_j^2 + (p-2i)^2), 1 <= i <= p//2, applied to e^I, with its
+    content divided out.  Fraction-free Gram-Schmidt
     (Erlingsson, Kaltofen and Musser, ISSAC 1996) replaces a candidate c by
     (ns/g) c - (<c, b>/g) b with ns = <b, b> and g = gcd(ns, <c, b>), a
     nonzero multiple of c - (<c, b>/ns) b.  A surviving candidate is scaled
@@ -310,12 +287,13 @@ class LambdaBasis:
         self.degree = degree
         space = j_struct.space
         rank = _lambda_dim(space.dim, degree)
+        shifts = [(degree - 2 * i) ** 2 for i in range(1, degree // 2 + 1)]
         self.forms: list[Form] = []
         self.norms_sq: list = []
         for mask in basis_masks(space.dim, degree):
             if len(self.forms) == rank:
                 break
-            candidate = _lambda_candidate(j_struct, mask)
+            candidate = _make_primitive(_lagrange(j_struct, degree, {mask: 1}, shifts)[0])
             for b, ns in zip(self.forms, self.norms_sq):
                 x = sum(v * candidate[m] for m, v in b.coeffs.items() if m in candidate)
                 if x:

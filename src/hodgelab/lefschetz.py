@@ -95,10 +95,7 @@ def p_k(j_struct: ComplexStructure, alpha: Form, beta: Form, k: int) -> Form:
                     key = left | mr
                     out[key] = out.get(key, 0) + cl * cr * merge_sign(left, mr)
     scale = (-1) ** k * factorial(k)
-    out = {m: scale * v for m, v in out.items() if v}
-    if den != 1:
-        out = {m: space.ratio(v, den) for m, v in out.items()}
-    return Form(space, r + s - 2 * k, out)
+    return space.from_numerators(r + s - 2 * k, {m: scale * v for m, v in out.items() if v}, den)
 
 
 def alpha_from_holomorphic(j_struct: ComplexStructure, omega_form: Form) -> Form:

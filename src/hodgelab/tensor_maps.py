@@ -237,7 +237,7 @@ def antisymmetrize(q_map: FormValuedMap) -> Form:
     ``antisymmetrize_numerators`` divides once.
     """
     nums, den = antisymmetrize_numerators(q_map)
-    return Form(q_map.j.space, q_map.p + q_map.q, {m: Fraction(t, den) for m, t in nums.items()})
+    return q_map.j.space.from_numerators(q_map.p + q_map.q, nums, den)
 
 
 def antisymmetrize_multilinear(space: Space, p: int, q: int, eval_mask) -> Form:

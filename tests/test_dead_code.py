@@ -11,7 +11,8 @@ passes unnoticed, so the names shared between members are pinned: a new one
 fails until it is checked by hand.  Calls are matched by
 the same names: ``C(...)`` is a call of ``C.__init__`` (for a dataclass, of
 its generated ``__init__`` over the annotated fields).  The per-structure
-cache attributes are touched by ``hermitian`` alone.
+cache attributes are touched by ``hermitian`` alone, and the compiled
+operator tables are applied by three functions only.
 """
 
 import ast
@@ -219,6 +220,28 @@ def cache_attribute_uses():
 
 def test_only_hermitian_touches_the_per_structure_cache():
     assert cache_attribute_uses() == []
+
+
+def compiled_table_callers():
+    """module:function of every function of the package that calls ``_compiled``."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef) and any(
+                isinstance(node, ast.Call) and _name(node.func) == "_compiled"
+                for node in ast.walk(func)
+            ):
+                callers.add(f"{path.name}:{func.name}")
+    return callers
+
+
+def test_one_kernel_applies_each_compiled_table():
+    """A compiled table is applied once by ``_apply_compiled``, as the
+    product of (curly_j^2 + k) factors by ``_lagrange``, and row by row by
+    P_k; no second loop over it grows elsewhere."""
+    assert compiled_table_callers() == {
+        "hermitian.py:_apply_compiled", "hermitian.py:_lagrange", "lefschetz.py:p_k",
+    }
 
 
 def data_members(tree):

@@ -1,12 +1,15 @@
 """Golden report hashes: every campaign, on each allowed dimension, at its default
 seeds, the reports of acceptance criteria 2 and 3 at their acceptance
-parameters, and the stdout of each demo.
+parameters, the stdout of each demo, and the exit code and stdout of
+``hodgelab decompose`` on the fixed inputs of ``scripts/report_hashes.py``.
 
 A refactor must leave every serialized report byte-identical.  A change that
 alters a report on purpose regenerates its hash here and says why.
 """
 
 import hashlib
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -15,9 +18,11 @@ from pathlib import Path
 import pytest
 
 import hodgelab
+from hodgelab import cli
 from hodgelab.campaigns import CAMPAIGNS, Campaign, run_campaign
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 
 GOLDEN = {
     ("alpha-omega", 4): "19410418e324b2623e86de642770c7679d6271c352b241ac65dbef66f8a54ea8",
@@ -74,6 +79,30 @@ DEMO_GOLDEN = {
     "06_torsion_kernel.py": "ab54bbcf24f61c1e22c74a979acf639562a3cc0fd080caf737dae9f0ded1b16e",
 }
 
+# sha256 of f"{exit code}\n{stdout}" of ``decompose`` on each input of
+# ``report_hashes.decompose_inputs()``, as that script digests them
+DECOMPOSE_GOLDEN = {
+    "exact-dim4-degree2": "736b4962659e80e1a12c0a037a4b39ba3db40406ea6ed84c3561d5d37294e54d",
+    "exact-dim4-degree3": "896e4f4793106dbf3374021446f836d55f194856ed9aeed58252a1c7533c8e45",
+    "exact-dim4-degree4": "0f3188ee778f18828ba6cd380e44f8fe4119b683e4474656ba1b1487717d00e3",
+    "exact-dim6-degree2": "5200442ee818c9ad1b1a0dc625f033a62b90b38bec75ad350b40ea0bb2a84230",
+    "exact-dim6-degree3": "6b96d4fc1588484277d2c82cec2c198f2d34db4cba97caa537b54ad36b6a847c",
+    "exact-dim6-degree4": "0ab3858006f34d4e7ad169b18996111a1023a46e327b4941fc8550efa45d96fb",
+    "exact-dim8-degree2": "5e5dfc6832a266040f2e10e86fefcd8f806baba74ddb558c2e361736f747e449",
+    "exact-dim8-degree3": "4a23044a14ac6a10ee0b633eb56153942a68a1d1c1683316da4573bfaef59ff6",
+    "exact-dim8-degree4": "44bdf831cda07f42cdb382ddabeb449cd0417454874fc3054687c4f595b4331f",
+    "float-dim6-degree2": "d08f706705994bfbb452fc79dde27d21fbc21c68db06ed8f9b30094281e3bbdd",
+    "skew-dim5": "0161e04d91df1e75a47f08ba7fdeb3fdcbc9ca0791767c8435169351335d3319",
+}
+
+
+def _report_hashes():
+    spec = importlib.util.spec_from_file_location(
+        "report_hashes", ROOT / "scripts" / "report_hashes.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 def _digest(report) -> str:
     return hashlib.sha256(report.to_json().encode()).hexdigest()
@@ -107,3 +136,18 @@ def test_demo_stdout_hash_is_pinned(name):
                           env=dict(os.environ, PYTHONPATH=src))
     assert done.returncode == 0, done.stderr
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == DEMO_GOLDEN[name]
+
+
+def test_decompose_golden_covers_every_input():
+    assert set(DECOMPOSE_GOLDEN) == set(_report_hashes().decompose_inputs())
+
+
+@pytest.mark.parametrize("label", sorted(DECOMPOSE_GOLDEN))
+def test_decompose_output_hash_is_pinned(label, tmp_path, capsys):
+    """``decompose`` run in process prints what it printed when pinned, with
+    the same exit code; the bidegree components go through ``eigen_residual``."""
+    path = tmp_path / f"{label}.json"
+    path.write_text(json.dumps(_report_hashes().decompose_inputs()[label]))
+    code = cli.main(["decompose", str(path)])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == DECOMPOSE_GOLDEN[label]

@@ -608,12 +608,13 @@ def test_rank_stopped_lambda_basis_matches_full_gram_schmidt(kind, n, monkeypatc
     for p in range(n + 1):
         forms, norms_sq, used = full_gram_schmidt(j, p)
         projected = []
-        candidate = hermitian._lambda_candidate
+        lagrange = hermitian._lagrange
         monkeypatch.setattr(
-            hermitian, "_lambda_candidate", lambda js, m: projected.append(m) or candidate(js, m)
+            hermitian, "_lagrange",
+            lambda js, d, nums, shifts: projected.extend(nums) or lagrange(js, d, nums, shifts),
         )
         basis = LambdaBasis(j, p)
-        monkeypatch.setattr(hermitian, "_lambda_candidate", candidate)
+        monkeypatch.setattr(hermitian, "_lagrange", lagrange)
         assert basis.forms == forms
         assert basis.norms_sq == norms_sq
         assert basis.dim == (1 if p == 0 else 2 * comb(n // 2, p))

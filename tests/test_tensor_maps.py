@@ -31,7 +31,7 @@ from hodgelab.hermitian import (
     ComplexStructure,
     bb_j,
     bb_j_matrix,
-    curly_j_squared,
+    curly_j,
     eigen_residual,
     in_lambda_p,
     lambda_basis,
@@ -504,7 +504,7 @@ def test_eigen_membership_of_halves():
 
 def form_eigen_residual(j_struct, alpha, p, q):
     """The residual curly_j^2(alpha) + (p-q)^2 alpha in Form arithmetic."""
-    return curly_j_squared(j_struct, alpha) + (p - q) ** 2 * alpha
+    return curly_j(j_struct, curly_j(j_struct, alpha)) + (p - q) ** 2 * alpha
 
 
 def max_abs(alpha):
@@ -656,6 +656,70 @@ def test_prop_2_2_contract_cases_fail_when_a_loses_its_factorial(monkeypatch):
         want = max_abs(contract(x, a_q) * (Fraction(1, factorial(q_map.p)) - 1))
         assert want > 0 and case.residual == want and not case.passed
     assert all(c.passed for c in report.cases if "/contract/" not in c.id)
+
+
+def _prop_2_2_pairs(dim):
+    """The (p, q) of the rank and kernel cases of prop-2.2 on R^dim, those
+    with both Lambda spaces nonzero, with the kernel tensors of a, computed
+    before any fault is planted."""
+    j_struct = ComplexStructure.standard(Space(dim))
+    return {
+        (p, q): a_kernel_tensors(j_struct, p, q)
+        for p in range(1, 4) for q in range(1, 4) if p != q and max(p, q) <= dim // 2
+    }
+
+
+def test_prop_2_2_rank_cases_fail_on_the_anticommuting_projector(monkeypatch):
+    """With 1/2 (I - Jp (x) Jq) in place of the commuting projector, a is
+    restricted to the anticommuting half, which holds ker a, so every rank
+    case fails with residual dim ker a.  The kernel and contract cases do not
+    read the projector and still pass."""
+    kernels = {dim: _prop_2_2_pairs(dim) for dim in (4, 6)}
+    real = tensor_maps._commuting_projector
+
+    def anticommuting(j_struct, p, q):
+        rows, den = real(j_struct, p, q)
+        return combine([{i: den} for i in range(len(rows))], rows, 1, -1), den
+
+    monkeypatch.setattr(tensor_maps, "_commuting_projector", anticommuting)
+    report = campaigns.run_campaign(campaigns.Campaign("prop-2.2", dims=[4, 6]))
+    cases = {c.id: c for c in report.cases}
+    residuals = {}
+    for dim, pairs in kernels.items():
+        for (p, q), kernel in pairs.items():
+            rank = cases.pop(f"dim{dim}/p{p}q{q}/rank")
+            assert rank.residual == len(kernel) and not rank.passed
+            residuals[dim, p, q] = rank.residual
+    assert residuals == {
+        (4, 1, 2): 4, (4, 2, 1): 4,
+        (6, 1, 2): 16, (6, 2, 1): 16,
+        (6, 1, 3): 6, (6, 2, 3): 6, (6, 3, 1): 6, (6, 3, 2): 6,
+    }
+    assert all(c.passed for c in cases.values())
+
+
+def test_prop_2_2_kernel_cases_fail_when_the_halves_are_swapped(monkeypatch):
+    """With split_type returning its halves swapped, the kernel cases read
+    the anticommuting half, which is the whole kernel tensor: each fails
+    with the largest entry of its pair's kernel tensors.  The rank cases do
+    not split, and the contraction identity is the Leibniz rule, which holds
+    on either half, so those cases still pass."""
+    kernels = {dim: _prop_2_2_pairs(dim) for dim in (4, 6)}
+    real = campaigns.split_type
+    monkeypatch.setattr(campaigns, "split_type", lambda t: real(t)[::-1])
+    report = campaigns.run_campaign(campaigns.Campaign("prop-2.2", dims=[4, 6]))
+    cases = {c.id: c for c in report.cases}
+    residuals = {}
+    for dim, pairs in kernels.items():
+        for (p, q), kernel in pairs.items():
+            case = cases.pop(f"dim{dim}/p{p}q{q}/kernel")
+            assert case.residual == max(k.max_entry() for k in kernel) and not case.passed
+            residuals[dim, p, q] = case.residual
+    assert residuals == {
+        (4, 1, 2): 1, (4, 2, 1): 2,
+        (6, 1, 2): 1, (6, 1, 3): 1, (6, 2, 1): 2, (6, 2, 3): 2, (6, 3, 1): 4, (6, 3, 2): 4,
+    }
+    assert all(c.passed for c in cases.values())
 
 
 # -- holomorphic_q ---------------------------------------------------------
@@ -1251,6 +1315,37 @@ def test_eq_7_cyclic_fails_when_the_bullet_is_negated(monkeypatch):
             largest = max(largest, max(abs(v) for plane in bullet for row in plane for v in row))
         cyclic = cases.pop(f"dim{dim}/cyclic")
         assert cyclic.residual == 2 * largest == 36 and not cyclic.passed
+    assert all(c.passed for c in cases.values())
+
+
+def test_lemma_5_5_kernel_fails_without_the_invariant_skews(monkeypatch):
+    """With no J-invariant skew F, no bullet row (F o eta) = 0 is added, so
+    the kernel is the whole admissible torsion space: each kernel case fails
+    with the eq-7 admissible count.  The dim-4 value is only reported."""
+    admissible = {d: len(admissible_torsion_basis(ComplexStructure.standard(Space(d))))
+                  for d in (6, 8)}
+    monkeypatch.setattr(tensor_maps, "invariant_skew_basis", lambda j_struct: [])
+    report = campaigns.run_campaign(campaigns.Campaign("lemma-5.5", dims=[4, 6, 8]))
+    cases = {c.id: c for c in report.cases}
+    assert admissible == {6: 16, 8: 40}
+    for d, count in admissible.items():
+        assert cases[f"dim{d}/kernel"].residual == count and not cases[f"dim{d}/kernel"].passed
+    reported = cases["dim4/kernel-reported"]
+    assert reported.passed and reported.residual == 4
+
+
+def test_eq_7_bracket_dim_fails_on_the_invariant_skews(monkeypatch):
+    """With the J-invariant skews in place of the anticommuting ones, the
+    commutators span [u(k), u(k)] = su(k), of dimension k^2 - 1, so the
+    dim-6 bracket-dim case fails with residual 1 and the dim-4 reported
+    value reads 3 = 2^2 - 1 in place of 1.  The other cases do not depend
+    on which skews are bracketed and still pass."""
+    monkeypatch.setattr(tensor_maps, "anti_invariant_skew_basis", invariant_skew_basis)
+    report = campaigns.run_campaign(campaigns.Campaign("eq-7", dims=[4, 6]))
+    cases = {c.id: c for c in report.cases}
+    bracket_dim = cases.pop("dim6/bracket-dim")
+    assert bracket_dim.residual == 3 * 3 - (3 * 3 - 1) and not bracket_dim.passed
+    assert cases["dim4/bracket-dim-reported"].residual == 2 * 2 - 1
     assert all(c.passed for c in cases.values())
 
 

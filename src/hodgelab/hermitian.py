@@ -114,6 +114,13 @@ def _compiled(j_struct: ComplexStructure, image, degree: int):
     return table, den
 
 
+def _numerators_on(j_struct: ComplexStructure, alpha: Form) -> tuple:
+    """``(nums, den)`` of alpha, which must live on the space of J."""
+    if alpha.space != j_struct.space:
+        raise SpaceMismatchError(f"{alpha.space} vs {j_struct.space}")
+    return alpha.space.numerators(alpha.coeffs)
+
+
 def _apply_compiled(j_struct: ComplexStructure, image, alpha: Form) -> Form:
     """A alpha, A the operator with basis images ``image(j_struct, mask)``.
 
@@ -121,9 +128,7 @@ def _apply_compiled(j_struct: ComplexStructure, image, alpha: Form) -> Form:
     T = tden A, the numerators of alpha = nums / den go through T as one row
     of ``linalg.compose``; each nonzero entry then divides once by tden den.
     """
-    if alpha.space != j_struct.space:
-        raise SpaceMismatchError(f"{alpha.space} vs {j_struct.space}")
-    nums, den = alpha.space.numerators(alpha.coeffs)
+    nums, den = _numerators_on(j_struct, alpha)
     table, tden = _compiled(j_struct, image, alpha.degree)
     return alpha.space.from_numerators(alpha.degree, compose([nums], table)[0], tden * den)
 
@@ -135,7 +140,7 @@ def _lagrange(j_struct: ComplexStructure, degree: int, nums: dict, shifts) -> tu
 
     With ``(T, tden)`` the compiled curly_j table, T = tden curly_j, each
     factor is out -> T(T out) + tden^2 k out, so scale = tden^(2 len(shifts)).
-    nums is never modified.
+    nums is never modified here, but with no shifts out is nums itself.
     """
     table, tden = _compiled(j_struct, _curly_j_image, degree)
     out = nums
@@ -226,9 +231,7 @@ def _is_lambda_eigen(alpha: Form, squared: Form) -> bool:
 
 def in_lambda_p(j_struct: ComplexStructure, alpha: Form) -> bool:
     """Whether alpha is of type (p,0)+(0,p); the (0, 0) residual is curly_j^2 alpha."""
-    if alpha.space != j_struct.space:
-        raise SpaceMismatchError(f"{alpha.space} vs {j_struct.space}")
-    nums, den = alpha.space.numerators(alpha.coeffs)
+    nums, den = _numerators_on(j_struct, alpha)
     return _is_lambda_eigen(alpha, eigen_residual(j_struct, alpha.degree, nums, den, 0, 0))
 
 

@@ -54,6 +54,7 @@ from .exterior import (
 from .harmonic import SkewEndo
 from .hermitian import (
     ComplexStructure,
+    _numerators_on,
     bb_j,
     bb_j_matrix,
     eigen_residual,
@@ -254,10 +255,7 @@ def antisymmetrize_multilinear(space: Space, p: int, q: int, eval_mask) -> Form:
 def bidegree_eigen_residual(j_struct: ComplexStructure, alpha: Form, p: int, q: int) -> Form:
     """curly_j^2(alpha) + (p-q)^2 alpha; zero iff alpha is pure of bidegree
     (p, q).  ``eigen_residual`` on the numerators of alpha."""
-    if alpha.space != j_struct.space:
-        raise SpaceMismatchError(f"{alpha.space} vs {j_struct.space}")
-    nums, den = alpha.space.numerators(alpha.coeffs)
-    return eigen_residual(j_struct, alpha.degree, nums, den, p, q)
+    return eigen_residual(j_struct, alpha.degree, *_numerators_on(j_struct, alpha), p, q)
 
 
 # -- rank and kernel of the antisymmetrization ---------------------------

@@ -163,7 +163,7 @@ class FrameTriple:
         m = np.array(
             [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)] for _ in range(3)]
         )
-        # Gram-Schmidt in pure python keeps the stream deterministic
+        # classical Gram-Schmidt on the rows (numpy vdot); every draw happens above
         rows = []
         for i in range(3):
             v = m[i].copy()
@@ -279,49 +279,26 @@ def transition_p(frame: FrameTriple) -> TransitionData:
         raise NotAValidFrameError(str(exc)) from exc
 
 
-def real_coefficient_basis(td: TransitionData):
-    """Real basis of the frame coefficients of real 1-forms.
-
-    A 1-form with frame coefficients a is real exactly when conj(a) = P a;
-    the fixed space of the antilinear involution a -> conj(P) conj(a) is a
-    3-dimensional real subspace of C^3.
-    """
-    p = td.p_matrix
-    # real 6 x 6 system for conj(a) - P a = 0 with a = x + i y
-    pr, pi = p.real, p.imag
-    top = np.hstack([np.eye(3) - pr, pi])
-    bot = np.hstack([-pi, -np.eye(3) - pr])
-    system = np.vstack([top, bot])
-    _, sv, vt = np.linalg.svd(system)
-    null = vt[np.sum(sv > FRAME_TOL * max(sv[0], 1.0)):]
-    if null.shape[0] != 3:
-        raise InvalidTransitionError(
-            f"reality structure has dimension {null.shape[0]}, expected 3"
-        )
-    return [row[:3] + 1j * row[3:] for row in null]
-
-
 def obstruction_kernel(td: TransitionData, restrict_real: bool) -> int:
     """Dimension of {alpha : P conj(r_alpha) P + k^2 r_alpha = 0}.
 
-    With ``restrict_real`` the coefficients range over the real 1-forms of
-    the underlying 3-space (real dimension 3), and the kernel is zero for
-    every valid transition; without it they range over all complex 1-forms
-    (real dimension 6).
+    One real system over the six real directions e_1, e_2, e_3, i e_1,
+    i e_2, i e_3 of the frame coefficients a: each direction gives a column
+    holding the real and imaginary parts of the operator.  With
+    ``restrict_real`` the real and imaginary parts of conj(a) - P a join as
+    rows, so a ranges over the coefficients of real 1-forms (real dimension
+    3), and the kernel is zero for every valid transition; without them a
+    ranges over all complex 1-forms (real dimension 6).
     """
     p = td.p_matrix
     ksq = td.k**2
-    if restrict_real:
-        basis = real_coefficient_basis(td)
-    else:
-        eye = np.eye(3, dtype=complex)
-        basis = [eye[i] for i in range(3)] + [1j * eye[i] for i in range(3)]
-    rows = []
-    for a in basis:
+    columns = []
+    for a in np.vstack([np.eye(3), 1j * np.eye(3)]):
         eq = p @ np.conj(r_from_coeffs(a)) @ p + ksq * r_from_coeffs(a)
-        rows.append(np.concatenate([eq.real.ravel(), eq.imag.ravel()]))
-    system = np.array(rows).T  # columns indexed by the basis
-    sv = np.linalg.svd(system, compute_uv=False)
-    scale = sv[0] if sv.size and sv[0] > 0 else 1.0
-    rank = int(np.sum(sv > FRAME_TOL * scale))
-    return len(basis) - rank
+        parts = [eq.real.ravel(), eq.imag.ravel()]
+        if restrict_real:
+            reality = np.conj(a) - p @ a
+            parts += [reality.real, reality.imag]
+        columns.append(np.concatenate(parts))
+    sv = np.linalg.svd(np.array(columns).T, compute_uv=False)
+    return 6 - int(np.sum(sv > FRAME_TOL * sv[0]))

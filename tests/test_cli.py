@@ -147,6 +147,21 @@ def test_decompose_outputs(tmp_path):
     assert len(comps[(1, 1)]) == 3
 
 
+def test_decompose_accepts_every_matrix_its_skew_check_accepts(tmp_path, capsys):
+    """An asymmetry within the input bound, amplified by 1/sqrt(-mu) in a
+    small cluster, does not fail the skew check of the cluster's 2-form."""
+    skew = tmp_path / "skew.json"
+    skew.write_text(json.dumps({"dim": 4, "matrix": [
+        [0, -0.001, 0, 0], [0.0010000005, 0, 0, 0], [0, 0, 0, -0.002], [0, 0, 0.002, 0]]}))
+    assert cli.main(["decompose", str(skew)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    spectral = payload["spectral"]
+    assert spectral["kernel_rank"] == 0
+    assert [(c["mu"], c["multiplicity"]) for c in spectral["clusters"]] == [
+        (-4e-06, 2), (-1.0000005e-06, 2)]
+    assert payload["symplectic_candidate"]["compatible"] is True
+
+
 def test_decompose_malformed_exit_two(tmp_path):
     bad = tmp_path / "bad.json"
     # not JSON, not UTF-8, and an integer past the interpreter's digit limit
@@ -283,6 +298,17 @@ def test_the_exact_path_does_not_execute_numpy(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0, 0, 0], []]
+
+
+def test_an_exact_patch_does_not_execute_numpy():
+    code = ("import sys\n"
+            "from hodgelab.exterior import Space\n"
+            "from hodgelab.harmonic import compatible_patch_dim6\n"
+            "compatible_patch_dim6(Space(6).form(2, {(1, 2): 1, (3, 4): 1}))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cold_float_runs_match_the_in_process_result(tmp_path, capsys):

@@ -21,7 +21,6 @@ from hodgelab.frames import (
     obstruction_kernel,
     r_from_coeffs,
     r_matrix,
-    real_coefficient_basis,
     star_triple,
     symmetric_skew_split,
     transition_p,
@@ -118,19 +117,19 @@ def test_transition_data_validation():
         TransitionData(np.eye(3, dtype=complex), 1j)  # k^2 != det P
 
 
-def test_real_coefficient_basis_reality():
+def test_frame_coefficients_of_real_forms_satisfy_the_reality_condition():
+    """conj(a) = P a holds for the frame coefficients a of a real 1-form,
+    the condition obstruction_kernel appends as rows, and fails for i times it."""
+    rng = np.random.default_rng(0)
     for seed in (1, 5, 11):
         frame = FrameTriple.random(seed)
-        td = transition_p(frame)
-        for a in real_coefficient_basis(td):
-            # conj(a) = P a characterizes coefficients of real 1-forms
-            assert np.max(np.abs(np.conj(a) - td.p_matrix @ a)) <= 1e-9
-            # and indeed the reconstructed 1-form has a vanishing imaginary part
-            combo = sum(
-                (complex(c) * g for c, g in zip(a, frame.gammas)),
-                start=ComplexForm.from_coords([0, 0, 0]),
-            )
-            assert np.sqrt(combo.im.norm_sq()) <= 1e-9
+        p = transition_p(frame).p_matrix
+        for _ in range(5):
+            coords = rng.normal(size=3)
+            a = expand_in_frame(ComplexForm.from_coords(coords), frame)
+            assert np.max(np.abs(np.conj(a) - p @ a)) <= 1e-9
+            b = expand_in_frame(ComplexForm.from_coords(1j * coords), frame)
+            assert np.max(np.abs(np.conj(b) - p @ b)) > 1e-3
 
 
 def test_obstruction_kernel_identity_cases():
@@ -180,3 +179,18 @@ def test_cor_4_12_identity_cases_report_their_residual(monkeypatch):
     for case_id in ("identity/complex", "identity/real"):
         assert not cases[case_id].passed
         assert cases[case_id].residual == 1.0
+
+
+def test_cor_4_12_cases_fail_without_the_reality_rows(monkeypatch):
+    """Over all complex 1-forms the kernel has dimension 3, so dropping the
+    reality condition fails identity/real and every seed case with residual
+    3.0, while identity/complex, which drops it anyway, still passes."""
+    from hodgelab import campaigns
+
+    real = campaigns.obstruction_kernel
+    monkeypatch.setattr(campaigns, "obstruction_kernel", lambda td, restrict: real(td, False))
+    cases = list(campaigns.run_cor_4_12(3, range(1, 101)))
+    assert len(cases) == 102
+    assert cases[0].id == "identity/complex" and cases[0].passed
+    for case in cases[1:]:
+        assert not case.passed and case.residual == 3.0

@@ -256,6 +256,29 @@ def test_dim6_patch_squares_to_minus_identity():
         compatible_patch_dim6(S6F.form(2, {(1, 2): 2.0, (3, 4): 1.0}))
 
 
+def test_dim6_patch_checks_an_exact_input_exactly():
+    s6 = Space(6)
+    patched = compatible_patch_dim6(s6.form(2, {(1, 2): 1, (3, 4): 1}))
+    assert patched == s6.form(2, {(1, 2): 1, (3, 4): 1, (5, 6): 1})
+    with pytest.raises(InvariantViolationError):
+        compatible_patch_dim6(s6.form(2, {(1, 2): 1, (3, 4): 1 + Fraction(1, 10**12)}))
+
+
+def test_lemma_4_4_cases_fail_when_the_patch_is_dropped(monkeypatch):
+    """Unpatched, A^2 + I is the kernel-plane projector q4 q4^T + q5 q5^T, so
+    each case fails with its largest |entry|; q4 and q5 are the last two
+    columns of the Q factor of the case's seeded Gaussian."""
+    monkeypatch.setattr(campaigns, "compatible_patch_dim6", lambda alpha: alpha)
+    report = campaigns.run_campaign(campaigns.Campaign("lemma-4.4"))
+    assert len(report.cases) == 25
+    for case in report.cases:
+        rng = campaigns._case_rng("lemma-4.4", 6, case.seed)
+        gauss = np.array([[rng.uniform(-1, 1) for _ in range(6)] for _ in range(6)])
+        q = np.linalg.qr(gauss)[0][:, 4:]
+        assert not case.passed
+        assert abs(case.residual - np.max(np.abs(q @ q.T))) <= 1e-12
+
+
 def test_splitting_q_examples():
     s6 = Space(6)
     frame = [s6.basis_form(1), s6.basis_form(2)]

@@ -14,7 +14,10 @@ object, keyed by what was hashed:
 * ``demo/<file>``: the stdout of each demo;
 * ``decompose/<input>``: the exit code and stdout of ``hodgelab decompose``
   on fixed inputs: exact forms of degree 2, 3 and 4 on R^4, R^6 and R^8, a
-  float 2-form and a skew matrix.
+  float 2-form and a skew matrix;
+* ``verify/<campaign>``: the exit code and stdout of ``hodgelab verify``
+  with ``--dim`` for each of the campaign's ``allowed_dims`` and
+  ``--seeds 5,2,9,11``.
 
 Two checkouts agree when their manifests are equal; ``diff`` names the
 outputs that differ.  Standard library plus the checkout's own code.
@@ -67,6 +70,13 @@ def decompose_inputs() -> dict:
     return inputs
 
 
+def cli_digest(env: dict, *args: str) -> str:
+    """The exit code and stdout of one ``hodgelab`` run."""
+    done = subprocess.run([sys.executable, "-m", "hodgelab.cli", *args], env=env,
+                          capture_output=True, text=True)
+    return digest(f"{done.returncode}\n{done.stdout}")
+
+
 def manifest(checkout: Path) -> dict:
     src = checkout / "src"
     sys.path.insert(0, str(src))
@@ -89,9 +99,11 @@ def manifest(checkout: Path) -> dict:
         for label, payload in decompose_inputs().items():
             path = Path(tmp) / f"{label}.json"
             path.write_text(json.dumps(payload))
-            done = subprocess.run([sys.executable, "-m", "hodgelab.cli", "decompose", str(path)],
-                                  env=env, capture_output=True, text=True)
-            out[f"decompose/{label}"] = digest(f"{done.returncode}\n{done.stdout}")
+            out[f"decompose/{label}"] = cli_digest(env, "decompose", str(path))
+    for name, entry in CAMPAIGNS.items():
+        dims = [arg for dim in entry.allowed_dims for arg in ("--dim", str(dim))]
+        seeds = ",".join(str(seed) for seed in SEEDS)
+        out[f"verify/{name}"] = cli_digest(env, "verify", name, *dims, "--seeds", seeds)
     return out
 
 

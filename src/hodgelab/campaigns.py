@@ -2,7 +2,7 @@
 
 Each campaign replays one of the library's pointwise identities over seeded
 random inputs (or exhaustively where the statement is finite) and returns a
-deterministic report: identical (name, dims, seeds, backend) inputs produce
+deterministic report: identical (name, dims, seeds) inputs produce
 byte-identical serialized reports.  Wall time is therefore kept out of the
 serialized payload.
 """
@@ -88,7 +88,6 @@ class Campaign:
     name: str
     dims: list | None = None
     seeds: list | None = None
-    backend: str | None = None
 
 
 @dataclass
@@ -605,8 +604,6 @@ def run_campaign(c: Campaign) -> Report:
     # repeats are dropped, first appearance kept, so every case id is unique
     dims = list(dict.fromkeys(c.dims or entry.dims))
     seeds = list(dict.fromkeys(c.seeds or entry.seeds))
-    if c.backend and c.backend != entry.backend:
-        raise UsageError(f"campaign {c.name} runs on the {entry.backend} backend only")
     bad = [d for d in dims if d not in entry.allowed_dims]
     if bad:
         raise UsageError(f"campaign {c.name} accepts dims {entry.allowed_dims}, got {bad}")

@@ -1,7 +1,6 @@
 """Batch front-end: run verification campaigns and decompose inputs.
 
-    hodgelab verify <campaign> [--dim N ...] [--seeds a..b] \
-        [--backend exact|float] [--json out.json]
+    hodgelab verify <campaign> [--dim N ...] [--seeds a..b] [--json out.json]
     hodgelab decompose <file>
 
 Exit codes: 0 pass, 1 verification failure, 2 usage, parse or write error,
@@ -81,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("campaign", help="campaign name")
     verify.add_argument("--dim", action="append", default=None, help="dimension (repeatable)")
     verify.add_argument("--seeds", default=None, help="seed list: a..b or comma separated")
-    verify.add_argument("--backend", choices=["exact", "float"], default=None)
     verify.add_argument("--json", dest="json_path", default=None, help="also write the report here")
 
     decompose = sub.add_parser(
@@ -99,7 +97,7 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    campaign = Campaign(args.campaign, dims, seeds, args.backend)
+    campaign = Campaign(args.campaign, dims, seeds)
     try:
         report = run_campaign(campaign)
     except UsageError as exc:
@@ -163,7 +161,12 @@ def _cmd_decompose(args) -> int:
         elif isinstance(payload, dict) and "matrix" in payload:
             payload = dict(payload)
             payload.setdefault("backend", "float")
-            out = {"kind": "skew", **_spectral_fields(skew_endo_from_dict(payload))}
+            endo = skew_endo_from_dict(payload)
+            if endo.space.dim < 2:
+                print("error: a skew matrix needs dim >= 2: its symplectic candidate is a 2-form",
+                      file=sys.stderr)
+                return 2
+            out = {"kind": "skew", **_spectral_fields(endo)}
         else:
             print("error: payload is neither a form nor a skew matrix", file=sys.stderr)
             return 2

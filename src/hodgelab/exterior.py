@@ -225,12 +225,12 @@ class Form:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def isclose(self, other: "Form", tol: float = FLOAT_TOL) -> bool:
-        """Tolerant comparison; scale is the larger of the two norms."""
+    def isclose(self, other: "Form") -> bool:
+        """Comparison within ``FLOAT_TOL``; scale is the larger of the two norms."""
         self._check_compatible(other)
         diff = self - other
         scale = max(self.norm_sq(), other.norm_sq(), 1)
-        return float(diff.norm_sq()) <= (tol * tol) * float(scale)
+        return float(diff.norm_sq()) <= (FLOAT_TOL * FLOAT_TOL) * float(scale)
 
     def norm_sq(self):
         return sum(c * c for c in self.coeffs.values())

@@ -166,15 +166,13 @@ class FrameTriple:
         # classical Gram-Schmidt on the rows (numpy vdot); every draw happens above
         rows = []
         for i in range(3):
-            v = m[i].copy()
-            for w in rows:
-                v -= np.vdot(w, v) * w
-            norm = np.sqrt(np.vdot(v, v).real)
-            if norm < 1e-8:
-                v = np.eye(3, dtype=complex)[i]
+            # the draw, or e_i when the draw is (nearly) dependent
+            for v in (m[i].copy(), np.eye(3, dtype=complex)[i]):
                 for w in rows:
                     v -= np.vdot(w, v) * w
                 norm = np.sqrt(np.vdot(v, v).real)
+                if norm >= 1e-8:
+                    break
             rows.append(v / norm)
         return cls.from_unitary(np.array(rows))
 

@@ -151,13 +151,13 @@ def _to_float_matrix(a: SkewEndo) -> np.ndarray:
         raise IllConditionedSpectrumError("a matrix entry lies outside the float range") from exc
 
 
-def spectral(a: SkewEndo, gap_tol: float = SPECTRAL_TOL) -> SpectralDecomposition:
+def spectral(a: SkewEndo) -> SpectralDecomposition:
     """Cluster the spectrum of A^2 and extract per-cluster complex structures.
 
-    Eigenvalues within a relative gap of ``gap_tol`` are merged into one
-    cluster; a negative cluster of odd dimension, or one whose normalized
-    restriction fails to square to minus the projector, indicates that the
-    clustering is unreliable and raises IllConditionedSpectrumError.
+    Eigenvalues within ``SPECTRAL_TOL`` times the largest |eigenvalue| merge
+    into one cluster; a negative cluster of odd dimension, or one whose
+    normalized restriction fails to square to minus the projector, means
+    the clustering is unreliable and raises IllConditionedSpectrumError.
     Clusters are ordered by ascending eigenvalue so the kernel, if any,
     comes last.
     """
@@ -172,7 +172,7 @@ def spectral(a: SkewEndo, gap_tol: float = SPECTRAL_TOL) -> SpectralDecompositio
     # group consecutive eigenvalues (ascending) within the relative gap
     groups: list[list[int]] = [[0]]
     for i in range(1, n):
-        if evals[i] - evals[groups[-1][0]] <= gap_tol * scale:
+        if evals[i] - evals[groups[-1][0]] <= SPECTRAL_TOL * scale:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -180,7 +180,7 @@ def spectral(a: SkewEndo, gap_tol: float = SPECTRAL_TOL) -> SpectralDecompositio
     clusters = []
     for g in groups:
         mu = float(np.mean(evals[g]))
-        if abs(mu) <= gap_tol * scale:
+        if abs(mu) <= SPECTRAL_TOL * scale:
             mu = 0.0
         vecs = evecs[:, g]
         proj = vecs @ vecs.T

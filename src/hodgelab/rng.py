@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .exterior import Form, basis_masks
+
 _MASK = (1 << 64) - 1
 
 
@@ -56,8 +58,6 @@ def random_form(space, degree: int, rng: SplitMix64, terms: int | None = None,
     ``terms`` defaults to min(4, number of basis forms); small supports keep
     exact sweeps fast without losing genericity of the identities tested.
     """
-    from .exterior import Form, basis_masks
-
     masks = basis_masks(space.dim, degree)
     if not masks:
         return Form(space, degree, {})
@@ -76,8 +76,6 @@ def random_form(space, degree: int, rng: SplitMix64, terms: int | None = None,
 
 def random_vector(space, rng: SplitMix64):
     """A random vector, given by its 1-form: one draw per component, in order."""
-    from .exterior import Form
-
     if space.backend == "exact":
         comps = [rng.small_int() for _ in range(space.dim)]
     else:

@@ -43,6 +43,7 @@ def test_verify_unknown_campaign_exit_two():
 def test_verify_wrong_backend_exit_two():
     proc = run_cli(["verify", "prop-4.1", "--backend", "float"])
     assert proc.returncode == 2
+    assert "unrecognized arguments: --backend" in proc.stderr
 
 
 def test_verify_bad_seed_syntax_exit_two():
@@ -160,6 +161,18 @@ def test_decompose_accepts_every_matrix_its_skew_check_accepts(tmp_path, capsys)
     assert [(c["mu"], c["multiplicity"]) for c in spectral["clusters"]] == [
         (-4e-06, 2), (-1.0000005e-06, 2)]
     assert payload["symplectic_candidate"]["compatible"] is True
+
+
+def test_decompose_refuses_a_skew_matrix_below_dim_two(tmp_path, capsys):
+    """The symplectic candidate is a 2-form, so a 1x1 matrix is a usage error
+    named as such, not an internal degree error."""
+    skew = tmp_path / "skew.json"
+    for backend in ("float", "exact"):
+        skew.write_text(json.dumps({"dim": 1, "backend": backend, "matrix": [[0]]}))
+        assert cli.main(["decompose", str(skew)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "a skew matrix needs dim >= 2: its symplectic candidate is a 2-form" in out.err
 
 
 def test_decompose_malformed_exit_two(tmp_path):

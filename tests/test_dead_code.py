@@ -170,13 +170,10 @@ def test_every_defaulted_parameter_is_set_somewhere():
     assert unset_parameters() == []
 
 
-def test_only_the_named_knobs_are_left_to_the_tests():
+def test_no_defaulted_parameter_is_left_to_the_tests():
     """A defaulted parameter that no call outside the tests sets is a knob
-    only the tests turn; the README names the two that remain."""
-    assert unset_parameters(OUTSIDE_TESTS) == [
-        "exterior.py:Form.isclose(tol)",
-        "harmonic.py:spectral(gap_tol)",
-    ]
+    only the tests turn; none may remain."""
+    assert unset_parameters(OUTSIDE_TESTS) == []
 
 
 def unused_imports():

@@ -194,3 +194,88 @@ def test_cor_4_12_cases_fail_without_the_reality_rows(monkeypatch):
     assert cases[0].id == "identity/complex" and cases[0].passed
     for case in cases[1:]:
         assert not case.passed and case.residual == 3.0
+
+
+def test_lemma_4_8_cases_fail_when_r_matrix_is_transposed(monkeypatch):
+    """r_alpha is skew, so its transpose carries the cross products onto
+    -alpha ^ gamma_i: every case misses by 2 max_i |alpha ^ gamma_i|."""
+    from hodgelab import campaigns
+
+    real = campaigns.r_matrix
+    monkeypatch.setattr(campaigns, "r_matrix", lambda alpha, frame: real(alpha, frame).T)
+    cases = list(campaigns.run_lemma_4_8(3, range(1, 201)))
+    assert len(cases) == 200
+    for seed, case in zip(range(1, 201), cases):
+        rng = campaigns._case_rng("lemma-4.8", 3, seed)
+        alpha = ComplexForm.from_coords(
+            [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
+        )
+        frame = FrameTriple.random(seed)
+        want = 2 * max(np.sqrt(alpha.wedge(g).norm_sq()) for g in frame.gammas)
+        assert not case.passed
+        assert case.residual == pytest.approx(want, rel=4e-16, abs=0)
+
+
+def test_lemma_4_8_cases_fail_when_p_changes_sign(monkeypatch):
+    """-P keeps P symmetric and P conj(P) = I, but det(-P) = -k^2 with
+    |k| = 1, so every case misses |k^2 - det P| = 0 by 2."""
+    from types import SimpleNamespace
+
+    from hodgelab import campaigns
+
+    real = campaigns.transition_p
+
+    def negated(frame):
+        td = real(frame)
+        return SimpleNamespace(p_matrix=-td.p_matrix, k=td.k)
+
+    monkeypatch.setattr(campaigns, "transition_p", negated)
+    cases = list(campaigns.run_lemma_4_8(3, range(1, 201)))
+    assert len(cases) == 200
+    for case in cases:
+        assert not case.passed
+        assert case.residual == pytest.approx(2.0, rel=0, abs=2e-15)
+
+
+def _prop_4_11_draws(seed):
+    """The matrix m and the real 1-form b that prop-4.11 draws for a seed."""
+    from hodgelab import campaigns
+
+    rng = campaigns._case_rng("prop-4.11", 3, seed)
+    m = np.array(
+        [[complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)] for _ in range(3)]
+    )
+    return m, ComplexForm.from_coords([rng.uniform(-1, 1) for _ in range(3)])
+
+
+def test_prop_4_11_cases_fail_when_the_split_is_swapped(monkeypatch):
+    """With S and R swapped, S - S^T = m - m^T and R + R^T = m + m^T, so each
+    residual is the larger of the two, exactly."""
+    from hodgelab import campaigns
+
+    real = campaigns.symmetric_skew_split
+    monkeypatch.setattr(campaigns, "symmetric_skew_split", lambda m: real(m)[::-1])
+    cases = list(campaigns.run_prop_4_11(3, range(1, 51)))
+    assert len(cases) == 50
+    for seed, case in zip(range(1, 51), cases):
+        m, _ = _prop_4_11_draws(seed)
+        want = max(np.max(np.abs(m - m.T)), np.max(np.abs(m + m.T)))
+        assert not case.passed
+        assert case.residual == want
+
+
+def test_prop_4_11_cases_fail_when_r_from_coeffs_is_transposed(monkeypatch):
+    """r_b is skew, so its transpose negates both left-hand sides: with
+    |k| = 1 every case misses by 2 max_i |b ^ gamma_i|."""
+    from hodgelab import campaigns
+
+    real = campaigns.r_from_coeffs
+    monkeypatch.setattr(campaigns, "r_from_coeffs", lambda a: real(a).T)
+    cases = list(campaigns.run_prop_4_11(3, range(1, 51)))
+    assert len(cases) == 50
+    for seed, case in zip(range(1, 51), cases):
+        _, b = _prop_4_11_draws(seed)
+        frame = FrameTriple.random(seed + 7919)
+        want = 2 * max(np.sqrt(b.wedge(g).norm_sq()) for g in frame.gammas)
+        assert not case.passed
+        assert case.residual == pytest.approx(want, rel=6e-16, abs=0)

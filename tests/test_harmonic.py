@@ -165,10 +165,13 @@ def test_spectral_reconstruction_random():
 
 
 def test_spectral_rejects_merged_distinct_clusters():
-    # two genuinely different rotation speeds forced into one cluster
-    rows = [[0.0, -1.0, 0, 0], [1.0, 0.0, 0, 0], [0, 0, 0.0, -1.0005], [0, 0, 1.0005, 0.0]]
-    with pytest.raises(IllConditionedSpectrumError):
-        spectral(SkewEndo(Space(4, "float"), rows), gap_tol=1e-2)
+    # two genuinely different rotation speeds forced into one cluster: the
+    # gap is relative to the largest eigenvalue (-10^6), so it is 10^-2
+    rows = [[0.0] * 6 for _ in range(6)]
+    for i, speed in enumerate((1000.0, 1.0, 1.0005)):
+        rows[2 * i][2 * i + 1], rows[2 * i + 1][2 * i] = -speed, speed
+    with pytest.raises(IllConditionedSpectrumError, match="does not square to -1"):
+        spectral(SkewEndo(S6F, rows))
 
 
 def test_moment_recovery_examples():

@@ -164,7 +164,7 @@ def assert_same(got, want):
     if got.space.backend == "exact":
         assert got == want
     else:
-        assert got.isclose(want, 1e-12)
+        assert (got - want).norm_sq() <= 1e-24 * max(got.norm_sq(), want.norm_sq(), 1)
 
 
 @pytest.mark.parametrize("kind", KINDS)

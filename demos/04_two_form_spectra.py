@@ -50,8 +50,8 @@ print("moment recovery:", moment_recover(power_traces(a, 2 * len(negs)), len(neg
 
 # degenerate input: the unit-coefficient sum plus the kernel area form
 alpha = space.form(2, {(1, 2): 1.0, (3, 4): 1.0})
-cand = symplectic_candidate(spectral(form_endo(alpha)))
+cand = symplectic_candidate(spectral(SkewEndo(space, form_endo(alpha))))
 print("rank-4 input compatible?", cand.compatible, "kernel rank:", cand.kernel_rank)
 patched = compatible_patch_dim6(alpha)
-c = np.array([[float(v) for v in row] for row in form_endo(patched).rows])
+c = np.array(form_endo(patched))
 print("patched form squares to -1:", np.max(np.abs(c @ c + np.eye(6))) < 1e-12)

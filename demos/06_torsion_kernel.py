@@ -24,7 +24,7 @@ print("identity bullet vanishes on admissible torsion:", all(v == 0 for v in fla
 # the constrained kernel: zero from dimension 6 on, reported in dimension 4
 for k in (2, 3, 4):
     print(f"2k = {2 * k}: constrained torsion kernel dimension =",
-          van_kernel_dimension(k))
+          van_kernel_dimension(ComplexStructure.standard(Space(2 * k))))
 
 # commutators of the J-anticommuting skews span the J-invariant skews (k >= 3)
 for k in (2, 3, 4):

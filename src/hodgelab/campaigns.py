@@ -442,7 +442,7 @@ def run_lemma_4_4(dim, seeds):
             b[i, i + 1] = -1.0
             b[i + 1, i] = 1.0
         a_mat = _random_conjugate(b, rng)
-        alpha = endo_form(SkewEndo(space, a_mat.tolist()))
+        alpha = endo_form(space, a_mat.tolist())
         patched = compatible_patch_dim6(alpha)
         c = _to_float_matrix(form_endo(patched))
         residual = float(np.max(np.abs(c @ c + np.eye(6))))
@@ -556,7 +556,7 @@ def run_eq_7(dim, seeds):
 
 def run_lemma_5_5(dim, seeds):
     """The fully constrained torsion space is zero from dimension 6 on."""
-    value = van_kernel_dimension(dim // 2)
+    value = van_kernel_dimension(_std(dim))
     if dim >= 6:
         yield _exact_case(f"dim{dim}/kernel", value)
     else:

@@ -157,7 +157,7 @@ def _cmd_decompose(args) -> int:
                 out["bidegree"] = comps
             if form.degree == 2:
                 # spectral reads the map as floats on either backend
-                out.update(_spectral_fields(harmonic.form_endo(form)))
+                out.update(_spectral_fields(harmonic.SkewEndo(form.space, harmonic.form_endo(form))))
         elif isinstance(payload, dict) and "matrix" in payload:
             payload = dict(payload)
             payload.setdefault("backend", "float")

@@ -227,7 +227,6 @@ class Form:
 
     def isclose(self, other: "Form") -> bool:
         """Comparison within ``FLOAT_TOL``; scale is the larger of the two norms."""
-        self._check_compatible(other)
         diff = self - other
         scale = max(self.norm_sq(), other.norm_sq(), 1)
         return float(diff.norm_sq()) <= (FLOAT_TOL * FLOAT_TOL) * float(scale)

@@ -49,11 +49,6 @@ class SkewEndo:
         self.space = space
         self.rows = rows
 
-    def __mul__(self, scalar) -> "SkewEndo":
-        return SkewEndo(self.space, [[v * scalar for v in row] for row in self.rows])
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         return (
             isinstance(other, SkewEndo)
@@ -65,8 +60,8 @@ class SkewEndo:
         return f"{type(self).__name__}(dim={self.space.dim})"
 
 
-def form_endo(alpha: Form) -> SkewEndo:
-    """Skew map A with alpha = g(A., .), i.e. A[j][i] = alpha(e_i, e_j)."""
+def form_endo(alpha: Form) -> list:
+    """Rows of the skew map A with alpha = g(A., .), i.e. A[j][i] = alpha(e_i, e_j)."""
     if alpha.degree != 2:
         raise DegreeMismatchError("form_endo needs a 2-form")
     n = alpha.space.dim
@@ -74,28 +69,28 @@ def form_endo(alpha: Form) -> SkewEndo:
     for (i, j), c in alpha.terms():
         rows[j - 1][i - 1] = c
         rows[i - 1][j - 1] = -c
-    return SkewEndo(alpha.space, rows)
+    return rows
 
 
-def endo_form(a: SkewEndo) -> Form:
-    """Inverse of form_endo: omega(e_i, e_j) = a.rows[j][i]."""
+def endo_form(space: Space, rows) -> Form:
+    """Inverse of form_endo: omega(e_i, e_j) = rows[j][i], read strictly
+    below the diagonal."""
     coeffs = {}
-    n = a.space.dim
+    n = space.dim
     for i in range(n):
         for j in range(i + 1, n):
-            val = a.rows[j][i]
+            val = rows[j][i]
             if val != 0:
                 coeffs[(1 << i) | (1 << j)] = val
-    return Form(a.space, 2, coeffs)
+    return Form(space, 2, coeffs)
 
 
-def triple(a1: SkewEndo, a2: SkewEndo, a3: SkewEndo) -> SkewEndo:
-    """A2 A1 A3 + A3 A1 A2; skew again and symmetric in the outer arguments."""
-    if a1.space != a2.space or a1.space != a3.space:
-        raise SpaceMismatchError("operands live on different spaces")
-    r1, r2, r3 = (sparse_rows(a.rows) for a in (a1, a2, a3))
+def triple(a1, a2, a3) -> list:
+    """A2 A1 A3 + A3 A1 A2 on dense rows; skew again and symmetric in the
+    outer arguments."""
+    r1, r2, r3 = (sparse_rows(a) for a in (a1, a2, a3))
     m = combine(compose(r2, compose(r1, r3)), compose(r3, compose(r1, r2)))
-    return SkewEndo(a1.space, dense_rows(m, a1.space.dim))
+    return dense_rows(m, len(a1))
 
 
 def stab_expand(alpha1: Form, alpha2: Form, alpha3: Form) -> Form:
@@ -105,7 +100,7 @@ def stab_expand(alpha1: Form, alpha2: Form, alpha3: Form) -> Form:
     """
     a1, a2, a3 = form_endo(alpha1), form_endo(alpha2), form_endo(alpha3)
     out = inner(alpha1, alpha2) * alpha3 + inner(alpha1, alpha3) * alpha2
-    return out + endo_form(triple(a1, a2, a3))
+    return out + endo_form(alpha1.space, triple(a1, a2, a3))
 
 
 # -- spectral decomposition ----------------------------------------------
@@ -144,9 +139,9 @@ class SpectralDecomposition:
         return out
 
 
-def _to_float_matrix(a: SkewEndo) -> np.ndarray:
+def _to_float_matrix(rows) -> np.ndarray:
     try:
-        return np.array([[float(v) for v in row] for row in a.rows], dtype=float)
+        return np.array([[float(v) for v in row] for row in rows], dtype=float)
     except OverflowError as exc:
         raise IllConditionedSpectrumError("a matrix entry lies outside the float range") from exc
 
@@ -161,7 +156,7 @@ def spectral(a: SkewEndo) -> SpectralDecomposition:
     Clusters are ordered by ascending eigenvalue so the kernel, if any,
     comes last.
     """
-    am = _to_float_matrix(a)
+    am = _to_float_matrix(a.rows)
     n = am.shape[0]
     with np.errstate(over="ignore"):
         sq = am @ am
@@ -197,12 +192,8 @@ def spectral(a: SkewEndo) -> SpectralDecomposition:
         ji = proj @ am @ proj / np.sqrt(-mu)
         if np.max(np.abs(ji @ ji + proj)) > SPECTRAL_TOL:
             raise IllConditionedSpectrumError("cluster restriction does not square to -1")
-        # endo_form reads below the diagonal only: mirror it, so that input
-        # asymmetry amplified by 1/sqrt(-mu) cannot fail the skew check
-        low = np.tril(ji, -1)
-        omega = endo_form(SkewEndo(fspace, (low - low.T).tolist()))
+        omega = endo_form(fspace, ji.tolist())
         clusters.append(SpectralCluster(mu, len(g), proj, ji, omega))
-    clusters.sort(key=lambda c: (c.mu == 0.0, c.mu))
     decomp = SpectralDecomposition(fspace, clusters)
     total = sum(c.projector for c in clusters)
     recon = decomp.reconstruct()
@@ -217,7 +208,7 @@ def spectral(a: SkewEndo) -> SpectralDecomposition:
 
 def power_traces(a: SkewEndo, count: int) -> list[float]:
     """[Tr(A^2), Tr(A^4), ..., Tr(A^{2 count})]."""
-    am = _to_float_matrix(a)
+    am = _to_float_matrix(a.rows)
     sq = am @ am
     out = []
     acc = np.eye(am.shape[0])
@@ -301,7 +292,7 @@ def compatible_patch_dim6(alpha: Form) -> Form:
     if space.dim != 6:
         raise DegreeMismatchError("the patch is specific to dimension 6")
     # on the input's backend: P = -A^2 is a projector iff A^4 = -A^2
-    a = sparse_rows(form_endo(alpha).rows)
+    a = sparse_rows(form_endo(alpha))
     sq = compose(a, a)
     defect = combine(compose(sq, sq), sq)
     tol = space.tol and SPECTRAL_TOL

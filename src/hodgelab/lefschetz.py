@@ -30,7 +30,7 @@ def kahler_form(j_struct: ComplexStructure) -> Form:
     """omega(X, Y) = <J X, Y>, the 2-form of the skew matrix J; for the
     standard structure this is sum_i e^{2i-1} ^ e^{2i}.  Built once per
     structure and cached."""
-    return endo_form(j_struct)
+    return endo_form(j_struct.space, j_struct.rows)
 
 
 def lefschetz_lstar(j_struct: ComplexStructure, alpha: Form) -> Form:

@@ -40,7 +40,6 @@ from .errors import (
     DegreeOverflowError,
     InvalidDerivativeError,
     InvariantViolationError,
-    SpaceMismatchError,
 )
 from .exterior import (
     Form,
@@ -342,8 +341,6 @@ def a_kernel_tensors(j_struct: ComplexStructure, p: int, q: int):
 def contraction_identity_check(q_map: FormValuedMap, x: Form) -> Form:
     """The residual X -| a(Q) - p a(Q_X) - (-1)^p a(Q^X), with Q_X = Q(X, .)
     and Q^X = X -| Q; the identity holds exactly when it is the zero form."""
-    if x.space != q_map.j.space:
-        raise SpaceMismatchError("vector lives on a different space")
     space = x.space
     p, q = q_map.p, q_map.q
     lhs = contract(x, antisymmetrize(q_map))
@@ -598,16 +595,15 @@ def _product_basis(mbasis, sign: int):
     return out
 
 
-def van_kernel_dimension(k: int) -> int:
-    """Dimension of the torsion tensors killed by every J-invariant bullet.
+def van_kernel_dimension(j_struct: ComplexStructure) -> int:
+    """Dimension of the torsion tensors of J killed by every J-invariant bullet.
 
     Assembles the cyclic and J-compatibility constraints together with
     (F o eta) = 0 for a basis of J-invariant skew F on R^{2k} and returns
-    the exact nullspace dimension.  Zero from k = 3 on; the value at k = 2
-    is reported by the verification suite without an assertion.
+    the exact nullspace dimension.  Zero from 2k = 6 on; the value at
+    2k = 4 is reported by the verification suite without an assertion.
     """
-    n = 2 * k
-    j_struct = ComplexStructure.standard(Space(n, "exact"))
+    n = j_struct.space.dim
     rows, npairs = _structural_rows(j_struct)
     for f in invariant_skew_basis(j_struct):
         rows.extend(_bullet_rows(f, n))

@@ -219,13 +219,13 @@ def test_only_hermitian_touches_the_per_structure_cache():
     assert cache_attribute_uses() == []
 
 
-def compiled_table_callers():
-    """module:function of every function of the package that calls ``_compiled``."""
+def callers_of(name):
+    """module:function of every function of the package that calls ``name``."""
     callers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text())):
             if isinstance(func, ast.FunctionDef) and any(
-                isinstance(node, ast.Call) and _name(node.func) == "_compiled"
+                isinstance(node, ast.Call) and _name(node.func) == name
                 for node in ast.walk(func)
             ):
                 callers.add(f"{path.name}:{func.name}")
@@ -236,8 +236,18 @@ def test_one_kernel_applies_each_compiled_table():
     """A compiled table is applied once by ``_apply_compiled``, as the
     product of (curly_j^2 + k) factors by ``_lagrange``, and row by row by
     P_k; no second loop over it grows elsewhere."""
-    assert compiled_table_callers() == {
+    assert callers_of("_compiled") == {
         "hermitian.py:_apply_compiled", "hermitian.py:_lagrange", "lefschetz.py:p_k",
+    }
+
+
+def test_skew_endo_checks_only_the_matrices_that_enter():
+    """A ``SkewEndo`` is built from a JSON payload, a caller's eta, a
+    campaign's generated matrix and the form of ``decompose``; the matrices
+    the library builds itself stay plain rows and are not checked again."""
+    assert callers_of("SkewEndo") == {
+        "campaigns.py:run_prop_4_2", "cli.py:_cmd_decompose",
+        "jsonio.py:skew_endo_from_dict", "tensor_maps.py:__init__",
     }
 
 

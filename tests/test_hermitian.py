@@ -116,9 +116,8 @@ def test_a_square_root_of_minus_one_that_is_not_orthogonal_is_rejected(backend):
 def test_a_complex_structure_is_the_skew_map_of_its_kahler_form():
     j_struct = ComplexStructure.standard(Space(4))
     assert isinstance(j_struct, SkewEndo)
-    assert endo_form(j_struct) == kahler_form(j_struct) == j_struct.space.form(
-        2, {(1, 2): 1, (3, 4): 1}
-    )
+    omega = j_struct.space.form(2, {(1, 2): 1, (3, 4): 1})
+    assert endo_form(j_struct.space, j_struct.rows) == kahler_form(j_struct) == omega
 
 
 def test_pullback_examples():

@@ -630,6 +630,14 @@ def test_contraction_identity_seeded():
             assert contraction_identity_check(q2, x).is_zero()
 
 
+def test_contraction_identity_check_refuses_a_vector_on_another_space():
+    q_map = split_type(random_map(J4, 2, 2, SplitMix64(19)))[0]
+    with pytest.raises(SpaceMismatchError):
+        contraction_identity_check(q_map, S6.basis_form(1))
+    with pytest.raises(SpaceMismatchError):
+        contraction_identity_check(q_map, Space(4, "float").basis_form(1))
+
+
 def test_prop_2_2_contract_cases_fail_when_a_loses_its_factorial(monkeypatch):
     """With a(Q) missing its p! inside the contraction check, every
     contract case fails with the largest |coefficient| of
@@ -1093,11 +1101,11 @@ def test_skew_bases_dimensions():
 
 
 def test_van_kernel_dimensions():
-    assert van_kernel_dimension(3) == 0
-    assert van_kernel_dimension(4) == 0
+    assert van_kernel_dimension(J6) == 0
+    assert van_kernel_dimension(ComplexStructure.standard(Space(8))) == 0
     # the four-dimensional case is reported, not asserted: the forced
     # vanishing genuinely needs three complex directions
-    reported = van_kernel_dimension(2)
+    reported = van_kernel_dimension(J4)
     print(f"constrained torsion dimension at 2k=4: {reported}")
     assert reported >= 0
 

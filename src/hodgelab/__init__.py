@@ -53,7 +53,6 @@ from .lefschetz import (
 )
 from .tensor_maps import (
     FormValuedMap,
-    TorsionTensor,
     antisymmetrize,
     a_restricted_rank,
     contraction_identity_check,

@@ -534,13 +534,13 @@ def run_eq_7(dim, seeds):
     yield CaseResult(f"dim{dim}/admissible", True, float(len(basis)), 0)
     rng = _case_rng("eq-7", dim, 1)
     worst = 0
-    for eta in basis[:4]:
+    for etas in basis[:4]:
         q_rows = [[rng.small_int() for _ in range(dim)] for _ in range(dim)]
-        bullet = torsion_bullet(q_rows, eta)
+        bullet = torsion_bullet(q_rows, etas)
         # the bullet is alternating, so the increasing triples decide it
         for x, y, z in combinations(range(dim), 3):
             direct = sum(q[x] * e[z][y] + q[y] * e[x][z] + q[z] * e[y][x]
-                         for q, e in zip(q_rows, eta.etas))
+                         for q, e in zip(q_rows, etas))
             worst = max(worst, abs(bullet[x][y][z] - direct))
     yield _exact_case(f"dim{dim}/cyclic", worst)
     squares, commutators = bracket_bases(j)

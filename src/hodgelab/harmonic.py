@@ -262,8 +262,12 @@ def moment_recover(c, p: int):
 @dataclass
 class SymplecticCandidate:
     form: Form
-    compatible: bool
     kernel_rank: int
+
+    @property
+    def compatible(self) -> bool:
+        """The endomorphism squares to -I: no kernel cluster."""
+        return self.kernel_rank == 0
 
 
 def symplectic_candidate(decomp: SpectralDecomposition) -> SymplecticCandidate:
@@ -276,7 +280,7 @@ def symplectic_candidate(decomp: SpectralDecomposition) -> SymplecticCandidate:
     total = space.zero_form(2)
     for c in decomp.negative_clusters:
         total = total + c.omega
-    return SymplecticCandidate(total, decomp.kernel_rank == 0, decomp.kernel_rank)
+    return SymplecticCandidate(total, decomp.kernel_rank)
 
 
 def compatible_patch_dim6(alpha: Form) -> Form:

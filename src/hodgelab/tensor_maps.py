@@ -25,7 +25,8 @@ an entry, an evaluation, a(Q)) divides at the end.
 The module also hosts the derivative-driven construction of a commuting
 map out of a holomorphy-compatible derivative table, the sum of rank-one
 maps Q = (-1)^(p-1) sum_k (e_k -| Omega) (x) D_k, the torsion tensors of
-almost-Hermitian type with their cyclic/compatibility constraints, the
+almost-Hermitian type (one encoding: the kernel rows of their cyclic and
+compatibility constraints; a tensor is its list of dense eta rows), the
 cyclic bullet pairing, and the exact kernel computation showing that the
 constrained torsion space is zero from dimension 6 on.
 """
@@ -50,7 +51,6 @@ from .exterior import (
     merge_sign,
     wedge,
 )
-from .harmonic import SkewEndo
 from .hermitian import (
     ComplexStructure,
     _numerators_on,
@@ -385,7 +385,10 @@ def holomorphic_q(j_struct: ComplexStructure, omega_form: Form, derivative) -> F
         raise InvalidDerivativeError("need a form of degree >= 2")
     if not in_lambda_p(j_struct, omega_form):
         raise InvalidDerivativeError("the base form is not of type (p,0)+(0,p)")
-    d_table = [derivative[i] for i in range(1, space.dim + 1)]
+    try:
+        d_table = [derivative[i] for i in range(1, space.dim + 1)]
+    except KeyError as missing:
+        raise InvalidDerivativeError(f"no derivative value at index {missing}") from None
     for d_val in d_table:
         if d_val.degree != p:
             raise InvalidDerivativeError("derivative values must match the base degree")
@@ -431,41 +434,6 @@ def _skew_from_params(vec: dict, n: int, base: int = 0):
     return rows
 
 
-class TorsionTensor:
-    """Per-direction skew endomorphisms eta_X constrained like an
-    almost-Kahler intrinsic torsion:
-
-    * cyclic sum <eta_X Y, Z> + <eta_Y Z, X> + <eta_Z X, Y> = 0,
-    * eta_{J X} = eta_X J.
-
-    These imply eta_X J = -J eta_X: eta_X J = eta_{J X} is skew, and
-    (eta_X J)^T = J eta_X since J^T = -J.
-    """
-
-    __slots__ = ("j", "etas")
-
-    def __init__(self, j_struct: ComplexStructure, etas):
-        n = j_struct.space.dim
-        etas = tuple(tuple(tuple(row) for row in eta) for eta in etas)
-        if len(etas) != n or any(len(eta) != n or any(len(row) != n for row in eta)
-                                 for eta in etas):
-            raise InvariantViolationError("need one n x n skew map per basis direction")
-        self.j = j_struct
-        self.etas = tuple(SkewEndo(j_struct.space, eta).rows for eta in etas)
-        J = j_struct.sparse_rows
-        sparse = [sparse_rows(eta) for eta in self.etas]
-        for a in range(n):
-            eta_j = compose(sparse[a], J)
-            # eta_{J e_a} = sum_b J[b][a] eta_b, and J[b][a] = -J[a][b]
-            lhs: list[dict] = [{} for _ in range(n)]
-            for b, v in J[a].items():
-                lhs = combine(lhs, sparse[b], 1, -v)
-            if lhs != eta_j:
-                raise InvariantViolationError("eta_{JX} = eta_X J fails")
-        if any(_bullet_values([{i: 1} for i in range(n)], self.etas)):
-            raise InvariantViolationError("cyclic identity fails")
-
-
 def _bullet_rows(q_rows, n: int):
     """Rows of (Q o eta)(x, y, z) for x < y < z in the eta parameters, in the
     order of ``basis_masks(n, 3)``; Q is given by its {column: value} rows.
@@ -488,35 +456,37 @@ def _bullet_rows(q_rows, n: int):
     return list(rows.values())
 
 
-def _bullet_values(q_rows, etas):
-    """(Q o eta) on the increasing triples: ``_bullet_rows`` evaluated at the
-    entries of the eta_a above the diagonal."""
-    n = len(etas)
-    params = [eta[r][c] for eta in etas for r, c in combinations(range(n), 2)]
-    return [sum(v * params[col] for col, v in row.items()) for row in _bullet_rows(q_rows, n)]
-
-
-def torsion_bullet(q_rows, eta: TorsionTensor):
+def torsion_bullet(q_rows, etas):
     """(Q o eta)(X, Y, Z) = cyclic sum of <eta_{Q X} Y, Z> as an n^3 array.
 
-    ``q_rows`` is any endomorphism matrix, not necessarily skew.  The bullet
-    is alternating, so its values on the increasing triples fill the array.
+    ``etas`` holds the n x n matrices eta_a = eta_{e_a}, as an element of
+    ``admissible_torsion_basis``; ``q_rows`` is any n x n endomorphism
+    matrix, not necessarily skew.  The bullet is alternating, so
+    ``_bullet_rows`` evaluated at the entries of the eta_a above the diagonal
+    fill the array from the increasing triples.
     """
-    n = eta.j.space.dim
+    n = len(etas)
+    if any(len(m) != n or any(len(row) != n for row in m) for m in (q_rows, *etas)):
+        raise InvariantViolationError("need an n x n Q and one n x n eta per basis direction")
+    params = [eta[r][c] for eta in etas for r, c in combinations(range(n), 2)]
     out = [[[0] * n for _ in range(n)] for _ in range(n)]
-    values = _bullet_values(sparse_rows(q_rows), eta.etas)
-    for triple, v in zip(combinations(range(n), 3), values):
+    for triple, row in zip(combinations(range(n), 3), _bullet_rows(sparse_rows(q_rows), n)):
+        value = sum(v * params[col] for col, v in row.items())
         # the signs of permutations(triple), in its order
         for (x, y, z), sign in zip(permutations(triple), (1, -1, -1, 1, 1, -1)):
-            out[x][y][z] = sign * v
+            out[x][y][z] = sign * value
     return out
 
 
 def _structural_rows(j_struct: ComplexStructure):
-    """Rows of the cyclic and eta_{JX} = eta_X J constraints in eta parameters.
+    """Rows of the constraints on per-direction skew maps eta_X that make
+    them an almost-Kahler intrinsic torsion, in eta parameters:
 
-    eta_X J = -J eta_X needs no rows: it lies in the span of these (see
-    ``TorsionTensor``).
+    * cyclic sum <eta_X Y, Z> + <eta_Y Z, X> + <eta_Z X, Y> = 0,
+    * eta_{J X} = eta_X J.
+
+    eta_X J = -J eta_X needs no rows: eta_X J = eta_{J X} is skew, and
+    (eta_X J)^T = J eta_X since J^T = -J.
     """
     n = j_struct.space.dim
     npairs = n * (n - 1) // 2
@@ -541,15 +511,12 @@ def _structural_rows(j_struct: ComplexStructure):
 
 
 def admissible_torsion_basis(j_struct: ComplexStructure):
-    """Exact basis of the torsion tensors satisfying the ``TorsionTensor`` constraints."""
+    """Exact basis of the torsion tensors satisfying the ``_structural_rows``
+    constraints; each element is the list of its n dense skew matrices eta_a."""
     n = j_struct.space.dim
     rows, npairs = _structural_rows(j_struct)
-    return [
-        TorsionTensor(
-            j_struct, [dense_rows(_skew_from_params(vec, n, a * npairs), n) for a in range(n)]
-        )
-        for vec in exact_nullspace(rows, n * npairs)
-    ]
+    return [[dense_rows(_skew_from_params(vec, n, a * npairs), n) for a in range(n)]
+            for vec in exact_nullspace(rows, n * npairs)]
 
 
 def invariant_skew_basis(j_struct: ComplexStructure):

@@ -242,12 +242,12 @@ def test_one_kernel_applies_each_compiled_table():
 
 
 def test_skew_endo_checks_only_the_matrices_that_enter():
-    """A ``SkewEndo`` is built from a JSON payload, a caller's eta, a
-    campaign's generated matrix and the form of ``decompose``; the matrices
-    the library builds itself stay plain rows and are not checked again."""
+    """A ``SkewEndo`` is built from a JSON payload, a campaign's generated
+    matrix and the form of ``decompose``; the matrices the library builds
+    itself stay plain rows and are not checked again."""
     assert callers_of("SkewEndo") == {
         "campaigns.py:run_prop_4_2", "cli.py:_cmd_decompose",
-        "jsonio.py:skew_endo_from_dict", "tensor_maps.py:__init__",
+        "jsonio.py:skew_endo_from_dict",
     }
 
 

@@ -48,7 +48,6 @@ from hodgelab.linalg import (
 from hodgelab.rng import SplitMix64, random_form, random_vector
 from hodgelab.tensor_maps import (
     FormValuedMap,
-    TorsionTensor,
     _product_basis,
     _skew_from_params,
     _structural_rows,
@@ -792,6 +791,9 @@ def test_holomorphic_q_rejects_incompatible_table():
 
         bad = kahler_form(J4)
         holomorphic_q(J4, big_omega, {1: bad, 2: bad, 3: bad, 4: bad})
+    with pytest.raises(InvalidDerivativeError, match="index 4"):
+        # a table without every index 1..n, not the KeyError of the lookup
+        holomorphic_q(J4, big_omega, {i: S4.zero_form(2) for i in (1, 2, 3)})
 
 
 def test_lemma_3_1_cases_fail_when_the_slot_form_contracts_in_reverse(monkeypatch):
@@ -927,36 +929,55 @@ def test_admissible_torsion_dimensions():
         assert expected == k * k * (k - 1) - 2 * comb(k, 3)
 
 
-def test_torsion_validation_rejects_bad_input():
-    n = 4
-    etas = [[[0] * n for _ in range(n)] for _ in range(n)]
-    etas[0][0][1] = 1
-    etas[0][1][0] = 1  # not skew
-    with pytest.raises(InvariantViolationError):
-        TorsionTensor(J4, etas)
-
-
 def _zero_etas(n, rows=None, cols=None):
     return [[[0] * (cols or n) for _ in range(rows or n)] for _ in range(n)]
 
 
+def test_torsion_validation_rejects_bad_input():
+    """torsion_bullet needs an n x n Q, n = len(etas): a Q with a row too
+    few, a column too few or a column too many is refused, the last before
+    it indexes past the eta parameters; so is a count of etas other than n."""
+    for rows, cols in ((5, 6), (6, 4), (6, 7)):
+        with pytest.raises(InvariantViolationError, match="n x n"):
+            torsion_bullet([[1] * cols for _ in range(rows)], _zero_etas(6))
+    ident = [[int(i == j) for j in range(6)] for i in range(6)]
+    for etas in (_zero_etas(6)[:5], _zero_etas(6) + _zero_etas(6)[:1]):
+        with pytest.raises(InvariantViolationError, match="n x n"):
+            torsion_bullet(ident, etas)
+
+
 @pytest.mark.parametrize("rows,cols", [(4, 5), (5, 4), (3, 4), (4, 3)])
 def test_torsion_rejects_values_that_are_not_n_by_n(rows, cols):
+    ident = [[int(i == j) for j in range(4)] for i in range(4)]
     with pytest.raises(InvariantViolationError, match="n x n"):
-        TorsionTensor(J4, _zero_etas(4, rows, cols))
+        torsion_bullet(ident, _zero_etas(4, rows, cols))
+
+
+def structural_defects(j_struct, etas):
+    """(cyclic, compatibility): the indices of the rows of ``_structural_rows``
+    that do not vanish at the entries of the eta_a above the diagonal, split
+    into the C(n, 3) cyclic rows, which come first, and the eta_{JX} = eta_X J
+    rows after them."""
+    n = j_struct.space.dim
+    rows, _ = _structural_rows(j_struct)
+    params = [eta[r][c] for eta in etas for r, c in combinations(range(n), 2)]
+    ncyclic = len(basis_masks(n, 3))
+    failed = [i for i, row in enumerate(rows) if sum(v * params[col] for col, v in row.items())]
+    return [i for i in failed if i < ncyclic], [i for i in failed if i >= ncyclic]
 
 
 def test_torsion_rejects_a_map_that_does_not_intertwine_j():
     etas = _zero_etas(4)
     etas[0][0][1], etas[0][1][0] = 1, -1  # eta_{e1} = e^2 (x) e_1 - e^1 (x) e_2
-    with pytest.raises(InvariantViolationError, match="eta_{JX} = eta_X J"):
-        TorsionTensor(J4, etas)
+    _, compatibility = structural_defects(J4, etas)
+    assert compatibility
 
 
 def test_torsion_rejects_a_cyclic_defect():
     """eta_X = f(X) F - f(J X) F J with F skew and anticommuting with J is
     skew and satisfies eta_{JX} = eta_X J.  With f = e^1 and F acting on
-    e_3..e_6 only, <eta_{e1} e_3, e_6> = -1 is the whole cyclic sum."""
+    e_3..e_6 only, <eta_{e1} e_3, e_6> = -1 is the whole cyclic sum: only a
+    cyclic row fails."""
     n = 6
     f_rows = [[0] * n for _ in range(n)]
     f_rows[2][5], f_rows[3][4], f_rows[4][3], f_rows[5][2] = 1, 1, -1, -1
@@ -967,8 +988,36 @@ def test_torsion_rejects_a_cyclic_defect():
         fa, fja = int(a == 0), J6.rows[0][a]
         etas.append([[fa * f_rows[r][c] - fja * fj_rows[r][c] for c in range(n)]
                      for r in range(n)])
-    with pytest.raises(InvariantViolationError, match="cyclic identity"):
-        TorsionTensor(J6, etas)
+    cyclic, compatibility = structural_defects(J6, etas)
+    assert cyclic and not compatibility
+
+
+@pytest.mark.parametrize("j_struct", [
+    ComplexStructure.standard(Space(4)),
+    ComplexStructure.standard(Space(6)),
+    ComplexStructure.standard(Space(8)),
+    rotated_j(6),
+], ids=["std4", "std6", "std8", "rotated6"])
+def test_admissible_torsion_passes_the_dense_oracle(j_struct):
+    """Each basis element is n dense matrices eta_a = eta_{e_a}, each skew,
+    with eta_{J e_a} = sum_b J[b][a] eta_b equal to eta_a J and the cyclic
+    sum of eq. (7) for Q = I zero, all checked on dense products."""
+    n = j_struct.space.dim
+    J = j_struct.rows
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    basis = admissible_torsion_basis(j_struct)
+    assert basis
+    for etas in basis:
+        assert len(etas) == n and any(v for eta in etas for row in eta for v in row)
+        for a, eta in enumerate(etas):
+            assert all(eta[r][c] == -eta[c][r] for r in range(n) for c in range(n))
+            eta_ja = [[sum(J[b][a] * etas[b][r][c] for b in range(n)) for c in range(n)]
+                      for r in range(n)]
+            eta_j = [[sum(eta[r][k] * J[k][c] for k in range(n)) for c in range(n)]
+                     for r in range(n)]
+            assert eta_ja == eta_j
+        assert not any(v for plane in oracle_torsion_bullet(ident, etas)
+                       for row in plane for v in row)
 
 
 def _anticommutation_rows(j_struct):
@@ -1024,7 +1073,7 @@ def test_bullet_zero_cases_and_cyclicity():
     assert all(
         v == 0 for plane in torsion_bullet(zero_q, eta) for row in plane for v in row
     )
-    zero_eta = TorsionTensor(J6, [[[0] * n for _ in range(n)] for _ in range(n)])
+    zero_eta = _zero_etas(n)
     some_q = [[1 if (i + j) % 3 == 0 else 0 for j in range(n)] for i in range(n)]
     assert all(
         v == 0 for plane in torsion_bullet(some_q, zero_eta) for row in plane for v in row
@@ -1042,10 +1091,10 @@ def test_bullet_zero_cases_and_cyclicity():
                 assert bullet[x][y][z] == bullet[y][z][x]
 
 
-def oracle_torsion_bullet(q_rows, eta):
-    """The cyclic sum of eq. (7), term by term over every (x, y, z) and a."""
-    n = eta.j.space.dim
-    etas = eta.etas
+def oracle_torsion_bullet(q_rows, etas):
+    """The cyclic sum of eq. (7), term by term over every (x, y, z) and a,
+    for the n = len(etas) dense matrices eta_a."""
+    n = len(etas)
     out = [[[0] * n for _ in range(n)] for _ in range(n)]
     for x in range(n):
         for y in range(n):
@@ -1310,7 +1359,7 @@ def test_eq_7_cyclic_fails_when_the_bullet_is_negated(monkeypatch):
     real = campaigns.torsion_bullet
     monkeypatch.setattr(
         campaigns, "torsion_bullet",
-        lambda q_rows, eta: [[[-v for v in row] for row in plane] for plane in real(q_rows, eta)],
+        lambda q_rows, etas: [[[-v for v in row] for row in plane] for plane in real(q_rows, etas)],
     )
     report = campaigns.run_campaign(campaigns.Campaign("eq-7", dims=[4, 6], seeds=[0]))
     cases = {c.id: c for c in report.cases}

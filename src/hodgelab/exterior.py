@@ -226,10 +226,11 @@ class Form:
         return not self.coeffs
 
     def isclose(self, other: "Form") -> bool:
-        """Comparison within ``FLOAT_TOL``; scale is the larger of the two norms."""
-        diff = self - other
-        scale = max(self.norm_sq(), other.norm_sq(), 1)
-        return float(diff.norm_sq()) <= (FLOAT_TOL * FLOAT_TOL) * float(scale)
+        """Comparison within the space's ``tol``, relative to the larger of the
+        two squared norms (and 1): exact forms compare exactly, as tol is 0."""
+        tol = self.space.tol
+        return self == other or (
+            (self - other).norm_sq() <= tol * tol * max(self.norm_sq(), other.norm_sq(), 1))
 
     def norm_sq(self):
         return sum(c * c for c in self.coeffs.values())

@@ -171,7 +171,7 @@ def spectral(a: SkewEndo) -> SpectralDecomposition:
             groups[-1].append(i)
         else:
             groups.append([i])
-    fspace = Space(n, "float") if a.space.backend != "float" else a.space
+    fspace = Space(n, "float")
     clusters = []
     for g in groups:
         mu = float(np.mean(evals[g]))

@@ -223,10 +223,7 @@ def bidegree_project(j_struct: ComplexStructure, alpha: Form, p: int, q: int) ->
 def _is_lambda_eigen(alpha: Form, squared: Form) -> bool:
     """Whether squared = curly_j^2 alpha equals -p^2 alpha: on degree p the
     type-(p,0)+(0,p) forms are exactly that eigenspace."""
-    target = alpha * -(alpha.degree**2)
-    if alpha.space.backend == "exact":
-        return squared == target
-    return squared.isclose(target)
+    return squared.isclose(alpha * -(alpha.degree**2))
 
 
 def in_lambda_p(j_struct: ComplexStructure, alpha: Form) -> bool:

@@ -20,7 +20,7 @@ them; rational entries become such rows in ``linalg.integer_rows``.  A map
 is reduced once when built; from_tensor (pairings off the coordinate tables
 of the lambda bases), the bb_j conjugation, the split, the projector and
 a(Q) work on the integers, and each value a caller reads (the dense matrix,
-an entry, an evaluation, a(Q)) divides at the end.
+an entry, a(Q), the residual of the contraction identity) divides at the end.
 
 The module also hosts the derivative-driven construction of a commuting
 map out of a holomorphy-compatible derivative table, the sum of rank-one
@@ -44,7 +44,6 @@ from .errors import (
 )
 from .exterior import (
     Form,
-    Space,
     basis_masks,
     contract,
     contract_index,
@@ -86,7 +85,8 @@ class FormValuedMap:
     (rationals go through ``linalg.integer_rows``; other entries are refused)
     and reduces them once to lowest terms: den and the numerators are coprime.
     What a caller reads is values: ``matrix`` (a dense copy of Fractions),
-    ``max_entry``, ``eval_mask``, ``+``/``-`` and ``antisymmetrize``.
+    ``max_entry``, ``+``/``-``, ``antisymmetrize`` and the residual of
+    ``contraction_identity_check``; only the first two build ``Fraction``s.
     """
 
     __slots__ = ("j", "p", "q", "rows", "den", "domain", "codomain")
@@ -160,18 +160,6 @@ class FormValuedMap:
         ]
         return cls(j_struct, phi.degree, psi.degree, rows, wden * cden * scale)
 
-    # -- evaluation ------------------------------------------------------
-
-    def eval_mask(self, mask: int) -> Form:
-        """Multilinear evaluation on the increasing basis tuple of ``mask``."""
-        out = self.j.space.zero_form(self.q)
-        for d, c in self.domain._by_mask[mask].items():
-            col = Fraction(c, self.domain.norms_sq[d] * self.den)
-            for i, row in enumerate(self.rows):
-                if d in row:
-                    out = out + (row[d] * col) * self.codomain.forms[i]
-        return out
-
     # -- algebra -----------------------------------------------------------
 
     def _combine(self, other, sign: int, divisor: int = 1) -> "FormValuedMap":
@@ -204,6 +192,12 @@ def split_type(q_map: FormValuedMap):
     return q_map._combine(conj, -1, 2), q_map._combine(conj, 1, 2)
 
 
+def _a_weights(q_map: FormValuedMap):
+    """``(weights, L)``: weights[d] = p! L / |b_d|^2, L the lcm of the |b_d|^2."""
+    scale = lcm(*q_map.domain.norms_sq)
+    return [factorial(q_map.p) * (scale // ns) for ns in q_map.domain.norms_sq], scale
+
+
 def antisymmetrize_numerators(q_map: FormValuedMap):
     """``(nums, den)``: a(Q) as {mask: int} numerators, zeros dropped, over
     the positive integer ``den`` (see ``antisymmetrize``).
@@ -217,9 +211,7 @@ def antisymmetrize_numerators(q_map: FormValuedMap):
     space = j_struct.space
     if p + q > space.dim:
         raise DegreeOverflowError(f"degree {p + q} exceeds dimension {space.dim}")
-    norms_sq = q_map.domain.norms_sq
-    scale = lcm(*norms_sq)
-    weights = [factorial(p) * (scale // ns) for ns in norms_sq]
+    weights, scale = _a_weights(q_map)
     table = _wedge_table(j_struct, p, q)
     nums: dict = {}
     for e, row in enumerate(q_map.rows):
@@ -238,17 +230,6 @@ def antisymmetrize(q_map: FormValuedMap) -> Form:
     """
     nums, den = antisymmetrize_numerators(q_map)
     return q_map.j.space.from_numerators(q_map.p + q_map.q, nums, den)
-
-
-def antisymmetrize_multilinear(space: Space, p: int, q: int, eval_mask) -> Form:
-    if p + q > space.dim:
-        raise DegreeOverflowError(f"degree {p + q} exceeds dimension {space.dim}")
-    out = space.zero_form(p + q)
-    for mask in basis_masks(space.dim, p):
-        value = eval_mask(mask)
-        if not value.is_zero():
-            out = out + wedge(Form(space, p, {mask: space.one}), value)
-    return factorial(p) * out
 
 
 def bidegree_eigen_residual(j_struct: ComplexStructure, alpha: Form, p: int, q: int) -> Form:
@@ -340,25 +321,27 @@ def a_kernel_tensors(j_struct: ComplexStructure, p: int, q: int):
 
 def contraction_identity_check(q_map: FormValuedMap, x: Form) -> Form:
     """The residual X -| a(Q) - p a(Q_X) - (-1)^p a(Q^X), with Q_X = Q(X, .)
-    and Q^X = X -| Q; the identity holds exactly when it is the zero form."""
-    space = x.space
-    p, q = q_map.p, q_map.q
+    and Q^X = X -| Q; the identity holds exactly when it is the zero form.
+
+    With Q = sum_d b_d (x) Q(b_d) / |b_d|^2, p a(Q_X) is
+    p! sum_d (X -| b_d) ^ Q(b_d) / |b_d|^2 and a(Q^X) is
+    p! sum_d b_d ^ (X -| Q(b_d)) / |b_d|^2.  Both sums run over the integer
+    images den Q(b_d) = sum_i Q[i][d] c_i with the weights of a(Q), and
+    divide once, by L den.
+    """
+    space, p, q = q_map.j.space, q_map.p, q_map.q
     lhs = contract(x, antisymmetrize(q_map))
-
-    def q_x(mask):
-        # Q(X, e_rest) = sum_m X^m Q(e_m, e_rest); merge_sign sorts (m, rest)
-        out = space.zero_form(q)
-        for bit, comp in x.coeffs.items():
-            if not mask & bit:
-                out = out + (comp * merge_sign(bit, mask)) * q_map.eval_mask(mask | bit)
-        return out
-
-    def q_upper(mask):
-        return contract(x, q_map.eval_mask(mask))
-
-    a_qx = antisymmetrize_multilinear(space, p - 1, q, q_x)
-    a_qupper = antisymmetrize_multilinear(space, p, q - 1, q_upper)
-    return lhs - p * a_qx - ((-1) ** p) * a_qupper
+    images: list[dict] = [{} for _ in q_map.domain.forms]
+    for row, c in zip(q_map.rows, q_map.codomain.forms):
+        for d, v in row.items():
+            add_scaled(images[d], v, c.coeffs)
+    weights, scale = _a_weights(q_map)
+    nums: dict = {}
+    for b, w, img in zip(q_map.domain.forms, weights, images):
+        image = Form(space, q, img)
+        add_scaled(nums, w, wedge(contract(x, b), image).coeffs)
+        add_scaled(nums, (-1) ** p * w, wedge(b, contract(x, image)).coeffs)
+    return lhs - space.from_numerators(p + q - 1, nums, scale * q_map.den)
 
 
 # -- the holomorphy-driven construction ----------------------------------
@@ -460,14 +443,16 @@ def torsion_bullet(q_rows, etas):
     """(Q o eta)(X, Y, Z) = cyclic sum of <eta_{Q X} Y, Z> as an n^3 array.
 
     ``etas`` holds the n x n matrices eta_a = eta_{e_a}, as an element of
-    ``admissible_torsion_basis``; ``q_rows`` is any n x n endomorphism
-    matrix, not necessarily skew.  The bullet is alternating, so
-    ``_bullet_rows`` evaluated at the entries of the eta_a above the diagonal
-    fill the array from the increasing triples.
+    ``admissible_torsion_basis``, skew (else refused); ``q_rows`` is any
+    n x n endomorphism matrix, not necessarily skew.  The bullet is
+    alternating, so ``_bullet_rows`` evaluated at the entries of the eta_a
+    above the diagonal fill the array from the increasing triples.
     """
     n = len(etas)
     if any(len(m) != n or any(len(row) != n for row in m) for m in (q_rows, *etas)):
         raise InvariantViolationError("need an n x n Q and one n x n eta per basis direction")
+    if any(eta[r][c] != -eta[c][r] for eta in etas for r in range(n) for c in range(r, n)):
+        raise InvariantViolationError("each eta must be skew")
     params = [eta[r][c] for eta in etas for r, c in combinations(range(n), 2)]
     out = [[[0] * n for _ in range(n)] for _ in range(n)]
     for triple, row in zip(combinations(range(n), 3), _bullet_rows(sparse_rows(q_rows), n)):

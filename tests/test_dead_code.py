@@ -251,6 +251,15 @@ def test_skew_endo_checks_only_the_matrices_that_enter():
     }
 
 
+def test_tensor_maps_builds_fractions_only_in_its_value_readers():
+    """A form-valued map works on integer rows over one denominator; the
+    dense matrix and the largest entry are the only functions of
+    ``tensor_maps`` that build ``Fraction``s, one per value read."""
+    assert {c for c in callers_of("Fraction") if c.startswith("tensor_maps.py:")} == {
+        "tensor_maps.py:matrix", "tensor_maps.py:max_entry",
+    }
+
+
 def data_members(tree):
     """The ``__slots__`` entries and dataclass fields of a module's classes."""
     for node in tree.body:

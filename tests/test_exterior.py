@@ -418,6 +418,18 @@ def test_float_backend_comparisons():
     assert not a.isclose(2.0 * b)
 
 
+def test_exact_isclose_compares_exactly():
+    """On the exact backend the tolerance is 0: a coefficient whose square
+    underflows a float still makes two forms differ, and rescaling a form
+    by a tiny exact amount changes it."""
+    tiny = S4.form(2, {(1, 2): Fraction(1, 10**200)})
+    assert not tiny.isclose(S4.zero_form(2))
+    assert not S4.zero_form(2).isclose(tiny)
+    a = S4.form(2, {(1, 2): 1, (3, 4): Fraction(1, 2)})
+    assert not a.isclose(a * (1 + Fraction(1, 10**30)))
+    assert a.isclose(a * Fraction(2, 2)) and tiny.isclose(tiny)
+
+
 def test_form_evaluate_signs():
     a = S4.form(2, {(1, 3): Fraction(5, 2)})
     assert evaluate(a, 1, 3) == Fraction(5, 2)

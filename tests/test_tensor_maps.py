@@ -25,6 +25,7 @@ from hodgelab.exterior import (
     contract_index,
     inner,
     mask_to_indices,
+    merge_sign,
     wedge,
 )
 from hodgelab.hermitian import (
@@ -54,7 +55,6 @@ from hodgelab.tensor_maps import (
     a_full_matrix,
     admissible_torsion_basis,
     antisymmetrize,
-    antisymmetrize_multilinear,
     antisymmetrize_numerators,
     anti_invariant_skew_basis,
     a_kernel_tensors,
@@ -387,14 +387,6 @@ def test_readers_return_values_for_different_denominators():
     assert (a - b).matrix == [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ma, mb)]
     assert a.max_entry() == max(abs(v) for row in ma for v in row)
     assert zero_map(j_struct, 2, 2).max_entry() == 0
-    # eval_mask from the dense values: sum over d of b_d[mask] / |b_d|^2 times column d
-    dom, cod = a.domain, a.codomain
-    for mask in basis_masks(6, 2):
-        want = j_struct.space.zero_form(2)
-        for d, (bd, ns) in enumerate(zip(dom.forms, dom.norms_sq)):
-            for i, c in enumerate(cod.forms):
-                want = want + (Fraction(bd.coeffs.get(mask, 0), ns) * ma[i][d]) * c
-        assert a.eval_mask(mask) == want
 
 
 # -- split_type ----------------------------------------------------------
@@ -472,18 +464,96 @@ def test_antisymmetrize_rank_one_multiplicity():
         assert antisymmetrize(t) == factorial(p) * wedge(phi, psi)
 
 
+# -- the multilinear oracle for a(Q) ----------------------------------------
+#
+# a(Q) and the contraction identity as they were computed before both read
+# the integer images of the basis forms: Q evaluated on every basis mask,
+# each value a Fraction form built term by term, then sum_I e^I ^ Q(e_I).
+
+
+def multilinear_eval(q_map, mask):
+    """Q(e_I) for the increasing basis tuple I of ``mask``: the coordinates
+    of e^I on the domain basis, times the columns of Q."""
+    space = q_map.j.space
+    out = space.zero_form(q_map.q)
+    for d, c in q_map.domain.pairings(Form(space, q_map.p, {mask: 1})).items():
+        col = Fraction(c, q_map.domain.norms_sq[d] * q_map.den)
+        for i, row in enumerate(q_map.rows):
+            if d in row:
+                out = out + (row[d] * col) * q_map.codomain.forms[i]
+    return out
+
+
+def multilinear_antisymmetrize(space, p, q, eval_mask):
+    """p! sum over the increasing p-tuples I of e^I ^ Q(e_I)."""
+    out = space.zero_form(p + q)
+    for mask in basis_masks(space.dim, p):
+        value = eval_mask(mask)
+        if not value.is_zero():
+            out = out + wedge(Form(space, p, {mask: space.one}), value)
+    return factorial(p) * out
+
+
+def multilinear_contraction_residual(q_map, x):
+    """X -| a(Q) - p a(Q_X) - (-1)^p a(Q^X), the last two through the
+    multilinear oracle; a(Q) is read from ``tensor_maps`` at call time."""
+    space, p, q = q_map.j.space, q_map.p, q_map.q
+    lhs = contract(x, tensor_maps.antisymmetrize(q_map))
+
+    def q_x(mask):
+        # Q(X, e_rest) = sum_m X^m Q(e_m, e_rest); merge_sign sorts (m, rest)
+        out = space.zero_form(q)
+        for bit, comp in x.coeffs.items():
+            if not mask & bit:
+                out = out + (comp * merge_sign(bit, mask)) * multilinear_eval(q_map, mask | bit)
+        return out
+
+    def q_upper(mask):
+        return contract(x, multilinear_eval(q_map, mask))
+
+    a_qx = multilinear_antisymmetrize(space, p - 1, q, q_x)
+    a_qupper = multilinear_antisymmetrize(space, p, q - 1, q_upper)
+    return lhs - p * a_qx - ((-1) ** p) * a_qupper
+
+
 def test_antisymmetrize_matches_multilinear_route():
     rng = SplitMix64(11)
     for (p, q) in ((1, 2), (2, 2)):
         q_map = random_map(J6, p, q, rng)
         direct = antisymmetrize(q_map)
-        via_eval = antisymmetrize_multilinear(S6, p, q, q_map.eval_mask)
+        via_eval = multilinear_antisymmetrize(
+            S6, p, q, lambda mask: multilinear_eval(q_map, mask))
         assert direct == via_eval
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["true-a", "a-without-factorial"])
+@pytest.mark.parametrize("kind, n", [(kind, n) for kind in ("standard", "rotated")
+                                     for n in (4, 6, 8)])
+def test_contraction_residual_matches_the_multilinear_route(kind, n, faulty, monkeypatch):
+    """The residual from the integer images equals the multilinear one on
+    random unsplit maps, for every (p, q) with p, q <= n/2: zero for the true
+    a(Q), and the same nonzero form when a(Q) loses its p!."""
+    if faulty:
+        real = tensor_maps.antisymmetrize
+        monkeypatch.setattr(tensor_maps, "antisymmetrize",
+                            lambda q_map: real(q_map) * Fraction(1, factorial(q_map.p)))
+    j_struct = oracle_structure(kind, n)
+    rng = SplitMix64(53 + n)
+    nonzero = 0
+    for p in range(1, n // 2 + 1):
+        for q in range(1, n // 2 + 1):
+            q_map = random_map(j_struct, p, q, rng)
+            x = random_vector(j_struct.space, rng)
+            got = contraction_identity_check(q_map, x)
+            assert got == multilinear_contraction_residual(q_map, x)
+            nonzero += not got.is_zero()
+    # a(Q) without p! changes nothing at p = 1
+    assert nonzero == (n // 2 * (n // 2 - 1) if faulty else 0)
 
 
 def test_antisymmetrize_overflow():
     with pytest.raises(DegreeOverflowError):
-        antisymmetrize_multilinear(S4, 3, 2, lambda mask: S4.zero_form(2))
+        antisymmetrize(zero_map(J4, 3, 2))
 
 
 def test_eigen_membership_of_halves():
@@ -864,7 +934,7 @@ def multilinear_holomorphic_q(j_struct, omega_form, d_table):
         images.append(img)
     out = map_from_images(j_struct, p - 1, p, images)
     # faithful only when the input factor lies in the (p-1,0)+(0,p-1) forms
-    assert all(out.eval_mask(mask) == value for mask, value in values.items())
+    assert all(multilinear_eval(out, mask) == value for mask, value in values.items())
     return out
 
 
@@ -944,6 +1014,23 @@ def test_torsion_validation_rejects_bad_input():
     for etas in (_zero_etas(6)[:5], _zero_etas(6) + _zero_etas(6)[:1]):
         with pytest.raises(InvariantViolationError, match="n x n"):
             torsion_bullet(ident, etas)
+
+
+def test_torsion_bullet_refuses_an_eta_that_is_not_skew():
+    """Only the entries above the diagonal enter the bullet, so a non-skew
+    eta would be read as the skew map of its upper triangle: with
+    eta_0[1][0] = 5 alone and the all-ones Q on R^4 that bullet is zero.
+    Such an eta, or one with a nonzero diagonal entry, is refused."""
+    ones = [[1] * 4 for _ in range(4)]
+    etas = _zero_etas(4)
+    etas[0][1][0] = 5
+    with pytest.raises(InvariantViolationError, match="skew"):
+        torsion_bullet(ones, etas)
+    etas[0][0][1] = -5
+    assert any(v for plane in torsion_bullet(ones, etas) for row in plane for v in row)
+    etas[2][3][3] = 1
+    with pytest.raises(InvariantViolationError, match="skew"):
+        torsion_bullet(ones, etas)
 
 
 @pytest.mark.parametrize("rows,cols", [(4, 5), (5, 4), (3, 4), (4, 3)])

@@ -255,3 +255,27 @@ def test_skew_endo_round_trip_property(data, backend):
                for v in row] for row in rows]
     payload = {"dim": n, "backend": backend, "matrix": matrix}
     assert skew_endo_from_dict(_json(payload)) == a
+
+
+# a fraction field that is missing or zero is named, not reported as the
+# KeyError or ZeroDivisionError it would raise
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"num": 1, "den": 0}, "'den' must be nonzero"),
+        ({"den": 2}, "missing field 'num'"),
+    ],
+    ids=["zero-den", "missing-num"],
+)
+def test_fraction_fields_are_named_in_errors(entry, message, tmp_path, capsys):
+    form = {"dim": 4, "degree": 2, "terms": [{"index": [1, 2], **entry}]}
+    skew = {"dim": 2, "backend": "exact", "matrix": [[0, entry], [0, 0]]}
+    path = tmp_path / "input.json"
+    for payload, parse in ((form, form_from_dict), (skew, skew_endo_from_dict)):
+        with pytest.raises(ParseError) as info:
+            parse(payload)
+        assert str(info.value) == message
+        path.write_text(json.dumps(payload))
+        assert cli.main(["decompose", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"

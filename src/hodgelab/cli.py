@@ -6,6 +6,11 @@
 Exit codes: 0 pass, 1 verification failure, 2 usage, parse or write error,
 3 numerical conditioning failure.  A seed list may name at most MAX_SEEDS
 seeds; a repeated seed or dimension runs once.
+
+``decompose`` writes ``jsonio.dumps`` of its result: sorted keys, a two-space
+indent, ASCII escapes, byte for byte what ``json.dumps`` writes with those
+options; a NaN or infinite value exits 3 with nothing on stdout.  ``main``
+may be called many times in one process: the parser is built once.
 """
 
 from __future__ import annotations
@@ -13,12 +18,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import harmonic  # spectral functions are looked up per call
 from .campaigns import Campaign, UsageError, campaign_names, run_campaign
 from .errors import HodgeLabError, IllConditionedSpectrumError
 from .hermitian import ComplexStructure, bidegree_project
 from .jsonio import (
+    dumps,
     form_from_dict,
     form_to_dict,
     skew_endo_from_dict,
@@ -65,6 +72,7 @@ def _parse_dims(values) -> list[int]:
     return out
 
 
+@cache  # parse_args leaves the parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hodgelab",
@@ -178,7 +186,7 @@ def _cmd_decompose(args) -> int:
         return 2
 
     try:
-        text = json.dumps(out, sort_keys=True, indent=2, allow_nan=False)
+        text = dumps(out)
     except ValueError:
         print("error: the output has values outside the float range", file=sys.stderr)
         return 3

@@ -284,15 +284,29 @@ def test_report_payload_schema():
 
 
 # Runs each argv list of sys.argv[1] through cli.main in this interpreter and
-# prints the exit codes and the numpy submodules that were loaded.
+# prints the exit codes, the numpy submodules that were loaded and each
+# run's stdout; a usage error's SystemExit gives its code.
 _RUN_IN_FRESH_INTERPRETER = """
 import io, json, sys
 from contextlib import redirect_stdout
 from hodgelab.cli import main
-with redirect_stdout(io.StringIO()):
-    codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("numpy."))]))
+codes, outs = [], []
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()) as out:
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+    outs.append(out.getvalue())
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("numpy.")), outs]))
 """
+
+
+def run_in_one_interpreter(runs):
+    proc = subprocess.run([sys.executable, "-c", _RUN_IN_FRESH_INTERPRETER, json.dumps(runs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def test_the_exact_path_does_not_execute_numpy(tmp_path):
@@ -307,10 +321,27 @@ def test_the_exact_path_does_not_execute_numpy(tmp_path):
     runs = [["verify", "lemma-2.1", "--dim", "6", "--seeds", "3"],
             ["verify", "lemma-5.5", "--dim", "4", "--seeds", "0"],
             ["decompose", str(form)]]
-    proc = subprocess.run([sys.executable, "-c", _RUN_IN_FRESH_INTERPRETER, json.dumps(runs)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0, 0, 0], []]
+    codes, numpy_modules, _ = run_in_one_interpreter(runs)
+    assert [codes, numpy_modules] == [[0, 0, 0], []]
+
+
+def test_one_process_serves_each_argv_as_a_fresh_one(tmp_path):
+    """The parser is built once per process; a decompose, a usage error, a
+    verify and the decompose again in one interpreter each print and exit
+    as that argv does alone in a fresh one."""
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"dim": 4, "degree": 2, "backend": "float", "terms": [
+        {"index": [1, 2], "value": 1.5}, {"index": [1, 3], "value": -0.25},
+        {"index": [3, 4], "value": 2.0}]}))
+    runs = [["decompose", str(form)],
+            ["no-such-command"],
+            ["verify", "prop-4.1", "--dim", "4", "--seeds", "1..3"],
+            ["decompose", str(form)]]
+    codes, _, outs = run_in_one_interpreter(runs)
+    assert codes == [0, 2, 0, 0] and outs[0] == outs[3] != ""
+    for argv, code, out in zip(runs, codes, outs):
+        alone = run_cli(argv)
+        assert (alone.returncode, alone.stdout) == (code, out)
 
 
 def test_an_exact_patch_does_not_execute_numpy():

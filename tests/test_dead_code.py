@@ -11,8 +11,9 @@ passes unnoticed, so the names shared between members are pinned: a new one
 fails until it is checked by hand.  Calls are matched by
 the same names: ``C(...)`` is a call of ``C.__init__`` (for a dataclass, of
 its generated ``__init__`` over the annotated fields).  The per-structure
-cache attributes are touched by ``hermitian`` alone, and the compiled
-operator tables are applied by three functions only.
+cache attributes are touched by ``hermitian`` alone, the compiled
+operator tables are applied by three functions only, and no module of the
+package asks ``json`` for an indent.
 """
 
 import ast
@@ -286,3 +287,23 @@ def shared_names():
 
 def test_names_shared_between_members_are_the_checked_ones():
     assert shared_names() == SHARED_NAMES
+
+
+def indented_json_calls():
+    """module:line of every call of ``dump``, ``dumps`` or ``JSONEncoder`` in
+    the package that passes ``indent``: given an indent, ``json`` runs its
+    pure-Python encoder, and ``jsonio.dumps`` writes the same bytes faster."""
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and _name(node.func) in ("dump", "dumps", "JSONEncoder")
+                and any(kw.arg == "indent" for kw in node.keywords)
+            ):
+                calls.append(f"{path.name}:{node.lineno}")
+    return calls
+
+
+def test_no_module_asks_json_for_an_indent():
+    assert indented_json_calls() == []

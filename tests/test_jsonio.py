@@ -14,6 +14,7 @@ from hodgelab.harmonic import SkewEndo
 from hodgelab.jsonio import (
     MAX_DIM,
     ParseError,
+    dumps,
     form_from_dict,
     form_to_dict,
     skew_endo_from_dict,
@@ -279,3 +280,121 @@ def test_fraction_fields_are_named_in_errors(entry, message, tmp_path, capsys):
         assert cli.main(["decompose", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
+
+
+# -- the indented writer against json.dumps ---------------------------------
+
+
+def indented(value):
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+
+
+# json writes a subclass instance as its built-in value, whatever its repr
+class _Int(int):
+    def __repr__(self):
+        return "_Int()"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "_Float()"
+
+
+class _Str(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f')),
+                max_size=6)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    _TEXT,
+    _TEXT.map(_Str),
+    st.integers(),
+    st.integers(-2**70, 2**70),
+    st.sampled_from([2**64 - 1, 2**64, -2**64, 10**30]),
+    st.integers().map(_Int),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(_Float),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1]),
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4).map(_List),
+        st.dictionaries(_TEXT, children, max_size=4),
+        st.dictionaries(_TEXT, children, max_size=4).map(_Dict),
+    )
+
+
+JSON_VALUES = st.recursive(_LEAVES, _containers, max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_dumps_writes_what_json_dumps_writes(value):
+    assert dumps(value) == indented(value)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [[2, 1.5, True, -0.0], [None], [_Int(3), _Float(2.5), 1], [_Str("k"), "j"],
+     [5e-324, 1e308, 10**30]],
+    ids=["numbers", "null", "number-subclasses", "str-subclass", "extremes"],
+)
+def test_dumps_converts_keys_as_json_does(keys):
+    value = {"nested": [dict.fromkeys(keys, 0)], **dict.fromkeys(map(str, keys), [])}
+    assert dumps(value) == indented(value)
+
+
+def _buried(bad):
+    """``bad`` at any depth, among valid values, as list item or dict value."""
+    def wrap(children):
+        return st.one_of(
+            st.tuples(st.lists(_LEAVES, max_size=2), children, st.lists(_LEAVES, max_size=2))
+            .map(lambda t: [*t[0], t[1], *t[2]]),
+            st.tuples(st.dictionaries(_TEXT, _LEAVES, max_size=2), _TEXT, children)
+            .map(lambda t: {**t[0], t[1]: t[2]}),
+        )
+    return st.recursive(bad, wrap, max_leaves=8)
+
+
+def raise_alike(value, error):
+    with pytest.raises(error):
+        indented(value)
+    with pytest.raises(error):
+        dumps(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_buried(st.sampled_from([float("nan"), float("inf"), float("-inf")])))
+def test_dumps_refuses_non_finite_floats_at_any_depth(value):
+    raise_alike(value, ValueError)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_buried(st.builds(object)))
+def test_dumps_refuses_values_that_are_not_json(value):
+    raise_alike(value, TypeError)
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [({float("nan"): 1}, ValueError), ({(1, 2): 1}, TypeError), ({b"k": 1}, TypeError),
+     ({1, 2}, TypeError), (b"bytes", TypeError)],
+    ids=["nan-key", "tuple-key", "bytes-key", "set", "bytes"],
+)
+def test_dumps_refuses_keys_and_values_as_json_does(value, error):
+    raise_alike(value, error)

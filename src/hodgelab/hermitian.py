@@ -11,7 +11,8 @@ which grades each degree into bidegree components; projections are Lagrange
 polynomials in the squared derivation, hence exact on the rational backend.
 ``lambda_p`` denotes the real forms of complex type (p,0)+(0,p), the -p^2
 eigenspace on degree p, and bb_j is the complex-structure action (1/p) cal-J
-on it.
+on it.  A rational J is held as integer rows over one denominator, so every
+table compiled from it holds ints, and a form divides once, where it is read.
 """
 
 from __future__ import annotations
@@ -47,17 +48,22 @@ class ComplexStructure(SkewEndo):
     ``rows`` is the matrix acting on column vectors of components, so the
     image of the i-th basis vector is column i; ``sparse_rows`` holds the
     same rows as {column: value} dicts, and row i is the pullback of e^i.
+    ``num_rows`` holds N = den J as {column: int} rows, ``den`` > 0 (on float
+    ``sparse_rows``, den 1); J^2 = -I is checked as N N + den^2 I = 0.
     ``_cache`` holds the tables built by ``per_structure`` functions.
     """
 
-    __slots__ = ("sparse_rows", "_cache")
+    __slots__ = ("sparse_rows", "num_rows", "den", "_cache")
 
     def __init__(self, space: Space, rows):
         if space.dim % 2:
             raise InvariantViolationError("complex structure needs even dimension")
         super().__init__(space, rows)
         j = self.sparse_rows = sparse_rows(self.rows)
-        sq_plus_id = combine(compose(j, j), [{i: 1} for i in range(space.dim)])
+        entries = ((r, c, v) for r, row in enumerate(j) for c, v in row.items())
+        num, den = integer_rows(entries, space.dim) if space.backend == "exact" else (j, 1)
+        self.num_rows, self.den = num, den
+        sq_plus_id = combine(compose(num, num), [{i: den * den} for i in range(space.dim)])
         if any(abs(v) > space.tol for row in sq_plus_id for v in row.values()):
             raise InvariantViolationError("matrix is not an orthogonal complex structure")
         self._cache: dict = {}
@@ -102,16 +108,11 @@ def per_structure(build):
 
 @per_structure
 def _compiled(j_struct: ComplexStructure, image, degree: int):
-    """``(table, den)``: the sparse table mask -> {mask: numerator} of
-    ``image`` on one degree, over one common denominator ``den``."""
-    masks = basis_masks(j_struct.space.dim, degree)
-    flat, den = j_struct.space.numerators(
-        {(m, k): v for m in masks for k, v in image(j_struct, m).items()}
-    )
-    table: dict = {m: {} for m in masks}
-    for (m, k), v in flat.items():
-        table[m][k] = v
-    return table, den
+    """``(table, tden)``: the sparse table mask -> {mask: numerator} of the
+    operator with basis images ``image(j_struct, mask)`` on one degree; the
+    images read N, so tden = den^p for the pullback and den for the rest."""
+    table = {m: image(j_struct, m) for m in basis_masks(j_struct.space.dim, degree)}
+    return table, j_struct.den ** (degree if image is _pullback_image else 1)
 
 
 def _numerators_on(j_struct: ComplexStructure, alpha: Form) -> tuple:
@@ -121,16 +122,16 @@ def _numerators_on(j_struct: ComplexStructure, alpha: Form) -> tuple:
     return alpha.space.numerators(alpha.coeffs)
 
 
-def _apply_compiled(j_struct: ComplexStructure, image, alpha: Form) -> Form:
-    """A alpha, A the operator with basis images ``image(j_struct, mask)``.
+def _apply_compiled(j_struct: ComplexStructure, image, alpha: Form) -> tuple:
+    """``(nums, den)`` of A alpha, A with basis images ``image(j_struct, mask)``.
 
     With ``(T, tden)`` the table of A compiled once per (J, image, degree),
     T = tden A, the numerators of alpha = nums / den go through T as one row
-    of ``linalg.compose``; each nonzero entry then divides once by tden den.
+    of ``linalg.compose``, over tden den; the caller divides once.
     """
     nums, den = _numerators_on(j_struct, alpha)
     table, tden = _compiled(j_struct, image, alpha.degree)
-    return alpha.space.from_numerators(alpha.degree, compose([nums], table)[0], tden * den)
+    return compose([nums], table)[0], tden * den
 
 
 def _lagrange(j_struct: ComplexStructure, degree: int, nums: dict, shifts) -> tuple:
@@ -151,17 +152,18 @@ def _lagrange(j_struct: ComplexStructure, degree: int, nums: dict, shifts) -> tu
 
 
 def _pullback_image(j_struct: ComplexStructure, mask: int) -> dict:
-    """J e^I = J e^{i1} ^ ... ^ J e^{ip}; row i of J is the pullback of e^i."""
+    """den^p J e^I = (den J e^{i1}) ^ ... ^ (den J e^{ip}); row i of
+    ``num_rows`` is den times the pullback of e^i."""
     space = j_struct.space
     factors = (
-        Form(space, 1, {1 << col: v for col, v in j_struct.sparse_rows[i - 1].items()})
+        Form(space, 1, {1 << col: v for col, v in j_struct.num_rows[i - 1].items()})
         for i in mask_to_indices(mask)
     )
     return reduce(wedge, factors, Form(space, 0, {0: space.scalar(1)})).coeffs
 
 
 def _curly_j_image(j_struct: ComplexStructure, mask: int) -> dict:
-    """cal-J e^I: each index i of I in turn is replaced by the pullback of e^i.
+    """den cal-J e^I: each index i of I in turn is replaced by row i of N = ``num_rows``.
 
     e^I is e^i ^ e^(I-i) up to the sign of the indices of I-i below i, and
     sorting a new index c into I-i gives the sign of those below c.
@@ -170,7 +172,7 @@ def _curly_j_image(j_struct: ComplexStructure, mask: int) -> dict:
     for i in mask_to_indices(mask):
         rest = mask ^ (1 << (i - 1))
         below = (rest & ((1 << (i - 1)) - 1)).bit_count()
-        for col, v in j_struct.sparse_rows[i - 1].items():
+        for col, v in j_struct.num_rows[i - 1].items():
             if not rest >> col & 1:
                 target = rest | (1 << col)
                 sign = below + (rest & ((1 << col) - 1)).bit_count()
@@ -181,12 +183,14 @@ def _curly_j_image(j_struct: ComplexStructure, mask: int) -> dict:
 def j_pullback(j_struct: ComplexStructure, alpha: Form) -> Form:
     """(J alpha)(v1, ..., vp) = alpha(J v1, ..., J vp); an isometry with
     J(J alpha) = (-1)^p alpha."""
-    return _apply_compiled(j_struct, _pullback_image, alpha)
+    nums, den = _apply_compiled(j_struct, _pullback_image, alpha)
+    return alpha.space.from_numerators(alpha.degree, nums, den)
 
 
 def curly_j(j_struct: ComplexStructure, alpha: Form) -> Form:
     """The derivation extension: J is applied to one argument slot at a time."""
-    return _apply_compiled(j_struct, _curly_j_image, alpha)
+    nums, den = _apply_compiled(j_struct, _curly_j_image, alpha)
+    return alpha.space.from_numerators(alpha.degree, nums, den)
 
 
 def eigen_residual(j_struct: ComplexStructure, degree: int, nums: dict, den, p: int, q: int) -> Form:
@@ -220,33 +224,48 @@ def bidegree_project(j_struct: ComplexStructure, alpha: Form, p: int, q: int) ->
     return result
 
 
-def _is_lambda_eigen(alpha: Form, squared: Form) -> bool:
-    """Whether squared = curly_j^2 alpha equals -p^2 alpha: on degree p the
-    type-(p,0)+(0,p) forms are exactly that eigenspace."""
-    return squared.isclose(alpha * -(alpha.degree**2))
+def _lambda_image(j_struct: ComplexStructure, alpha: Form) -> tuple:
+    """``(image, scale)``, curly_j alpha = image / scale, for alpha in the
+    -p^2 eigenspace of curly_j^2 (type (p,0)+(0,p)), else NotInLambdaPError:
+    with T = tden curly_j and alpha = nums / den, T(T nums) = -p^2 tden^2 nums
+    on ints, or ``Form.isclose`` on float."""
+    space, p = alpha.space, alpha.degree
+    image, scale = _apply_compiled(j_struct, _curly_j_image, alpha)
+    twice, tden = _apply_compiled(j_struct, _curly_j_image, Form(space, p, image))
+    if space.backend == "exact":
+        member = not add_scaled(twice, p * p * tden * tden, space.numerators(alpha.coeffs)[0])
+    else:
+        member = Form(space, p, twice).isclose(alpha * -(p * p))
+    if not member:
+        raise NotInLambdaPError("form is not of type (p,0)+(0,p)")
+    return image, scale
 
 
 def in_lambda_p(j_struct: ComplexStructure, alpha: Form) -> bool:
-    """Whether alpha is of type (p,0)+(0,p); the (0, 0) residual is curly_j^2 alpha."""
-    nums, den = _numerators_on(j_struct, alpha)
-    return _is_lambda_eigen(alpha, eigen_residual(j_struct, alpha.degree, nums, den, 0, 0))
+    """Whether alpha is of type (p,0)+(0,p)."""
+    try:
+        _lambda_image(j_struct, alpha)
+    except NotInLambdaPError:
+        return False
+    return True
 
 
 def bb_j(j_struct: ComplexStructure, alpha: Form) -> Form:
     """The complex-structure action on type-(p,0)+(0,p) forms: (1/p) curly_j.
 
     Coincides with inserting J into the first argument slot and squares to -1
-    on that subspace.  The image curly_j alpha also serves the membership
-    test, so curly_j runs twice per call.
+    on that subspace.  The image of the membership test ``_lambda_image`` is
+    divided once by its scale times p, or times 1/p on float.
     """
     if alpha.is_zero():
         return alpha
     if alpha.degree == 0:
         raise DegreeUnderflowError("bb_j needs degree >= 1")
-    image = curly_j(j_struct, alpha)
-    if not _is_lambda_eigen(alpha, curly_j(j_struct, image)):
-        raise NotInLambdaPError("form is not of type (p,0)+(0,p)")
-    return image * alpha.space.ratio(1, alpha.degree)
+    space, p = alpha.space, alpha.degree
+    image, scale = _lambda_image(j_struct, alpha)
+    if space.backend == "exact":
+        return space.from_numerators(p, image, scale * p)
+    return Form(space, p, image) * space.ratio(1, p)
 
 
 def _lambda_dim(dim: int, degree: int) -> int:
@@ -353,14 +372,14 @@ def bb_j_matrix(j_struct: ComplexStructure, degree: int):
     degree) as {column: int} rows over one positive ``den``, 1 on the
     standard J; column d holds den times the coordinates of curly_j(b_d) / p.
 
-    The basis forms are members by construction, so the membership test of
-    ``bb_j`` and its second curly_j are not repeated here; the tests check
-    curly_j^2 b = -p^2 b on every basis form.
+    Each b_d passes the membership test of ``_lambda_image``, whose integer
+    image is paired with the basis.
     """
     basis = lambda_basis(j_struct, degree)
+    images = (_lambda_image(j_struct, b) for b in basis.forms)
     entries = (
-        (r, d, Fraction(v, basis.norms_sq[r] * degree))
-        for d, b in enumerate(basis.forms)
-        for r, v in basis.pairings(curly_j(j_struct, b)).items()
+        (r, d, Fraction(v, basis.norms_sq[r] * degree * scale))
+        for d, (image, scale) in enumerate(images)
+        for r, v in basis.pairings(Form(j_struct.space, degree, image)).items()
     )
     return integer_rows(entries, basis.dim)

@@ -1,7 +1,8 @@
 """Lefschetz-type operators and the contraction family P_k.
 
 L is wedging with the fundamental 2-form omega = g(J., .); its metric
-adjoint Lstar is computed as adjoint_wedge(omega, .).  The contraction
+adjoint Lstar = adjoint_wedge(omega, .) is a table compiled once per (J,
+degree) from the integer numerators den omega, divided once.  The contraction
 formula Lstar(beta) = 1/2 sum_i J e_i -| (e_i -| beta) is the oracle it is
 tested against, so the 1/2 cannot drift.  P_k contracts k slots of one
 form against J-rotated slots of the other, summed over all ordered k-tuples
@@ -19,9 +20,16 @@ from itertools import combinations
 from math import factorial
 
 from .errors import ContractionUnderflowError, NotInLambdaPError, SpaceMismatchError
-from .exterior import Form, adjoint_wedge, basis_masks, mask_to_indices, merge_sign, wedge
+from .exterior import Form, basis_masks, mask_to_indices, merge_sign, wedge
 from .harmonic import endo_form
-from .hermitian import ComplexStructure, _compiled, _pullback_image, in_lambda_p, per_structure
+from .hermitian import (
+    ComplexStructure,
+    _apply_compiled,
+    _compiled,
+    _lambda_image,
+    _pullback_image,
+    per_structure,
+)
 from .linalg import add_scaled, exact_nullspace, integer_rows
 
 
@@ -33,13 +41,26 @@ def kahler_form(j_struct: ComplexStructure) -> Form:
     return endo_form(j_struct.space, j_struct.rows)
 
 
+def _lstar_image(j_struct: ComplexStructure, mask: int) -> dict:
+    """den Lstar e^M = adjoint_wedge(den omega, e^M): each pair i < j in M
+    leaves num_rows[j][i] e^(M - {i, j}), signed by ``merge_sign``."""
+    image = {}
+    for j in mask_to_indices(mask):
+        for i, v in j_struct.num_rows[j - 1].items():
+            pair = 1 << i | 1 << (j - 1)
+            if i < j - 1 and mask & pair == pair:
+                image[mask ^ pair] = v * merge_sign(pair, mask ^ pair)
+    return image
+
+
 def lefschetz_lstar(j_struct: ComplexStructure, alpha: Form) -> Form:
     """Lstar, the adjoint of L = wedge(omega, .); zero on degrees below 2."""
     if alpha.space != j_struct.space:
         raise SpaceMismatchError(f"{alpha.space} vs {j_struct.space}")
     if alpha.degree < 2:
         return alpha.space.zero_form(0)
-    return adjoint_wedge(kahler_form(j_struct), alpha)
+    return alpha.space.from_numerators(
+        alpha.degree - 2, *_apply_compiled(j_struct, _lstar_image, alpha))
 
 
 def is_primitive(j_struct: ComplexStructure, alpha: Form) -> bool:
@@ -114,8 +135,7 @@ def alpha_from_holomorphic(j_struct: ComplexStructure, omega_form: Form) -> Form
         return space.zero_form(2)
     if omega_form.degree < 1:
         raise NotInLambdaPError("need a form of degree >= 1")
-    if not in_lambda_p(j_struct, omega_form):
-        raise NotInLambdaPError("form is not of type (p,0)+(0,p)")
+    _lambda_image(j_struct, omega_form)  # raises NotInLambdaPError for a non-member
     contractions: list[dict] = [{} for _ in range(space.dim)]
     for m, c in omega_form.coeffs.items():
         for i in mask_to_indices(m):
@@ -138,17 +158,17 @@ def primitive_basis(j_struct: ComplexStructure, degree: int):
     """Exact basis of the primitive forms of a given degree (cached).
 
     Assembled as the nullspace of the adjoint Lefschetz operator on the
-    increasing-multi-index basis, as ``integer_rows`` over any denominator.
+    increasing-multi-index basis, from the integer rows of den Lstar.
     """
     space = j_struct.space
     masks = basis_masks(space.dim, degree)
     if degree < 2:
         return [Form(space, degree, {m: 1}) for m in masks]
     pos = {m: i for i, m in enumerate(basis_masks(space.dim, degree - 2))}
+    units = (Form(space, degree, {m: 1}) for m in masks)
+    images = (_apply_compiled(j_struct, _lstar_image, unit)[0] for unit in units)
     rows, _ = integer_rows(
-        ((pos[im], col, c) for col, m in enumerate(masks)
-         for im, c in lefschetz_lstar(j_struct, Form(space, degree, {m: 1})).coeffs.items()),
-        len(pos),
+        ((pos[im], col, c) for col, image in enumerate(images) for im, c in image.items()), len(pos)
     )
     return [
         Form(space, degree, {masks[c]: v for c, v in vec.items()})

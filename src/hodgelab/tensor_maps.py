@@ -476,8 +476,9 @@ def _structural_rows(j_struct: ComplexStructure):
     n = j_struct.space.dim
     npairs = n * (n - 1) // 2
     etas = [_skew_entries(n, a * npairs) for a in range(n)]
-    # J is skew, so its columns are its rows negated
-    j_cols = [{k: -v for k, v in row.items()} for row in j_struct.sparse_rows]
+    # den J is skew, so its columns are its integer rows negated; each row
+    # below is free of J or linear in it, so den only scales it
+    j_cols = [{k: -v for k, v in row.items()} for row in j_struct.num_rows]
     # the cyclic identity on increasing triples is the bullet of the identity
     rows = _bullet_rows([{i: 1} for i in range(n)], n)
     for a, eta in enumerate(etas):
@@ -518,10 +519,10 @@ def _constrained_skew_basis(j_struct: ComplexStructure, commuting: bool):
     """The skew F with F J = J F (commuting) or F J = -J F, as {column: value} rows.
 
     For skew F and J, (J F)[r][c] = (F J)[c][r], so both conditions are read
-    off the entry table of F J, on the entries r <= c.
+    off the entry table of F J, on the entries r <= c (den F J, on ints).
     """
     n = j_struct.space.dim
-    j_cols = [{k: -v for k, v in row.items()} for row in j_struct.sparse_rows]
+    j_cols = [{k: -v for k, v in row.items()} for row in j_struct.num_rows]
     fj = [compose(j_cols, row) for row in _skew_entries(n)]
     sign = -1 if commuting else 1
     rows = [add_scaled(dict(fj[r][c]), sign, fj[c][r]) for r in range(n) for c in range(r, n)]

@@ -28,13 +28,21 @@ are the Fraction Gram-Schmidt over every Lagrange-projected mask and the
 every degree for the standard, the once- and the twice-rotated rational J,
 and on dim 10 for the two rotated ones.
 
-The compiled tables hold integer numerators over one denominator per
-(J, degree); on the twice-rotated J (denominators 5, 13 and 65) they are
-compared in every degree with the per-term Fraction sum of the basis images,
-for alphas with mixed denominators and integer alphas.
+The compiled tables hold integer numerators over a power of J's
+denominator, read off J's integer rows; on the twice-rotated J
+(denominators 5, 13 and 65) they are compared in every degree with the
+per-term Fraction sum of the basis images read off J's Fraction rows, for
+alphas with mixed denominators and integer alphas, and a guard checks that
+every table built for that J holds only ints.  The Fraction routes the
+integer ones replaced are oracles too: Lstar as the wedge adjoint of the
+Kahler form, bb_j as two curly_j calls and ``Form.isclose``, bb_j_matrix
+from the pairings of curly_j(b) and primitive_basis from ``integer_rows``
+of the Lstar images, on the standard, both rotated and the float J; the
+torsion systems are compared with the same J on its Fraction rows over 1.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import comb, factorial, gcd
 
@@ -42,10 +50,16 @@ import pytest
 
 import hodgelab.campaigns as campaigns
 import hodgelab.hermitian as hermitian
-from hodgelab.errors import DegreeUnderflowError, NotInLambdaPError
+from hodgelab.errors import (
+    DegreeUnderflowError,
+    HodgeLabError,
+    InvariantViolationError,
+    NotInLambdaPError,
+)
 from hodgelab.exterior import (
     Form,
     Space,
+    adjoint_wedge,
     basis_masks,
     contract,
     contract_index,
@@ -68,10 +82,25 @@ from hodgelab.hermitian import (
     j_pullback,
     lambda_basis,
 )
-from hodgelab.lefschetz import alpha_from_holomorphic, kahler_form, lefschetz_lstar, p_k
-from hodgelab.linalg import add_scaled, exact_rank
+from hodgelab.lefschetz import (
+    _lstar_image,
+    alpha_from_holomorphic,
+    kahler_form,
+    lefschetz_lstar,
+    p_k,
+    primitive_basis,
+)
+from hodgelab.linalg import add_scaled, exact_nullspace, exact_rank, integer_rows
 from hodgelab.rng import SplitMix64, random_form
-from hodgelab.tensor_maps import _commuting_projector, _wedge_table, a_restricted_rank
+from hodgelab.tensor_maps import (
+    _commuting_projector,
+    _wedge_table,
+    a_restricted_rank,
+    admissible_torsion_basis,
+    anti_invariant_skew_basis,
+    invariant_skew_basis,
+    van_kernel_dimension,
+)
 
 DIMS = (2, 4, 6, 8)
 
@@ -549,6 +578,31 @@ def projecting_bb_j(j_struct, alpha):
     return curly_j(j_struct, alpha) * (Fraction(1, p) if exact else 1 / p)
 
 
+def fraction_pullback_image(j_struct, mask):
+    """J e^I = J e^{i1} ^ ... ^ J e^{ip}, from the Fraction rows of J."""
+    space = j_struct.space
+    factors = (
+        Form(space, 1, {1 << col: v for col, v in j_struct.sparse_rows[i - 1].items()})
+        for i in mask_to_indices(mask)
+    )
+    return reduce(wedge, factors, Form(space, 0, {0: space.scalar(1)})).coeffs
+
+
+def fraction_curly_j_image(j_struct, mask):
+    """cal-J e^I from the Fraction rows of J: each index i of I in turn is
+    replaced by the pullback of e^i, signed by the indices it passes."""
+    image = {}
+    for i in mask_to_indices(mask):
+        rest = mask ^ (1 << (i - 1))
+        below = (rest & ((1 << (i - 1)) - 1)).bit_count()
+        for col, v in j_struct.sparse_rows[i - 1].items():
+            if not rest >> col & 1:
+                target = rest | (1 << col)
+                sign = below + (rest & ((1 << col) - 1)).bit_count()
+                image[target] = image.get(target, 0) + (-v if sign & 1 else v)
+    return image
+
+
 def per_term_oracle(j_struct, image, alpha):
     """Sum over the terms of alpha of its coefficient times the basis image,
     one Fraction product at a time."""
@@ -572,8 +626,8 @@ def test_integer_tables_match_the_per_term_fraction_sum(n):
     j = structure("twice-rotated", n)
     for p in range(n + 1):
         for alpha in mixed_and_integer_alphas(j.space, p):
-            assert curly_j(j, alpha) == per_term_oracle(j, _curly_j_image, alpha)
-            assert j_pullback(j, alpha) == per_term_oracle(j, _pullback_image, alpha)
+            assert curly_j(j, alpha) == per_term_oracle(j, fraction_curly_j_image, alpha)
+            assert j_pullback(j, alpha) == per_term_oracle(j, fraction_pullback_image, alpha)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -695,3 +749,197 @@ def test_in_lambda_p_matches_the_projection(kind, n):
             proj = bidegree_project(j, alpha, p, 0)
             want = proj == alpha if space.backend == "exact" else proj.isclose(alpha)
             assert in_lambda_p(j, alpha) == want
+
+
+# -- the integer routes against the Fraction routes they replace -------------
+
+ALL_KINDS = EXACT_KINDS + ("float",)
+
+
+def wedge_adjoint_lstar(j_struct, beta):
+    """Lstar as the wedge adjoint of the Kahler form, in its own scalars."""
+    if beta.degree < 2:
+        return beta.space.zero_form(0)
+    return adjoint_wedge(kahler_form(j_struct), beta)
+
+
+def two_call_bb_j(j_struct, alpha):
+    """bb_j as two curly_j calls: curly_j^2 alpha isclose -p^2 alpha is the
+    membership test, and the image curly_j alpha is scaled by 1/p."""
+    if alpha.is_zero():
+        return alpha
+    if alpha.degree == 0:
+        raise DegreeUnderflowError("bb_j needs degree >= 1")
+    p = alpha.degree
+    image = curly_j(j_struct, alpha)
+    if not curly_j(j_struct, image).isclose(alpha * -(p * p)):
+        raise NotInLambdaPError("form is not of type (p,0)+(0,p)")
+    return image * alpha.space.ratio(1, p)
+
+
+def pairing_bb_j_matrix(j_struct, degree):
+    """bb_j over the lambda basis from the pairings of the Fraction forms
+    curly_j(b_d) with the basis."""
+    basis = lambda_basis(j_struct, degree)
+    entries = (
+        (r, d, Fraction(v, basis.norms_sq[r] * degree))
+        for d, b in enumerate(basis.forms)
+        for r, v in basis.pairings(curly_j(j_struct, b)).items()
+    )
+    return integer_rows(entries, basis.dim)
+
+
+def lstar_image_primitive_basis(j_struct, degree):
+    """The kernel of Lstar from ``integer_rows`` of the wedge-adjoint images
+    of the basis forms."""
+    space = j_struct.space
+    masks = basis_masks(space.dim, degree)
+    if degree < 2:
+        return [Form(space, degree, {m: 1}) for m in masks]
+    pos = {m: i for i, m in enumerate(basis_masks(space.dim, degree - 2))}
+    rows, _ = integer_rows(
+        ((pos[im], col, c) for col, m in enumerate(masks)
+         for im, c in wedge_adjoint_lstar(j_struct, Form(space, degree, {m: 1})).coeffs.items()),
+        len(pos),
+    )
+    return [Form(space, degree, {masks[c]: v for c, v in vec.items()})
+            for vec in exact_nullspace(rows, len(masks))]
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the hodgelab error it raises."""
+    try:
+        return fn(*args)
+    except HodgeLabError as exc:
+        return type(exc)
+
+
+def members_and_non_members(j_struct, degree, rng):
+    """Lambda basis forms and Fraction combinations of them (members, on a
+    float J those of the rotated exact J), every basis form e^I, one random
+    integer form and a member plus a small part of another type."""
+    space = j_struct.space
+    exact = j_struct if space.backend == "exact" else structure("rotated", space.dim)
+    members = [Form(space, degree, b.coeffs) for b in lambda_basis(exact, degree).forms]
+    if members:
+        members.append(fraction_lambda(j_struct, degree, rng))
+    others = [Form(space, degree, {m: space.one}) for m in basis_masks(space.dim, degree)]
+    others.append(random_form(space, degree, rng, integer=True, terms=6))
+    if members and degree >= 2:
+        others.append(members[0] + others[0] * space.scalar(Fraction(1, 1000)))
+    return members, others
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", DIMS)
+def test_compiled_lstar_matches_the_wedge_adjoint_of_omega(kind, n):
+    """On every basis form the two routes agree exactly, bit for bit on the
+    float J; a combination sums the same products, so on the float J it
+    agrees up to the order of the sum."""
+    j = structure(kind, n)
+    space = j.space
+    rng = SplitMix64(6000 * n + ALL_KINDS.index(kind))
+    for p in range(n + 1):
+        for m in basis_masks(n, p):
+            beta = Form(space, p, {m: space.one})
+            assert lefschetz_lstar(j, beta) == wedge_adjoint_lstar(j, beta)
+        mixtures = [random_form(space, p, rng, terms=6)]
+        if 1 <= p <= n // 2:
+            mixtures.append(fraction_lambda(j, p, rng))
+        for beta in mixtures:
+            assert_same(lefschetz_lstar(j, beta), wedge_adjoint_lstar(j, beta))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", DIMS)
+def test_integer_bb_j_matches_the_two_call_route(kind, n):
+    """Members give the same image (bit for bit on the float J); every
+    non-member raises NotInLambdaPError on both routes, and ``in_lambda_p``
+    says which is which."""
+    j = structure(kind, n)
+    rng = SplitMix64(7000 * n + ALL_KINDS.index(kind))
+    raised = 0
+    for p in range(1, n + 1):
+        members, others = members_and_non_members(j, p, rng)
+        for alpha in members + others:
+            want = outcome(two_call_bb_j, j, alpha)
+            assert outcome(bb_j, j, alpha) == want
+            assert in_lambda_p(j, alpha) == (want is not NotInLambdaPError)
+            raised += want is NotInLambdaPError
+        for alpha in members:
+            assert in_lambda_p(j, alpha)
+    assert raised > 0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", DIMS)
+def test_integer_bb_j_matrix_and_primitive_basis_match_the_fraction_routes(kind, n):
+    """Equal rows over equal denominators, and equal primitive bases; on the
+    float J both routes refuse, as lambda bases and kernels are exact."""
+    j = structure(kind, n)
+    for p in range(n + 1):
+        if p >= 1:
+            assert outcome(bb_j_matrix, j, p) == outcome(pairing_bb_j_matrix, j, p)
+        assert outcome(primitive_basis, j, p) == outcome(lstar_image_primitive_basis, j, p)
+    if kind == "float":
+        assert outcome(bb_j_matrix, j, 1) is InvariantViolationError
+        assert outcome(primitive_basis, j, 2) is InvariantViolationError
+
+
+def test_exact_structures_are_validated_without_tolerance():
+    """N N + den^2 I = 0 on ints: the twice-rotated J on R^8 passes, and
+    the same J times 1 + 10^-30 is refused; float validation keeps its
+    relative tolerance."""
+    rows = twice_rotated_rows(8)
+    j = ComplexStructure(Space(8), rows)
+    assert j.den == 65
+    assert all(type(v) is int for row in j.num_rows for v in row.values())
+    assert [{c: Fraction(v, j.den) for c, v in row.items()} for row in j.num_rows] == j.sparse_rows
+    near = 1 + Fraction(1, 10**30)
+    with pytest.raises(InvariantViolationError):
+        ComplexStructure(Space(8), [[v * near for v in row] for row in rows])
+    floats = rotated_rows(8, 0.6, 0.8)
+    f = ComplexStructure(Space(8, "float"), [[v * (1 + 1e-12) for v in row] for row in floats])
+    assert f.den == 1 and f.num_rows is f.sparse_rows
+    with pytest.raises(InvariantViolationError):
+        ComplexStructure(Space(8, "float"), [[v * (1 + 1e-6) for v in row] for row in floats])
+
+
+def test_compiled_tables_of_a_rational_j_hold_only_ints():
+    """Every table ``_compiled`` builds for the twice-rotated J, by every
+    operator that reads one, holds only ints, over a power of den."""
+    j = structure("twice-rotated", 8)
+    space = j.space
+    rng = SplitMix64(8)
+    for p in range(space.dim + 1):
+        alpha = random_form(space, p, rng, terms=6)
+        for op in (curly_j, j_pullback, lefschetz_lstar, in_lambda_p):
+            op(j, alpha)
+        bidegree_project(j, alpha, p, 0)
+        primitive_basis(j, p)
+        if p:
+            bb_j_matrix(j, p)
+            p_k(j, alpha, alpha, p)
+    built = {key[1:]: value for key, value in j._cache.items()
+             if key[0] is hermitian._compiled.__wrapped__}
+    assert {image for image, _ in built} == {_curly_j_image, _pullback_image, _lstar_image}
+    for (image, degree), (table, tden) in built.items():
+        assert set(table) == set(basis_masks(space.dim, degree))
+        assert all(type(v) is int for row in table.values() for v in row.values())
+        assert tden == j.den ** (degree if image is _pullback_image else 1)
+
+
+@pytest.mark.parametrize("kind", ("rotated", "twice-rotated"))
+@pytest.mark.parametrize("n", (4, 6, 8))
+def test_torsion_systems_on_integer_rows_match_the_fraction_rows(kind, n):
+    """The torsion and skew-constraint systems read J's integer rows; with
+    J's Fraction rows over 1 in their place they give the same bases and
+    the same kernel dimension."""
+    j = structure(kind, n)
+    fractional = structure(kind, n)
+    fractional.num_rows, fractional.den = fractional.sparse_rows, 1
+    assert j.den > 1 and any(type(v) is Fraction for row in fractional.num_rows
+                             for v in row.values())
+    for build in (admissible_torsion_basis, invariant_skew_basis, anti_invariant_skew_basis):
+        assert build(j) == build(fractional)
+    assert van_kernel_dimension(j) == van_kernel_dimension(fractional)

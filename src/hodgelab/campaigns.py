@@ -544,7 +544,7 @@ def run_eq_7(dim, seeds):
             worst = max(worst, abs(bullet[x][y][z] - direct))
     yield _exact_case(f"dim{dim}/cyclic", worst)
     squares, commutators = bracket_bases(j)
-    yield _exact_case(f"dim{dim}/bracket-span", bracket_bullet_in_span(j, squares, commutators))
+    yield _exact_case(f"dim{dim}/bracket-span", bracket_bullet_in_span(basis, squares, commutators))
     bdim = len(commutators)
     if k >= 3:
         yield _exact_case(f"dim{dim}/bracket-dim", k * k - bdim)

@@ -149,12 +149,13 @@ def _to_float_matrix(rows) -> np.ndarray:
 def spectral(a: SkewEndo) -> SpectralDecomposition:
     """Cluster the spectrum of A^2 and extract per-cluster complex structures.
 
-    Eigenvalues within ``SPECTRAL_TOL`` times the largest |eigenvalue| merge
-    into one cluster; a negative cluster of odd dimension, or one whose
-    normalized restriction fails to square to minus the projector, means
-    the clustering is unreliable and raises IllConditionedSpectrumError.
-    Clusters are ordered by ascending eigenvalue so the kernel, if any,
-    comes last.
+    Consecutive eigenvalues merge into one cluster when they differ by at most
+    ``SPECTRAL_TOL`` times the larger of their magnitudes, or both lie in the
+    kernel band, |eigenvalue| <= ``SPECTRAL_TOL`` times the largest one.  A
+    negative cluster of odd dimension, or one whose normalized restriction
+    fails to square to minus the projector, means the clustering is
+    unreliable and raises IllConditionedSpectrumError.  Clusters are ordered
+    by ascending eigenvalue so the kernel, if any, comes last.
     """
     am = _to_float_matrix(a.rows)
     n = am.shape[0]
@@ -164,10 +165,11 @@ def spectral(a: SkewEndo) -> SpectralDecomposition:
         raise IllConditionedSpectrumError("the squared matrix has entries outside the float range")
     evals, evecs = np.linalg.eigh(sq)
     scale = max(abs(evals[0]), abs(evals[-1]), 1e-300)
-    # group consecutive eigenvalues (ascending) within the relative gap
+    # group consecutive eigenvalues (ascending) within the gap relative to each pair
     groups: list[list[int]] = [[0]]
     for i in range(1, n):
-        if evals[i] - evals[groups[-1][0]] <= SPECTRAL_TOL * scale:
+        big = max(abs(evals[i - 1]), abs(evals[i]))
+        if evals[i] - evals[i - 1] <= SPECTRAL_TOL * big or big <= SPECTRAL_TOL * scale:
             groups[-1].append(i)
         else:
             groups.append([i])

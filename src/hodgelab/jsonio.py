@@ -167,8 +167,10 @@ def spectral_to_dict(d: SpectralDecomposition) -> dict:
 def dumps(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=2, allow_nan=False)`` byte
     for byte, in one pass: given an indent, ``json`` runs its pure-Python
-    encoder, more than twice as slow.  NaN and the infinities raise
-    ``ValueError`` at any depth, a value that is not JSON ``TypeError``."""
+    encoder, more than twice as slow.  It writes what ``decompose`` builds:
+    dicts with str keys, lists, str, int, float, bool and None.  NaN and the
+    infinities raise ``ValueError`` at any depth; anything else (a tuple, an
+    instance of a subclass, a key that is not a str) raises ``TypeError``."""
     out: list = []
     _write(value, "\n", out)
     return "".join(out)
@@ -176,8 +178,7 @@ def dumps(value) -> str:
 
 def _write(value, nl: str, out: list) -> None:
     """Append the text of ``value`` to ``out``; ``nl`` breaks its lines and
-    its children go one indent further.  The branches test the exact type;
-    an instance of a subclass is written as its built-in value."""
+    its children go one indent further.  The branches test the exact type."""
     t = type(value)
     if t is int:
         out.append(int.__repr__(value))
@@ -191,13 +192,15 @@ def _write(value, nl: str, out: list) -> None:
         inner = nl + "  "
         sep = "{" + inner
         for key, item in sorted(value.items()):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(sep)
-            out.append(_key(key))
+            out.append(_quote(key))
             out.append(": ")
             _write(item, inner, out)
             sep = "," + inner
         out.append(nl + "}" if value else "{}")
-    elif t is list or t is tuple:
+    elif t is list:
         inner = nl + "  "
         sep = "[" + inner
         for item in value:
@@ -208,27 +211,4 @@ def _write(value, nl: str, out: list) -> None:
     elif value is None or value is True or value is False:
         out.append("null" if value is None else "true" if value else "false")
     else:
-        _write(_builtin(value), nl, out)
-
-
-def _key(key) -> str:
-    """A dict key, quoted; a number, bool or null key as the text of its value."""
-    if isinstance(key, str):
-        return _quote(key)
-    if key is None or isinstance(key, (int, float)):
-        return '"' + dumps(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _builtin(value):
-    """The built-in value whose text ``json`` gives an instance of a subclass."""
-    for base, convert in (
-        (str, str.__str__),
-        (int, int.__int__),
-        (float, float.__float__),
-        ((list, tuple), list),
-        (dict, lambda d: dict(d.items())),
-    ):
-        if isinstance(value, base):
-            return convert(value)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")

@@ -13,8 +13,9 @@ and stays primitive, in the spirit of Bareiss's fraction-free elimination
 The pivot search reads an index from each column to the rows that hold it,
 updated as elimination adds and cancels entries, so no column scans the
 remaining rows; the pivot rule (shortest row, then first in input order) is
-the one a scan applies.  That is fast enough for every shipped system, the
-largest constrained-torsion one (a few thousand rows, a few hundred columns).
+the one a scan applies.  That is fast enough for every shipped system; the
+largest is lemma-5.5's structural torsion rows with the J-invariant bullet
+rows, [S; F], at dim 8: 1,464 rows, 224 columns.
 """
 
 from __future__ import annotations

@@ -61,6 +61,7 @@ from .hermitian import (
     per_structure,
 )
 from .linalg import (
+    _make_primitive,
     add_scaled,
     combine,
     compose,
@@ -439,6 +440,11 @@ def _bullet_rows(q_rows, n: int):
     return list(rows.values())
 
 
+def _eta_params(etas):
+    """The entries of each eta_a above the diagonal: the columns of ``_bullet_rows``."""
+    return [eta[r][c] for eta in etas for r, c in combinations(range(len(etas)), 2)]
+
+
 def torsion_bullet(q_rows, etas):
     """(Q o eta)(X, Y, Z) = cyclic sum of <eta_{Q X} Y, Z> as an n^3 array.
 
@@ -453,7 +459,7 @@ def torsion_bullet(q_rows, etas):
         raise InvariantViolationError("need an n x n Q and one n x n eta per basis direction")
     if any(eta[r][c] != -eta[c][r] for eta in etas for r in range(n) for c in range(r, n)):
         raise InvariantViolationError("each eta must be skew")
-    params = [eta[r][c] for eta in etas for r, c in combinations(range(n), 2)]
+    params = _eta_params(etas)
     out = [[[0] * n for _ in range(n)] for _ in range(n)]
     for triple, row in zip(combinations(range(n), 3), _bullet_rows(sparse_rows(q_rows), n)):
         value = sum(v * params[col] for col, v in row.items())
@@ -572,21 +578,28 @@ def bracket_bases(j_struct: ComplexStructure):
     return _product_basis(mbasis, 1), _product_basis(mbasis, -1)
 
 
-def bracket_bullet_in_span(j_struct: ComplexStructure, squares, commutators) -> int:
+def bracket_bullet_in_span(basis, squares, commutators) -> int:
     """Commutator bullets follow from squared bullets of the anticommuting skews.
 
-    Adds to the structural torsion constraints of J the rows
-    (F G + G F) o eta = 0 for the polarized squares of the J-anticommuting
-    skews, and returns the exact rank increase when the rows
-    ([F, G]) o eta = 0 are appended: zero exactly when every one already
-    lies in their span.  Bullet rows are linear in the product, so each
-    takes the basis of the products from ``bracket_bases``.
+    The rank the rows C: ([F, G]) o eta = 0 add to the structural torsion
+    rows S of J and the rows B: (F G + G F) o eta = 0 for the polarized
+    squares of the J-anticommuting skews; zero exactly when every commutator
+    bullet lies in their span.  ``basis`` is the ``admissible_torsion_basis``
+    N of the kernel of S, of m elements.  By rank-nullity
+    rank [S; X] = rank S + rank (X N) for any rows X, so that rank is
+    rank [B N; C N] - rank (B N) on the m admissible coordinates, and S is
+    not eliminated again.  Each element is scaled once to primitive integers;
+    ``bracket_bases`` gives the products (bullet rows are linear in them).
     """
-    n = j_struct.space.dim
-    rows, npairs = _structural_rows(j_struct)
-    for sym in squares:
-        rows.extend(_bullet_rows(sym, n))
-    base_rank = exact_rank(rows, n * npairs)
-    for comm in commutators:
-        rows.extend(_bullet_rows(comm, n))
-    return exact_rank(rows, n * npairs) - base_rank
+    if not basis:
+        return 0
+    n, m = len(basis[0]), len(basis)
+    # row i of N holds parameter i of every element, one column per element
+    n_rows: list[dict] = [{} for _ in range(n * n * (n - 1) // 2)]
+    for col, etas in enumerate(basis):
+        params = {i: v for i, v in enumerate(_eta_params(etas)) if v}
+        for i, v in _make_primitive(numerators(params)[0]).items():
+            n_rows[i][col] = v
+    sym, comm = (compose([row for f in prods for row in _bullet_rows(f, n)], n_rows)
+                 for prods in (squares, commutators))
+    return exact_rank(sym + comm, m) - exact_rank(sym, m)

@@ -163,6 +163,22 @@ def test_decompose_accepts_every_matrix_its_skew_check_accepts(tmp_path, capsys)
     assert payload["symplectic_candidate"]["compatible"] is True
 
 
+def test_decompose_separates_close_speeds_beside_a_large_one(tmp_path, capsys):
+    """Rotation speeds 1000, 1 and 1.0005 give three negative clusters, one
+    per speed, and a compatible symplectic candidate."""
+    rows = [[0.0] * 6 for _ in range(6)]
+    for i, speed in enumerate((1000.0, 1.0, 1.0005)):
+        rows[2 * i][2 * i + 1], rows[2 * i + 1][2 * i] = -speed, speed
+    skew = tmp_path / "skew.json"
+    skew.write_text(json.dumps({"dim": 6, "matrix": rows}))
+    assert cli.main(["decompose", str(skew)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    clusters = payload["spectral"]["clusters"]
+    assert [c["multiplicity"] for c in clusters] == [2, 2, 2]
+    assert all(c["mu"] < 0 for c in clusters)
+    assert payload["symplectic_candidate"]["compatible"] is True
+
+
 def test_decompose_refuses_a_skew_matrix_below_dim_two(tmp_path, capsys):
     """The symplectic candidate is a 2-form, so a 1x1 matrix is a usage error
     named as such, not an internal degree error."""

@@ -242,6 +242,15 @@ def test_one_kernel_applies_each_compiled_table():
     }
 
 
+def test_one_elimination_of_the_torsion_constraints_per_check():
+    """The structural torsion rows are built by the admissible basis and by
+    the lemma-5.5 kernel, each eliminating them once; the eq-7 span check
+    works on the admissible basis it is given and never rebuilds them."""
+    assert callers_of("_structural_rows") == {
+        "tensor_maps.py:admissible_torsion_basis", "tensor_maps.py:van_kernel_dimension",
+    }
+
+
 def test_skew_endo_checks_only_the_matrices_that_enter():
     """A ``SkewEndo`` is built from a JSON payload, a campaign's generated
     matrix and the form of ``decompose``; the matrices the library builds

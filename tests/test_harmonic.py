@@ -170,13 +170,27 @@ def test_spectral_reconstruction_random():
 
 
 def test_spectral_rejects_merged_distinct_clusters():
-    # two genuinely different rotation speeds forced into one cluster: the
-    # gap is relative to the largest eigenvalue (-10^6), so it is 10^-2
+    # rotation speeds 1 and 1.0005 beside a speed of 1000 stay two clusters:
+    # the gap is relative to each pair of consecutive eigenvalues, not to the
+    # largest one (-10^6), against which it would be 10^-2
     rows = [[0.0] * 6 for _ in range(6)]
     for i, speed in enumerate((1000.0, 1.0, 1.0005)):
         rows[2 * i][2 * i + 1], rows[2 * i + 1][2 * i] = -speed, speed
+    clusters = spectral(SkewEndo(S6F, rows)).clusters
+    assert [c.multiplicity for c in clusters] == [2, 2, 2]
+    assert [c.mu for c in clusters] == pytest.approx([-1e6, -1.00100025, -1.0], rel=1e-12)
+
+
+def test_spectral_refuses_a_cluster_that_does_not_square_to_minus_one(monkeypatch):
+    """An eigensolver that reports speeds 1 and 2 as one eigenvalue -1 of
+    multiplicity 4 gives a cluster whose normalized restriction squares to
+    -diag(1, 1, 4, 4); an honest solver never reaches this refusal on a
+    skew input, so the solver is replaced."""
+    rows = [[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -2.0],
+            [0.0, 0.0, 2.0, 0.0]]
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.full(len(m), -1.0), np.eye(len(m))))
     with pytest.raises(IllConditionedSpectrumError, match="does not square to -1"):
-        spectral(SkewEndo(S6F, rows))
+        spectral(SkewEndo(Space(4, "float"), rows))
 
 
 def test_moment_recovery_examples():

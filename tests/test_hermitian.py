@@ -1,7 +1,9 @@
 """Complex-structure extensions, the bigrading, and the lambda subspaces."""
 
+import importlib.util
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -332,3 +334,17 @@ def test_exact_structure_check_stays_exact():
     rows[0][1] += Fraction(1, 10**400)
     with pytest.raises(InvariantViolationError):
         ComplexStructure(S4, rows)
+
+
+def test_cayley_probe_builds_its_structures():
+    """The J of ``scripts/cayley_probe.py`` has the denominators 3/12/187 at
+    dims 4/6/8 and squares to -I; the probe's timings are not checked."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "cayley_probe.py"
+    spec = importlib.util.spec_from_file_location("cayley_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    for n, den in ((4, 3), (6, 12), (8, 187)):
+        j = probe.cayley_j(n)
+        assert j.den == den
+        square = [[sum(a * b for a, b in zip(row, col)) for col in zip(*j.rows)] for row in j.rows]
+        assert square == [[-int(r == c) for c in range(n)] for r in range(n)]

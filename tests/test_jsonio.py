@@ -289,7 +289,8 @@ def indented(value):
     return json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
 
 
-# json writes a subclass instance as its built-in value, whatever its repr
+# json writes a subclass instance as its built-in value, whatever its repr;
+# dumps refuses it, as decompose never builds one
 class _Int(int):
     def __repr__(self):
         return "_Int()"
@@ -318,13 +319,10 @@ _LEAVES = st.one_of(
     st.none(),
     st.booleans(),
     _TEXT,
-    _TEXT.map(_Str),
     st.integers(),
     st.integers(-2**70, 2**70),
     st.sampled_from([2**64 - 1, 2**64, -2**64, 10**30]),
-    st.integers().map(_Int),
     st.floats(allow_nan=False, allow_infinity=False),
-    st.floats(allow_nan=False, allow_infinity=False).map(_Float),
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1]),
 )
 
@@ -332,10 +330,7 @@ _LEAVES = st.one_of(
 def _containers(children):
     return st.one_of(
         st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.lists(children, max_size=4).map(_List),
         st.dictionaries(_TEXT, children, max_size=4),
-        st.dictionaries(_TEXT, children, max_size=4).map(_Dict),
     )
 
 
@@ -349,14 +344,17 @@ def test_dumps_writes_what_json_dumps_writes(value):
 
 
 @pytest.mark.parametrize(
-    "keys",
-    [[2, 1.5, True, -0.0], [None], [_Int(3), _Float(2.5), 1], [_Str("k"), "j"],
-     [5e-324, 1e308, 10**30]],
-    ids=["numbers", "null", "number-subclasses", "str-subclass", "extremes"],
+    "value",
+    [{2: 0}, {1.5: 0}, {True: 0}, {None: 0}, {float("nan"): 1}, {_Str("k"): 0}, (1, 2),
+     [_Int(3)], [_Float(2.5)], [_Str("s")], [_List()], {"k": _Dict()}],
+    ids=["int-key", "float-key", "bool-key", "null-key", "nan-key", "str-subclass-key", "tuple",
+         "int-subclass", "float-subclass", "str-subclass", "list-subclass", "dict-subclass"],
 )
-def test_dumps_converts_keys_as_json_does(keys):
-    value = {"nested": [dict.fromkeys(keys, 0)], **dict.fromkeys(map(str, keys), [])}
-    assert dumps(value) == indented(value)
+def test_dumps_refuses_what_decompose_never_builds(value):
+    """json converts these keys and values; dumps writes only dicts with str
+    keys, lists, str, int, float, bool and None, and refuses the rest."""
+    with pytest.raises(TypeError):
+        dumps(value)
 
 
 def _buried(bad):
@@ -392,9 +390,9 @@ def test_dumps_refuses_values_that_are_not_json(value):
 
 @pytest.mark.parametrize(
     "value, error",
-    [({float("nan"): 1}, ValueError), ({(1, 2): 1}, TypeError), ({b"k": 1}, TypeError),
-     ({1, 2}, TypeError), (b"bytes", TypeError)],
-    ids=["nan-key", "tuple-key", "bytes-key", "set", "bytes"],
+    [({(1, 2): 1}, TypeError), ({b"k": 1}, TypeError), ({1, 2}, TypeError),
+     (b"bytes", TypeError)],
+    ids=["tuple-key", "bytes-key", "set", "bytes"],
 )
 def test_dumps_refuses_keys_and_values_as_json_does(value, error):
     raise_alike(value, error)

@@ -1251,10 +1251,11 @@ def bracket_span_dimension(k):
     return len(bracket_bases(ComplexStructure.standard(Space(2 * k)))[1])
 
 
-def bracket_in_span(k):
-    """``bracket_bullet_in_span`` on the standard J of R^{2k}."""
-    j_struct = ComplexStructure.standard(Space(2 * k))
-    return bracket_bullet_in_span(j_struct, *bracket_bases(j_struct))
+def bracket_in_span(j_struct, squares=True):
+    """``bracket_bullet_in_span`` of J as ``run_eq_7`` calls it or, with
+    ``squares`` false, without the square rows."""
+    sym, comm = bracket_bases(j_struct)
+    return bracket_bullet_in_span(admissible_torsion_basis(j_struct), sym if squares else [], comm)
 
 
 def test_bracket_span_dimension():
@@ -1267,7 +1268,7 @@ def test_bracket_span_dimension():
 
 
 def test_bracket_bullet_span_containment():
-    assert bracket_in_span(3) == 0
+    assert bracket_in_span(J6) == 0
 
 
 # -- the pairwise torsion oracle ---------------------------------------------
@@ -1354,11 +1355,10 @@ def oracle_skew_basis(j_struct, commuting):
     return [_skew_from_params(vec, n) for vec in exact_nullspace(rows, n * (n - 1) // 2)]
 
 
-def oracle_bracket_bullet_in_span(k, squares=True):
-    """The rank the commutator rows add to the structural rows and, unless
-    ``squares`` is false, the rows of every square F G + G F."""
-    j_struct = ComplexStructure.standard(Space(2 * k))
-    n = 2 * k
+def oracle_bracket_bullet_in_span(j_struct, squares=True):
+    """The rank the commutator rows add to the structural rows of J and,
+    unless ``squares`` is false, the rows of every square F G + G F."""
+    n = j_struct.space.dim
     rows, npairs = oracle_structural_rows(j_struct)
     skew = oracle_skew_params(n)
     mbasis = anti_invariant_skew_basis(j_struct)
@@ -1415,8 +1415,21 @@ def test_skew_bases_match_the_commutation_row_oracle(j_struct):
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_bracket_checks_match_the_all_pairs_oracle(k):
-    assert bracket_in_span(k) == oracle_bracket_bullet_in_span(k)
+    j_struct = ComplexStructure.standard(Space(2 * k))
+    for squares in (True, False):
+        assert bracket_in_span(j_struct, squares) == oracle_bracket_bullet_in_span(j_struct, squares)
     assert bracket_span_dimension(k) == oracle_bracket_span_dimension(k)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_bracket_span_matches_the_all_pairs_oracle_on_a_rotated_j(n):
+    """The span check on the admissible coordinates counts what the full
+    structural system counts on a J with denominators, with and without the
+    square rows (16 at dim 6 without them, the admissible dimension)."""
+    j_struct = rotated_j(n)
+    for squares in (True, False):
+        assert bracket_in_span(j_struct, squares) == oracle_bracket_bullet_in_span(j_struct, squares)
+    assert bracket_in_span(j_struct, False) == {4: 0, 6: 16}[n]
 
 
 def test_eq_7_bracket_span_fails_when_the_squares_are_dropped(monkeypatch):
@@ -1429,8 +1442,8 @@ def test_eq_7_bracket_span_fails_when_the_squares_are_dropped(monkeypatch):
     monkeypatch.setattr(campaigns, "bracket_bases", lambda j_struct: ([], real(j_struct)[1]))
     report = campaigns.run_campaign(campaigns.Campaign("eq-7", dims=[4, 6], seeds=[0]))
     cases = {c.id: c for c in report.cases}
-    assert cases["dim4/bracket-span"].residual == oracle_bracket_bullet_in_span(2, False) == 0
-    want = oracle_bracket_bullet_in_span(3, False)
+    assert cases["dim4/bracket-span"].residual == oracle_bracket_bullet_in_span(J4, False) == 0
+    want = oracle_bracket_bullet_in_span(J6, False)
     assert want == cases["dim6/admissible"].residual == 16
     span = cases.pop("dim6/bracket-span")
     assert span.residual == want and not span.passed

@@ -23,6 +23,7 @@ import hashlib
 import json
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 BODIES = ("lemma-2.1", "prop-2.2", "prop-2.3", "alpha-omega", "eq-7")
@@ -43,12 +44,13 @@ def cayley_j(n: int):
             s[r][c] = rng.next_u64() % 3 - 1
             s[c][r] = -s[r][c]
     # I + S is invertible (S is real skew), so the kernel of [I + S | S - I]
-    # has its free columns at n..2n-1, and free column n + j gives the vector
-    # ((I + S)^-1 (I - S) e_j, e_j): column j of Q, as (I + S)^-1 and I - S
-    # commute
+    # has its free columns at n..2n-1, and free column n + j gives a multiple
+    # of ((I + S)^-1 (I - S) e_j, e_j): divided by its entry at n + j, it is
+    # column j of Q, as (I + S)^-1 and I - S commute
     system = [{**{c: int(r == c) + s[r][c] for c in range(n)},
                **{n + c: s[r][c] - int(r == c) for c in range(n)}} for r in range(n)]
-    q_cols = [[vec.get(r, 0) for r in range(n)] for vec in exact_nullspace(system, 2 * n)]
+    q_cols = [[Fraction(vec.get(r, 0), vec[n + j]) for r in range(n)]
+              for j, vec in enumerate(exact_nullspace(system, 2 * n))]
     j0 = ComplexStructure.standard(Space(n)).sparse_rows
     rows = compose(compose(sparse_rows(zip(*q_cols)), j0), sparse_rows(q_cols))
     return ComplexStructure(Space(n), dense_rows(rows, n))

@@ -158,7 +158,8 @@ def primitive_basis(j_struct: ComplexStructure, degree: int):
     """Exact basis of the primitive forms of a given degree (cached).
 
     Assembled as the nullspace of the adjoint Lefschetz operator on the
-    increasing-multi-index basis, from the integer rows of den Lstar.
+    increasing-multi-index basis, from the integer rows of den Lstar; each
+    form has the primitive integer coefficients of its nullspace vector.
     """
     space = j_struct.space
     masks = basis_masks(space.dim, degree)

@@ -9,7 +9,9 @@ ones.  Rank and nullspace share one sparse elimination with a shortest-row
 pivot heuristic over {column: value} rows of a given width.  It runs on
 integers: each row is scaled once to primitive integers (coprime entries)
 and stays primitive, in the spirit of Bareiss's fraction-free elimination
-(Math. Comp. 22, 1968); the nullspace divides only when it back-substitutes.
+(Math. Comp. 22, 1968).  The nullspace back-substitutes on the same integer
+rows and returns primitive integer vectors, so the module builds no
+``Fraction``: rational inputs enter as numerators over one denominator.
 The pivot search reads an index from each column to the rows that hold it,
 updated as elimination adds and cancels entries, so no column scans the
 remaining rows; the pivot rule (shortest row, then first in input order) is
@@ -23,7 +25,6 @@ from __future__ import annotations
 import importlib.util
 import sys
 from collections import defaultdict
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InvariantViolationError
@@ -158,32 +159,45 @@ def row_basis(matrix, ncols: int):
 
 
 def exact_nullspace(matrix, ncols: int):
-    """Basis of the rational nullspace, as sparse {column: Fraction} vectors.
+    """Basis of the rational nullspace, as sparse {column: int} vectors.
 
-    The pivot rows are back-substituted into the reduced row echelon form,
-    which depends only on the row space, and each free column f gives the
-    vector with 1 at f, minus the f-th reduced entry at each pivot column
-    and 0 elsewhere; only pivots left of f have an entry at f, so the keys
-    increase.  A matrix without rows has the identity basis.
+    Each vector is the primitive integer multiple, positive at its free
+    column f, of the one the reduced row echelon form gives: 1 at f, minus
+    the f-th reduced entry at each pivot column and 0 elsewhere.  That form
+    is unique.  The back-substitution runs on the integer pivot rows, in
+    decreasing pivot order: a row holding x at the pivot column k of the
+    reduced row red, with pivot pk, becomes (pk/g) row - (x/g) red for
+    g = gcd(pk, x), as in ``_eliminate``, and is made primitive.  Vector f
+    is scaled once, by the lcm of |piv|/gcd(piv, x) over the rows with pivot
+    piv and entry x at f.  Only pivots left of f have an entry at f, so the
+    keys increase.  A matrix without rows has the identity basis.
     """
     pivots = _eliminate(matrix, ncols)
     reduced = {}
     for col in sorted(pivots, reverse=True):
         row = pivots[col]
-        piv = row[col]
-        row = {c: Fraction(v, piv) for c, v in row.items()}
         # the rows of later pivots are already reduced, so clearing their
         # columns changes only free columns
         for k in [k for k in row if k in reduced]:
-            add_scaled(row, -row[k], reduced[k])
-        reduced[col] = row
+            red = reduced[k]
+            pk, x = red[k], row[k]
+            g = gcd(pk, x)
+            scale = pk // g
+            if scale != 1:
+                for c in row:
+                    row[c] *= scale
+            add_scaled(row, -(x // g), red)
+        reduced[col] = _make_primitive(row)
     order = sorted(reduced)
     basis = []
     for free in range(ncols):
         if free in pivots:
             continue
-        vec = {col: -reduced[col][free] for col in order if free in reduced[col]}
-        vec[free] = Fraction(1)
+        held = [(col, reduced[col][col], reduced[col][free])
+                for col in order if free in reduced[col]]
+        scale = lcm(*[abs(piv) // gcd(piv, x) for _, piv, x in held])
+        vec = {col: -(scale * x // piv) for col, piv, x in held}
+        vec[free] = scale
         basis.append(vec)
     return basis
 

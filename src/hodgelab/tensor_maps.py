@@ -61,7 +61,6 @@ from .hermitian import (
     per_structure,
 )
 from .linalg import (
-    _make_primitive,
     add_scaled,
     combine,
     compose,
@@ -418,26 +417,32 @@ def _skew_from_params(vec: dict, n: int, base: int = 0):
     return rows
 
 
-def _bullet_rows(q_rows, n: int):
+def _bullet_rows(qs, n: int):
     """Rows of (Q o eta)(x, y, z) for x < y < z in the eta parameters, in the
-    order of ``basis_masks(n, 3)``; Q is given by its {column: value} rows.
+    order of ``basis_masks(n, 3)``, for each Q of ``qs`` in turn; each Q is
+    given by its {column: value} rows.
 
     The bullet is the alternating 3-form sum_a theta_a ^ omega_a, where
     theta_a = sum_x Q[a][x] e^x is row a of Q and omega_a(Y, Z) = <eta_a Y, Z>.
     Parameter i of eta_a is its entry (r, c), r < c, whose 2-form is -e^{rc},
     so it enters the row of the triple x|r|c as -Q[a][x] merge_sign(e^x, e^{rc}).
+    That sign table depends on n alone and is built once per call.
     """
     npairs = n * (n - 1) // 2
     pairs = [(1 << r) | (1 << c) for r, c in combinations(range(n), 2)]
     # (parameter, triple, sign of e^x ^ -e^{rc}) for each x
     terms = [[(i, (1 << x) | pair, -merge_sign(1 << x, pair))
               for i, pair in enumerate(pairs) if not pair >> x & 1] for x in range(n)]
-    rows: dict = {mask: {} for mask in basis_masks(n, 3)}
-    for a, q_row in enumerate(q_rows):
-        for x, v in q_row.items():
-            for i, mask, sign in terms[x]:
-                rows[mask][a * npairs + i] = sign * v
-    return list(rows.values())
+    masks = basis_masks(n, 3)
+    out = []
+    for q_rows in qs:
+        rows: dict = {mask: {} for mask in masks}
+        for a, q_row in enumerate(q_rows):
+            for x, v in q_row.items():
+                for i, mask, sign in terms[x]:
+                    rows[mask][a * npairs + i] = sign * v
+        out += rows.values()
+    return out
 
 
 def _eta_params(etas):
@@ -461,7 +466,7 @@ def torsion_bullet(q_rows, etas):
         raise InvariantViolationError("each eta must be skew")
     params = _eta_params(etas)
     out = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for triple, row in zip(combinations(range(n), 3), _bullet_rows(sparse_rows(q_rows), n)):
+    for triple, row in zip(combinations(range(n), 3), _bullet_rows([sparse_rows(q_rows)], n)):
         value = sum(v * params[col] for col, v in row.items())
         # the signs of permutations(triple), in its order
         for (x, y, z), sign in zip(permutations(triple), (1, -1, -1, 1, 1, -1)):
@@ -486,7 +491,7 @@ def _structural_rows(j_struct: ComplexStructure):
     # below is free of J or linear in it, so den only scales it
     j_cols = [{k: -v for k, v in row.items()} for row in j_struct.num_rows]
     # the cyclic identity on increasing triples is the bullet of the identity
-    rows = _bullet_rows([{i: 1} for i in range(n)], n)
+    rows = _bullet_rows([[{i: 1} for i in range(n)]], n)
     for a, eta in enumerate(etas):
         # row r of the entry table of eta_a J is compose(J columns, eta[r])
         eta_j = [compose(j_cols, eta_r) for eta_r in eta]
@@ -504,7 +509,8 @@ def _structural_rows(j_struct: ComplexStructure):
 
 def admissible_torsion_basis(j_struct: ComplexStructure):
     """Exact basis of the torsion tensors satisfying the ``_structural_rows``
-    constraints; each element is the list of its n dense skew matrices eta_a."""
+    constraints; each element is the list of its n dense skew matrices eta_a,
+    with the primitive integer entries of its ``exact_nullspace`` vector."""
     n = j_struct.space.dim
     rows, npairs = _structural_rows(j_struct)
     return [[dense_rows(_skew_from_params(vec, n, a * npairs), n) for a in range(n)]
@@ -564,8 +570,7 @@ def van_kernel_dimension(j_struct: ComplexStructure) -> int:
     """
     n = j_struct.space.dim
     rows, npairs = _structural_rows(j_struct)
-    for f in invariant_skew_basis(j_struct):
-        rows.extend(_bullet_rows(f, n))
+    rows += _bullet_rows(invariant_skew_basis(j_struct), n)
     return n * npairs - exact_rank(rows, n * npairs)
 
 
@@ -588,8 +593,9 @@ def bracket_bullet_in_span(basis, squares, commutators) -> int:
     N of the kernel of S, of m elements.  By rank-nullity
     rank [S; X] = rank S + rank (X N) for any rows X, so that rank is
     rank [B N; C N] - rank (B N) on the m admissible coordinates, and S is
-    not eliminated again.  Each element is scaled once to primitive integers;
-    ``bracket_bases`` gives the products (bullet rows are linear in them).
+    not eliminated again, and B N once: its ``row_basis`` stands in for it
+    under C N.  ``bracket_bases`` gives the products (bullet rows are linear
+    in them).
     """
     if not basis:
         return 0
@@ -597,9 +603,9 @@ def bracket_bullet_in_span(basis, squares, commutators) -> int:
     # row i of N holds parameter i of every element, one column per element
     n_rows: list[dict] = [{} for _ in range(n * n * (n - 1) // 2)]
     for col, etas in enumerate(basis):
-        params = {i: v for i, v in enumerate(_eta_params(etas)) if v}
-        for i, v in _make_primitive(numerators(params)[0]).items():
-            n_rows[i][col] = v
-    sym, comm = (compose([row for f in prods for row in _bullet_rows(f, n)], n_rows)
-                 for prods in (squares, commutators))
-    return exact_rank(sym + comm, m) - exact_rank(sym, m)
+        for i, v in enumerate(_eta_params(etas)):
+            if v:
+                n_rows[i][col] = v
+    sym, comm = (compose(_bullet_rows(prods, n), n_rows) for prods in (squares, commutators))
+    pivots = row_basis(sym, m)
+    return exact_rank(pivots + comm, m) - len(pivots)

@@ -12,8 +12,9 @@ fails until it is checked by hand.  Calls are matched by
 the same names: ``C(...)`` is a call of ``C.__init__`` (for a dataclass, of
 its generated ``__init__`` over the annotated fields).  The per-structure
 cache attributes are touched by ``hermitian`` alone, the compiled
-operator tables are applied by three functions only, and no module of the
-package asks ``json`` for an indent.
+operator tables are applied by three functions only, no module of the
+package asks ``json`` for an indent, and ``linalg`` builds no ``Fraction``:
+it names none, and its nullspace vectors hold ints on the shipped systems.
 """
 
 import ast
@@ -21,6 +22,14 @@ import math
 from collections import Counter, defaultdict
 from itertools import chain
 from pathlib import Path
+
+from hodgelab.exterior import Form, Space, basis_masks
+from hodgelab.hermitian import ComplexStructure, lambda_basis
+from hodgelab.lefschetz import lefschetz_lstar
+from hodgelab.linalg import exact_nullspace
+from hodgelab.tensor_maps import _structural_rows, a_full_matrix
+
+from conftest import rotated_j
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hodgelab"
@@ -268,6 +277,40 @@ def test_tensor_maps_builds_fractions_only_in_its_value_readers():
     assert {c for c in callers_of("Fraction") if c.startswith("tensor_maps.py:")} == {
         "tensor_maps.py:matrix", "tensor_maps.py:max_entry",
     }
+
+
+def nullspace_systems(j_struct):
+    """(rows, ncols) of the structural torsion rows, the Lstar rows of every
+    degree from 2 on (rational on a rotated J) and the ``a_full_matrix`` of
+    the degree pairs p != q up to 3."""
+    space, n = j_struct.space, j_struct.space.dim
+    rows, npairs = _structural_rows(j_struct)
+    yield rows, n * npairs
+    for degree in range(2, n + 1):
+        masks = basis_masks(n, degree)
+        pos = {m: i for i, m in enumerate(basis_masks(n, degree - 2))}
+        rows = [{} for _ in pos]
+        for col, m in enumerate(masks):
+            for im, c in lefschetz_lstar(j_struct, Form(space, degree, {m: 1})).coeffs.items():
+                rows[pos[im]][col] = c
+        yield rows, len(masks)
+    for p in range(1, 4):
+        for q in range(1, 4):
+            if p != q and p + q <= n:
+                ncols = lambda_basis(j_struct, p).dim * lambda_basis(j_struct, q).dim
+                yield a_full_matrix(j_struct, p, q), ncols
+
+
+def test_linalg_builds_no_fractions():
+    """``linalg`` names no ``Fraction``, and its nullspace vectors hold only
+    ints on the shipped systems, rational ones included."""
+    tree =ast.parse((PACKAGE / "linalg.py").read_text())
+    assert "Fraction" not in {name for name, _ in referenced_names(tree)}
+    for n in (4, 6, 8):
+        for j_struct in (ComplexStructure.standard(Space(n)), rotated_j(n)):
+            for rows, ncols in nullspace_systems(j_struct):
+                basis = exact_nullspace(rows, ncols)
+                assert all(type(v) is int for vec in basis for v in vec.values())
 
 
 def data_members(tree):

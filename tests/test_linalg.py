@@ -1,15 +1,18 @@
 """Differential oracles: exact_rank / exact_nullspace against sympy over QQ,
 and the sparse-row helpers against dense matrix arithmetic.
 
-The nullspace basis read off the reduced row echelon form is canonical, so
-it must equal sympy's ``Matrix.nullspace()`` entry for entry, not just span
-the same space.  ``compose`` and ``combine`` must equal the dense product and
-sum entry for entry, float entries included: both accumulate in the same
-order, so float results compare with ``==``.
+The nullspace basis read off the reduced row echelon form is canonical, and
+so is its primitive integer form with a positive entry at the free column:
+each vector must equal sympy's ``Matrix.nullspace()`` vector scaled to that
+form, entry for entry, not just span the same space.  The ``Fraction``
+back-substitution of the reduced rows is kept here as a second oracle.
+``compose`` and ``combine`` must equal the dense product and sum entry for
+entry, float entries included: both accumulate in the same order, so float
+results compare with ``==``.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -51,11 +54,46 @@ def _sympy_matrix(rows, ncols):
     return sympy.Matrix(len(dense), ncols, entries)
 
 
+def _primitive_multiple(vec):
+    """The primitive integer multiple of a nonzero rational vector by a
+    positive factor: for a sympy nullspace vector, which holds 1 at its free
+    column, the canonical form that ``exact_nullspace`` returns."""
+    den = lcm(*[Fraction(v).denominator for v in vec])
+    ints = [int(v * den) for v in vec]
+    g = gcd(*ints)
+    return [v // g for v in ints]
+
+
 def _assert_matches_sympy(rows, ncols):
     m = _sympy_matrix(rows, ncols)
-    expected = [[Fraction(int(v.p), int(v.q)) for v in vec] for vec in m.nullspace()]
-    assert dense_rows(exact_nullspace(rows, ncols), ncols) == expected
+    expected = [_primitive_multiple([Fraction(int(v.p), int(v.q)) for v in vec])
+                for vec in m.nullspace()]
+    got = dense_rows(exact_nullspace(rows, ncols), ncols)
+    assert got == expected
+    assert all(type(v) is int for vec in got for v in vec)
     assert exact_rank(rows, ncols) == m.rank()
+
+
+def oracle_fraction_nullspace(matrix, ncols):
+    """The nullspace as it was read off in ``Fraction``s: each pivot row is
+    divided by its pivot and reduced by the later reduced rows, and free
+    column f gives 1 at f and minus the f-th reduced entry at each pivot."""
+    pivots = _eliminate(matrix, ncols)
+    reduced = {}
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        piv = row[col]
+        row = {c: Fraction(v, piv) for c, v in row.items()}
+        for k in [k for k in row if k in reduced]:
+            add_scaled(row, -row[k], reduced[k])
+        reduced[col] = row
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            vec = {col: -reduced[col][free] for col in sorted(reduced) if free in reduced[col]}
+            vec[free] = Fraction(1)
+            basis.append(vec)
+    return basis
 
 
 _ENTRIES = st.one_of(
@@ -85,6 +123,26 @@ def test_random_dict_rows_match_sympy(case):
     dense, ncols = case
     rows = [{c: v for c, v in enumerate(row) if v != 0} for row in dense]
     _assert_matches_sympy(rows, ncols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_matrices())
+def test_integer_nullspace_is_a_coprime_positive_multiple_of_the_fraction_one(case):
+    """Vector for vector, the int basis is the Fraction oracle's scaled by a
+    positive integer, with coprime entries, over the same keys in order."""
+    dense, ncols = case
+    rows = sparse_rows(dense)
+    got = exact_nullspace(rows, ncols)
+    want = oracle_fraction_nullspace(rows, ncols)
+    assert len(got) == len(want)
+    for vec, ref in zip(got, want):
+        assert list(vec) == list(ref)
+        assert all(type(v) is int for v in vec.values())
+        assert gcd(*vec.values()) == 1
+        # the free column, the last key, holds 1 in the oracle's vector
+        scale = vec[next(reversed(ref))]
+        assert scale > 0
+        assert vec == {c: scale * v for c, v in ref.items()}
 
 
 @settings(max_examples=300, deadline=None)

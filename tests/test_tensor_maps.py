@@ -1221,12 +1221,16 @@ def test_torsion_bullet_matches_the_cyclic_sum_oracle(j_struct):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_bullet_rows_match_the_pairwise_oracle(n):
+    """One Q per call and all of them in one call, whose rows are those of
+    each Q in turn."""
     rng = SplitMix64(100 + n)
-    for q_rows in random_endomorphisms(n, rng):
-        q_sparse = sparse_rows(q_rows)
-        rows = tensor_maps._bullet_rows(q_sparse, n)
-        assert rows == oracle_bullet_rows(q_sparse, n, oracle_skew_params(n))
+    qs = [sparse_rows(q_rows) for q_rows in random_endomorphisms(n, rng)]
+    want = [oracle_bullet_rows(q_sparse, n, oracle_skew_params(n)) for q_sparse in qs]
+    for q_sparse, rows in zip(qs, want):
+        assert tensor_maps._bullet_rows([q_sparse], n) == rows
         assert any(rows)
+    assert tensor_maps._bullet_rows(qs, n) == [row for rows in want for row in rows]
+    assert tensor_maps._bullet_rows([], n) == []
 
 
 def test_skew_bases_dimensions():

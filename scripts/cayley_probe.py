@@ -10,17 +10,21 @@ rationals, and J = Q J0 Q^T.  Its denominators are 3/12/187 at dims 4/6/8.
 
 ``campaigns._std`` is replaced by a fresh such J per call, and the five
 campaign bodies that pass on it run at dims 4/6/8 with their default seeds,
-each one timed on its own.  (``lemma-3.1`` is left out: its derivative table
-assumes J e_{2i-1} = e_{2i}.)  One JSON line is printed: for each body and
-dim the seconds, the case count, whether every case passed and the sha256 of
-the cases' ids, verdicts and residuals, then the total seconds.  Standard
-library plus the checkout's own code.
+each one run three times on its own and timed as the median of the three:
+one timing on a shared host spreads wider than most changes the probe is
+meant to resolve.  (``lemma-3.1`` is left out: its derivative table assumes
+J e_{2i-1} = e_{2i}.)  One JSON line is printed: for each body and dim the
+seconds, the case count, whether every case passed and the sha256 of the
+cases' ids, verdicts and residuals, which must agree over the three runs,
+then the total of the median seconds.  Standard library plus the
+checkout's own code.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import statistics
 import sys
 import time
 from fractions import Fraction
@@ -28,6 +32,7 @@ from pathlib import Path
 
 BODIES = ("lemma-2.1", "prop-2.2", "prop-2.3", "alpha-omega", "eq-7")
 DIMS = (4, 6, 8)
+RUNS = 3
 
 
 def cayley_j(n: int):
@@ -65,11 +70,17 @@ def probe() -> dict:
     for name in BODIES:
         entry = campaigns.CAMPAIGNS[name]
         for dim in DIMS:
-            start = time.perf_counter()
-            cases = list(entry.fn(dim, entry.seeds))
-            seconds = time.perf_counter() - start
+            times, texts = [], set()
+            for _ in range(RUNS):
+                start = time.perf_counter()
+                cases = list(entry.fn(dim, entry.seeds))
+                times.append(time.perf_counter() - start)
+                texts.add(json.dumps([[c.id, c.passed, c.residual] for c in cases]))
+            if len(texts) != 1:
+                raise RuntimeError(f"{name}/dim{dim} gives different cases from run to run")
+            seconds = statistics.median(times)
             total += seconds
-            text = json.dumps([[c.id, c.passed, c.residual] for c in cases])
+            text = texts.pop()
             out["bodies"][f"{name}/dim{dim}"] = {
                 "seconds": round(seconds, 4),
                 "cases": len(cases),

@@ -79,7 +79,8 @@ class Space:
     The backend's scalar rules live here: ``zero`` and ``one``, the
     tolerance ``tol`` of its checks (0 on exact, so an exact check compares
     exact values, ``FLOAT_TOL`` on float), ``ratio(a, b)``,
-    ``numerators(coeffs)`` and its inverse ``from_numerators``.
+    ``numerators(coeffs)``, its inverse ``from_numerators`` and ``carry``,
+    which says where a chain of integer steps divides.
     """
 
     __slots__ = ("dim", "backend", "zero", "one", "tol")
@@ -129,6 +130,16 @@ class Space:
         if den != 1:
             nums = {k: self.ratio(v, den) for k, v in nums.items()}
         return Form(self, degree, nums)
+
+    def carry(self, nums: dict, den) -> tuple:
+        """``(nums, den)`` as this backend carries nums / den from one step
+        to the next: unchanged on exact, which divides once, in
+        ``from_numerators``; on float each entry times 1/den over 1, rounded
+        as ``Form * ratio(1, den)`` rounds it."""
+        if self.backend == "exact":
+            return nums, den
+        inverse = 1 / den
+        return {k: w for k, v in nums.items() if (w := v * inverse)}, 1
 
     def zero_form(self, degree: int) -> "Form":
         return Form(self, degree, {})

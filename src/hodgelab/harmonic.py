@@ -38,16 +38,23 @@ class SkewEndo:
     __slots__ = ("space", "rows")
 
     def __init__(self, space: Space, rows):
-        rows = tuple(tuple(space.scalar(v) for v in row) for row in rows)
-        if len(rows) != space.dim or any(len(r) != space.dim for r in rows):
-            raise InvariantViolationError("matrix shape must match the space dimension")
+        rows = self._set_rows(space, rows)
         n = space.dim
         # relative to the largest entry; a zero tolerance needs no scale
         bound = space.tol and space.tol * max(1, max(map(abs, chain.from_iterable(rows))))
         if any(abs(rows[i][j] + rows[j][i]) > bound for i in range(n) for j in range(i, n)):
             raise InvariantViolationError("matrix is not skew-symmetric")
+
+    def _set_rows(self, space: Space, rows) -> tuple:
+        """Set ``space`` and ``rows``, a dim x dim tuple of tuples of the
+        backend's scalars, and return the rows; a subclass may check skewness
+        its own way."""
+        rows = tuple(tuple(space.scalar(v) for v in row) for row in rows)
+        if len(rows) != space.dim or any(len(r) != space.dim for r in rows):
+            raise InvariantViolationError("matrix shape must match the space dimension")
         self.space = space
         self.rows = rows
+        return rows
 
     def __eq__(self, other):
         return (

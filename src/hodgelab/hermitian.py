@@ -12,14 +12,16 @@ polynomials in the squared derivation, hence exact on the rational backend.
 ``lambda_p`` denotes the real forms of complex type (p,0)+(0,p), the -p^2
 eigenspace on degree p, and bb_j is the complex-structure action (1/p) cal-J
 on it.  A rational J is held as integer rows over one denominator, so every
-table compiled from it holds ints, and a form divides once, where it is read.
+table compiled from it holds ints, and a form divides once, where it is read:
+the exact operators, the projections and the bb_j matrix build no ``Fraction``
+before that one division (the fraction-free rule of Bareiss, Math. Comp. 22,
+1968, that ``linalg`` follows too).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce, wraps
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .errors import (
     DegreeMismatchError,
@@ -42,8 +44,10 @@ from .linalg import _make_primitive, add_scaled, combine, compose, integer_rows,
 
 class ComplexStructure(SkewEndo):
     """An orthogonal complex structure: a skew map J with J^2 = -I on an
-    even-dimensional space.  For a skew J, J^T J = -J^2, so the inherited
-    skew check and J^2 + I = 0 make J orthogonal; no J^T J is formed.
+    even-dimensional space.  For a skew J, J^T J = -J^2, so the skew check
+    and J^2 + I = 0 make J orthogonal; no J^T J is formed.  A float J takes
+    the inherited toleranced skew check; an exact one is checked as
+    N + N^T = 0 on its integer rows N.
 
     ``rows`` is the matrix acting on column vectors of components, so the
     image of the i-th basis vector is column i; ``sparse_rows`` holds the
@@ -58,10 +62,16 @@ class ComplexStructure(SkewEndo):
     def __init__(self, space: Space, rows):
         if space.dim % 2:
             raise InvariantViolationError("complex structure needs even dimension")
-        super().__init__(space, rows)
+        exact = space.backend == "exact"
+        if exact:
+            self._set_rows(space, rows)
+        else:
+            super().__init__(space, rows)
         j = self.sparse_rows = sparse_rows(self.rows)
         entries = ((r, c, v) for r, row in enumerate(j) for c, v in row.items())
-        num, den = integer_rows(entries, space.dim) if space.backend == "exact" else (j, 1)
+        num, den = integer_rows(entries, space.dim) if exact else (j, 1)
+        if exact and any(num[c].get(r) != -v for r, row in enumerate(num) for c, v in row.items()):
+            raise InvariantViolationError("matrix is not skew-symmetric")
         self.num_rows, self.den = num, den
         sq_plus_id = combine(compose(num, num), [{i: den * den} for i in range(space.dim)])
         if any(abs(v) > space.tol for row in sq_plus_id for v in row.values()):
@@ -207,8 +217,10 @@ def bidegree_project(j_struct: ComplexStructure, alpha: Form, p: int, q: int) ->
     Realized as exact Lagrange interpolation in curly_j^2 over the spectrum
     {-(s-2i)^2 : 0 <= i <= s//2} of degree s = p+q; the components over all
     (p, q) with p >= q sum back to alpha and are mutually orthogonal.  Each
-    factor (curly_j^2 + (s-2i)^2) / ((s-2i)^2 - (p-q)^2), i != q, is an
-    ``eigen_residual`` on the numerators of the running result.
+    factor (curly_j^2 + (s-2i)^2) / ((s-2i)^2 - (p-q)^2), i != q, is one
+    ``_lagrange`` factor on the numerators of the running result, carried
+    to the next by ``Space.carry``: on exact all of them run on one integer
+    (nums, den) that divides once at the end, on float each rounds.
     """
     if p < q or q < 0:
         raise DegreeMismatchError("need p >= q >= 0")
@@ -216,25 +228,34 @@ def bidegree_project(j_struct: ComplexStructure, alpha: Form, p: int, q: int) ->
         raise DegreeMismatchError(f"p+q = {p + q} does not match degree {alpha.degree}")
     if alpha.space != j_struct.space:
         raise SpaceMismatchError(f"{alpha.space} vs {j_struct.space}")
-    s, space, result = alpha.degree, alpha.space, alpha
+    s, space = alpha.degree, alpha.space
+    nums, den = space.numerators(alpha.coeffs)
     for i in range(s // 2 + 1):
         if i != q:
-            scale = space.ratio(1, (s - 2 * i) ** 2 - (p - q) ** 2)
-            result = eigen_residual(j_struct, s, *space.numerators(result.coeffs), s - i, i) * scale
-    return result
+            out, scale = _lagrange(j_struct, s, nums, [(s - 2 * i) ** 2])
+            nums, den = space.carry(out, scale * den * ((s - 2 * i) ** 2 - (p - q) ** 2))
+    return space.from_numerators(s, nums, den)
 
 
 def _lambda_image(j_struct: ComplexStructure, alpha: Form) -> tuple:
     """``(image, scale)``, curly_j alpha = image / scale, for alpha in the
-    -p^2 eigenspace of curly_j^2 (type (p,0)+(0,p)), else NotInLambdaPError:
-    with T = tden curly_j and alpha = nums / den, T(T nums) = -p^2 tden^2 nums
-    on ints, or ``Form.isclose`` on float."""
+    -p^2 eigenspace of curly_j^2 (type (p,0)+(0,p)), else NotInLambdaPError.
+
+    J is orthogonal, so curly_j is skew-adjoint and |curly_j alpha|^2 =
+    <-curly_j^2 alpha, alpha>; the largest eigenvalue of -curly_j^2 on
+    degree p is p^2, so |curly_j alpha|^2 <= p^2 |alpha|^2, with equality
+    exactly on the -p^2 eigenspace.  With T = tden curly_j and alpha =
+    nums / den, the exact test is |T nums|^2 = p^2 tden^2 |nums|^2 on ints,
+    the image alone; on float, curly_j(curly_j alpha) and -p^2 alpha are
+    compared by ``Form.isclose``."""
     space, p = alpha.space, alpha.degree
     image, scale = _apply_compiled(j_struct, _curly_j_image, alpha)
-    twice, tden = _apply_compiled(j_struct, _curly_j_image, Form(space, p, image))
     if space.backend == "exact":
-        member = not add_scaled(twice, p * p * tden * tden, space.numerators(alpha.coeffs)[0])
+        nums = space.numerators(alpha.coeffs)[0]
+        norm_sq = sum(v * v for v in image.values())
+        member = norm_sq == (p * j_struct.den) ** 2 * sum(v * v for v in nums.values())
     else:
+        twice, _ = _apply_compiled(j_struct, _curly_j_image, Form(space, p, image))
         member = Form(space, p, twice).isclose(alpha * -(p * p))
     if not member:
         raise NotInLambdaPError("form is not of type (p,0)+(0,p)")
@@ -255,7 +276,7 @@ def bb_j(j_struct: ComplexStructure, alpha: Form) -> Form:
 
     Coincides with inserting J into the first argument slot and squares to -1
     on that subspace.  The image of the membership test ``_lambda_image`` is
-    divided once by its scale times p, or times 1/p on float.
+    divided once by its scale times p.
     """
     if alpha.is_zero():
         return alpha
@@ -263,9 +284,7 @@ def bb_j(j_struct: ComplexStructure, alpha: Form) -> Form:
         raise DegreeUnderflowError("bb_j needs degree >= 1")
     space, p = alpha.space, alpha.degree
     image, scale = _lambda_image(j_struct, alpha)
-    if space.backend == "exact":
-        return space.from_numerators(p, image, scale * p)
-    return Form(space, p, image) * space.ratio(1, p)
+    return space.from_numerators(p, *space.carry(image, scale * p))
 
 
 def _lambda_dim(dim: int, degree: int) -> int:
@@ -370,16 +389,27 @@ def lambda_basis(j_struct: ComplexStructure, degree: int) -> LambdaBasis:
 def bb_j_matrix(j_struct: ComplexStructure, degree: int):
     """``(rows, den)``: bb_j over the cached orthogonal basis (cached per
     degree) as {column: int} rows over one positive ``den``, 1 on the
-    standard J; column d holds den times the coordinates of curly_j(b_d) / p.
+    standard J; column d holds den times the coordinates of curly_j(b_d) / p,
+    in lowest terms.
 
     Each b_d passes the membership test of ``_lambda_image``, whose integer
-    image is paired with the basis.
+    image over scale is paired with the basis: entry (r, d) is the pairing v
+    over <b_r, b_r> p scale.  Over the lcm of those divisors every entry is
+    an int, and one gcd with the lcm reduces them all to the least common
+    denominator.
     """
     basis = lambda_basis(j_struct, degree)
-    images = (_lambda_image(j_struct, b) for b in basis.forms)
-    entries = (
-        (r, d, Fraction(v, basis.norms_sq[r] * degree * scale))
-        for d, (image, scale) in enumerate(images)
-        for r, v in basis.pairings(Form(j_struct.space, degree, image)).items()
-    )
-    return integer_rows(entries, basis.dim)
+    columns = [
+        (basis.pairings(Form(j_struct.space, degree, image)), degree * scale)
+        for image, scale in (_lambda_image(j_struct, b) for b in basis.forms)
+    ]
+    den = lcm(*(basis.norms_sq[r] * ps for pairs, ps in columns for r in pairs))
+    rows: list[dict] = [{} for _ in range(basis.dim)]
+    for d, (pairs, ps) in enumerate(columns):
+        for r, v in pairs.items():
+            if v:
+                rows[r][d] = v * (den // (basis.norms_sq[r] * ps))
+    g = gcd(den, *(v for row in rows for v in row.values()))
+    if g > 1:
+        rows = [{c: v // g for c, v in row.items()} for row in rows]
+    return rows, den // g

@@ -11,7 +11,8 @@ of basis indices.  Tuples with a repeated index contribute nothing, so it is
 over increasing I; the sign comes from (J e_i)^flat = -J e^i for the
 orthogonal J with J^2 = -1.  P_k and alpha_Omega are each one pass over the
 input terms into one coefficient dict (a sparse accumulator, Gustavson,
-ACM TOMS 4(3), 1978); no intermediate form is built.
+ACM TOMS 4(3), 1978); no intermediate form is built, and on exact P_k and
+the primitive basis run on integers only.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .hermitian import (
     _pullback_image,
     per_structure,
 )
-from .linalg import add_scaled, exact_nullspace, integer_rows
+from .linalg import add_scaled, exact_nullspace
 
 
 @per_structure
@@ -80,11 +81,13 @@ def p_k(j_struct: ComplexStructure, alpha: Form, beta: Form, k: int) -> Form:
     Like P_0, a P_k whose degree would exceed the dimension is the zero form
     of top degree.
 
-    For k >= 1 it is one pass over the terms c e^M of alpha: each k-subset
-    I of M gives the left factor c merge_sign(I, M - I) e^(M - I), whose
-    wedge with adjoint_wedge(J e^I, beta) (taken once per I from row I of the
-    compiled pullback table, on its numerators over ``den``) is added into
-    one dict; each nonzero entry is scaled by (-1)^k k! and divided by ``den``.
+    For k >= 1 it is one pass over the integer numerators c e^M of alpha:
+    each k-subset I of M gives the left factor c merge_sign(I, M - I)
+    e^(M - I), whose wedge with adjoint_wedge(J e^I, beta) (taken once per I
+    from row I of the compiled pullback table, over tden, on the numerators
+    of beta) is added into one dict; each nonzero entry is scaled by
+    (-1)^k k! and divided once by tden times the denominators of alpha and
+    beta.
     """
     if alpha.space != beta.space or alpha.space != j_struct.space:
         raise SpaceMismatchError("operands live on different spaces")
@@ -96,9 +99,11 @@ def p_k(j_struct: ComplexStructure, alpha: Form, beta: Form, k: int) -> Form:
         return wedge(alpha, beta)
     if r + s - 2 * k > space.dim:
         return space.zero_form(space.dim)
-    table, den = _compiled(j_struct, _pullback_image, k)
+    table, tden = _compiled(j_struct, _pullback_image, k)
+    a_nums, a_den = space.numerators(alpha.coeffs)
+    b_nums, b_den = space.numerators(beta.coeffs)
     rights, out = {}, {}
-    for ma, ca in alpha.coeffs.items():
+    for ma, ca in a_nums.items():
         for subset in combinations([1 << (i - 1) for i in mask_to_indices(ma)], k):
             mask = sum(subset)
             left = ma ^ mask
@@ -107,7 +112,7 @@ def p_k(j_struct: ComplexStructure, alpha: Form, beta: Form, k: int) -> Form:
             if right is None:
                 right = rights[mask] = {}
                 for mt, ct in table[mask].items():
-                    for mb, cb in beta.coeffs.items():
+                    for mb, cb in b_nums.items():
                         if mb & mt == mt:
                             rest = mb ^ mt
                             right[rest] = right.get(rest, 0) + ct * cb * merge_sign(mt, rest)
@@ -116,7 +121,8 @@ def p_k(j_struct: ComplexStructure, alpha: Form, beta: Form, k: int) -> Form:
                     key = left | mr
                     out[key] = out.get(key, 0) + cl * cr * merge_sign(left, mr)
     scale = (-1) ** k * factorial(k)
-    return space.from_numerators(r + s - 2 * k, {m: scale * v for m, v in out.items() if v}, den)
+    nums = {m: scale * v for m, v in out.items() if v}
+    return space.from_numerators(r + s - 2 * k, nums, tden * a_den * b_den)
 
 
 def alpha_from_holomorphic(j_struct: ComplexStructure, omega_form: Form) -> Form:
@@ -158,19 +164,21 @@ def primitive_basis(j_struct: ComplexStructure, degree: int):
     """Exact basis of the primitive forms of a given degree (cached).
 
     Assembled as the nullspace of the adjoint Lefschetz operator on the
-    increasing-multi-index basis, from the integer rows of den Lstar; each
-    form has the primitive integer coefficients of its nullspace vector.
+    increasing-multi-index basis: column c of the system is the compiled
+    image of the c-th basis form, the integer numerators of den Lstar e^I,
+    read as it is; each form has the primitive integer coefficients of its
+    nullspace vector.
     """
     space = j_struct.space
     masks = basis_masks(space.dim, degree)
     if degree < 2:
         return [Form(space, degree, {m: 1}) for m in masks]
     pos = {m: i for i, m in enumerate(basis_masks(space.dim, degree - 2))}
-    units = (Form(space, degree, {m: 1}) for m in masks)
-    images = (_apply_compiled(j_struct, _lstar_image, unit)[0] for unit in units)
-    rows, _ = integer_rows(
-        ((pos[im], col, c) for col, image in enumerate(images) for im, c in image.items()), len(pos)
-    )
+    table, _ = _compiled(j_struct, _lstar_image, degree)
+    rows: list[dict] = [{} for _ in pos]
+    for col, m in enumerate(masks):
+        for im, c in table[m].items():
+            rows[pos[im]][col] = c
     return [
         Form(space, degree, {masks[c]: v for c, v in vec.items()})
         for vec in exact_nullspace(rows, len(masks))

@@ -1,6 +1,10 @@
 """Session fixtures and helpers shared by the test modules."""
 
+import importlib.util
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +50,48 @@ def rotated_j(n, backend="exact"):
     rows = dense_rows(compose(compose(sparse_rows(rot), std), sparse_rows(list(zip(*rot)))), n)
     space = Space(n, backend)
     return ComplexStructure(space, [[space.scalar(v) for v in row] for row in rows])
+
+
+@cache
+def _cayley_probe():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "cayley_probe.py"
+    spec = importlib.util.spec_from_file_location("cayley_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    return probe
+
+
+def cayley_j(n):
+    """The Cayley-rotated J of ``scripts/cayley_probe.py`` on exact R^n, a
+    fresh structure per call; its denominators are 3/12/187 at dims 4/6/8."""
+    return _cayley_probe().cayley_j(n)
+
+
+J_KINDS = ("standard", "rotated", "cayley")
+
+
+def exact_j(kind, n):
+    """A fresh exact J on R^n of a kind in ``J_KINDS``: the ``standard``
+    one, the ``rotated`` one of ``rotated_j`` or the ``cayley`` one of
+    ``cayley_j``."""
+    build = {"standard": lambda n: ComplexStructure.standard(Space(n)),
+             "rotated": rotated_j, "cayley": cayley_j}[kind]
+    return build(n)
+
+
+def _refuse(*args):
+    raise AssertionError("Fraction arithmetic")
+
+
+@contextmanager
+def fraction_arithmetic_refused():
+    """Within the block, every arithmetic operator of ``Fraction`` raises
+    AssertionError: a call that runs in it builds its values on integers and
+    may only construct a ``Fraction`` from a numerator and a denominator, as
+    the one division of ``Space.from_numerators`` does."""
+    with pytest.MonkeyPatch.context() as patch:
+        for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
+            patch.setattr(Fraction, f"__{op}__", _refuse)
+            patch.setattr(Fraction, f"__r{op}__", _refuse)
+        patch.setattr(Fraction, "__neg__", _refuse)
+        yield

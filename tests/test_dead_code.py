@@ -12,9 +12,11 @@ fails until it is checked by hand.  Calls are matched by
 the same names: ``C(...)`` is a call of ``C.__init__`` (for a dataclass, of
 its generated ``__init__`` over the annotated fields).  The per-structure
 cache attributes are touched by ``hermitian`` alone, the compiled
-operator tables are applied by three functions only, no module of the
-package asks ``json`` for an indent, and ``linalg`` builds no ``Fraction``:
-it names none, and its nullspace vectors hold ints on the shipped systems.
+operator tables are applied by three functions only and read by one more,
+no module of the package asks ``json`` for an indent, and ``linalg`` builds
+no ``Fraction``: it names none, and its nullspace vectors hold ints on the
+shipped systems.  ``hermitian`` and ``lefschetz`` name no ``Fraction``
+either.
 """
 
 import ast
@@ -245,9 +247,12 @@ def callers_of(name):
 def test_one_kernel_applies_each_compiled_table():
     """A compiled table is applied once by ``_apply_compiled``, as the
     product of (curly_j^2 + k) factors by ``_lagrange``, and row by row by
-    P_k; no second loop over it grows elsewhere."""
+    P_k; no second loop over it grows elsewhere.  The primitive basis reads
+    the Lstar table without applying it: its columns, the images of the unit
+    forms, are the rows of the system whose nullspace it takes."""
     assert callers_of("_compiled") == {
         "hermitian.py:_apply_compiled", "hermitian.py:_lagrange", "lefschetz.py:p_k",
+        "lefschetz.py:primitive_basis",
     }
 
 
@@ -311,6 +316,17 @@ def test_linalg_builds_no_fractions():
             for rows, ncols in nullspace_systems(j_struct):
                 basis = exact_nullspace(rows, ncols)
                 assert all(type(v) is int for vec in basis for v in vec.values())
+
+
+def test_hermitian_and_lefschetz_build_no_fractions():
+    """A rational J and rational forms enter ``hermitian`` and ``lefschetz``
+    as integer numerators over one denominator, and a result divides once,
+    in ``Space.from_numerators``; neither module names ``Fraction``.  The
+    tests of ``p_k`` and ``bidegree_project`` on rational J refuse
+    ``Fraction`` arithmetic during the call."""
+    for name in ("hermitian.py", "lefschetz.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        assert "Fraction" not in {ref for ref, _ in referenced_names(tree)}, name
 
 
 def data_members(tree):

@@ -1,9 +1,7 @@
 """Complex-structure extensions, the bigrading, and the lambda subspaces."""
 
-import importlib.util
 from fractions import Fraction
 from math import comb
-from pathlib import Path
 
 import pytest
 
@@ -16,17 +14,21 @@ from hodgelab.exterior import Form, Space, basis_masks, contract, inner, mask_to
 from hodgelab.harmonic import SkewEndo, endo_form
 from hodgelab.hermitian import (
     ComplexStructure,
+    _lambda_image,
     bb_j,
+    bb_j_matrix,
     bidegree_project,
     curly_j,
+    eigen_residual,
     in_lambda_p,
     j_pullback,
     lambda_basis,
 )
 from hodgelab.lefschetz import kahler_form
+from hodgelab.linalg import integer_rows
 from hodgelab.rng import SplitMix64, random_form
 
-from conftest import rotated_j
+from conftest import J_KINDS, cayley_j, exact_j, fraction_arithmetic_refused, rotated_j
 
 S4 = Space(4)
 J4 = ComplexStructure.standard(S4)
@@ -227,6 +229,150 @@ def test_bidegree_project_matches_the_lagrange_oracle(kind, n, backend):
                 assert list(got.coeffs) == list(want.coeffs)
 
 
+def per_factor_projection(j_struct, alpha, p, q):
+    """The per-factor route of ``bidegree_project``: each Lagrange factor is
+    one ``eigen_residual`` on the numerators of the running result, times the
+    ``Fraction`` 1 / ((s-2i)^2 - (p-q)^2)."""
+    s, space, result = alpha.degree, alpha.space, alpha
+    for i in range(s // 2 + 1):
+        if i != q:
+            scale = space.ratio(1, (s - 2 * i) ** 2 - (p - q) ** 2)
+            result = eigen_residual(j_struct, s, *space.numerators(result.coeffs), s - i, i) * scale
+    return result
+
+
+@pytest.mark.parametrize("kind", J_KINDS)
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_bidegree_project_matches_the_per_factor_route(kind, n):
+    """One integer (nums, den) divided once gives the values and key order
+    of the per-factor route, every degree and (p, q), with rational input."""
+    j_struct = exact_j(kind, n)
+    space = j_struct.space
+    rng = SplitMix64(131 + n)
+    for s in range(n + 1):
+        forms = [random_form(space, s, rng), random_form(space, s, rng, terms=comb(n, s))]
+        for q in range(s // 2 + 1):
+            for alpha in forms:
+                got = bidegree_project(j_struct, alpha, s - q, q)
+                want = per_factor_projection(j_struct, alpha, s - q, q)
+                assert got == want
+                assert list(got.coeffs) == list(want.coeffs)
+
+
+@pytest.mark.parametrize("kind", ["rotated", "cayley"])
+def test_exact_projection_divides_once(kind):
+    """On a rational J and rational input, no ``Fraction`` arithmetic runs
+    before the one division, compiled tables included."""
+    for n in (4, 6, 8):
+        j_struct = exact_j(kind, n)
+        rng = SplitMix64(151 + n)
+        forms = [random_form(j_struct.space, s, rng, terms=5) for s in range(n + 1)]
+        with fraction_arithmetic_refused():
+            got = [bidegree_project(j_struct, alpha, alpha.degree, 0) for alpha in forms]
+        assert got == [per_factor_projection(j_struct, alpha, alpha.degree, 0) for alpha in forms]
+
+
+def fraction_bb_j_matrix(j_struct, degree):
+    """``bb_j_matrix`` from ``Fraction`` entries v / (<b_r, b_r> p scale)
+    through ``integer_rows``."""
+    basis = lambda_basis(j_struct, degree)
+    images = (_lambda_image(j_struct, b) for b in basis.forms)
+    entries = (
+        (r, d, Fraction(v, basis.norms_sq[r] * degree * scale))
+        for d, (image, scale) in enumerate(images)
+        for r, v in basis.pairings(Form(j_struct.space, degree, image)).items()
+    )
+    return integer_rows(entries, basis.dim)
+
+
+@pytest.mark.parametrize("kind", J_KINDS)
+def test_bb_j_matrix_matches_the_fraction_entries(kind):
+    """Rows (values and key order) and denominator agree with the route
+    through ``Fraction`` entries, at dims 4/6/8 and every degree."""
+    for n in (4, 6, 8):
+        j_struct = exact_j(kind, n)
+        for degree in range(1, n + 1):
+            rows, den = bb_j_matrix(j_struct, degree)
+            want_rows, want_den = fraction_bb_j_matrix(j_struct, degree)
+            assert (rows, den) == (want_rows, want_den)
+            assert [list(row) for row in rows] == [list(row) for row in want_rows]
+            assert all(type(v) is int for row in rows for v in row.values())
+            if kind == "standard":
+                assert den == 1
+
+
+def squared_membership(j_struct, alpha):
+    """The membership test by the square: curly_j(curly_j alpha) = -p^2 alpha."""
+    return curly_j(j_struct, curly_j(j_struct, alpha)) == -(alpha.degree ** 2) * alpha
+
+
+@pytest.mark.parametrize("kind", J_KINDS)
+def test_lambda_membership_matches_the_squared_derivation(kind):
+    """The norm test |curly_j alpha|^2 = p^2 |alpha|^2 accepts just the
+    forms with curly_j^2 alpha = -p^2 alpha: random rational forms, their
+    (p, 0) projections and those plus one basis form, every degree, at dims
+    4/6/8."""
+    for n in (4, 6, 8):
+        j_struct = exact_j(kind, n)
+        space = j_struct.space
+        rng = SplitMix64(211 + n)
+        for p in range(n + 1):
+            alpha = random_form(space, p, rng, terms=6)
+            member = bidegree_project(j_struct, alpha, p, 0)
+            assert in_lambda_p(j_struct, member)
+            for form in (alpha, member, member + Form(space, p, {basis_masks(n, p)[0]: 1})):
+                assert in_lambda_p(j_struct, form) == squared_membership(j_struct, form)
+
+
+def perturbed(rows, r, c, delta, mirror):
+    """rows with delta added at (r, c), and at (c, r) too when ``mirror``."""
+    out = [list(row) for row in rows]
+    out[r][c] += delta
+    if mirror:
+        out[c][r] += delta
+    return out
+
+
+def refusal(build):
+    """The message of the InvariantViolationError that ``build()`` raises, or None."""
+    try:
+        build()
+    except InvariantViolationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind", J_KINDS)
+def test_skew_check_on_integer_rows_matches_the_fraction_check(kind):
+    """The N + N^T = 0 check of an exact J refuses just the matrices that
+    the ``Fraction`` check of ``SkewEndo`` refuses, with its message; a
+    skew matrix that is no complex structure fails the J^2 = -I check."""
+    skew = "matrix is not skew-symmetric"
+    for n in (4, 6, 8):
+        j_struct = exact_j(kind, n)
+        space = j_struct.space
+        for r, c, delta, mirror in ((0, 1, Fraction(1, 7), False), (1, 0, 1, False),
+                                    (2, 2, Fraction(-3, 11), False), (0, 3, 2, True),
+                                    (1, 2, Fraction(1, 10**400), False)):
+            rows = perturbed(j_struct.rows, r, c, delta, mirror)
+            fraction_check = refusal(lambda: SkewEndo(space, rows))
+            got = refusal(lambda: ComplexStructure(space, rows))
+            if fraction_check is None:
+                assert got == "matrix is not an orthogonal complex structure"
+            else:
+                assert fraction_check == got == skew
+        assert refusal(lambda: SkewEndo(space, j_struct.rows)) is None
+        assert ComplexStructure(space, j_struct.rows).num_rows == j_struct.num_rows
+
+
+def test_a_square_root_of_minus_one_that_is_not_skew_is_refused():
+    """[[1, -2], [1, -1]] squares to -I; next to J_2 it is refused by the
+    skew check, before J^2 = -I is looked at."""
+    rows = [[1, -2, 0, 0], [1, -1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    with pytest.raises(InvariantViolationError, match="^matrix is not skew-symmetric$"):
+        ComplexStructure(S4, rows)
+
+
 def test_bidegree_examples():
     omega = kahler_form(J4)
     assert bidegree_project(J4, S4.basis_form(1, 2), 1, 1) == S4.basis_form(1, 2)
@@ -339,12 +485,8 @@ def test_exact_structure_check_stays_exact():
 def test_cayley_probe_builds_its_structures():
     """The J of ``scripts/cayley_probe.py`` has the denominators 3/12/187 at
     dims 4/6/8 and squares to -I; the probe's timings are not checked."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "cayley_probe.py"
-    spec = importlib.util.spec_from_file_location("cayley_probe", path)
-    probe = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(probe)
     for n, den in ((4, 3), (6, 12), (8, 187)):
-        j = probe.cayley_j(n)
+        j = cayley_j(n)
         assert j.den == den
         square = [[sum(a * b for a, b in zip(row, col)) for col in zip(*j.rows)] for row in j.rows]
         assert square == [[-int(r == c) for c in range(n)] for r in range(n)]

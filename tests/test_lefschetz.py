@@ -1,15 +1,27 @@
 """Lefschetz-type operators, the contraction pairing family, and alpha_Omega."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
 
 from hodgelab.errors import ContractionUnderflowError, NotInLambdaPError
-from hodgelab.exterior import Form, Space, basis_masks, hodge_star, inner, wedge
+from hodgelab.exterior import (
+    Form,
+    Space,
+    basis_masks,
+    hodge_star,
+    inner,
+    mask_to_indices,
+    merge_sign,
+    wedge,
+)
 from hodgelab.hermitian import (
     ComplexStructure,
     LambdaBasis,
+    _compiled,
+    _pullback_image,
     bb_j_matrix,
     bidegree_project,
     j_pullback,
@@ -23,10 +35,11 @@ from hodgelab.lefschetz import (
     p_k,
     primitive_basis,
 )
+from hodgelab.linalg import exact_nullspace
 from hodgelab.rng import SplitMix64, random_form
 from hodgelab.tensor_maps import _wedge_table, a_full_matrix
 
-from conftest import rotated_j
+from conftest import J_KINDS, exact_j, fraction_arithmetic_refused, rotated_j
 
 S4 = Space(4)
 J4 = ComplexStructure.standard(S4)
@@ -238,6 +251,103 @@ def test_iterated_lstar_chain_sign():
                     it = lefschetz_lstar(j_struct, it)
                 expected = ((-1) ** (p * (p - 1) // 2)) * p_k(j_struct, om, jom, p - 1)
                 assert it == expected
+
+
+def unit_image_primitive_basis(j_struct, degree):
+    """The primitive basis from the Lstar images of the unit forms, as
+    ``nullspace_systems`` of ``tests/test_dead_code.py`` builds the rows."""
+    space, n = j_struct.space, j_struct.space.dim
+    masks = basis_masks(n, degree)
+    if degree < 2:
+        return [Form(space, degree, {m: 1}) for m in masks]
+    pos = {m: i for i, m in enumerate(basis_masks(n, degree - 2))}
+    rows = [{} for _ in pos]
+    for col, m in enumerate(masks):
+        for im, c in lefschetz_lstar(j_struct, Form(space, degree, {m: 1})).coeffs.items():
+            rows[pos[im]][col] = c
+    return [Form(space, degree, {masks[c]: v for c, v in vec.items()})
+            for vec in exact_nullspace(rows, len(masks))]
+
+
+@pytest.mark.parametrize("kind", J_KINDS)
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_primitive_basis_matches_the_unit_images(kind, n):
+    """Reading the compiled Lstar table gives the basis of the unit-image
+    rows, values and key order, at every degree."""
+    j_struct = exact_j(kind, n)
+    for degree in range(n + 1):
+        got = primitive_basis(j_struct, degree)
+        want = unit_image_primitive_basis(j_struct, degree)
+        assert got == want
+        assert [list(f.coeffs) for f in got] == [list(f.coeffs) for f in want]
+        assert all(type(v) is int for f in got for v in f.coeffs.values())
+
+
+def fraction_p_k(j_struct, alpha, beta, k):
+    """P_k for k >= 1 as one pass over the coefficients of alpha and beta
+    themselves, ``Fraction``s on a rational input, divided by the table's
+    denominator at the end."""
+    table, den = _compiled(j_struct, _pullback_image, k)
+    rights, out = {}, {}
+    for ma, ca in alpha.coeffs.items():
+        for subset in combinations([1 << (i - 1) for i in mask_to_indices(ma)], k):
+            mask = sum(subset)
+            left = ma ^ mask
+            cl = ca * merge_sign(mask, left)
+            if mask not in rights:
+                right = rights[mask] = {}
+                for mt, ct in table[mask].items():
+                    for mb, cb in beta.coeffs.items():
+                        if mb & mt == mt:
+                            rest = mb ^ mt
+                            right[rest] = right.get(rest, 0) + ct * cb * merge_sign(mt, rest)
+            for mr, cr in rights[mask].items():
+                if not left & mr:
+                    key = left | mr
+                    out[key] = out.get(key, 0) + cl * cr * merge_sign(left, mr)
+    scale = (-1) ** k * factorial(k)
+    nums = {m: scale * v for m, v in out.items() if v}
+    return alpha.space.from_numerators(alpha.degree + beta.degree - 2 * k, nums, den)
+
+
+def p_k_inputs(j_struct, rng):
+    """(alpha, beta, k) over the degrees r, s <= 4 and 1 <= k <= min(r, s),
+    with rational alpha and beta = J alpha' (``Fraction``s on a rational J)."""
+    space = j_struct.space
+    top = min(space.dim, 4)
+    for r in range(1, top + 1):
+        for s in range(1, top + 1):
+            alpha = random_form(space, r, rng, terms=4)
+            beta = j_pullback(j_struct, random_form(space, s, rng, terms=4))
+            for k in range(1, min(r, s) + 1):
+                if r + s - 2 * k <= space.dim:
+                    yield alpha, beta, k
+
+
+@pytest.mark.parametrize("kind", J_KINDS)
+def test_p_k_matches_the_fraction_pass(kind):
+    """On integer numerators P_k gives the values and key order of the same
+    pass over ``Fraction`` coefficients, at dims 4/6/8."""
+    for n in (4, 6, 8):
+        j_struct = exact_j(kind, n)
+        for alpha, beta, k in p_k_inputs(j_struct, SplitMix64(173 + n)):
+            got = p_k(j_struct, alpha, beta, k)
+            want = fraction_p_k(j_struct, alpha, beta, k)
+            assert got == want
+            assert list(got.coeffs) == list(want.coeffs)
+
+
+@pytest.mark.parametrize("kind", ["rotated", "cayley"])
+def test_p_k_divides_once(kind):
+    """On a rational J and rational input, no ``Fraction`` arithmetic runs
+    before the one division, the compiled pullback table included."""
+    for n in (4, 6, 8):
+        j_struct = exact_j(kind, n)
+        inputs = list(p_k_inputs(j_struct, SplitMix64(191 + n)))
+        fresh = exact_j(kind, n)
+        with fraction_arithmetic_refused():
+            got = [p_k(fresh, alpha, beta, k) for alpha, beta, k in inputs]
+        assert got == [fraction_p_k(j_struct, alpha, beta, k) for alpha, beta, k in inputs]
 
 
 def test_recursion_on_dense_random_forms():
